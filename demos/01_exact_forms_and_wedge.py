@@ -49,7 +49,7 @@ form = Form.term(2, (1,), (2,), gaussian(0, 1))
 print(f"  conj(i*dz1^dzb2) = {pretty_print(form.conjugate())}")
 
 # graded sums are allowed; homogeneous pieces come back out
-mixed = Form.term(2, (1,), (), 1) + Form.term(2, (1,), (1,), f.derivative("zb", 4))
+mixed = Form.term(4, (1,), (), 1) + Form.term(4, (1,), (1,), f.derivative("zb", 4))
 print(f"\nmixed form: {pretty_print(mixed)}")
 print(f"  (1,0) piece: {pretty_print(mixed.component(1, 0))}")
 print(f"  (1,1) piece: {pretty_print(mixed.component(1, 1))}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forms import Form
+from .forms import Form, _factors, _sorted_term
 from .metric import HermitianMetric
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
 from .wpoly import Z, ZBAR
@@ -22,15 +22,14 @@ FLAT_MODEL_NOTE = (
 
 def _half_derivative(form: Form, kind: str) -> Form:
     n = form.n
-    out = Form.zero(n)
-    for (I, J), coeff in form.terms.items():
-        base = [(Z, k) for k in I] + [(ZBAR, k) for k in J]
+    pairs = []
+    for key, coeff in form.terms.items():
+        base = _factors(key)
         for j in range(1, n + 1):
             partial = coeff.derivative(kind, j)
-            if partial.is_zero():
-                continue
-            out = out + Form.from_factors(n, [(kind, j)] + base, partial)
-    return out
+            if not partial.is_zero():
+                pairs.extend(_sorted_term([(kind, j)] + base, partial, n))
+    return Form(n, pairs)
 
 
 def dolbeault_del(form: Form) -> Form:

@@ -28,9 +28,10 @@ from .realoracle import oracle_compare
 from .scalars import format_scalar
 from .scenarios import SCENARIO_IDS, scenario_runner
 from .star import DEFAULT_CONVENTION, LITERAL_CONVENTION, hodge_star, pointwise_inner
-from .wpoly import WirtingerPolynomial
 
 _CONVENTIONS = {"default": DEFAULT_CONVENTION, "literal": LITERAL_CONVENTION}
+# single-form commands that read --metric; of the two-form commands only inner does
+_METRIC_COMMANDS = ("star", "delta", "laplacian", "harmonic", "oracle-star")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _metric_for(args: argparse.Namespace) -> HermitianMetric:
+    """The --metric file, or the identity; built only by commands that use a metric."""
     if args.metric:
         metric = load_metric(args.metric)
         if metric.n != args.n:
@@ -106,10 +108,10 @@ def _emit(args: argparse.Namespace, payload: dict, plain: str) -> None:
 def _run_form_command(args: argparse.Namespace) -> int:
     n = args.n
     convention = _CONVENTIONS[args.convention]
-    metric = _metric_for(args)
     result_payload: dict = {"schema": 1, "op": args.command, "n": n, "convention": convention.describe()}
 
     if args.command in ("wedge", "inner"):
+        metric = _metric_for(args) if args.command == "inner" else None
         first = parse_form(args.form1, n)
         second = parse_form(args.form2, n)
         if args.command == "wedge":
@@ -122,6 +124,7 @@ def _run_form_command(args: argparse.Namespace) -> int:
         _emit(args, result_payload, text)
         return 0
 
+    metric = _metric_for(args) if args.command in _METRIC_COMMANDS else None
     form = parse_form(args.form, n)
     if args.command == "star":
         text = pretty_print(hodge_star(form, metric, convention))

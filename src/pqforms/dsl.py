@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .forms import Form
+from .forms import Form, _summed
 from .scalars import GaussianRational, format_scalar, gaussian
 from .wpoly import WirtingerPolynomial, Z, ZBAR
 
@@ -349,15 +349,12 @@ def parse(src: str, n: int) -> FormNode:
 
 def to_form(node: FormNode, n: int) -> Form:
     """Evaluate a parsed AST into a canonical Form."""
-    total = Form.zero(n)
-    for sign, term in node.terms:
-        value = _term_to_form(term, n)
-        total = total + (value if sign > 0 else -value)
-    return total
+    return Form(n, _summed(_term_to_form(sign, term, n) for sign, term in node.terms))
 
 
-def _term_to_form(term: TermNode, n: int) -> Form:
-    value = Form.from_scalar(n, term.coeff if term.coeff is not None else 1)
+def _term_to_form(sign: int, term: TermNode, n: int) -> Form:
+    coeff = term.coeff if term.coeff is not None else 1
+    value = Form.from_scalar(n, coeff if sign > 0 else -coeff)
     for factor in term.factors:
         if isinstance(factor, DifferentialNode):
             piece = Form.from_factors(n, [(factor.kind, factor.index)], 1)

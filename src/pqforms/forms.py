@@ -4,13 +4,19 @@ Storage convention: every term is coeff * dz^I ^ dzb^J with all dz factors
 before all dzb factors and both index blocks strictly increasing.  Every
 sign in the engine flows from this single convention via permutation
 parity, so re-canonicalizing a stored form is always the identity.
+
+The term store is shared with the oracle's ``RealForm``: ``_term_map`` is
+the one merge loop of both constructors and ``_wedge_terms`` the one wedge
+loop, so every sum is built in a single constructor call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
+from bisect import bisect_right
+from itertools import chain
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple, Union
 
-from .scalars import GaussianRational, ScalarLike
+from .scalars import GaussianRational
 from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial
 
 MultiIndex = Tuple[int, ...]
@@ -18,6 +24,7 @@ TermKey = Tuple[MultiIndex, MultiIndex]
 Factor = Tuple[str, int]  # (kind, index): ("z", 3) means dz3, ("zb", 3) means dzb3
 
 CoeffLike = Union[PolyLike, "WirtingerPolynomial"]
+TermsLike = Union[Mapping[TermKey, CoeffLike], Iterable[Tuple[TermKey, CoeffLike]], None]
 
 
 def sort_with_sign(values: Sequence[int]) -> Tuple[MultiIndex, int]:
@@ -60,41 +67,127 @@ def _validate_multi_index(indices: MultiIndex, n: int, label: str) -> MultiIndex
     return indices
 
 
+def _term_key(key: TermKey, n: int) -> TermKey:
+    I, J = key
+    return _validate_multi_index(I, n, "dz"), _validate_multi_index(J, n, "dzb")
+
+
+def _term_map(n: int, terms, check_key: Callable[[Any, int], Hashable]) -> Dict[Any, WirtingerPolynomial]:
+    """The one merge loop behind every form constructor.
+
+    ``terms`` is a mapping or an iterable of (key, coeff) pairs.  Each key
+    passes through ``check_key``, each coefficient becomes a polynomial of
+    dimension n, repeated keys are summed and zero coefficients dropped,
+    so a sum of any number of forms is built in one pass.
+    """
+    if n < 1:
+        raise ValueError(f"ambient dimension must be positive, got {n}")
+    clean: Dict[Any, WirtingerPolynomial] = {}
+    if terms is None:
+        return clean
+    for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+        key = check_key(key, n)
+        if not isinstance(coeff, WirtingerPolynomial):
+            coeff = WirtingerPolynomial.constant(n, coeff)
+        elif coeff.n != n:
+            raise ValueError(f"coefficient ambient dimension {coeff.n} != {n}")
+        clean[key] = clean[key] + coeff if key in clean else coeff
+    return {key: coeff for key, coeff in clean.items() if not coeff.is_zero()}
+
+
+def _same_space(form, other):
+    """``other`` if it is a form of the same kind and dimension as ``form``."""
+    if not isinstance(other, type(form)):
+        raise TypeError(f"expected a {type(form).__name__}, got {type(other).__name__}")
+    if other.n != form.n:
+        raise ValueError(f"ambient dimension mismatch: {form.n} vs {other.n}")
+    return other
+
+
+def _summed(forms: Iterable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
+    """The (key, coeff) pairs of a sum of forms, for one constructor call."""
+    return chain.from_iterable(form.terms.items() for form in forms)
+
+
+def _scaled(terms: Mapping, value: CoeffLike) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
+    if isinstance(value, WirtingerPolynomial):
+        return ((key, coeff * value) for key, coeff in terms.items())
+    value = GaussianRational.coerce(value)
+    return ((key, coeff.scale(value)) for key, coeff in terms.items())
+
+
+def _factors(key: TermKey) -> List[Factor]:
+    """The tagged differentials of a key, in canonical order."""
+    I, J = key
+    return [(Z, k) for k in I] + [(ZBAR, k) for k in J]
+
+
+def _flatten(key: TermKey, n: int) -> MultiIndex:
+    """One flat index tuple for a key: dz_k is k and dzb_k is n + k."""
+    I, J = key
+    return I + tuple(n + k for k in J)
+
+
+def _unflatten(flat: MultiIndex, n: int) -> TermKey:
+    """The key of a strictly increasing flat index tuple."""
+    split = bisect_right(flat, n)
+    return flat[:split], tuple(v - n for v in flat[split:])
+
+
+def _sorted_term(factors: Sequence[Factor], coeff: CoeffLike, n: int) -> List[Tuple[TermKey, CoeffLike]]:
+    """The canonical (key, +-coeff) of coeff times the wedge of the tagged
+    factors in the order given, as a list; empty when a factor repeats."""
+    merged, sign = sort_with_sign([index if kind == Z else n + index for kind, index in factors])
+    if sign == 0:
+        return []
+    return [(_unflatten(merged, n), coeff if sign > 0 else -coeff)]
+
+
+def _wedge_terms(left: Mapping, right: Mapping, flatten=tuple, unflatten=tuple) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
+    """The one wedge loop: yield (key, +-c1*c2) for every pair of terms.
+
+    Keys are read as flat index tuples through ``flatten``; the sign is
+    the parity of sorting their concatenation, and a pair sharing an index
+    vanishes without its coefficient product being formed.
+    """
+    right_flat = [(flatten(key), coeff) for key, coeff in right.items()]
+    for key, c1 in left.items():
+        flat = flatten(key)
+        for flat2, c2 in right_flat:
+            merged, sign = sort_with_sign(flat + flat2)
+            if sign:
+                product = c1 * c2
+                yield unflatten(merged), product if sign > 0 else -product
+
+
+def _pulled_back(terms: Mapping, factors, unit, substitution, images) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
+    """The image of a form under a linear change of coordinates, as pairs.
+
+    A term c * e_f1 ^ e_f2 ^ ..., with f1, f2, ... the factors of its key,
+    goes to c' * images[f1] ^ images[f2] ^ ..., where c' is c after
+    ``substitution`` and the wedge starts from the form ``unit``.
+    """
+    for key, coeff in terms.items():
+        piece = unit
+        for factor in factors(key):
+            piece = piece.wedge(images[factor])
+        yield from _scaled(piece.terms, coeff.substitute(substitution))
+
+
 class Form:
     """A finite sum of terms coeff * dz^I ^ dzb^J in canonical order.
 
     Terms of different bidegrees may coexist, so the exterior derivative
     needs no special casing; homogeneous pieces are recovered with
-    :meth:`component`.
+    :meth:`component`.  ``terms`` may be a mapping or an iterable of
+    (key, coeff) pairs; repeated keys are summed.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[TermKey, CoeffLike] | None = None):
-        if n < 1:
-            raise ValueError(f"ambient dimension must be positive, got {n}")
-        clean: Dict[TermKey, WirtingerPolynomial] = {}
-        if terms:
-            for (I, J), coeff in terms.items():
-                I = _validate_multi_index(I, n, "dz")
-                J = _validate_multi_index(J, n, "dzb")
-                if not isinstance(coeff, WirtingerPolynomial):
-                    coeff = WirtingerPolynomial.constant(n, coeff)
-                elif coeff.n != n:
-                    raise ValueError(f"coefficient ambient dimension {coeff.n} != {n}")
-                if coeff.is_zero():
-                    continue
-                key = (I, J)
-                if key in clean:
-                    merged = clean[key] + coeff
-                    if merged.is_zero():
-                        del clean[key]
-                    else:
-                        clean[key] = merged
-                else:
-                    clean[key] = coeff
+    def __init__(self, n: int, terms: TermsLike = None):
+        self.terms = _term_map(n, terms, _term_key)
         self.n = n
-        self.terms = clean
 
     # -- constructors --------------------------------------------------------
 
@@ -121,65 +214,40 @@ class Form:
         of the permutation that sorts all dz factors (by index) in front of
         all dzb factors (by index).  A repeated differential gives zero.
         """
-        keys: List[Tuple[int, int]] = []
         for kind, index in factors:
             if kind not in (Z, ZBAR):
                 raise ValueError(f"differential kind must be 'z' or 'zb', got {kind!r}")
             if not 1 <= index <= n:
                 raise ValueError(f"differential index {index} out of range 1..{n}")
-            keys.append((0 if kind == Z else 1, index))
-        flat = [group * n + index for group, index in keys]
-        sorted_flat, sign = sort_with_sign(flat)
-        if sign == 0:
-            return cls.zero(n)
-        I = tuple(v for v in sorted_flat if v <= n)
-        J = tuple(v - n for v in sorted_flat if v > n)
-        if not isinstance(coeff, WirtingerPolynomial):
-            coeff = WirtingerPolynomial.constant(n, coeff)
-        return cls(n, {(I, J): coeff.scale(sign)})
+        return cls(n, _sorted_term(factors, coeff, n))
 
     # -- linear structure ------------------------------------------------------
 
-    def _coerce(self, other: "Form") -> "Form":
-        if not isinstance(other, Form):
-            raise TypeError(f"expected a Form, got {type(other).__name__}")
-        if other.n != self.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-        return other
-
     def __add__(self, other: "Form") -> "Form":
-        o = self._coerce(other)
-        out: Dict[TermKey, WirtingerPolynomial] = dict(self.terms)
-        for key, coeff in o.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return Form(self.n, out)
+        return Form(self.n, _summed((self, _same_space(self, other))))
 
     def __neg__(self) -> "Form":
         return Form(self.n, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-self._coerce(other))
+        return self + (-_same_space(self, other))
 
     def scale(self, value: CoeffLike) -> "Form":
         """Multiply every coefficient by a scalar or polynomial."""
-        if isinstance(value, WirtingerPolynomial):
-            factor = value
-        else:
-            factor = WirtingerPolynomial.constant(self.n, value)
-        return Form(self.n, {key: c * factor for key, c in self.terms.items()})
+        return Form(self.n, _scaled(self.terms, value))
 
     # -- graded multiplication ---------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
         """Exterior product; bilinear, associative, graded-anticommutative."""
-        o = self._coerce(other)
-        out = Form.zero(self.n)
-        for (I1, J1), c1 in self.terms.items():
-            factors1 = [(Z, k) for k in I1] + [(ZBAR, k) for k in J1]
-            for (I2, J2), c2 in o.terms.items():
-                factors2 = [(Z, k) for k in I2] + [(ZBAR, k) for k in J2]
-                out = out + Form.from_factors(self.n, factors1 + factors2, c1 * c2)
-        return out
+        n = self.n
+        pairs = _wedge_terms(
+            self.terms,
+            _same_space(self, other).terms,
+            lambda key: _flatten(key, n),
+            lambda flat: _unflatten(flat, n),
+        )
+        return Form(n, pairs)
 
     def __xor__(self, other: "Form") -> "Form":
         return self.wedge(other)

@@ -84,14 +84,6 @@ def mat_inverse(matrix: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in work)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n))
-        for i in range(n)
-    )
-
-
 def leading_principal_minors(matrix: Matrix) -> List[GaussianRational]:
     n = len(matrix)
     return [
@@ -207,14 +199,8 @@ class HermitianMetric:
 def associated_form(metric: HermitianMetric) -> Form:
     """The (1,1)-form i * sum g[a][b] dz^a ^ dzb^b attached to the metric."""
     n = metric.n
-    out = Form.zero(n)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            coeff = I_UNIT * metric.entries[a - 1][b - 1]
-            if coeff.is_zero():
-                continue
-            out = out + Form.term(n, (a,), (b,), coeff)
-    return out
+    entries = metric.entries
+    return Form(n, {((a,), (b,)): I_UNIT * entries[a - 1][b - 1] for a in range(1, n + 1) for b in range(1, n + 1)})
 
 
 def volume_form(metric: HermitianMetric) -> Form:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from .forms import Form, MultiIndex
+from .forms import Form, MultiIndex, _factors, _pulled_back
 from .scalars import GaussianRational
 from .wpoly import WirtingerPolynomial, Z, ZBAR
 
@@ -218,34 +218,17 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
     n = form.n
     if matrix.n != n:
         raise ValueError(f"matrix dimension {matrix.n} != form dimension {n}")
-    entries = matrix.entries
-    dz_images = [
-        Form(n, {((m,), ()): GaussianRational.coerce(entries[j - 1][m - 1]) for m in range(1, n + 1)})
-        for j in range(1, n + 1)
-    ]
-    dzb_images = [
-        Form(n, {((), (m,)): GaussianRational.coerce(entries[j - 1][m - 1]) for m in range(1, n + 1)})
-        for j in range(1, n + 1)
-    ]
+    images = {}  # (kind, j) of dz^j or dzb^j -> its image
     substitution = {}
-    for j in range(1, n + 1):
-        z_image = WirtingerPolynomial.zero(n)
-        zb_image = WirtingerPolynomial.zero(n)
-        for m in range(1, n + 1):
-            scale = GaussianRational.coerce(entries[j - 1][m - 1])
-            z_image = z_image + WirtingerPolynomial.z(n, m).scale(scale)
-            zb_image = zb_image + WirtingerPolynomial.zb(n, m).scale(scale)
-        substitution[(Z, j)] = z_image
-        substitution[(ZBAR, j)] = zb_image
-    out = Form.zero(n)
-    for (I, J), coeff in form.terms.items():
-        piece = Form.from_scalar(n, coeff.substitute(substitution))
-        for j in I:
-            piece = piece.wedge(dz_images[j - 1])
-        for j in J:
-            piece = piece.wedge(dzb_images[j - 1])
-        out = out + piece
-    return out
+    for j, row in enumerate(matrix.entries, start=1):
+        images[(Z, j)] = Form(n, {((m,), ()): a for m, a in enumerate(row, start=1)})
+        images[(ZBAR, j)] = Form(n, {((), (m,)): a for m, a in enumerate(row, start=1)})
+        for kind in (Z, ZBAR):
+            image = WirtingerPolynomial.zero(n)
+            for m, a in enumerate(row, start=1):
+                image = image + WirtingerPolynomial.variable(n, kind, m).scale(a)
+            substitution[(kind, j)] = image
+    return Form(n, _pulled_back(form.terms, _factors, Form.from_scalar(n, 1), substitution, images))
 
 
 def _restricted_to(poly: WirtingerPolynomial, allowed: Iterable[int]) -> Tuple[bool, str]:

@@ -15,15 +15,33 @@ Real polynomial coefficients reuse the sparse container from
 x-exponents and the last n slots hold y-exponents.  Conjugation and
 Wirtinger derivatives of that container are meaningless under this reading
 and are never called here.
+
+:class:`RealForm` shares the term store of :mod:`pqforms.forms`: its keys
+are strictly increasing tuples over 1..2n, merged and wedged by the same
+helpers as the keys of :class:`~pqforms.forms.Form`.  Only its index
+validation, its degrees and its printing are its own.  The oracle is thus
+independent of the complex star but not of the container, so the tests
+check realify(a ^ b) == realify(a) ^ realify(b) on random forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .forms import Form, sort_with_sign
+from .forms import (
+    Form,
+    _factors,
+    _pulled_back,
+    _same_space,
+    _scaled,
+    _summed,
+    _term_map,
+    _wedge_terms,
+    complement,
+    concat_sign,
+)
 from .metric import HermitianMetric
 from .scalars import GaussianRational, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
@@ -52,11 +70,11 @@ ORACLE_STAR_RATIOS: Dict[Tuple[int, int, int], GaussianRational] = {
 }
 
 
-def _validate_real_index(indices: RealIndex, two_n: int) -> RealIndex:
+def _validate_real_index(indices: RealIndex, n: int) -> RealIndex:
     indices = tuple(indices)
     for k in indices:
-        if not 1 <= k <= two_n:
-            raise ValueError(f"real index {k} out of range 1..{two_n}")
+        if not 1 <= k <= 2 * n:
+            raise ValueError(f"real index {k} out of range 1..{2 * n}")
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise ValueError(f"real multi-index {indices} is not strictly increasing")
     return indices
@@ -69,27 +87,9 @@ class RealForm:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[RealIndex, WirtingerPolynomial] | None = None):
-        if n < 1:
-            raise ValueError(f"ambient dimension must be positive, got {n}")
-        clean: Dict[RealIndex, WirtingerPolynomial] = {}
-        if terms:
-            for indices, coeff in terms.items():
-                indices = _validate_real_index(indices, 2 * n)
-                if not isinstance(coeff, WirtingerPolynomial):
-                    coeff = WirtingerPolynomial.constant(n, coeff)
-                if coeff.is_zero():
-                    continue
-                if indices in clean:
-                    merged = clean[indices] + coeff
-                    if merged.is_zero():
-                        del clean[indices]
-                    else:
-                        clean[indices] = merged
-                else:
-                    clean[indices] = coeff
+    def __init__(self, n: int, terms=None):
+        self.terms = _term_map(n, terms, _validate_real_index)
         self.n = n
-        self.terms = clean
 
     @classmethod
     def zero(cls, n: int) -> "RealForm":
@@ -100,37 +100,19 @@ class RealForm:
         return cls(n, {tuple(indices): coeff})
 
     def __add__(self, other: "RealForm") -> "RealForm":
-        if other.n != self.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return RealForm(self.n, out)
+        return RealForm(self.n, _summed((self, _same_space(self, other))))
 
     def __neg__(self) -> "RealForm":
         return RealForm(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "RealForm") -> "RealForm":
-        return self + (-other)
+        return self + (-_same_space(self, other))
 
     def scale(self, value) -> "RealForm":
-        factor = value if isinstance(value, WirtingerPolynomial) else None
-        out = {}
-        for key, coeff in self.terms.items():
-            out[key] = coeff * factor if factor is not None else coeff.scale(value)
-        return RealForm(self.n, out)
+        return RealForm(self.n, _scaled(self.terms, value))
 
     def wedge(self, other: "RealForm") -> "RealForm":
-        if other.n != self.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-        out = RealForm.zero(self.n)
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                merged, sign = sort_with_sign(k1 + k2)
-                if sign == 0:
-                    continue
-                out = out + RealForm.term(self.n, merged, (c1 * c2).scale(sign))
-        return out
+        return RealForm(self.n, _wedge_terms(self.terms, _same_space(self, other).terms))
 
     def degrees(self):
         return {len(k) for k in self.terms}
@@ -153,33 +135,19 @@ class RealForm:
         return "<realform " + " + ".join(bits) + ">"
 
 
-def _x_poly(n: int, k: int) -> WirtingerPolynomial:
-    return WirtingerPolynomial.z(n, k)
-
-
-def _y_poly(n: int, k: int) -> WirtingerPolynomial:
-    return WirtingerPolynomial.zb(n, k)
-
-
 def realify(form: Form) -> RealForm:
     """Expand dz^k = dx^k + i dy^k, z^k = x^k + i y^k exactly."""
     n = form.n
+    i = gaussian(0, 1)
     substitution = {}
+    images = {}  # (kind, k) of dz^k or dzb^k -> its real image
     for k in range(1, n + 1):
-        substitution[(Z, k)] = _x_poly(n, k) + _y_poly(n, k).scale(gaussian(0, 1))
-        substitution[(ZBAR, k)] = _x_poly(n, k) - _y_poly(n, k).scale(gaussian(0, 1))
-    dx = {k: RealForm.term(n, (2 * k - 1,), 1) for k in range(1, n + 1)}
-    dy = {k: RealForm.term(n, (2 * k,), 1) for k in range(1, n + 1)}
-    out = RealForm.zero(n)
-    for (I, J), coeff in form.terms.items():
-        real_coeff = coeff.substitute(substitution)
-        piece = RealForm.term(n, (), real_coeff)
-        for k in I:
-            piece = piece.wedge(dx[k] + dy[k].scale(gaussian(0, 1)))
-        for k in J:
-            piece = piece.wedge(dx[k] - dy[k].scale(gaussian(0, 1)))
-        out = out + piece
-    return out
+        x, y = WirtingerPolynomial.z(n, k), WirtingerPolynomial.zb(n, k)
+        substitution[(Z, k)] = x + y.scale(i)
+        substitution[(ZBAR, k)] = x - y.scale(i)
+        images[(Z, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): i})
+        images[(ZBAR, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): -i})
+    return RealForm(n, _pulled_back(form.terms, _factors, RealForm.term(n, (), 1), substitution, images))
 
 
 def complexify(real: RealForm) -> Form:
@@ -187,25 +155,14 @@ def complexify(real: RealForm) -> Form:
     n = real.n
     half = Fraction(1, 2)
     substitution = {}
+    images = {}  # real index of dx^k or dy^k -> its complex image
     for k in range(1, n + 1):
-        z = WirtingerPolynomial.z(n, k)
-        zb = WirtingerPolynomial.zb(n, k)
+        z, zb = WirtingerPolynomial.z(n, k), WirtingerPolynomial.zb(n, k)
         substitution[(Z, k)] = (z + zb).scale(gaussian(half))
         substitution[(ZBAR, k)] = (z - zb).scale(gaussian(0, -half))
-    dz = {k: Form.term(n, (k,), (), 1) for k in range(1, n + 1)}
-    dzb = {k: Form.term(n, (), (k,), 1) for k in range(1, n + 1)}
-    out = Form.zero(n)
-    for indices, coeff in real.terms.items():
-        complex_coeff = coeff.substitute(substitution)
-        piece = Form.from_scalar(n, complex_coeff)
-        for v in indices:
-            k = (v + 1) // 2
-            if v % 2:  # dx^k
-                piece = piece.wedge((dz[k] + dzb[k]).scale(gaussian(half)))
-            else:  # dy^k
-                piece = piece.wedge((dz[k] - dzb[k]).scale(gaussian(0, -half)))
-        out = out + piece
-    return out
+        images[2 * k - 1] = Form(n, {((k,), ()): half, ((), (k,)): half})
+        images[2 * k] = Form(n, {((k,), ()): gaussian(0, -half), ((), (k,)): gaussian(0, half)})
+    return Form(n, _pulled_back(real.terms, tuple, Form.from_scalar(n, 1), substitution, images))
 
 
 def real_hodge_star(real: RealForm) -> RealForm:
@@ -215,13 +172,11 @@ def real_hodge_star(real: RealForm) -> RealForm:
     degrees = real.degrees()
     if len(degrees) > 1:
         raise ValueError(f"real star needs a homogeneous form, got degrees {sorted(degrees)}")
-    two_n = 2 * real.n
-    out: Dict[RealIndex, WirtingerPolynomial] = {}
+    pairs = []
     for indices, coeff in real.terms.items():
-        rest = tuple(v for v in range(1, two_n + 1) if v not in indices)
-        _, sign = sort_with_sign(indices + rest)
-        out[rest] = coeff.scale(sign)
-    return RealForm(real.n, out)
+        rest = complement(indices, 2 * real.n)
+        pairs.append((rest, coeff.scale(concat_sign(indices, rest))))
+    return RealForm(real.n, pairs)
 
 
 def oracle_star(psi: Form) -> Form:
@@ -231,11 +186,8 @@ def oracle_star(psi: Form) -> Form:
     conjugating first lines up both the bidegree and the coefficient
     conjugation of the two paths.
     """
-    out = Form.zero(psi.n)
-    for p, q in sorted(psi.bidegrees()):
-        part = psi.component(p, q)
-        out = out + complexify(real_hodge_star(realify(part.conjugate())))
-    return out
+    parts = (psi.component(p, q).conjugate() for p, q in sorted(psi.bidegrees()))
+    return Form(psi.n, _summed(complexify(real_hodge_star(realify(part))) for part in parts))
 
 
 @dataclass(frozen=True)

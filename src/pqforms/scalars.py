@@ -88,6 +88,17 @@ class GaussianRational:
             k >>= 1
         return result
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # a real value hashes like the int or Fraction it equals
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 

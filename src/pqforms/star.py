@@ -145,7 +145,7 @@ def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = 
     n = metric.n
     if psi.n != n:
         raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
-    out = Form.zero(n)
+    pairs = []
     for p, q in sorted(psi.bidegrees()):
         part = psi.component(p, q)
         prefactor = _star_prefactor(n, p, q) * metric.determinant
@@ -162,8 +162,8 @@ def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = 
                 key = (A_c, B_c)
             else:
                 key = (B_c, A_c)
-            out = out + Form.term(n, key[0], key[1], coeff)
-    return out
+            pairs.append((key, coeff))
+    return Form(n, pairs)
 
 
 @dataclass(frozen=True)

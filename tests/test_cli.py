@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pqforms import HermitianMetric
 from pqforms.cli import main
 
 
@@ -123,3 +124,29 @@ def test_byte_identical_output(capsys):
     third = run(capsys, "star", "--n", "2", "--json", "(z1+3)*dz1^dzb2")
     fourth = run(capsys, "star", "--n", "2", "--json", "(z1+3)*dz1^dzb2")
     assert third == fourth
+
+
+def _refuse_metric(cls, n):
+    raise ValueError("metric refused")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["d", "--n", "3", "dz1"],
+        ["del", "--n", "3", "z1*dz2"],
+        ["delbar", "--n", "3", "zb1*dz2"],
+        ["wedge", "--n", "3", "dz1", "dzb2"],
+        ["obstruction", "--n", "3", "--v", "1,0,0", "dz1^dzb2"],
+    ],
+)
+def test_commands_without_a_metric_build_none(capsys, monkeypatch, argv):
+    monkeypatch.setattr(HermitianMetric, "identity", classmethod(_refuse_metric))
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["star", "--n", "1", "dz1"], ["inner", "--n", "1", "dz1", "dz1"]])
+def test_metric_commands_still_build_one(capsys, monkeypatch, argv):
+    monkeypatch.setattr(HermitianMetric, "identity", classmethod(_refuse_metric))
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (2, "error: metric refused\n")

@@ -2,8 +2,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_parity, forms, homogeneous_forms, random_form
+from helpers import brute_parity, forms, homogeneous_forms, polys, random_form
 from pqforms import Form, WirtingerPolynomial, gaussian
 from pqforms.forms import complement, sort_with_sign
 from pqforms.wpoly import Z, ZBAR
@@ -139,3 +140,25 @@ def test_sort_with_sign_matches_brute_parity():
 def test_complement():
     assert complement((2, 4), 5) == (1, 3, 5)
     assert complement((), 3) == (1, 2, 3)
+
+
+_KEYS = [((1,), ()), ((), (1, 2)), ((1,), (2,))]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_KEYS), polys(n=2, max_terms=2)), max_size=6))
+def test_pairs_with_repeated_keys_build_the_sum(pairs):
+    total = Form.zero(2)
+    for key, coeff in pairs:
+        total = total + Form(2, {key: coeff})
+    assert Form(2, pairs) == total
+    assert Form(2, iter(pairs)) == total
+
+
+def test_cancelling_pairs_leave_no_key():
+    key = ((1,), (2,))
+    c = WirtingerPolynomial.z(2, 1) + WirtingerPolynomial.constant(2, gaussian(0, 1))
+    assert Form(2, [(key, c), (key, -c)]).terms == {}
+    built = Form(2, [(key, c), (((), ()), 3), (key, -c)])
+    assert key not in built.terms
+    assert built == Form.from_scalar(2, 3)
+    assert Form(2, [(key, c), (key, -c), (key, c)]) == Form(2, {key: c})

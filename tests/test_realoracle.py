@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_form
+from helpers import forms, polys, random_form
 from pqforms import (
     Form,
     HermitianMetric,
@@ -138,3 +140,33 @@ def test_single_ratio_across_random_forms():
                     report = oracle_compare(psi, metric)
                     assert report.proportional
                     assert report.ratio_for(p, q) == expected
+
+
+_REAL_KEYS = [(1,), (2, 3), (1, 2, 4)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_REAL_KEYS), polys(n=2, max_terms=2)), max_size=6))
+def test_realform_pairs_with_repeated_keys_build_the_sum(pairs):
+    total = RealForm.zero(2)
+    for key, coeff in pairs:
+        total = total + RealForm.term(2, key, coeff)
+    assert RealForm(2, pairs) == total
+
+
+def test_realform_cancelling_pairs_leave_no_key():
+    c = WirtingerPolynomial.z(2, 2).scale(gaussian(1, -1))
+    built = RealForm(2, [((2, 3), c), ((1,), 5), ((2, 3), -c)])
+    assert (2, 3) not in built.terms
+    assert built == RealForm.term(2, (1,), 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(forms(n=n, max_terms=2, max_degree=1), forms(n=n, max_terms=2, max_degree=1))
+    )
+)
+def test_realify_turns_wedge_into_real_wedge(pair):
+    # RealForm.wedge against Form.wedge through the independent substitution
+    a, b = pair
+    assert realify(a.wedge(b)) == realify(a).wedge(realify(b))

@@ -78,3 +78,19 @@ def test_parse_scalar_literals(text, expected):
 def test_parse_scalar_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_scalar(text)
+
+
+def test_equality_with_int_and_fraction():
+    assert GaussianRational(1) == 1
+    assert 1 == GaussianRational(1)
+    assert gaussian(Fraction(1, 2)) == Fraction(1, 2)
+    assert gaussian(1, 1) != 1
+    assert gaussian(2) != 1
+
+
+@given(scalars())
+def test_hash_agrees_with_equality(a):
+    if a.im == 0:
+        assert a == a.re
+        assert hash(a) == hash(a.re)
+    assert hash(a) == hash(gaussian(a.re, a.im))
