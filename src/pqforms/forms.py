@@ -160,18 +160,19 @@ def _wedge_terms(left: Mapping, right: Mapping, flatten=tuple, unflatten=tuple) 
                 yield unflatten(merged), product if sign > 0 else -product
 
 
-def _pulled_back(terms: Mapping, factors, unit, substitution, images) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
-    """The image of a form under a linear change of coordinates, as pairs.
+def _pulled_back(terms: Mapping, factors, unit, coefficient, images) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
+    """The image of a form under a linear change of frame, as pairs.
 
     A term c * e_f1 ^ e_f2 ^ ..., with f1, f2, ... the factors of its key,
-    goes to c' * images[f1] ^ images[f2] ^ ..., where c' is c after
-    ``substitution`` and the wedge starts from the form ``unit``.
+    goes to coefficient(c) * images[f1] ^ images[f2] ^ ..., the wedge
+    starting from the form ``unit``.  Wedging the images of k factors
+    expands into the k x k minors of the frame change (Cauchy-Binet).
     """
     for key, coeff in terms.items():
         piece = unit
         for factor in factors(key):
             piece = piece.wedge(images[factor])
-        yield from _scaled(piece.terms, coeff.substitute(substitution))
+        yield from _scaled(piece.terms, coefficient(coeff))
 
 
 class Form:

@@ -145,7 +145,7 @@ class HermitianMetric:
     conjugate of dz^(b+1).
     """
 
-    __slots__ = ("n", "entries", "inverse", "determinant")
+    __slots__ = ("n", "entries", "inverse", "determinant", "_volume")
 
     def __init__(self, entries: MatrixLike):
         matrix = coerce_matrix(entries)
@@ -162,6 +162,7 @@ class HermitianMetric:
         self.entries = matrix
         self.determinant = report.determinant
         self.inverse = mat_inverse(matrix)
+        self._volume = None  # filled by volume_form on first use
 
     @classmethod
     def identity(cls, n: int) -> "HermitianMetric":
@@ -181,10 +182,6 @@ class HermitianMetric:
             for i in range(self.n)
             for j in range(self.n)
         )
-
-    def inverse_entry(self, row: int, col: int) -> GaussianRational:
-        """Inverse-metric coefficient with 1-based indices: barred row, unbarred column."""
-        return self.inverse[row - 1][col - 1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HermitianMetric):
@@ -206,13 +203,16 @@ def associated_form(metric: HermitianMetric) -> Form:
 def volume_form(metric: HermitianMetric) -> Form:
     """The exact volume form: the n-th wedge power of the associated
     (1,1)-form divided by n!.  Computed by explicit wedge powers, which is
-    the engine's ground truth for every other volume normalization."""
-    n = metric.n
-    omega = associated_form(metric)
-    power = Form.from_scalar(n, 1)
-    for _ in range(n):
-        power = power.wedge(omega)
-    return power.scale(GaussianRational.coerce(Fraction(1, factorial(n))))
+    the engine's ground truth for every other volume normalization, once
+    per metric: the result is kept on the metric and returned again."""
+    if metric._volume is None:
+        n = metric.n
+        omega = associated_form(metric)
+        power = Form.from_scalar(n, 1)
+        for _ in range(n):
+            power = power.wedge(omega)
+        metric._volume = power.scale(GaussianRational.coerce(Fraction(1, factorial(n))))
+    return metric._volume
 
 
 @dataclass(frozen=True)

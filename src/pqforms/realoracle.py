@@ -51,8 +51,9 @@ RealIndex = Tuple[int, ...]
 
 # Engine star versus oracle star: exact ratio per (n, p, q), derived by
 # running the oracle over every unit monomial before the star tests were
-# frozen.  The observed pattern is 2^(n-p-q); the table keeps the raw
-# recorded values rather than the formula.
+# frozen (n = 3 was recorded the same way later, over all 64 monomials).
+# The observed pattern is 2^(n-p-q); the table keeps the raw recorded
+# values rather than the formula.
 ORACLE_STAR_RATIOS: Dict[Tuple[int, int, int], GaussianRational] = {
     (1, 0, 0): gaussian(2),
     (1, 0, 1): gaussian(1),
@@ -67,6 +68,22 @@ ORACLE_STAR_RATIOS: Dict[Tuple[int, int, int], GaussianRational] = {
     (2, 2, 0): gaussian(1),
     (2, 2, 1): gaussian(Fraction(1, 2)),
     (2, 2, 2): gaussian(Fraction(1, 4)),
+    (3, 0, 0): gaussian(8),
+    (3, 0, 1): gaussian(4),
+    (3, 0, 2): gaussian(2),
+    (3, 0, 3): gaussian(1),
+    (3, 1, 0): gaussian(4),
+    (3, 1, 1): gaussian(2),
+    (3, 1, 2): gaussian(1),
+    (3, 1, 3): gaussian(Fraction(1, 2)),
+    (3, 2, 0): gaussian(2),
+    (3, 2, 1): gaussian(1),
+    (3, 2, 2): gaussian(Fraction(1, 2)),
+    (3, 2, 3): gaussian(Fraction(1, 4)),
+    (3, 3, 0): gaussian(1),
+    (3, 3, 1): gaussian(Fraction(1, 2)),
+    (3, 3, 2): gaussian(Fraction(1, 4)),
+    (3, 3, 3): gaussian(Fraction(1, 8)),
 }
 
 
@@ -147,7 +164,7 @@ def realify(form: Form) -> RealForm:
         substitution[(ZBAR, k)] = x - y.scale(i)
         images[(Z, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): i})
         images[(ZBAR, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): -i})
-    return RealForm(n, _pulled_back(form.terms, _factors, RealForm.term(n, (), 1), substitution, images))
+    return RealForm(n, _pulled_back(form.terms, _factors, RealForm.term(n, (), 1), lambda c: c.substitute(substitution), images))
 
 
 def complexify(real: RealForm) -> Form:
@@ -162,7 +179,7 @@ def complexify(real: RealForm) -> Form:
         substitution[(ZBAR, k)] = (z - zb).scale(gaussian(0, -half))
         images[2 * k - 1] = Form(n, {((k,), ()): half, ((), (k,)): half})
         images[2 * k] = Form(n, {((k,), ()): gaussian(0, -half), ((), (k,)): gaussian(0, half)})
-    return Form(n, _pulled_back(real.terms, tuple, Form.from_scalar(n, 1), substitution, images))
+    return Form(n, _pulled_back(real.terms, tuple, Form.from_scalar(n, 1), lambda c: c.substitute(substitution), images))
 
 
 def real_hodge_star(real: RealForm) -> RealForm:

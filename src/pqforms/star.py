@@ -29,13 +29,12 @@ contracts the conjugated coefficient with inverse-metric entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Literal, Tuple
 
-from .forms import Form, MultiIndex, complement, concat_sign
-from .metric import HermitianMetric, Matrix, mat_determinant, volume_form
+from .forms import Form, MultiIndex, _factors, _pulled_back, complement, concat_sign
+from .metric import HermitianMetric, volume_form
 from .scalars import GaussianRational, I_UNIT, MINUS_ONE, ONE
-from .wpoly import WirtingerPolynomial
+from .wpoly import Z, ZBAR, WirtingerPolynomial
 
 ConjugationMode = Literal["single", "literal_eq_2_9"]
 OutputIndexMode = Literal["same_type_complement", "printed_eq_2_9"]
@@ -63,22 +62,16 @@ LITERAL_CONVENTION = StarConvention(
 )
 
 
-def _minor(metric_inverse: Matrix, rows: MultiIndex, cols: MultiIndex) -> GaussianRational:
-    """Determinant of the inverse-metric submatrix on 1-based index tuples."""
-    if not rows:
-        return ONE
-    sub = tuple(tuple(metric_inverse[r - 1][c - 1] for c in cols) for r in rows)
-    return mat_determinant(sub)
-
-
 def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial]:
-    """Raised coefficient table of a homogeneous (p,q)-form.
-
-    For each strictly increasing (A, B) the raised coefficient contracts
-    every conjugated stored coefficient with inverse-metric minors:
+    """Raised coefficient table of a homogeneous (p,q)-form:
 
         raised[A, B] = sum over stored (L, M) of
             det(ginv[L, A]) * det(ginv[B, M]) * conj(coeff[L, M])
+
+    over strictly increasing (A, B), where ginv[r][c] is the inverse-metric
+    entry with barred row r and unbarred column c (1-based).  The minors
+    are the exterior power of ginv (Cauchy-Binet), so the table is a
+    pull-back: dz^l goes to sum_a ginv[l][a] dz^a, dzb^m to sum_b ginv[b][m] dzb^b.
 
     With the identity metric this collapses to coefficient-wise
     conjugation.  The table carries exactly one conjugation; callers pick
@@ -91,21 +84,12 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     n = metric.n
     if psi.n != n:
         raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
-    p, q = psi.homogeneous_bidegree()
     ginv = metric.inverse
-    table: Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial] = {}
-    conjugated = {key: coeff.conjugate() for key, coeff in psi.terms.items()}
-    for A in combinations(range(1, n + 1), p):
-        for B in combinations(range(1, n + 1), q):
-            total = WirtingerPolynomial.zero(n)
-            for (L, M), coeff in conjugated.items():
-                factor = _minor(ginv, L, A) * _minor(ginv, B, M)
-                if factor.is_zero():
-                    continue
-                total = total + coeff.scale(factor)
-            if not total.is_zero():
-                table[(A, B)] = total
-    return table
+    images = {}  # (kind, k) of dz^k or dzb^k -> its image under ginv
+    for k in range(1, n + 1):
+        images[(Z, k)] = Form(n, {((a,), ()): ginv[k - 1][a - 1] for a in range(1, n + 1)})
+        images[(ZBAR, k)] = Form(n, {((), (b,)): ginv[b - 1][k - 1] for b in range(1, n + 1)})
+    return Form(n, _pulled_back(psi.terms, _factors, Form.from_scalar(n, 1), WirtingerPolynomial.conjugate, images)).terms
 
 
 def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerPolynomial:
@@ -123,11 +107,7 @@ def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerP
             f"bidegree mismatch: {phi.homogeneous_bidegree()} vs {psi.homogeneous_bidegree()}"
         )
     raised = raise_indices(psi, metric)
-    total = WirtingerPolynomial.zero(n)
-    for key, coeff in phi.terms.items():
-        if key in raised:
-            total = total + coeff * raised[key]
-    return total
+    return sum((coeff * raised[key] for key, coeff in phi.terms.items() if key in raised), WirtingerPolynomial.zero(n))
 
 
 def _star_prefactor(n: int, p: int, q: int) -> GaussianRational:
@@ -158,10 +138,7 @@ def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = 
             if convention.conjugation_mode == "literal_eq_2_9":
                 raised = raised.conjugate()
             coeff = raised.scale(prefactor * sign)
-            if convention.output_index_mode == "same_type_complement":
-                key = (A_c, B_c)
-            else:
-                key = (B_c, A_c)
+            key = (A_c, B_c) if convention.output_index_mode == "same_type_complement" else (B_c, A_c)
             pairs.append((key, coeff))
     return Form(n, pairs)
 

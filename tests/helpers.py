@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import Optional, Tuple
 
 from hypothesis import strategies as st
 
-from pqforms import Form, WirtingerPolynomial, gaussian
+from pqforms import Form, HermitianMetric, WirtingerPolynomial, gaussian
 
 
 def brute_parity(values) -> int:
@@ -26,6 +27,61 @@ def brute_parity(values) -> int:
             if values[i] > values[j]:
                 sign = -sign
     return sign
+
+
+def brute_determinant(rows):
+    """Leibniz determinant of a square list of scalars; 1 for the empty matrix.
+
+    Independent of the engine's elimination: each permutation's sign comes
+    from :func:`brute_parity`.
+    """
+    total = gaussian(0)
+    for perm in permutations(range(len(rows))):
+        product = gaussian(brute_parity(perm))
+        for row, col in enumerate(perm):
+            product = product * rows[row][col]
+        total = total + product
+    return total
+
+
+def brute_raise(psi: Form, metric):
+    """Raised coefficient table of a homogeneous form by the minors formula:
+
+        raised[A, B] = sum over stored (L, M) of
+            det(ginv[L, A]) * det(ginv[B, M]) * conj(coeff[L, M])
+
+    looping over every increasing (A, B), with Leibniz minors.
+    """
+    if psi.is_zero():
+        return {}
+    n = metric.n
+    ginv = metric.inverse
+    (p, q), = psi.bidegrees()
+    table = {}
+    for A in combinations(range(1, n + 1), p):
+        for B in combinations(range(1, n + 1), q):
+            total = WirtingerPolynomial.zero(n)
+            for (L, M), coeff in psi.terms.items():
+                left = brute_determinant([[ginv[l - 1][a - 1] for a in A] for l in L])
+                right = brute_determinant([[ginv[b - 1][m - 1] for m in M] for b in B])
+                total = total + coeff.conjugate().scale(left * right)
+            if not total.is_zero():
+                table[(A, B)] = total
+    return table
+
+
+def random_dense_metric(rng: random.Random, n: int):
+    """P*P + I for a small Gaussian-rational P: Hermitian, positive definite
+    and, for almost every draw, without zero entries off the diagonal."""
+    P = [[random_scalar(rng, span=2) for _ in range(n)] for _ in range(n)]
+    entries = [
+        [
+            sum((P[k][a].conjugate() * P[k][b] for k in range(n)), gaussian(1 if a == b else 0))
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    return HermitianMetric(entries)
 
 
 def random_scalar(rng: random.Random, span: int = 3):

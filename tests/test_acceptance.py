@@ -124,7 +124,7 @@ def test_c4_operator_algebra():
 
 
 def test_c5_oracle_equivalence():
-    for n in (1, 2):
+    for n in (1, 2, 3):
         metric = HermitianMetric.identity(n)
         for p in range(n + 1):
             for q in range(n + 1):

@@ -88,6 +88,15 @@ def test_volume_form_diagonal_picks_up_determinant():
     assert volume_form(HermitianMetric.diagonal([2, 1])) == Form.term(2, (1, 2), (1, 2), 2)
 
 
+def test_volume_form_is_built_once_per_metric():
+    # dense, non-diagonal metric; the expected value is omega^n / n! wedged here
+    metric = HermitianMetric([[2, "1+i", 0], ["1-i", 3, "1/2"], [0, "1/2", 1]])
+    vol = volume_form(metric)
+    assert volume_form(metric) is vol
+    omega = associated_form(metric)
+    assert vol == (omega ^ omega ^ omega).scale(Fraction(1, 6))
+
+
 @pytest.mark.parametrize("n,expect_match", [(1, False), (2, False), (3, False), (4, True)])
 def test_volume_coefficient_report(n, expect_match):
     # the i^n-free prefactor variant only agrees when i^n = 1

@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from helpers import homogeneous_forms, random_form
+from helpers import brute_raise, homogeneous_forms, random_dense_metric, random_form
 from pqforms import (
     DEFAULT_CONVENTION,
     Form,
@@ -46,6 +46,19 @@ def test_raise_indices_diagonal_metric():
     psi = Form.term(2, (1,), (2,), 1)
     table = raise_indices(psi, metric)
     assert table == {((1,), (2,)): WirtingerPolynomial.constant(2, Fraction(1, 2))}
+
+
+def test_raise_indices_matches_minors_formula_on_dense_metrics():
+    # non-diagonal metrics against the Leibniz-minor reference of the helpers
+    rng = random.Random(5)
+    for n in (2, 3):
+        for _ in range(2):
+            metric = random_dense_metric(rng, n)
+            assert any(metric.entries[a][b] for a in range(n) for b in range(n) if a != b)
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    psi = random_form(rng, n, bidegree=(p, q), max_degree=1)
+                    assert raise_indices(psi, metric) == brute_raise(psi, metric), (n, p, q)
 
 
 def test_raise_indices_zero_form():
@@ -185,3 +198,21 @@ def test_star_mixed_bidegree_dispatch():
     a = Form.term(n, (1,), (), 1)
     b = Form.term(n, (1,), (2,), 1)
     assert hodge_star(a + b, metric) == hodge_star(a, metric) + hodge_star(b, metric)
+
+
+N8_MONOMIALS = [
+    Form.from_scalar(8, 1),
+    Form.term(8, (3,), (2, 7), 1),
+    Form.term(8, (1, 3, 5, 7), (2, 3, 6, 8), 1),
+    Form.term(8, tuple(range(1, 9)), tuple(range(1, 9)), 1),
+]
+
+
+@pytest.mark.parametrize("metric", [HermitianMetric.identity(8), HermitianMetric.diagonal(list(range(1, 9)))],
+                         ids=["identity", "diagonal"])
+def test_star_laws_at_n8(metric):
+    for psi in N8_MONOMIALS:
+        p, q = psi.homogeneous_bidegree()
+        twice = hodge_star(hodge_star(psi, metric), metric)
+        assert twice == (-psi if (p + q) % 2 else psi), (p, q)
+        assert defining_identity_check(psi, psi, metric).holds, (p, q)
