@@ -61,7 +61,7 @@ from .obstruction import (
     pr_plus,
     transform_form,
 )
-from .dsl import ParseError, format_poly, parse, parse_poly, pretty_print
+from .dsl import ParseError, format_poly, parse_poly, pretty_print
 from .scenarios import ScenarioReport, scenario_runner
 
 __all__ = [
@@ -116,7 +116,6 @@ __all__ = [
     "transform_form",
     "ParseError",
     "format_poly",
-    "parse",
     "parse_poly",
     "pretty_print",
     "ScenarioReport",

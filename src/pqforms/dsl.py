@@ -15,13 +15,17 @@ whitespace is insignificant everywhere):
 
 A coefficient is a product; polynomial sums must be parenthesized, as in
 ``(z1+3)*dz1``, so that ``z1+3*dz1`` unambiguously means the scalar term
-z1 plus 3*dz1.  A ``(`` may open either a coefficient polynomial or a
-nested form; the parser resolves this by trying the polynomial reading
-first and falling back, so ``(z1+3)*dz1`` and ``(dz1+dz2)^dzb3`` both
-parse.  The printer
-emits one canonical spelling per form: terms sorted by (total degree, I,
-J), monomials sorted by descending exponent vector, so printing is
-deterministic and ``parse(pretty_print(a))`` rebuilds exactly ``a``.
+z1 plus 3*dz1.  The parser reads the text once, left to right, and builds
+values as it goes: a sum or term is a polynomial while its text is one and
+becomes a Form once a differential, a wedge or a form group enters it.  A
+``(`` group is read once, and the type of its value decides its role: a
+polynomial group is a coefficient, unless it is the lone factor right
+before ``^``, and a form group is a wedge factor, so ``(z1+3)*dz1`` and
+``(dz1+dz2)^dzb3`` both parse.  Groups nest at most ``MAX_NESTING`` deep.
+The printer emits one canonical spelling per form: terms sorted by (total
+degree, I, J), monomials sorted by descending exponent vector, so printing
+is deterministic and ``parse_form(pretty_print(a), a.n)`` rebuilds
+exactly ``a``.
 """
 
 from __future__ import annotations
@@ -31,9 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .forms import Form, _summed
+from .forms import Form, _summed, wedge_all
 from .scalars import GaussianRational, format_scalar, gaussian
-from .wpoly import WirtingerPolynomial, Z, ZBAR
+from .wpoly import WirtingerPolynomial
+
+# Deepest "(" nesting the parser reads; a deeper "(" is a ParseError.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -53,10 +60,10 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
-    | (?P<dzb>dzb(?P<dzb_idx>\d+))
-    | (?P<dz>dz(?P<dz_idx>\d+))
-    | (?P<zb>zb(?P<zb_idx>\d+))
-    | (?P<z>z(?P<z_idx>\d+))
+    | (?P<dzb>dzb\d+)
+    | (?P<dz>dz\d+)
+    | (?P<zb>zb\d+)
+    | (?P<z>z\d+)
     | (?P<imag>i)
     | (?P<int>\d+)
     | (?P<pow>\*\*)
@@ -70,6 +77,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+_NUMBERED = ("dzb", "dz", "zb", "z", "int")
+_ATOM_START = ("int", "imag", "z", "zb", "lparen")
 
 
 @dataclass(frozen=True)
@@ -89,20 +99,9 @@ def _tokenize(src: str) -> List[Token]:
         match = _TOKEN_RE.match(src, pos)
         if not match:
             raise ParseError(f"unexpected character {src[pos]!r}", line, column)
-        text = match.group(0)
-        kind = match.lastgroup or ""
-        for name in ("dzb", "dz", "zb", "z", "imag", "int", "pow", "mul", "plus",
-                     "minus", "slash", "wedge", "lparen", "rparen", "ws"):
-            if match.group(name):
-                kind = name
-                break
+        text, kind = match.group(0), match.lastgroup
         if kind != "ws":
-            if kind in ("dzb", "dz", "zb", "z"):
-                value = int(match.group(f"{kind}_idx"))
-            elif kind == "int":
-                value = int(text)
-            else:
-                value = 0
+            value = int(text.lstrip("dzb")) if kind in _NUMBERED else 0
             tokens.append(Token(kind, text, value, line, column))
         newlines = text.count("\n")
         if newlines:
@@ -115,51 +114,29 @@ def _tokenize(src: str) -> List[Token]:
     return tokens
 
 
-# -- AST ----------------------------------------------------------------------
+# -- parsing ------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class DifferentialNode:
-    kind: str  # "z" for dz, "zb" for dzb
-    index: int
-
-
-@dataclass(frozen=True)
-class GroupNode:
-    inner: "FormNode"
-
-
-FactorNode = Union[DifferentialNode, GroupNode]
-
-
-@dataclass(frozen=True)
-class TermNode:
-    coeff: Optional[WirtingerPolynomial]
-    factors: Tuple[FactorNode, ...]
-
-
-@dataclass(frozen=True)
-class FormNode:
-    """Signed sum of terms; each entry is (+1 or -1, term)."""
-
-    terms: Tuple[Tuple[int, TermNode], ...]
-
-
-class _PolyFail(Exception):
-    """Internal signal: the polynomial reading of this stretch failed."""
+_Value = Union[WirtingerPolynomial, Form]
 
 
 class _Parser:
-    def __init__(self, src: str, n: int):
+    """One recursive-descent walk over the tokens that builds values as it reads.
+
+    Every method returns a WirtingerPolynomial while the text it read is a
+    polynomial, and a Form once a differential, a wedge or a form group
+    entered it; that type is what decides how a group is read.
+    """
+
+    def __init__(self, src: str, n: int, polynomial: bool = False):
         if n < 1:
             raise ValueError(f"ambient dimension must be positive, got {n}")
         if not src.strip():
             raise ParseError("empty input", 1, 1)
         self.tokens = _tokenize(src)
         self.n = n
+        self.polynomial = polynomial
         self.pos = 0
-
-    # -- token helpers --------------------------------------------------------
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -174,211 +151,148 @@ class _Parser:
         where = f"{token.kind} {token.text!r}".strip()
         return ParseError(f"{message}, found {where}", token.line, token.column, expected)
 
-    def check_index(self, token: Token, index: int) -> int:
-        if not 1 <= index <= self.n:
+    def check_index(self, token: Token) -> int:
+        if not 1 <= token.value <= self.n:
             raise ParseError(
-                f"index {index} out of range 1..{self.n} in {token.text!r}",
+                f"index {token.value} out of range 1..{self.n} in {token.text!r}",
                 token.line,
                 token.column,
             )
-        return index
+        return token.value
 
-    # -- form grammar -----------------------------------------------------------
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of this kind."""
+        if self.peek().kind != kind:
+            return False
+        self.pos += 1
+        return True
 
-    def parse_form(self) -> FormNode:
-        terms: List[Tuple[int, TermNode]] = []
-        sign = 1
-        if self.peek().kind == "minus":
-            self.advance()
-            sign = -1
-        terms.append((sign, self.parse_term()))
+    def integer(self, message: str) -> int:
+        if self.peek().kind != "int":
+            raise self.error(message, ("integer",))
+        return self.advance().value
+
+    def form(self) -> _Value:
+        """form := ["-"] term { ("+" | "-") term }"""
+        terms = [self.term(-1 if self.accept("minus") else 1)]
         while self.peek().kind in ("plus", "minus"):
-            op = self.advance()
-            terms.append((1 if op.kind == "plus" else -1, self.parse_term()))
-        return FormNode(tuple(terms))
+            terms.append(self.term(1 if self.advance().kind == "plus" else -1))
+        if all(isinstance(term, WirtingerPolynomial) for term in terms):
+            return sum(terms[1:], terms[0])
+        return Form(self.n, _summed(_as_form(term, self.n) for term in terms))
 
-    def parse_term(self) -> TermNode:
-        # The coefficient slot accepts products only; a sum must be
-        # parenthesized, so a stretch like "z1+3*dz1" splits into the
-        # scalar term z1 plus the term 3*dz1 instead of being swallowed
-        # as one coefficient.
-        start = self.pos
-        coeff: Optional[WirtingerPolynomial] = None
-        try:
-            coeff = self.parse_polyterm()
-        except _PolyFail:
-            self.pos = start
-        if coeff is not None:
-            nxt = self.peek().kind
-            if nxt == "mul":
-                self.advance()
-                return TermNode(coeff, self.parse_factors())
-            if nxt == "wedge":
-                # the parenthesized stretch was a form factor after all
-                self.pos = start
-            elif nxt in ("plus", "minus", "rparen", "eof"):
-                return TermNode(coeff, ())
-            else:
-                raise self.error("unexpected token after coefficient", ("*", "+", "-", ")", "end"))
-        return TermNode(None, self.parse_factors())
-
-    def parse_factors(self) -> Tuple[FactorNode, ...]:
-        factors = [self.parse_factor()]
-        while self.peek().kind == "wedge":
-            self.advance()
-            factors.append(self.parse_factor())
-        return tuple(factors)
-
-    def parse_factor(self) -> FactorNode:
+    def term(self, sign: int) -> _Value:
+        """term := coeff "*" factors | coeff | factors, with coeff a product."""
         token = self.peek()
-        if token.kind == "dz":
-            self.advance()
-            return DifferentialNode(Z, self.check_index(token, token.value))
-        if token.kind == "dzb":
-            self.advance()
-            return DifferentialNode(ZBAR, self.check_index(token, token.value))
-        if token.kind == "lparen":
-            self.advance()
-            inner = self.parse_form()
-            if self.peek().kind != "rparen":
-                raise self.error("unclosed parenthesis", (")",))
-            self.advance()
-            return GroupNode(inner)
-        raise self.error("expected a differential or a parenthesized form", ("dzN", "dzbN", "("))
+        if token.kind not in _ATOM_START:
+            return self.factors(sign)
+        first = self.atom()
+        if isinstance(first, Form) or (token.kind == "lparen" and self.peek().kind == "wedge"):
+            return self.factors(sign, first)
+        coeff = self.power(first) if sign > 0 else -self.power(first)
+        while self.accept("mul"):
+            if self.peek().kind not in _ATOM_START:
+                return self.factors(coeff)
+            factor = self.atom()
+            if isinstance(factor, Form):
+                return self.factors(coeff, factor)
+            coeff = coeff * self.power(factor)
+        if self.peek().kind not in ("plus", "minus", "rparen", "eof"):
+            raise self.error("unexpected token after coefficient", ("*", "+", "-", ")", "end"))
+        return coeff
 
-    # -- polynomial grammar -------------------------------------------------------
-    #
-    # These raise _PolyFail (and restore nothing themselves) when the input
-    # cannot be read as a polynomial at this position; parse_term handles
-    # the backtracking.
-
-    def parse_polyexpr(self, allow_leading_minus: bool = True) -> WirtingerPolynomial:
-        sign = 1
-        if allow_leading_minus and self.peek().kind == "minus":
-            self.advance()
-            sign = -1
-        total = self.parse_polyterm()
-        if sign < 0:
-            total = -total
-        while self.peek().kind in ("plus", "minus"):
-            save = self.pos
-            op = self.advance()
-            try:
-                operand = self.parse_polyterm()
-            except _PolyFail:
-                self.pos = save
-                break
-            total = total + operand if op.kind == "plus" else total - operand
-        return total
-
-    def parse_polyterm(self) -> WirtingerPolynomial:
-        total = self.parse_polyfactor()
-        while self.peek().kind == "mul":
-            save = self.pos
-            self.advance()
-            try:
-                operand = self.parse_polyfactor()
-            except _PolyFail:
-                self.pos = save
-                break
-            total = total * operand
-        return total
-
-    def parse_polyfactor(self) -> WirtingerPolynomial:
-        base = self.parse_polyatom()
-        if self.peek().kind == "pow":
-            self.advance()
-            token = self.peek()
-            if token.kind != "int":
-                raise self.error("exponent must be a non-negative integer", ("integer",))
-            self.advance()
-            return base ** token.value
-        return base
-
-    def parse_polyatom(self) -> WirtingerPolynomial:
-        token = self.peek()
+    def atom(self) -> _Value:
+        """INT ["/" INT] | "i" | "z" INT | "zb" INT | "(" form ")"; the caller checked the kind."""
+        token = self.advance()
         if token.kind == "int":
-            self.advance()
             value = Fraction(token.value)
-            if self.peek().kind == "slash":
-                self.advance()
+            if self.accept("slash"):
                 denom = self.peek()
-                if denom.kind != "int":
-                    raise self.error("expected a denominator", ("integer",))
-                if denom.value == 0:
+                if self.integer("expected a denominator") == 0:
                     raise ParseError("zero denominator", denom.line, denom.column)
-                self.advance()
                 value = Fraction(token.value, denom.value)
             return WirtingerPolynomial.constant(self.n, gaussian(value))
         if token.kind == "imag":
-            self.advance()
             return WirtingerPolynomial.constant(self.n, gaussian(0, 1))
-        if token.kind == "z":
+        if token.kind in ("z", "zb"):
+            return WirtingerPolynomial.variable(self.n, token.kind, self.check_index(token))
+        return self.group(token)
+
+    def power(self, base: WirtingerPolynomial) -> WirtingerPolynomial:
+        if not self.accept("pow"):
+            return base
+        return base ** self.integer("exponent must be a non-negative integer")
+
+    def group(self, opening: Token) -> _Value:
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"parentheses nested deeper than {MAX_NESTING} levels", opening.line, opening.column
+            )
+        self.depth += 1
+        value = self.form()
+        if not self.accept("rparen"):
+            raise self.error("unclosed parenthesis", (")",))
+        self.depth -= 1
+        return value
+
+    def factors(self, coeff: Union[int, WirtingerPolynomial], first: Optional[_Value] = None) -> Form:
+        """factors := factor { "^" factor }, times coeff; ``first`` was read already.
+
+        Each run of differentials is one Form.from_factors call; a form
+        group ends the run and joins by a wedge, a polynomial group scales.
+        """
+        if self.polynomial:
+            raise self.error("expected a polynomial")
+        parts: List[Form] = []
+        run: List[Tuple[str, int]] = []
+        factor = self.factor() if first is None else first
+        while True:
+            if isinstance(factor, WirtingerPolynomial):
+                coeff = factor * coeff
+            elif isinstance(factor, Form):
+                if run:
+                    parts.append(Form.from_factors(self.n, run))
+                    run = []
+                parts.append(factor)
+            else:
+                run.append(factor)
+            if not self.accept("wedge"):
+                return wedge_all(parts + [Form.from_factors(self.n, run, coeff)])
+            factor = self.factor()
+
+    def factor(self) -> Union[_Value, Tuple[str, int]]:
+        """factor := "dz" INT | "dzb" INT | "(" form ")"; a differential is a (kind, index) pair."""
+        token = self.peek()
+        if token.kind in ("dz", "dzb"):
             self.advance()
-            return WirtingerPolynomial.z(self.n, self.check_index(token, token.value))
-        if token.kind == "zb":
-            self.advance()
-            return WirtingerPolynomial.zb(self.n, self.check_index(token, token.value))
+            return token.kind[1:], self.check_index(token)  # "z" or "zb", as in Form.from_factors
         if token.kind == "lparen":
-            save = self.pos
             self.advance()
-            try:
-                inner = self.parse_polyexpr()
-            except _PolyFail:
-                self.pos = save
-                raise
-            if self.peek().kind != "rparen":
-                self.pos = save
-                raise _PolyFail()
-            self.advance()
-            return inner
-        raise _PolyFail()
+            return self.group(token)
+        raise self.error("expected a differential or a parenthesized form", ("dzN", "dzbN", "("))
 
 
-def parse(src: str, n: int) -> FormNode:
-    """Parse form syntax into an AST; raises ParseError with position info."""
-    parser = _Parser(src, n)
-    try:
-        node = parser.parse_form()
-    except _PolyFail:
-        raise parser.error("expected a form") from None
+def _as_form(value: _Value, n: int) -> Form:
+    return value if isinstance(value, Form) else Form.from_scalar(n, value)
+
+
+def _parse(src: str, n: int, polynomial: bool) -> _Value:
+    parser = _Parser(src, n, polynomial)
+    value = parser.form()
     if parser.peek().kind != "eof":
-        raise parser.error("trailing input after form", ("+", "-", "end"))
-    return node
-
-
-def to_form(node: FormNode, n: int) -> Form:
-    """Evaluate a parsed AST into a canonical Form."""
-    return Form(n, _summed(_term_to_form(sign, term, n) for sign, term in node.terms))
-
-
-def _term_to_form(sign: int, term: TermNode, n: int) -> Form:
-    coeff = term.coeff if term.coeff is not None else 1
-    value = Form.from_scalar(n, coeff if sign > 0 else -coeff)
-    for factor in term.factors:
-        if isinstance(factor, DifferentialNode):
-            piece = Form.from_factors(n, [(factor.kind, factor.index)], 1)
-        else:
-            piece = to_form(factor.inner, n)
-        value = value.wedge(piece)
+        what, expected = ("polynomial", ("+", "-", "*", "end")) if polynomial else ("form", ("+", "-", "end"))
+        raise parser.error(f"trailing input after {what}", expected)
     return value
 
 
 def parse_form(src: str, n: int) -> Form:
-    """Parse and evaluate in one step."""
-    return to_form(parse(src, n), n)
+    """Parse form syntax into a canonical Form; raises ParseError with position info."""
+    return _as_form(_parse(src, n, polynomial=False), n)
 
 
 def parse_poly(src: str, n: int) -> WirtingerPolynomial:
     """Parse the shared polynomial syntax on its own."""
-    parser = _Parser(src, n)
-    try:
-        poly = parser.parse_polyexpr()
-    except _PolyFail:
-        raise parser.error("expected a polynomial") from None
-    if parser.peek().kind != "eof":
-        raise parser.error("trailing input after polynomial", ("+", "-", "*", "end"))
-    return poly
+    return _parse(src, n, polynomial=True)
 
 
 # -- printing -----------------------------------------------------------------
@@ -444,7 +358,7 @@ def _format_form_term(I: Tuple[int, ...], J: Tuple[int, ...], poly: WirtingerPol
 
 
 def pretty_print(form: Form) -> str:
-    """Deterministic canonical text; parse(pretty_print(a), a.n) == a."""
+    """Deterministic canonical text; parse_form(pretty_print(a), a.n) == a."""
     if form.is_zero():
         return "0"
     pieces = [

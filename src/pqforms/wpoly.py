@@ -179,20 +179,16 @@ class WirtingerPolynomial:
         for (kind, index), image in mapping.items():
             slot = self._slot(n, kind, index)
             images[slot] = self._coerce(image)
-        result = WirtingerPolynomial.zero(n)
+        out: Dict[Exponents, GaussianRational] = {}
         for exponents, coeff in self.terms.items():
-            term = WirtingerPolynomial.constant(n, coeff)
+            kept = tuple(0 if slot in images else e for slot, e in enumerate(exponents))
+            term = WirtingerPolynomial(n, {kept: coeff})
             for slot, e in enumerate(exponents):
-                if e == 0:
-                    continue
-                if slot in images:
+                if e and slot in images:
                     term = term * images[slot] ** e
-                else:
-                    base = [0] * (2 * n)
-                    base[slot] = e
-                    term = term * WirtingerPolynomial(n, {tuple(base): GaussianRational.coerce(1)})
-            result = result + term
-        return result
+            for key, value in term.terms.items():
+                out[key] = out.get(key, ZERO) + value
+        return WirtingerPolynomial(n, out)
 
     # -- queries -------------------------------------------------------------
 

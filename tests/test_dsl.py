@@ -1,11 +1,16 @@
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_form, random_poly
 from pqforms import Form, ParseError, WirtingerPolynomial, format_poly, gaussian, pretty_print
-from pqforms.dsl import parse, parse_form, parse_poly, to_form
+from pqforms.cli import main
+from pqforms.dsl import MAX_NESTING, parse_form, parse_poly
 
 
 def test_parse_plain_wedge():
@@ -61,34 +66,88 @@ def test_parse_power_in_coefficient():
 
 def test_parse_reports_position():
     with pytest.raises(ParseError) as err:
-        parse("dz1^", 2)
+        parse_form("dz1^", 2)
     assert err.value.column == 5
     with pytest.raises(ParseError) as err:
-        parse("dz1 + + dz2", 2)
+        parse_form("dz1 + + dz2", 2)
     assert err.value.column == 7
 
 
 def test_parse_range_error():
     with pytest.raises(ParseError) as err:
-        parse("dz3", 2)
+        parse_form("dz3", 2)
     assert "out of range" in str(err.value)
     with pytest.raises(ParseError):
-        parse("z5*dz1", 2)
+        parse_form("z5*dz1", 2)
     with pytest.raises(ParseError):
-        parse("dz0", 2)
+        parse_form("dz0", 2)
 
 
 def test_parse_rejects_empty_and_trailing():
     with pytest.raises(ParseError):
-        parse("  ", 2)
+        parse_form("  ", 2)
     with pytest.raises(ParseError):
-        parse("dz1 dz2", 2)
+        parse_form("dz1 dz2", 2)
 
 
-def test_ast_round_trip_through_to_form():
-    node = parse("(z1+3)*dz1^dzb2+dz2", 2)
-    direct = parse_form("(z1+3)*dz1^dzb2+dz2", 2)
-    assert to_form(node, 2) == direct
+# How a parenthesized group is read: as a coefficient when it holds a
+# polynomial, as a wedge factor when it holds a form or is the lone factor
+# right before "^".  Each case is (text, expected form at n = 2 or None
+# for a ParseError).
+_Z1 = WirtingerPolynomial.z(2, 1)
+EDGE_CASES = [
+    ("(z1)^dz1", Form.term(2, (1,), (), _Z1)),
+    ("dz1^(z1)", Form.term(2, (1,), (), _Z1)),
+    ("2*(dz1+dz2)", Form.term(2, (1,), (), 2) + Form.term(2, (2,), (), 2)),
+    ("(1+dz1)", Form.from_scalar(2, 1) + Form.term(2, (1,), (), 1)),
+    ("2*3*dz1", Form.term(2, (1,), (), 6)),
+    ("-(z1+1)*dz1", Form.term(2, (1,), (), -_Z1 - 1)),
+    ("-(-dz1)", Form.term(2, (1,), (), 1)),
+    ("((z1))**2", Form.from_scalar(2, _Z1 ** 2)),
+    ("(1)^(2)", Form.from_scalar(2, 2)),
+    ("z1^dz1", None),
+    ("2*(z1)^dz1", None),
+    ("(dz1)*(z1)", None),
+    ("((1)^(2))*dz1", None),
+    ("(dz1^dz1)*dz2", None),
+    ("dz1*2", None),
+    ("(z1)**2^dz1", None),
+]
+
+
+@pytest.mark.parametrize("text, expected", EDGE_CASES, ids=[text for text, _ in EDGE_CASES])
+def test_parse_edge_cases(text, expected):
+    if expected is None:
+        with pytest.raises(ParseError):
+            parse_form(text, 2)
+    else:
+        assert parse_form(text, 2) == expected
+
+
+def test_nesting_bound():
+    assert MAX_NESTING == 100
+    nested = "(" * MAX_NESTING + "dz1" + ")" * MAX_NESTING
+    assert parse_form(nested, 1) == Form.term(1, (1,), (), 1)
+    with pytest.raises(ParseError) as err:
+        parse_form("(" + nested + ")", 1)
+    assert err.value.column == MAX_NESTING + 1
+    with pytest.raises(ParseError):
+        parse_poly("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1), 1)
+
+
+_SOUP_TOKENS = [
+    "dz1", "dz2", "dzb1", "dzb2", "dz3", "z1", "zb2", "z3", "i", "0", "1", "2", "3", "1/2", "2/0",
+    "**", "*", "+", "-", "/", "^", "(", ")", "x",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SOUP_TOKENS), max_size=14))
+def test_token_soup_exits_0_or_2(tokens):
+    # Joined by spaces, integer tokens never merge, so every exponent after
+    # "**" is in 0..3: an unbounded power is a separate budget question.
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["d", "--n", "2", " ".join(tokens)]) in (0, 2)
 
 
 def test_parse_poly():
