@@ -66,11 +66,10 @@ def codifferential(
     """
     k = _homogeneous_total_degree(form, "codifferential")
     n = metric.n
-    sign = -1 if (n * (k + 1) + 1) % 2 else 1
     starred = hodge_star(form, metric, convention)
     moved = exterior_d(starred)
     back = hodge_star(moved, metric, convention)
-    return back.scale(sign)
+    return -back if (n * (k + 1) + 1) % 2 else back
 
 
 def laplacian(

@@ -264,8 +264,8 @@ class Form:
         """
         out = {}
         for (I, J), coeff in self.terms.items():
-            sign = -1 if (len(I) * len(J)) % 2 else 1
-            out[(J, I)] = coeff.conjugate().scale(sign)
+            conj = coeff.conjugate()
+            out[(J, I)] = -conj if (len(I) * len(J)) % 2 else conj
         return Form(self.n, out)
 
     def component(self, p: int, q: int) -> "Form":

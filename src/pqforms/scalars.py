@@ -1,51 +1,69 @@
 """Exact complex-rational scalars.
 
-Every coefficient in the engine is a Gaussian rational a + b*i with a, b
-exact ``fractions.Fraction`` values.  No floating point enters anywhere.
+Every coefficient in the engine is a Gaussian rational (a + b*i)/d held as
+three Python integers.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """A complex number a + b*i with exact rational parts.
+    """A complex number (a + b*i)/d with integers a, b and d.
 
-    ``Fraction`` keeps both parts reduced with positive denominators, so
-    equal values always have equal representations.
+    The triple is kept normalised, d > 0 and gcd(a, b, d) == 1, so equal
+    values always have equal triples (rational arithmetic on reduced
+    integer numerators and denominators, Knuth, TAOCP vol. 2, 4.5.1).
+    ``re`` and ``im`` are the reduced ``Fraction`` parts.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators the triple is already reduced
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value))
+        if isinstance(value, int):
+            return _triple(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _triple(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         return self + (-GaussianRational.coerce(other))
@@ -54,23 +72,23 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        norm = o.re * o.re + o.im * o.im
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
+        # (a + b*i)/d / ((c + e*i)/f) = f*(a + b*i)*(c - e*i) / (d*(c^2 + e^2))
+        f = other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) / self
@@ -84,29 +102,33 @@ class GaussianRational:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        # with b == 0 the invariant gives gcd(a, d) == 1: a/d is a reduced fraction
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
         # a real value hashes like the int or Fraction it equals
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -115,15 +137,37 @@ class GaussianRational:
         return f"GaussianRational({self.re!s}, {self.im!s})"
 
 
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar of a triple that already satisfies the invariant."""
+    value = _new(GaussianRational)
+    value._a = a
+    value._b = b
+    value._d = d
+    return value
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d for any d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _triple(a, b, d)
+
+
 ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I_UNIT = GaussianRational(Fraction(0), Fraction(1))
-MINUS_ONE = GaussianRational(Fraction(-1))
+ONE = GaussianRational(1)
+I_UNIT = GaussianRational(0, 1)
+MINUS_ONE = GaussianRational(-1)
 
 
 def gaussian(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
     """Shorthand constructor: ``gaussian(1, -2)`` is 1 - 2i."""
-    return GaussianRational(Fraction(re), Fraction(im))
+    return GaussianRational(re, im)
 
 
 def _format_imaginary(b: Fraction) -> str:

@@ -10,6 +10,7 @@ polynomials are equal exactly when their term maps are equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .scalars import ZERO, GaussianRational, ScalarLike
@@ -21,6 +22,8 @@ ZBAR = "zb"
 _KINDS = (Z, ZBAR)
 
 PolyLike = Union[int, Fraction, GaussianRational, "WirtingerPolynomial"]
+
+_new = object.__new__
 
 
 class WirtingerPolynomial:
@@ -47,6 +50,17 @@ class WirtingerPolynomial:
         self.n = n
         self.terms = clean
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(cls, n: int, terms: Mapping[Exponents, GaussianRational]) -> "WirtingerPolynomial":
+        """The constructor of the internal ops: the keys are already exponent
+        tuples of length 2n and the values ``GaussianRational``s, so only the
+        zero coefficients are dropped."""
+        poly = _new(cls)
+        poly.n = n
+        poly.terms = {e: c for e, c in terms.items() if c}
+        poly._hash = None
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -100,13 +114,14 @@ class WirtingerPolynomial:
         o = self._coerce(other)
         out = dict(self.terms)
         for exponents, coeff in o.terms.items():
-            out[exponents] = out.get(exponents, ZERO) + coeff
-        return WirtingerPolynomial(self.n, out)
+            prev = out.get(exponents)
+            out[exponents] = coeff if prev is None else prev + coeff
+        return WirtingerPolynomial._trusted(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "WirtingerPolynomial":
-        return WirtingerPolynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return WirtingerPolynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: PolyLike) -> "WirtingerPolynomial":
         return self + (-self._coerce(other))
@@ -117,17 +132,19 @@ class WirtingerPolynomial:
     def __mul__(self, other: PolyLike) -> "WirtingerPolynomial":
         o = self._coerce(other)
         out: Dict[Exponents, GaussianRational] = {}
+        right = o.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return WirtingerPolynomial(self.n, out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                prev = out.get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return WirtingerPolynomial._trusted(self.n, out)
 
     __rmul__ = __mul__
 
     def scale(self, value: ScalarLike) -> "WirtingerPolynomial":
         c = GaussianRational.coerce(value)
-        return WirtingerPolynomial(self.n, {e: k * c for e, k in self.terms.items()})
+        return WirtingerPolynomial._trusted(self.n, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "WirtingerPolynomial":
         if exponent < 0:
@@ -138,8 +155,9 @@ class WirtingerPolynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     # -- structure ----------------------------------------------------------
@@ -152,7 +170,7 @@ class WirtingerPolynomial:
         for exponents, coeff in self.terms.items():
             swapped = exponents[n:] + exponents[:n]
             out[swapped] = coeff.conjugate()
-        return WirtingerPolynomial(n, out)
+        return WirtingerPolynomial._trusted(n, out)
 
     def derivative(self, kind: str, index: int) -> "WirtingerPolynomial":
         """Formal partial derivative with respect to z_index or zb_index.
@@ -166,8 +184,8 @@ class WirtingerPolynomial:
             if e == 0:
                 continue
             lowered = exponents[:slot] + (e - 1,) + exponents[slot + 1 :]
-            out[lowered] = out.get(lowered, ZERO) + coeff * e
-        return WirtingerPolynomial(self.n, out)
+            out[lowered] = coeff * e
+        return WirtingerPolynomial._trusted(self.n, out)
 
     def substitute(self, mapping: Mapping[Tuple[str, int], "WirtingerPolynomial"]) -> "WirtingerPolynomial":
         """Substitute polynomials for variables; unmapped variables stay put.
@@ -182,13 +200,14 @@ class WirtingerPolynomial:
         out: Dict[Exponents, GaussianRational] = {}
         for exponents, coeff in self.terms.items():
             kept = tuple(0 if slot in images else e for slot, e in enumerate(exponents))
-            term = WirtingerPolynomial(n, {kept: coeff})
+            term = WirtingerPolynomial._trusted(n, {kept: coeff})
             for slot, e in enumerate(exponents):
                 if e and slot in images:
                     term = term * images[slot] ** e
             for key, value in term.terms.items():
-                out[key] = out.get(key, ZERO) + value
-        return WirtingerPolynomial(n, out)
+                prev = out.get(key)
+                out[key] = value if prev is None else prev + value
+        return WirtingerPolynomial._trusted(n, out)
 
     # -- queries -------------------------------------------------------------
 

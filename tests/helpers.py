@@ -70,6 +70,46 @@ def brute_raise(psi: Form, metric):
     return table
 
 
+class FractionPair:
+    """Reference Gaussian rational: the two ``Fraction`` parts with schoolbook
+    complex arithmetic, independent of the engine's integer triple."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def pair(self):
+        return self.re, self.im
+
+    def __add__(self, other):
+        return FractionPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionPair(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return FractionPair(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        norm = other.re * other.re + other.im * other.im
+        if norm == 0:
+            raise ZeroDivisionError("model division by zero")
+        return FractionPair(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def __pow__(self, exponent):
+        result = FractionPair(1)
+        for _ in range(abs(exponent)):
+            result = result * self
+        return FractionPair(1) / result if exponent < 0 else result
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+
 def random_dense_metric(rng: random.Random, n: int):
     """P*P + I for a small Gaussian-rational P: Hermitian, positive definite
     and, for almost every draw, without zero entries off the diagonal."""
@@ -147,6 +187,13 @@ def scalars(draw):
         Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))),
         Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))),
     )
+
+
+def fraction_pairs():
+    """(re, im) pairs of Fractions whose denominators share factors, so
+    sums and products need reducing."""
+    part = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    return st.tuples(part, part)
 
 
 @st.composite

@@ -1,9 +1,13 @@
+import operator
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import nonzero_scalars, scalars
+from helpers import FractionPair, fraction_pairs, nonzero_scalars, scalars
 from pqforms import GaussianRational, gaussian, parse_scalar
 
 
@@ -94,3 +98,126 @@ def test_hash_agrees_with_equality(a):
         assert a == a.re
         assert hash(a) == hash(a.re)
     assert hash(a) == hash(gaussian(a.re, a.im))
+
+
+# -- the integer triple against the Fraction-pair model --------------------------
+
+
+def assert_agrees(value, model):
+    """``value`` keeps the triple invariant and equals the model's value."""
+    a, b, d = value._a, value._b, value._d
+    assert d > 0 and gcd(a, b, d) == 1, (a, b, d)
+    assert (value.re, value.im) == model.pair()
+
+
+@given(fraction_pairs(), fraction_pairs())
+def test_arithmetic_matches_fraction_pair_model(x, y):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    ma, mb = FractionPair(*x), FractionPair(*y)
+    assert_agrees(a, ma)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert_agrees(op(a, b), op(ma, mb))
+    assert_agrees(-a, FractionPair() - ma)
+    assert_agrees(a.conjugate(), ma.conjugate())
+    if y == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert_agrees(a / b, ma / mb)
+
+
+@given(fraction_pairs(), st.fractions(min_value=-30, max_value=30, max_denominator=12))
+def test_int_and_fraction_operands_match_model(x, r):
+    a, ma = GaussianRational(*x), FractionPair(*x)
+    for other in (r, r.numerator):
+        mo = FractionPair(other)
+        assert_agrees(a + other, ma + mo)
+        assert_agrees(other + a, mo + ma)
+        assert_agrees(a - other, ma - mo)
+        assert_agrees(other - a, mo - ma)
+        assert_agrees(a * other, ma * mo)
+        assert_agrees(other * a, mo * ma)
+        if other != 0:
+            assert_agrees(a / other, ma / mo)
+        if x != (0, 0):
+            assert_agrees(other / a, mo / ma)
+
+
+@given(fraction_pairs(), st.integers(-7, 7))
+def test_power_matches_model(x, exponent):
+    a, ma = GaussianRational(*x), FractionPair(*x)
+    if exponent < 0 and x == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            a ** exponent
+    else:
+        assert_agrees(a ** exponent, ma ** exponent)
+
+
+@given(fraction_pairs(), fraction_pairs())
+def test_equality_and_hash_match_model(x, y):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    assert (a == b) == (x == y)
+    assert (a != b) == (x != y)
+    if x == y:
+        assert hash(a) == hash(b)
+    re, im = x
+    for other in (re, re.numerator):
+        assert (a == other) == (other == a) == (im == 0 and re == other)
+        if a == other:
+            assert hash(a) == hash(other)
+
+
+def test_power_squares_no_further_than_its_top_bit(monkeypatch):
+    """A power's intermediate products never exceed the result in size."""
+    sizes = []
+    multiply = GaussianRational.__mul__
+
+    def recording(self, other):
+        product = multiply(self, other)
+        sizes.append(abs(product.re))
+        return product
+
+    monkeypatch.setattr(GaussianRational, "__mul__", recording)
+    for exponent in range(10):
+        sizes.clear()
+        assert gaussian(3) ** exponent == 3 ** exponent
+        assert all(size <= 3 ** exponent for size in sizes), (exponent, sizes)
+
+
+@pytest.mark.parametrize(
+    "args,text_repr,text_str",
+    [
+        ((), "GaussianRational(0, 0)", "0"),
+        ((3,), "GaussianRational(3, 0)", "3"),
+        ((Fraction(-1, 2),), "GaussianRational(-1/2, 0)", "-1/2"),
+        ((0, 1), "GaussianRational(0, 1)", "i"),
+        ((0, -1), "GaussianRational(0, -1)", "-i"),
+        ((0, 2), "GaussianRational(0, 2)", "2*i"),
+        ((1, -2), "GaussianRational(1, -2)", "1-2*i"),
+        ((Fraction(1, 2), Fraction(3, 4)), "GaussianRational(1/2, 3/4)", "1/2+3/4*i"),
+        ((Fraction(-2, 6), Fraction(4, 6)), "GaussianRational(-1/3, 2/3)", "-1/3+2/3*i"),
+        ((Fraction(5, 3), -1), "GaussianRational(5/3, -1)", "5/3-i"),
+        ((-7, Fraction(-1, 3)), "GaussianRational(-7, -1/3)", "-7-1/3*i"),
+        (("3/6", 0.25), "GaussianRational(1/2, 1/4)", "1/2+1/4*i"),
+        ((Decimal("1.5"), "-2/4"), "GaussianRational(3/2, -1/2)", "3/2-1/2*i"),
+        ((True, False), "GaussianRational(1, 0)", "1"),
+    ],
+)
+def test_repr_and_str_table(args, text_repr, text_str):
+    value = GaussianRational(*args)
+    assert repr(value) == text_repr
+    assert str(value) == text_str
+
+
+@pytest.mark.parametrize("bad,error", [("x", ValueError), (None, TypeError), (1j, TypeError)])
+def test_constructor_rejects_what_fraction_rejects(bad, error):
+    with pytest.raises(error):
+        GaussianRational(bad)
+
+
+@pytest.mark.parametrize("name", ["re", "im"])
+def test_parts_are_read_only(name):
+    value = gaussian(1, 2)
+    with pytest.raises(AttributeError):
+        setattr(value, name, Fraction(3))
+    assert value == gaussian(1, 2)

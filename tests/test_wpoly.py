@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
-from helpers import polys
-from pqforms import WirtingerPolynomial, gaussian
+from helpers import polys, scalars
+from pqforms import GaussianRational, WirtingerPolynomial, gaussian
 from pqforms.wpoly import Z, ZBAR
 
 
@@ -102,3 +104,66 @@ def test_substitute_linear_change():
     p = z(n, 1) ** 2
     image = p.substitute({(Z, 1): z(n, 1) + z(n, 2)})
     assert image == z(n, 1) ** 2 + (z(n, 1) * z(n, 2)).scale(2) + z(n, 2) ** 2
+
+
+def test_power_builds_no_product_above_its_degree(monkeypatch):
+    p = z(1, 1) + zb(1, 1)
+    degrees = []
+    multiply = WirtingerPolynomial.__mul__
+
+    def recording(self, other):
+        product = multiply(self, other)
+        degrees.append(product.total_degree())
+        return product
+
+    monkeypatch.setattr(WirtingerPolynomial, "__mul__", recording)
+    for exponent in range(10):
+        degrees.clear()
+        assert (p ** exponent).total_degree() == exponent
+        assert max(degrees, default=0) <= exponent, (exponent, degrees)
+
+
+@pytest.mark.parametrize("exponent", range(10))
+def test_power_equals_repeated_multiplication(exponent):
+    n = 2
+    p = z(n, 1).scale(gaussian(1, 2)) + zb(n, 2).scale(Fraction(-1, 3)) + WirtingerPolynomial.constant(n, gaussian(0, 1))
+    expected = WirtingerPolynomial.one(n)
+    for _ in range(exponent):
+        expected = expected * p
+    assert p ** exponent == expected
+
+
+def assert_canonical(p, n):
+    """What the public constructor would enforce, and no zero coefficient."""
+    assert p.n == n
+    for exponents, coeff in p.terms.items():
+        assert type(exponents) is tuple and len(exponents) == 2 * n
+        assert all(type(e) is int and e >= 0 for e in exponents)
+        assert type(coeff) is GaussianRational and not coeff.is_zero()
+
+
+@settings(max_examples=60)
+@given(polys(n=2), polys(n=2), polys(n=2), scalars())
+def test_internal_ops_keep_terms_canonical(p, q, r, c):
+    n = 2
+    results = [
+        p + q, p - q, p * q, -p, p - p, p.scale(c), p.scale(0), p.conjugate(), p ** 2, p ** 0,
+        p.derivative(Z, 1), p.derivative(ZBAR, 2),
+        p.substitute({(Z, 1): q, (ZBAR, 2): r}), p.substitute({(ZBAR, 1): q - q}),
+    ]
+    for result in results:
+        assert_canonical(result, n)
+
+
+@pytest.mark.parametrize(
+    "terms,error",
+    [
+        ({(1, 0, 0): 1}, ValueError),  # length 3, expected 4
+        ({(1, -1, 0, 0): 1}, ValueError),  # negative exponent
+        ({(1, 0, 0, 0): "1"}, TypeError),  # not a scalar
+        ({(1, 0, 0, 0): 0.5}, TypeError),
+    ],
+)
+def test_public_constructor_rejects(terms, error):
+    with pytest.raises(error):
+        WirtingerPolynomial(2, terms)
