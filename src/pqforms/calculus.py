@@ -29,7 +29,7 @@ def _half_derivative(form: Form, kind: str) -> Form:
             partial = coeff.derivative(kind, j)
             if not partial.is_zero():
                 pairs.extend(_sorted_term([(kind, j)] + base, partial, n))
-    return Form(n, pairs)
+    return Form._trusted(n, pairs)
 
 
 def dolbeault_del(form: Form) -> Form:

@@ -21,7 +21,9 @@ becomes a Form once a differential, a wedge or a form group enters it.  A
 ``(`` group is read once, and the type of its value decides its role: a
 polynomial group is a coefficient, unless it is the lone factor right
 before ``^``, and a form group is a wedge factor, so ``(z1+3)*dz1`` and
-``(dz1+dz2)^dzb3`` both parse.  Groups nest at most ``MAX_NESTING`` deep.
+``(dz1+dz2)^dzb3`` both parse.  Groups nest at most ``MAX_NESTING`` deep,
+and the products of one parse may do at most ``MAX_WORK`` units of work,
+each bounded before the operator expands.
 The printer emits one canonical spelling per form: terms sorted by (total
 degree, I, J), monomials sorted by descending exponent vector, so printing
 is deterministic and ``parse_form(pretty_print(a), a.n)`` rebuilds
@@ -33,14 +35,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm, log2
 from typing import List, Optional, Tuple, Union
 
-from .forms import Form, _summed, wedge_all
+from .forms import Form, _summed
 from .scalars import GaussianRational, format_scalar, gaussian
 from .wpoly import WirtingerPolynomial
 
 # Deepest "(" nesting the parser reads; a deeper "(" is a ParseError.
 MAX_NESTING = 100
+# Most work the "*", "**" and "^" of one parse may do, in monomial products
+# weighted by coefficient size (see _cost); the operator that would pass it
+# is a ParseError, raised before it expands.
+MAX_WORK = 500_000
 
 
 class ParseError(ValueError):
@@ -137,6 +144,7 @@ class _Parser:
         self.polynomial = polynomial
         self.pos = 0
         self.depth = 0
+        self.work = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -167,6 +175,17 @@ class _Parser:
         self.pos += 1
         return True
 
+    def charge(self, work: int, operator: Token) -> None:
+        self.work += work
+        if self.work > MAX_WORK:
+            raise ParseError(f"expansion needs more work than the budget of {MAX_WORK}", operator.line, operator.column)
+
+    def multiplied(self, left: _Value, right: _Value, operator: Token) -> _Value:
+        """left * right (or left ^ right for forms), charged before it is built."""
+        (t1, h1), (t2, h2) = _size(left), _size(right)
+        self.charge(_cost(t1 * t2, h1 + h2), operator)
+        return left.wedge(right) if isinstance(left, Form) else left * right
+
     def integer(self, message: str) -> int:
         if self.peek().kind != "int":
             raise self.error(message, ("integer",))
@@ -191,12 +210,13 @@ class _Parser:
             return self.factors(sign, first)
         coeff = self.power(first) if sign > 0 else -self.power(first)
         while self.accept("mul"):
+            operator = self.tokens[self.pos - 1]
             if self.peek().kind not in _ATOM_START:
                 return self.factors(coeff)
             factor = self.atom()
             if isinstance(factor, Form):
                 return self.factors(coeff, factor)
-            coeff = coeff * self.power(factor)
+            coeff = self.multiplied(coeff, self.power(factor), operator)
         if self.peek().kind not in ("plus", "minus", "rparen", "eof"):
             raise self.error("unexpected token after coefficient", ("*", "+", "-", ")", "end"))
         return coeff
@@ -221,7 +241,10 @@ class _Parser:
     def power(self, base: WirtingerPolynomial) -> WirtingerPolynomial:
         if not self.accept("pow"):
             return base
-        return base ** self.integer("exponent must be a non-negative integer")
+        operator = self.tokens[self.pos - 1]
+        exponent = self.integer("exponent must be a non-negative integer")
+        self.charge(_power_cost(*_size(base), exponent), operator)
+        return base ** exponent
 
     def group(self, opening: Token) -> _Value:
         if self.depth == MAX_NESTING:
@@ -243,22 +266,27 @@ class _Parser:
         """
         if self.polynomial:
             raise self.error("expected a polynomial")
-        parts: List[Form] = []
+        product: Optional[Form] = None  # wedge of the groups and runs so far
         run: List[Tuple[str, int]] = []
+        operator = self.peek()  # the last "^"
         factor = self.factor() if first is None else first
         while True:
             if isinstance(factor, WirtingerPolynomial):
-                coeff = factor * coeff
+                coeff = self.multiplied(factor, coeff, operator)
             elif isinstance(factor, Form):
                 if run:
-                    parts.append(Form.from_factors(self.n, run))
+                    product = self.wedged(product, Form.from_factors(self.n, run), operator)
                     run = []
-                parts.append(factor)
+                product = self.wedged(product, factor, operator)
             else:
                 run.append(factor)
             if not self.accept("wedge"):
-                return wedge_all(parts + [Form.from_factors(self.n, run, coeff)])
+                return self.wedged(product, Form.from_factors(self.n, run, coeff), operator)
+            operator = self.tokens[self.pos - 1]
             factor = self.factor()
+
+    def wedged(self, left: Optional[Form], right: Form, operator: Token) -> Form:
+        return right if left is None else self.multiplied(left, right, operator)
 
     def factor(self) -> Union[_Value, Tuple[str, int]]:
         """factor := "dz" INT | "dzb" INT | "(" form ")"; a differential is a (kind, index) pair."""
@@ -270,6 +298,42 @@ class _Parser:
             self.advance()
             return self.group(token)
         raise self.error("expected a differential or a parenthesized form", ("dzN", "dzbN", "("))
+
+
+def _size(value: Union[int, _Value]) -> Tuple[int, float]:
+    """Monomials and height of a polynomial, of all coefficients of a form, or of a sign: with D
+    the lcm of the denominators and N the sum of |re| + |im| times D, log2(D) + log2(N).  The
+    coefficients of a product have at most its factors' heights summed in bits."""
+    if isinstance(value, int):
+        return 1, 0.0
+    polys = value.terms.values() if isinstance(value, Form) else (value,)
+    scalars = [c for poly in polys for c in poly.terms.values()]  # each (c._a + c._b * i) / c._d
+    den = lcm(*[c._d for c in scalars])
+    return len(scalars), log2(den * sum((abs(c._a) + abs(c._b)) * (den // c._d) for c in scalars) or 1)
+
+
+def _cost(products: int, bits: float) -> int:
+    """Work of that many monomial products with coefficients of that many
+    bits, in units of about 4 us (the exact scalar multiply-add, measured)."""
+    b = int(bits) + 1
+    return products * (1 + b // 24 + (b // 128) ** 2)
+
+
+def _power_cost(t: int, height: float, e: int) -> int:
+    """A bound on the work of ``WirtingerPolynomial.__pow__`` raising t
+    terms of that height to the e-th power by repeated squaring: a k-th
+    power has at most C(t+k-1, k) terms.  Counting stops above MAX_WORK."""
+    size = lambda k: comb(max(t, 1) + k - 1, k)
+    work, result, base = 0, 0, 1
+    while e and work <= MAX_WORK:
+        if e & 1:
+            work += _cost(size(result) * size(base), (result + base) * height)
+            result += base
+        e >>= 1
+        if e:
+            work += _cost(size(base) ** 2, 2 * base * height)
+            base *= 2
+    return work
 
 
 def _as_form(value: _Value, n: int) -> Form:

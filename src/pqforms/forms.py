@@ -5,9 +5,12 @@ before all dzb factors and both index blocks strictly increasing.  Every
 sign in the engine flows from this single convention via permutation
 parity, so re-canonicalizing a stored form is always the identity.
 
-The term store is shared with the oracle's ``RealForm``: ``_term_map`` is
-the one merge loop of both constructors and ``_wedge_terms`` the one wedge
-loop, so every sum is built in a single constructor call.
+The term store is shared with the oracle's ``RealForm``: ``_merged`` is
+the one merge loop of both and ``_wedge_terms`` the one wedge loop, so
+every sum is built in a single constructor call.  The public constructors
+validate each key and coefficient (``_checked``) before the merge; the
+internal ops build through the trusted ``_trusted``, which only merges,
+and the frames they pull back through are built once per metric or n.
 """
 
 from __future__ import annotations
@@ -72,27 +75,40 @@ def _term_key(key: TermKey, n: int) -> TermKey:
     return _validate_multi_index(I, n, "dz"), _validate_multi_index(J, n, "dzb")
 
 
-def _term_map(n: int, terms, check_key: Callable[[Any, int], Hashable]) -> Dict[Any, WirtingerPolynomial]:
-    """The one merge loop behind every form constructor.
+def _merged(pairs: Iterable[Tuple[Any, WirtingerPolynomial]]) -> Dict[Any, WirtingerPolynomial]:
+    """The one merge loop of the term store: sum repeated keys, drop zeros."""
+    clean: Dict[Any, WirtingerPolynomial] = {}
+    for key, coeff in pairs:
+        prev = clean.get(key)
+        clean[key] = coeff if prev is None else prev + coeff
+    return {key: coeff for key, coeff in clean.items() if coeff.terms}
+
+
+def _checked(n: int, terms, check_key: Callable[[Any, int], Hashable]) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
+    """The validation of the public form constructors, feeding ``_merged``.
 
     ``terms`` is a mapping or an iterable of (key, coeff) pairs.  Each key
-    passes through ``check_key``, each coefficient becomes a polynomial of
-    dimension n, repeated keys are summed and zero coefficients dropped,
-    so a sum of any number of forms is built in one pass.
+    passes through ``check_key`` and each coefficient becomes a polynomial
+    of dimension n.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be positive, got {n}")
-    clean: Dict[Any, WirtingerPolynomial] = {}
-    if terms is None:
-        return clean
-    for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+    for key, coeff in () if terms is None else terms.items() if isinstance(terms, Mapping) else terms:
         key = check_key(key, n)
         if not isinstance(coeff, WirtingerPolynomial):
             coeff = WirtingerPolynomial.constant(n, coeff)
         elif coeff.n != n:
             raise ValueError(f"coefficient ambient dimension {coeff.n} != {n}")
-        clean[key] = clean[key] + coeff if key in clean else coeff
-    return {key: coeff for key, coeff in clean.items() if not coeff.is_zero()}
+        yield key, coeff
+
+
+def _trusted(cls, n: int, pairs: Iterable[Tuple[Any, WirtingerPolynomial]]):
+    """The constructor of the internal ops of ``Form`` and ``RealForm``: the
+    engine built the keys and coefficients, so the pairs are only merged."""
+    form = object.__new__(cls)
+    form.n = n
+    form.terms = _merged(pairs)
+    return form
 
 
 def _same_space(form, other):
@@ -187,8 +203,10 @@ class Form:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: TermsLike = None):
-        self.terms = _term_map(n, terms, _term_key)
+        self.terms = _merged(_checked(n, terms, _term_key))
         self.n = n
+
+    _trusted = classmethod(_trusted)
 
     # -- constructors --------------------------------------------------------
 
@@ -225,17 +243,17 @@ class Form:
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other: "Form") -> "Form":
-        return Form(self.n, _summed((self, _same_space(self, other))))
+        return Form._trusted(self.n, _summed((self, _same_space(self, other))))
 
     def __neg__(self) -> "Form":
-        return Form(self.n, {key: -c for key, c in self.terms.items()})
+        return Form._trusted(self.n, ((key, -c) for key, c in self.terms.items()))
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-_same_space(self, other))
 
     def scale(self, value: CoeffLike) -> "Form":
         """Multiply every coefficient by a scalar or polynomial."""
-        return Form(self.n, _scaled(self.terms, value))
+        return Form._trusted(self.n, _scaled(self.terms, value))
 
     # -- graded multiplication ---------------------------------------------------
 
@@ -248,7 +266,7 @@ class Form:
             lambda key: _flatten(key, n),
             lambda flat: _unflatten(flat, n),
         )
-        return Form(n, pairs)
+        return Form._trusted(n, pairs)
 
     def __xor__(self, other: "Form") -> "Form":
         return self.wedge(other)
@@ -262,18 +280,15 @@ class Form:
         is forced by reordering dzb^I ^ dz^J back into canonical order, and
         bidegrees (p,q) swap to (q,p).  An involution.
         """
-        out = {}
+        pairs = []
         for (I, J), coeff in self.terms.items():
             conj = coeff.conjugate()
-            out[(J, I)] = -conj if (len(I) * len(J)) % 2 else conj
-        return Form(self.n, out)
+            pairs.append(((J, I), -conj if (len(I) * len(J)) % 2 else conj))
+        return Form._trusted(self.n, pairs)
 
     def component(self, p: int, q: int) -> "Form":
         """The (p,q)-homogeneous part; summing over all (p,q) rebuilds the form."""
-        return Form(
-            self.n,
-            {key: c for key, c in self.terms.items() if len(key[0]) == p and len(key[1]) == q},
-        )
+        return Form._trusted(self.n, ((key, c) for key, c in self.terms.items() if len(key[0]) == p and len(key[1]) == q))
 
     def bidegrees(self) -> Set[Tuple[int, int]]:
         return {(len(I), len(J)) for I, J in self.terms}

@@ -145,7 +145,7 @@ class HermitianMetric:
     conjugate of dz^(b+1).
     """
 
-    __slots__ = ("n", "entries", "inverse", "determinant", "_volume")
+    __slots__ = ("n", "entries", "inverse", "determinant", "_volume", "_raising")
 
     def __init__(self, entries: MatrixLike):
         matrix = coerce_matrix(entries)
@@ -163,6 +163,7 @@ class HermitianMetric:
         self.determinant = report.determinant
         self.inverse = mat_inverse(matrix)
         self._volume = None  # filled by volume_form on first use
+        self._raising = None  # filled by star.raise_indices on first use
 
     @classmethod
     def identity(cls, n: int) -> "HermitianMetric":

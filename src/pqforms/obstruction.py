@@ -228,7 +228,7 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
             for m, a in enumerate(row, start=1):
                 image = image + WirtingerPolynomial.variable(n, kind, m).scale(a)
             substitution[(kind, j)] = image
-    return Form(n, _pulled_back(form.terms, _factors, Form.from_scalar(n, 1), lambda c: c.substitute(substitution), images))
+    return Form._trusted(n, _pulled_back(form.terms, _factors, Form.from_scalar(n, 1), lambda c: c.substitute(substitution), images))
 
 
 def _restricted_to(poly: WirtingerPolynomial, allowed: Iterable[int]) -> Tuple[bool, str]:

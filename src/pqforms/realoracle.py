@@ -28,16 +28,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .forms import (
     Form,
+    _checked,
     _factors,
+    _merged,
     _pulled_back,
     _same_space,
     _scaled,
     _summed,
-    _term_map,
+    _trusted,
     _wedge_terms,
     complement,
     concat_sign,
@@ -105,8 +108,10 @@ class RealForm:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        self.terms = _term_map(n, terms, _validate_real_index)
+        self.terms = _merged(_checked(n, terms, _validate_real_index))
         self.n = n
+
+    _trusted = classmethod(_trusted)
 
     @classmethod
     def zero(cls, n: int) -> "RealForm":
@@ -117,19 +122,19 @@ class RealForm:
         return cls(n, {tuple(indices): coeff})
 
     def __add__(self, other: "RealForm") -> "RealForm":
-        return RealForm(self.n, _summed((self, _same_space(self, other))))
+        return RealForm._trusted(self.n, _summed((self, _same_space(self, other))))
 
     def __neg__(self) -> "RealForm":
-        return RealForm(self.n, {k: -c for k, c in self.terms.items()})
+        return RealForm._trusted(self.n, ((k, -c) for k, c in self.terms.items()))
 
     def __sub__(self, other: "RealForm") -> "RealForm":
         return self + (-_same_space(self, other))
 
     def scale(self, value) -> "RealForm":
-        return RealForm(self.n, _scaled(self.terms, value))
+        return RealForm._trusted(self.n, _scaled(self.terms, value))
 
     def wedge(self, other: "RealForm") -> "RealForm":
-        return RealForm(self.n, _wedge_terms(self.terms, _same_space(self, other).terms))
+        return RealForm._trusted(self.n, _wedge_terms(self.terms, _same_space(self, other).terms))
 
     def degrees(self):
         return {len(k) for k in self.terms}
@@ -152,48 +157,56 @@ class RealForm:
         return "<realform " + " + ".join(bits) + ">"
 
 
+@lru_cache(maxsize=16)
+def _real_frames(n: int):
+    """The substitutions, differential images and units of realify and
+    complexify in dimension n, built once per n (the last 16 are kept)."""
+    i, half = gaussian(0, 1), Fraction(1, 2)
+    to_real, to_complex = {}, {}  # (kind, k) -> real image; complex image
+    real_images, complex_images = {}, {}  # (kind, k) -> RealForm; real index -> Form
+    for k in range(1, n + 1):
+        z, zb = WirtingerPolynomial.z(n, k), WirtingerPolynomial.zb(n, k)
+        # read as x_k and y_k on the real side
+        to_real[(Z, k)] = z + zb.scale(i)
+        to_real[(ZBAR, k)] = z - zb.scale(i)
+        to_complex[(Z, k)] = (z + zb).scale(gaussian(half))
+        to_complex[(ZBAR, k)] = (z - zb).scale(gaussian(0, -half))
+        real_images[(Z, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): i})
+        real_images[(ZBAR, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): -i})
+        complex_images[2 * k - 1] = Form(n, {((k,), ()): half, ((), (k,)): half})
+        complex_images[2 * k] = Form(n, {((k,), ()): gaussian(0, -half), ((), (k,)): gaussian(0, half)})
+    return (
+        (to_real, real_images, RealForm.term(n, (), 1)),
+        (to_complex, complex_images, Form.from_scalar(n, 1)),
+    )
+
+
 def realify(form: Form) -> RealForm:
     """Expand dz^k = dx^k + i dy^k, z^k = x^k + i y^k exactly."""
     n = form.n
-    i = gaussian(0, 1)
-    substitution = {}
-    images = {}  # (kind, k) of dz^k or dzb^k -> its real image
-    for k in range(1, n + 1):
-        x, y = WirtingerPolynomial.z(n, k), WirtingerPolynomial.zb(n, k)
-        substitution[(Z, k)] = x + y.scale(i)
-        substitution[(ZBAR, k)] = x - y.scale(i)
-        images[(Z, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): i})
-        images[(ZBAR, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): -i})
-    return RealForm(n, _pulled_back(form.terms, _factors, RealForm.term(n, (), 1), lambda c: c.substitute(substitution), images))
+    substitution, images, unit = _real_frames(n)[0]
+    return RealForm._trusted(n, _pulled_back(form.terms, _factors, unit, lambda c: c.substitute(substitution), images))
 
 
 def complexify(real: RealForm) -> Form:
     """Exact inverse of :func:`realify`."""
     n = real.n
-    half = Fraction(1, 2)
-    substitution = {}
-    images = {}  # real index of dx^k or dy^k -> its complex image
-    for k in range(1, n + 1):
-        z, zb = WirtingerPolynomial.z(n, k), WirtingerPolynomial.zb(n, k)
-        substitution[(Z, k)] = (z + zb).scale(gaussian(half))
-        substitution[(ZBAR, k)] = (z - zb).scale(gaussian(0, -half))
-        images[2 * k - 1] = Form(n, {((k,), ()): half, ((), (k,)): half})
-        images[2 * k] = Form(n, {((k,), ()): gaussian(0, -half), ((), (k,)): gaussian(0, half)})
-    return Form(n, _pulled_back(real.terms, tuple, Form.from_scalar(n, 1), lambda c: c.substitute(substitution), images))
+    substitution, images, unit = _real_frames(n)[1]
+    return Form._trusted(n, _pulled_back(real.terms, tuple, unit, lambda c: c.substitute(substitution), images))
 
 
 def real_hodge_star(real: RealForm) -> RealForm:
     """Euclidean Hodge star on monomials: star(e_K) = sgn(K, K^c) e_(K^c)
     with orientation dx1 ^ dy1 ^ ... ^ dxn ^ dyn.  Linear; coefficients
-    pass through untouched."""
+    pass through untouched, negated where the sign is -1."""
     degrees = real.degrees()
     if len(degrees) > 1:
         raise ValueError(f"real star needs a homogeneous form, got degrees {sorted(degrees)}")
     pairs = []
     for indices, coeff in real.terms.items():
         rest = complement(indices, 2 * real.n)
-        pairs.append((rest, coeff.scale(concat_sign(indices, rest))))
-    return RealForm(real.n, pairs)
+        pairs.append((rest, coeff if concat_sign(indices, rest) > 0 else -coeff))
+    return RealForm._trusted(real.n, pairs)
 
 
 def oracle_star(psi: Form) -> Form:
@@ -204,7 +217,7 @@ def oracle_star(psi: Form) -> Form:
     conjugation of the two paths.
     """
     parts = (psi.component(p, q).conjugate() for p, q in sorted(psi.bidegrees()))
-    return Form(psi.n, _summed(complexify(real_hodge_star(realify(part))) for part in parts))
+    return Form._trusted(psi.n, _summed(complexify(real_hodge_star(realify(part))) for part in parts))
 
 
 @dataclass(frozen=True)

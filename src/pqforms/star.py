@@ -29,6 +29,7 @@ contracts the conjugated coefficient with inverse-metric entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Literal, Tuple
 
 from .forms import Form, MultiIndex, _factors, _pulled_back, complement, concat_sign
@@ -72,6 +73,9 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     entry with barred row r and unbarred column c (1-based).  The minors
     are the exterior power of ginv (Cauchy-Binet), so the table is a
     pull-back: dz^l goes to sum_a ginv[l][a] dz^a, dzb^m to sum_b ginv[b][m] dzb^b.
+    The unit form and these 2n images are built on the first raise and
+    kept in the metric's ``_raising`` slot, and the table is merged by the
+    trusted form constructor.
 
     With the identity metric this collapses to coefficient-wise
     conjugation.  The table carries exactly one conjugation; callers pick
@@ -84,12 +88,20 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     n = metric.n
     if psi.n != n:
         raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
-    ginv = metric.inverse
-    images = {}  # (kind, k) of dz^k or dzb^k -> its image under ginv
-    for k in range(1, n + 1):
-        images[(Z, k)] = Form(n, {((a,), ()): ginv[k - 1][a - 1] for a in range(1, n + 1)})
-        images[(ZBAR, k)] = Form(n, {((), (b,)): ginv[b - 1][k - 1] for b in range(1, n + 1)})
-    return Form(n, _pulled_back(psi.terms, _factors, Form.from_scalar(n, 1), WirtingerPolynomial.conjugate, images)).terms
+    if metric._raising is None:
+        ginv = metric.inverse
+        images = {}  # (kind, k) of dz^k or dzb^k -> its image under ginv
+        for k in range(1, n + 1):
+            images[(Z, k)] = Form(n, {((a,), ()): ginv[k - 1][a - 1] for a in range(1, n + 1)})
+            images[(ZBAR, k)] = Form(n, {((), (b,)): ginv[b - 1][k - 1] for b in range(1, n + 1)})
+        metric._raising = Form.from_scalar(n, 1), images
+    unit, images = metric._raising
+    return Form._trusted(n, _pulled_back(psi.terms, _factors, unit, WirtingerPolynomial.conjugate, images)).terms
+
+
+def _contracted(phi: Form, raised, n: int) -> WirtingerPolynomial:
+    """sum over (A, B) of phi[A, B] * raised[A, B]."""
+    return sum((coeff * raised[key] for key, coeff in phi.terms.items() if key in raised), WirtingerPolynomial.zero(n))
 
 
 def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerPolynomial:
@@ -106,8 +118,7 @@ def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerP
         raise ValueError(
             f"bidegree mismatch: {phi.homogeneous_bidegree()} vs {psi.homogeneous_bidegree()}"
         )
-    raised = raise_indices(psi, metric)
-    return sum((coeff * raised[key] for key, coeff in phi.terms.items() if key in raised), WirtingerPolynomial.zero(n))
+    return _contracted(phi, raise_indices(psi, metric), n)
 
 
 def _star_prefactor(n: int, p: int, q: int) -> GaussianRational:
@@ -116,8 +127,25 @@ def _star_prefactor(n: int, p: int, q: int) -> GaussianRational:
     return (I_UNIT ** n) * sign
 
 
+def _starred(raised, p: int, q: int, metric: HermitianMetric, convention: StarConvention):
+    """The (key, coeff) pairs of the star of a (p,q)-form, from its raised table."""
+    n = metric.n
+    prefactor = _star_prefactor(n, p, q) * metric.determinant
+    for (A, B), coeff in raised.items():
+        A_c = complement(A, n)
+        B_c = complement(B, n)
+        sign = concat_sign(A, A_c) * concat_sign(B, B_c)
+        # the literal variant's extra bar applies to the raised
+        # coefficient only, never to the i^n prefactor
+        if convention.conjugation_mode == "literal_eq_2_9":
+            coeff = coeff.conjugate()
+        key = (A_c, B_c) if convention.output_index_mode == "same_type_complement" else (B_c, A_c)
+        yield key, coeff.scale(prefactor * sign)
+
+
 def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = DEFAULT_CONVENTION) -> Form:
-    """Hodge star of a form, applied per (p,q)-component.
+    """Hodge star of a form, applied per (p,q)-component: each component
+    is raised, then its star is emitted term by term.
 
     Antilinear under the default convention: star(c * psi) equals
     conj(c) * star(psi) for constant c.
@@ -125,22 +153,10 @@ def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = 
     n = metric.n
     if psi.n != n:
         raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
-    pairs = []
-    for p, q in sorted(psi.bidegrees()):
-        part = psi.component(p, q)
-        prefactor = _star_prefactor(n, p, q) * metric.determinant
-        for (A, B), raised in raise_indices(part, metric).items():
-            A_c = complement(A, n)
-            B_c = complement(B, n)
-            sign = concat_sign(A, A_c) * concat_sign(B, B_c)
-            # the literal variant's extra bar applies to the raised
-            # coefficient only, never to the i^n prefactor
-            if convention.conjugation_mode == "literal_eq_2_9":
-                raised = raised.conjugate()
-            coeff = raised.scale(prefactor * sign)
-            key = (A_c, B_c) if convention.output_index_mode == "same_type_complement" else (B_c, A_c)
-            pairs.append((key, coeff))
-    return Form(n, pairs)
+    return Form._trusted(n, chain.from_iterable(
+        _starred(raise_indices(psi.component(p, q), metric), p, q, metric, convention)
+        for p, q in sorted(psi.bidegrees())
+    ))
 
 
 @dataclass(frozen=True)
@@ -161,12 +177,17 @@ def defining_identity_check(
     """Check the star-defining identity as an exact polynomial-form identity.
 
     Inputs must be homogeneous of equal bidegree (zero forms pass
-    trivially).  The residual is phi ^ star(psi) - <phi, psi> * vol.
+    trivially).  The residual is phi ^ star(psi) - <phi, psi> * vol.  When
+    both forms are nonzero, psi is raised once, for the star and for the
+    inner product alike.
     """
-    if not phi.is_zero() and not psi.is_zero():
-        if phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
-            raise ValueError("defining identity needs forms of equal bidegree")
-    lhs = phi.wedge(hodge_star(psi, metric, convention))
-    rhs = volume_form(metric).scale(pointwise_inner(phi, psi, metric))
-    residual = lhs - rhs
+    both = not phi.is_zero() and not psi.is_zero()
+    if both and phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
+        raise ValueError("defining identity needs forms of equal bidegree")
+    raised = raise_indices(psi, metric) if both else {}
+    if both:
+        star = Form._trusted(metric.n, _starred(raised, *psi.homogeneous_bidegree(), metric, convention))
+    else:
+        star = hodge_star(psi, metric, convention)
+    residual = phi.wedge(star) - volume_form(metric).scale(_contracted(phi, raised, metric.n))
     return DefiningIdentityReport(holds=residual.is_zero(), residual=residual, convention=convention)

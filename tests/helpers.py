@@ -253,3 +253,25 @@ def homogeneous_forms(draw, n: Optional[int] = None, max_terms: int = 2, max_deg
     p = draw(st.integers(0, n))
     q = draw(st.integers(0, n))
     return draw(forms(n=n, max_terms=max_terms, max_degree=max_degree, bidegree=(p, q)))
+
+
+def recording_trusted(monkeypatch, cls, check_key):
+    """Patch ``cls._trusted`` so every internal build is also checked:
+    each key passes ``check_key``, no coefficient is zero, and the result
+    equals the public constructor applied to the same pairs.  Returns the
+    list of checked results."""
+    original = cls._trusted.__func__
+    built = []
+
+    def trusted(kind, n, pairs):
+        pairs = list(pairs)
+        out = original(kind, n, pairs)
+        for key, coeff in out.terms.items():
+            assert check_key(key, n) == key
+            assert isinstance(coeff, WirtingerPolynomial) and coeff.n == n and not coeff.is_zero()
+        assert out == kind(n, pairs)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(cls, "_trusted", classmethod(trusted))
+    return built

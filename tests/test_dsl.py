@@ -2,6 +2,7 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import random_form, random_poly
 from pqforms import Form, ParseError, WirtingerPolynomial, format_poly, gaussian, pretty_print
 from pqforms.cli import main
-from pqforms.dsl import MAX_NESTING, parse_form, parse_poly
+from pqforms.dsl import MAX_NESTING, MAX_WORK, parse_form, parse_poly
 
 
 def test_parse_plain_wedge():
@@ -133,6 +134,35 @@ def test_nesting_bound():
     assert err.value.column == MAX_NESTING + 1
     with pytest.raises(ParseError):
         parse_poly("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1), 1)
+
+
+def _budget_error(text, n, operator_column):
+    with pytest.raises(ParseError, match=f"budget of {MAX_WORK}") as err:
+        parse_form(text, n)
+    assert (err.value.line, err.value.column) == (1, operator_column)
+
+
+def test_work_budget_boundary():
+    # (z1+zb1)**304 is the highest power of a binomial within the budget
+    assert MAX_WORK == 500_000
+    power = parse_poly("(z1+zb1)**304", 1)
+    assert len(power.terms) == 305
+    assert power.terms[(152, 152)] == gaussian(comb(304, 152))
+    _budget_error("(z1+zb1)**305", 1, 9)
+    # the budget is one per parse, so a second power that alone would pass does not
+    _budget_error("(z1+zb1)**304+(z1+zb1)**304", 1, 23)
+
+
+def test_work_budget_charges_products_and_wedges():
+    # each power here is cheap; the product of the two 792-term results is not
+    zs, zbs = "+".join(f"z{k}" for k in range(1, 9)), "+".join(f"zb{k}" for k in range(1, 9))
+    product = f"({zs})**5*({zbs})**5"
+    _budget_error(product, 8, product.index("*(") + 1)
+    wedge = f"(({zs})**5*dz1)^(({zbs})**5*dz2)"
+    _budget_error(wedge, 8, wedge.index("^") + 1)
+    coefficient = f"dz1^(({zs})**5)^(({zbs})**5)"
+    _budget_error(coefficient, 8, coefficient.rindex("^") + 1)
+    assert parse_form(f"({zs})**2*({zbs})**2*dz1^dz2", 8) == parse_form(f"(({zs})**2)^(({zbs})**2)^dz1^dz2", 8)
 
 
 _SOUP_TOKENS = [

@@ -4,9 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_parity, forms, homogeneous_forms, polys, random_form
-from pqforms import Form, WirtingerPolynomial, gaussian
-from pqforms.forms import complement, sort_with_sign
+from helpers import brute_parity, forms, homogeneous_forms, polys, random_dense_metric, random_form, recording_trusted
+from pqforms import (
+    Form,
+    RealOrthogonalMatrix,
+    WirtingerPolynomial,
+    exterior_d,
+    gaussian,
+    hodge_star,
+    raise_indices,
+    transform_form,
+)
+from pqforms.forms import _term_key, complement, sort_with_sign
 from pqforms.wpoly import Z, ZBAR
 
 
@@ -162,3 +171,37 @@ def test_cancelling_pairs_leave_no_key():
     assert key not in built.terms
     assert built == Form.from_scalar(2, 3)
     assert Form(2, [(key, c), (key, -c), (key, c)]) == Form(2, {key: c})
+
+
+@settings(max_examples=30, deadline=None)
+@given(forms(n=2, max_terms=3), forms(n=2, max_terms=3), homogeneous_forms(n=2, max_degree=1), polys(n=2, max_terms=2))
+def test_internal_ops_build_only_canonical_terms(a, b, h, c):
+    metric = random_dense_metric(random.Random(3), 2)
+    rotation = RealOrthogonalMatrix([["3/5", "4/5"], ["-4/5", "3/5"]])
+    with pytest.MonkeyPatch.context() as patch:
+        built = recording_trusted(patch, Form, _term_key)
+        raise_indices(h, metric)  # its table is the terms of a trusted build
+        results = [
+            a + b, a - b, -a, a.scale(gaussian(2, -1)), a.scale(c), a ^ b, a.conjugate(), a.component(1, 0),
+            hodge_star(a, metric), exterior_d(a), transform_form(a, rotation),
+        ]
+    assert all(any(out is seen for seen in built) for out in results)
+
+
+@pytest.mark.parametrize(
+    "n, terms, message",
+    [
+        (2, {((3,), ()): 1}, "dz index 3 out of range 1..2"),
+        (2, {((), (0,)): 1}, "dzb index 0 out of range 1..2"),
+        (2, {((2, 1), ()): 1}, r"dz multi-index \(2, 1\) is not strictly increasing"),
+        (2, {((), (1, 1)): 1}, r"dzb multi-index \(1, 1\) is not strictly increasing"),
+        (2, {((1,), ()): WirtingerPolynomial.z(3, 1)}, "coefficient ambient dimension 3 != 2"),
+        (0, None, "ambient dimension must be positive, got 0"),
+        (0, {((), ()): 1}, "ambient dimension must be positive, got 0"),
+    ],
+)
+def test_public_constructor_rejections(n, terms, message):
+    with pytest.raises(ValueError, match=message):
+        Form(n, terms)
+    with pytest.raises(ValueError, match=message):
+        Form(n, list(terms.items()) if terms else terms)

@@ -11,6 +11,7 @@ from pqforms import (
     load_metric,
     validate_matrix,
     volume_coefficient_report,
+    raise_indices,
     volume_form,
 )
 
@@ -95,6 +96,22 @@ def test_volume_form_is_built_once_per_metric():
     assert volume_form(metric) is vol
     omega = associated_form(metric)
     assert vol == (omega ^ omega ^ omega).scale(Fraction(1, 6))
+
+
+def test_raising_images_are_built_once_per_metric():
+    # built on the first raise only, then the same images serve every raise
+    metric = HermitianMetric([[2, "1+i", 0], ["1-i", 3, "1/2"], [0, "1/2", 1]])
+    assert metric._raising is None
+    volume_form(metric)
+    assert metric._raising is None
+    raise_indices(Form.term(3, (1,), (2,), 1), metric)
+    frame = metric._raising
+    unit, images = frame
+    assert unit == Form.from_scalar(3, 1) and len(images) == 6
+    raise_indices(Form.term(3, (1, 3), (), 1), metric)
+    raise_indices(Form.term(3, (), (1, 2, 3), 1), metric)
+    assert metric._raising is frame
+    assert HermitianMetric(metric.entries)._raising is None
 
 
 @pytest.mark.parametrize("n,expect_match", [(1, False), (2, False), (3, False), (4, True)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import forms, polys, random_form
+from helpers import forms, homogeneous_forms, polys, random_form, recording_trusted
 from pqforms import (
     Form,
     HermitianMetric,
@@ -14,11 +14,15 @@ from pqforms import (
     WirtingerPolynomial,
     complexify,
     gaussian,
+    oracle_star,
     oracle_compare,
     real_hodge_star,
     realify,
     volume_form,
 )
+from pqforms.forms import _term_key
+from pqforms.realoracle import _validate_real_index
+from pqforms.scalars import GaussianRational
 
 
 def test_realify_dz1():
@@ -170,3 +174,52 @@ def test_realify_turns_wedge_into_real_wedge(pair):
     # RealForm.wedge against Form.wedge through the independent substitution
     a, b = pair
     assert realify(a.wedge(b)) == realify(a).wedge(realify(b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(forms(n=2, max_terms=2, max_degree=1), forms(n=2, max_terms=2, max_degree=1), homogeneous_forms(n=2, max_degree=1))
+def test_oracle_ops_build_only_canonical_terms(a, b, h):
+    with pytest.MonkeyPatch.context() as patch:
+        built = recording_trusted(patch, Form, _term_key)
+        built_real = recording_trusted(patch, RealForm, _validate_real_index)
+        x, y = realify(a), realify(b)
+        real_results = [x, x + y, x - y, -x, x.scale(gaussian(1, 3)), x.wedge(y), real_hodge_star(realify(h))]
+        results = [complexify(x), oracle_star(a)]
+    assert all(any(out is seen for seen in built_real) for out in real_results)
+    assert all(any(out is seen for seen in built) for out in results)
+
+
+@pytest.mark.parametrize(
+    "n, terms, message",
+    [
+        (2, {(5,): 1}, "real index 5 out of range 1..4"),
+        (2, {(0, 1): 1}, "real index 0 out of range 1..4"),
+        (2, {(3, 1): 1}, r"real multi-index \(3, 1\) is not strictly increasing"),
+        (2, {(2, 2): 1}, r"real multi-index \(2, 2\) is not strictly increasing"),
+        (2, {(1,): WirtingerPolynomial.z(1, 1)}, "coefficient ambient dimension 1 != 2"),
+        (0, None, "ambient dimension must be positive, got 0"),
+    ],
+)
+def test_realform_constructor_rejections(n, terms, message):
+    with pytest.raises(ValueError, match=message):
+        RealForm(n, terms)
+    with pytest.raises(ValueError, match=message):
+        RealForm(n, list(terms.items()) if terms else terms)
+
+
+def test_real_star_makes_no_scalar_multiply(monkeypatch):
+    # signs of both kinds: at n = 2, star(dx1) = dy1^dx2^dy2 and star(dy1) = -dx1^dx2^dy2
+    c = WirtingerPolynomial.z(2, 1).scale(gaussian(2, -3)) + WirtingerPolynomial.constant(2, gaussian(0, 5))
+    real = RealForm(2, {(1,): c, (2,): c.scale(7)})
+    calls = []
+    multiply = GaussianRational.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    starred = real_hodge_star(real)
+    assert calls == []
+    monkeypatch.undo()
+    assert starred == RealForm(2, {(2, 3, 4): c, (1, 3, 4): -c.scale(7)})

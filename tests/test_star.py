@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+import pqforms.star
 from helpers import brute_raise, homogeneous_forms, random_dense_metric, random_form
 from pqforms import (
     DEFAULT_CONVENTION,
@@ -216,3 +217,83 @@ def test_star_laws_at_n8(metric):
         twice = hodge_star(hodge_star(psi, metric), metric)
         assert twice == (-psi if (p + q) % 2 else psi), (p, q)
         assert defining_identity_check(psi, psi, metric).holds, (p, q)
+
+
+def test_raise_indices_on_a_reused_metric_matches_a_fresh_copy():
+    # many raises through one metric's kept frame, then the same raises on a
+    # metric built anew from its entries
+    rng = random.Random(11)
+    metric = random_dense_metric(rng, 3)
+    forms = [random_form(rng, 3, bidegree=(p, q), max_degree=1) for p in range(4) for q in range(4) for _ in range(3)]
+    for psi in forms:
+        for _ in range(3):
+            raise_indices(psi, metric)
+    fresh = HermitianMetric(metric.entries)
+    assert [raise_indices(psi, metric) for psi in forms] == [raise_indices(psi, fresh) for psi in forms]
+
+
+def test_defining_identity_check_raises_psi_once(monkeypatch):
+    calls = []
+    original = pqforms.star.raise_indices
+
+    def counted(psi, metric):
+        calls.append(psi)
+        return original(psi, metric)
+
+    monkeypatch.setattr(pqforms.star, "raise_indices", counted)
+    rng = random.Random(2)
+    metric = random_dense_metric(rng, 3)
+    for p, q in [(0, 0), (1, 0), (1, 2), (3, 3)]:
+        phi, psi = (random_form(rng, 3, bidegree=(p, q), max_degree=1) + Form.term(3, range(1, p + 1), range(1, q + 1), k) for k in (1, 2))
+        assert not phi.is_zero() and not psi.is_zero()
+        calls.clear()
+        assert defining_identity_check(phi, psi, metric).holds
+        assert calls == [psi]
+
+
+@pytest.mark.parametrize("convention", [DEFAULT_CONVENTION, LITERAL_CONVENTION], ids=["default", "literal"])
+def test_defining_identity_residual_is_its_definition(convention):
+    rng = random.Random(8)
+    for n in (2, 3):
+        metric = random_dense_metric(rng, n)
+        for p, q in [(0, 0), (1, 0), (1, 1), (0, 2), (n, n - 1)]:
+            phi = random_form(rng, n, bidegree=(p, q), max_degree=1)
+            psi = random_form(rng, n, bidegree=(p, q), max_degree=1)
+            expected = phi ^ hodge_star(psi, metric, convention)
+            expected = expected - volume_form(metric).scale(pointwise_inner(phi, psi, metric))
+            report = defining_identity_check(phi, psi, metric, convention)
+            assert report.residual == expected
+            assert report.holds == expected.is_zero()
+            assert report.convention == convention
+
+
+def _dz(n, *indices):
+    return Form.term(n, indices, (), 1)
+
+
+_MIXED = Form.term(2, (1,), (), 1) + Form.term(2, (1,), (1,), 1)
+
+
+@pytest.mark.parametrize(
+    "phi, psi, message",
+    [
+        (_dz(2, 1), Form.term(2, (), (1,), 1), "defining identity needs forms of equal bidegree"),
+        (_MIXED, _dz(2, 1), r"form is not homogeneous: bidegrees \[\(1, 0\), \(1, 1\)\]"),
+        (_dz(2, 1), _MIXED, r"form is not homogeneous: bidegrees \[\(1, 0\), \(1, 1\)\]"),
+        (_dz(2, 1), _dz(3, 1), "form ambient dimension 3 != metric dimension 2"),
+        (_dz(3, 1), _dz(2, 1), "ambient dimension mismatch: 3 vs 2"),
+        # the checks run in this order: bidegree, then psi against the metric, then phi
+        (_dz(3, 1), Form.term(2, (), (1,), 1), "defining identity needs forms of equal bidegree"),
+        (_dz(3, 1), _dz(3, 1), "form ambient dimension 3 != metric dimension 2"),
+        (Form.zero(3), _dz(2, 1), "ambient dimension mismatch: 3 vs 2"),
+        (_dz(2, 1), Form.zero(3), "form ambient dimension 3 != metric dimension 2"),
+    ],
+)
+def test_defining_identity_check_errors(phi, psi, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        defining_identity_check(phi, psi, HermitianMetric.identity(2))
+
+
+def test_defining_identity_zero_phi_accepts_mixed_psi():
+    report = defining_identity_check(Form.zero(2), _MIXED, HermitianMetric.identity(2))
+    assert report.holds and report.residual.is_zero()
