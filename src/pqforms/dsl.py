@@ -197,7 +197,7 @@ class _Parser:
         while self.peek().kind in ("plus", "minus"):
             terms.append(self.term(1 if self.advance().kind == "plus" else -1))
         if all(isinstance(term, WirtingerPolynomial) for term in terms):
-            return sum(terms[1:], terms[0])
+            return WirtingerPolynomial._sum(self.n, terms)
         return Form(self.n, _summed(_as_form(term, self.n) for term in terms))
 
     def term(self, sign: int) -> _Value:

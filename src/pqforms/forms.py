@@ -9,8 +9,12 @@ The term store is shared with the oracle's ``RealForm``: ``_merged`` is
 the one merge loop of both and ``_wedge_terms`` the one wedge loop, so
 every sum is built in a single constructor call.  The public constructors
 validate each key and coefficient (``_checked``) before the merge; the
-internal ops build through the trusted ``_trusted``, which only merges,
-and the frames they pull back through are built once per metric or n.
+internal ops build through the trusted ``_trusted``, which only merges.
+A repeated key's coefficients are summed in place into one term map.
+
+Index raising, ``realify``, ``complexify`` and ``transform_form`` pull
+forms back through a ``_Frame``: a linear change of frame that keeps the
+image of each key, its row of the compound matrix, once it is built.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from itertools import chain
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple, Union
 
 from .scalars import GaussianRational
-from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial
+from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial, _add_into
 
 MultiIndex = Tuple[int, ...]
 TermKey = Tuple[MultiIndex, MultiIndex]
@@ -76,11 +80,23 @@ def _term_key(key: TermKey, n: int) -> TermKey:
 
 
 def _merged(pairs: Iterable[Tuple[Any, WirtingerPolynomial]]) -> Dict[Any, WirtingerPolynomial]:
-    """The one merge loop of the term store: sum repeated keys, drop zeros."""
+    """The one merge loop of the term store: sum repeated keys, drop zeros.
+
+    The coefficients of a repeated key are added in place into one term
+    map, so its polynomial is built once, however often the key repeats.
+    """
     clean: Dict[Any, WirtingerPolynomial] = {}
+    sums: Dict[Any, dict] = {}  # repeated key -> its running term map
     for key, coeff in pairs:
         prev = clean.get(key)
-        clean[key] = coeff if prev is None else prev + coeff
+        if prev is None:
+            clean[key] = coeff
+        elif key in sums:
+            _add_into(sums[key], coeff.terms)
+        else:
+            sums[key] = _add_into(dict(prev.terms), coeff.terms)
+    for key, terms in sums.items():
+        clean[key] = WirtingerPolynomial._trusted(clean[key].n, terms)
     return {key: coeff for key, coeff in clean.items() if coeff.terms}
 
 
@@ -176,19 +192,44 @@ def _wedge_terms(left: Mapping, right: Mapping, flatten=tuple, unflatten=tuple) 
                 yield unflatten(merged), product if sign > 0 else -product
 
 
-def _pulled_back(terms: Mapping, factors, unit, coefficient, images) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
-    """The image of a form under a linear change of frame, as pairs.
+class _Frame:
+    """A linear change of frame, with the image of each key kept once built.
 
-    A term c * e_f1 ^ e_f2 ^ ..., with f1, f2, ... the factors of its key,
-    goes to coefficient(c) * images[f1] ^ images[f2] ^ ..., the wedge
-    starting from the form ``unit``.  Wedging the images of k factors
-    expands into the k x k minors of the frame change (Cauchy-Binet).
+    A basis form e_f1 ^ e_f2 ^ ..., with f1, f2, ... the ``factors`` of its
+    key, goes to images[f1] ^ images[f2] ^ ..., the wedge starting from the
+    form ``unit``.  The images of the differentials have constant
+    coefficients, so the image of a key is its row of the frame's compound
+    matrix (Cauchy-Binet): a tuple of (image key, constant) pairs, wedged
+    out on the first request and read from ``memo`` after that.  Equal keys
+    and constants of all images are interned to one object each.
     """
-    for key, coeff in terms.items():
-        piece = unit
-        for factor in factors(key):
-            piece = piece.wedge(images[factor])
-        yield from _scaled(piece.terms, coefficient(coeff))
+
+    __slots__ = ("unit", "images", "factors", "memo", "_interned")
+
+    def __init__(self, unit, images: Mapping, factors: Callable[[Any], Iterable[Hashable]]):
+        self.unit = unit
+        self.images = images
+        self.factors = factors
+        self.memo: Dict[Any, Tuple[Tuple[Any, GaussianRational], ...]] = {}
+        self._interned: Dict[Any, Any] = {}
+
+    def image(self, key) -> Tuple[Tuple[Any, GaussianRational], ...]:
+        pairs = self.memo.get(key)
+        if pairs is None:
+            piece = self.unit
+            for factor in self.factors(key):
+                piece = piece.wedge(self.images[factor])
+            one = lambda value: self._interned.setdefault(value, value)
+            pairs = self.memo[key] = tuple((one(k), one(c.constant_value())) for k, c in piece.terms.items())
+        return pairs
+
+    def pulled_back(self, terms: Mapping, coefficient: Callable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
+        """The pairs of the image of a form with these terms, each
+        coefficient c going to coefficient(c) times the image constants."""
+        for key, coeff in terms.items():
+            c = coefficient(coeff)
+            for image_key, scalar in self.image(key):
+                yield image_key, c.scale(scalar)
 
 
 class Form:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from .forms import Form, MultiIndex, _factors, _pulled_back
+from .forms import Form, MultiIndex, _factors, _Frame
 from .scalars import GaussianRational
 from .wpoly import WirtingerPolynomial, Z, ZBAR
 
@@ -163,12 +163,12 @@ def pr_minus(form: Form, direction: Direction) -> WirtingerPolynomial:
 def _pr(form: Form, direction: Direction, over_dz: bool) -> WirtingerPolynomial:
     if direction.n != form.n:
         raise ValueError(f"direction dimension {direction.n} != form dimension {form.n}")
-    total = WirtingerPolynomial.zero(form.n)
+    parts = []
     for (I, J), coeff in form.terms.items():
         weight = sum((direction.component(s) for s in (I if over_dz else J)), Fraction(0))
         if weight:
-            total = total + coeff.scale(GaussianRational.coerce(weight))
-    return total
+            parts.append(coeff.scale(GaussianRational.coerce(weight)))
+    return WirtingerPolynomial._sum(form.n, parts)
 
 
 def obstruction(form: Form, direction: Direction) -> WirtingerPolynomial:
@@ -224,11 +224,10 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
         images[(Z, j)] = Form(n, {((m,), ()): a for m, a in enumerate(row, start=1)})
         images[(ZBAR, j)] = Form(n, {((), (m,)): a for m, a in enumerate(row, start=1)})
         for kind in (Z, ZBAR):
-            image = WirtingerPolynomial.zero(n)
-            for m, a in enumerate(row, start=1):
-                image = image + WirtingerPolynomial.variable(n, kind, m).scale(a)
-            substitution[(kind, j)] = image
-    return Form._trusted(n, _pulled_back(form.terms, _factors, Form.from_scalar(n, 1), lambda c: c.substitute(substitution), images))
+            variables = (WirtingerPolynomial.variable(n, kind, m).scale(a) for m, a in enumerate(row, start=1))
+            substitution[(kind, j)] = WirtingerPolynomial._sum(n, variables)
+    frame = _Frame(Form.from_scalar(n, 1), images, _factors)
+    return Form._trusted(n, frame.pulled_back(form.terms, lambda c: c.substitute(substitution)))
 
 
 def _restricted_to(poly: WirtingerPolynomial, allowed: Iterable[int]) -> Tuple[bool, str]:

@@ -35,8 +35,8 @@ from .forms import (
     Form,
     _checked,
     _factors,
+    _Frame,
     _merged,
-    _pulled_back,
     _same_space,
     _scaled,
     _summed,
@@ -159,8 +159,11 @@ class RealForm:
 
 @lru_cache(maxsize=16)
 def _real_frames(n: int):
-    """The substitutions, differential images and units of realify and
-    complexify in dimension n, built once per n (the last 16 are kept)."""
+    """The (substitution, frame) pairs of realify and complexify in
+    dimension n, built once per n (the last 16 are kept).  Each frame
+    (``forms._Frame``) keeps the image of every key it has pulled back;
+    a complex key over k coordinates spreads to at most 2^k real keys, so
+    a frame holds at most 6^n pairs in all (36 at n = 2, 1,296 at n = 4)."""
     i, half = gaussian(0, 1), Fraction(1, 2)
     to_real, to_complex = {}, {}  # (kind, k) -> real image; complex image
     real_images, complex_images = {}, {}  # (kind, k) -> RealForm; real index -> Form
@@ -176,23 +179,21 @@ def _real_frames(n: int):
         complex_images[2 * k - 1] = Form(n, {((k,), ()): half, ((), (k,)): half})
         complex_images[2 * k] = Form(n, {((k,), ()): gaussian(0, -half), ((), (k,)): gaussian(0, half)})
     return (
-        (to_real, real_images, RealForm.term(n, (), 1)),
-        (to_complex, complex_images, Form.from_scalar(n, 1)),
+        (to_real, _Frame(RealForm.term(n, (), 1), real_images, _factors)),
+        (to_complex, _Frame(Form.from_scalar(n, 1), complex_images, tuple)),
     )
 
 
 def realify(form: Form) -> RealForm:
     """Expand dz^k = dx^k + i dy^k, z^k = x^k + i y^k exactly."""
-    n = form.n
-    substitution, images, unit = _real_frames(n)[0]
-    return RealForm._trusted(n, _pulled_back(form.terms, _factors, unit, lambda c: c.substitute(substitution), images))
+    substitution, frame = _real_frames(form.n)[0]
+    return RealForm._trusted(form.n, frame.pulled_back(form.terms, lambda c: c.substitute(substitution)))
 
 
 def complexify(real: RealForm) -> Form:
     """Exact inverse of :func:`realify`."""
-    n = real.n
-    substitution, images, unit = _real_frames(n)[1]
-    return Form._trusted(n, _pulled_back(real.terms, tuple, unit, lambda c: c.substitute(substitution), images))
+    substitution, frame = _real_frames(real.n)[1]
+    return Form._trusted(real.n, frame.pulled_back(real.terms, lambda c: c.substitute(substitution)))
 
 
 def real_hodge_star(real: RealForm) -> RealForm:

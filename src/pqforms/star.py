@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Literal, Tuple
 
-from .forms import Form, MultiIndex, _factors, _pulled_back, complement, concat_sign
+from .forms import Form, MultiIndex, _factors, _Frame, complement, concat_sign
 from .metric import HermitianMetric, volume_form
 from .scalars import GaussianRational, I_UNIT, MINUS_ONE, ONE
 from .wpoly import Z, ZBAR, WirtingerPolynomial
@@ -73,9 +73,12 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     entry with barred row r and unbarred column c (1-based).  The minors
     are the exterior power of ginv (Cauchy-Binet), so the table is a
     pull-back: dz^l goes to sum_a ginv[l][a] dz^a, dzb^m to sum_b ginv[b][m] dzb^b.
-    The unit form and these 2n images are built on the first raise and
-    kept in the metric's ``_raising`` slot, and the table is merged by the
-    trusted form constructor.
+    Raising keeps the dz and dzb types apart, so the image of (L, M) is
+    the wedge of the images of its dz-half (L, ()) and its dzb-half
+    ((), M), with no sign.  The metric's ``_raising`` slot holds the frame
+    (``forms._Frame``), built on the first raise, which keeps the image of
+    each half once it is built; the table is merged by the trusted form
+    constructor.
 
     With the identity metric this collapses to coefficient-wise
     conjugation.  The table carries exactly one conjugation; callers pick
@@ -88,20 +91,30 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     n = metric.n
     if psi.n != n:
         raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
-    if metric._raising is None:
+    frame = metric._raising
+    if frame is None:
         ginv = metric.inverse
         images = {}  # (kind, k) of dz^k or dzb^k -> its image under ginv
         for k in range(1, n + 1):
             images[(Z, k)] = Form(n, {((a,), ()): ginv[k - 1][a - 1] for a in range(1, n + 1)})
             images[(ZBAR, k)] = Form(n, {((), (b,)): ginv[b - 1][k - 1] for b in range(1, n + 1)})
-        metric._raising = Form.from_scalar(n, 1), images
-    unit, images = metric._raising
-    return Form._trusted(n, _pulled_back(psi.terms, _factors, unit, WirtingerPolynomial.conjugate, images)).terms
+        frame = metric._raising = _Frame(Form.from_scalar(n, 1), images, _factors)
+    return Form._trusted(n, _raised_pairs(psi.terms, frame.image)).terms
+
+
+def _raised_pairs(terms, image):
+    """The pairs of a raised table, from the images of the two halves of each key."""
+    for (I, J), coeff in terms.items():
+        conj = coeff.conjugate()
+        right = image(((), J))
+        for (A, _), a in image((I, ())):
+            for (_, B), b in right:
+                yield (A, B), conj.scale(a * b)
 
 
 def _contracted(phi: Form, raised, n: int) -> WirtingerPolynomial:
     """sum over (A, B) of phi[A, B] * raised[A, B]."""
-    return sum((coeff * raised[key] for key, coeff in phi.terms.items() if key in raised), WirtingerPolynomial.zero(n))
+    return WirtingerPolynomial._sum(n, (coeff * raised[key] for key, coeff in phi.terms.items() if key in raised))
 
 
 def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerPolynomial:

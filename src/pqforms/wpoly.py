@@ -26,6 +26,15 @@ PolyLike = Union[int, Fraction, GaussianRational, "WirtingerPolynomial"]
 _new = object.__new__
 
 
+def _add_into(out: Dict[Exponents, GaussianRational], terms: Mapping[Exponents, GaussianRational]):
+    """The one in-place polynomial sum: add a term map into ``out``, which
+    may be left holding zero coefficients, and return ``out``."""
+    for exponents, coeff in terms.items():
+        prev = out.get(exponents)
+        out[exponents] = coeff if prev is None else prev + coeff
+    return out
+
+
 class WirtingerPolynomial:
     """Sparse exact polynomial over the variables z1..zn, zb1..zn."""
 
@@ -110,13 +119,17 @@ class WirtingerPolynomial:
 
     # -- ring operations ----------------------------------------------------
 
+    @classmethod
+    def _sum(cls, n: int, polys: Iterable["WirtingerPolynomial"]) -> "WirtingerPolynomial":
+        """The sum of polynomials of dimension n, built once: their terms
+        are added in place into one map (``_add_into``)."""
+        out: Dict[Exponents, GaussianRational] = {}
+        for poly in polys:
+            _add_into(out, poly.terms)
+        return cls._trusted(n, out)
+
     def __add__(self, other: PolyLike) -> "WirtingerPolynomial":
-        o = self._coerce(other)
-        out = dict(self.terms)
-        for exponents, coeff in o.terms.items():
-            prev = out.get(exponents)
-            out[exponents] = coeff if prev is None else prev + coeff
-        return WirtingerPolynomial._trusted(self.n, out)
+        return WirtingerPolynomial._trusted(self.n, _add_into(dict(self.terms), self._coerce(other).terms))
 
     __radd__ = __add__
 
@@ -149,16 +162,16 @@ class WirtingerPolynomial:
     def __pow__(self, exponent: int) -> "WirtingerPolynomial":
         if exponent < 0:
             raise ValueError("polynomial powers must be non-negative")
-        result = WirtingerPolynomial.one(self.n)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        if exponent == 0:
+            return WirtingerPolynomial.one(self.n)
+        result, base = None, self
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
 
     # -- structure ----------------------------------------------------------
 
@@ -204,9 +217,7 @@ class WirtingerPolynomial:
             for slot, e in enumerate(exponents):
                 if e and slot in images:
                     term = term * images[slot] ** e
-            for key, value in term.terms.items():
-                prev = out.get(key)
-                out[key] = value if prev is None else prev + value
+            _add_into(out, term.terms)
         return WirtingerPolynomial._trusted(n, out)
 
     # -- queries -------------------------------------------------------------

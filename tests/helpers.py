@@ -70,6 +70,21 @@ def brute_raise(psi: Form, metric):
     return table
 
 
+def brute_pull_back(terms, factors, unit, coefficient, images):
+    """The image of a form under a change of frame, wedged out afresh for
+    every term with no memo: a term c * e_f1 ^ e_f2 ^ ..., with f1, f2, ...
+    the factors of its key, goes to coefficient(c) times
+    unit ^ images[f1] ^ images[f2] ^ ...  Built by the public constructor
+    of the unit's type."""
+    pairs = []
+    for key, coeff in terms.items():
+        piece = unit
+        for factor in factors(key):
+            piece = piece.wedge(images[factor])
+        pairs.extend((image_key, c * coefficient(coeff)) for image_key, c in piece.terms.items())
+    return type(unit)(unit.n, pairs)
+
+
 class FractionPair:
     """Reference Gaussian rational: the two ``Fraction`` parts with schoolbook
     complex arithmetic, independent of the engine's integer triple."""

@@ -180,6 +180,24 @@ def test_token_soup_exits_0_or_2(tokens):
         assert main(["d", "--n", "2", " ".join(tokens)]) in (0, 2)
 
 
+def test_polynomial_sums_parse_without_polynomial_adds(monkeypatch):
+    calls = []
+    add = WirtingerPolynomial.__add__
+
+    def counted(self, other):
+        calls.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(WirtingerPolynomial, "__add__", counted)
+    text = "+".join(f"z1**{k}" for k in range(1, 200)) + "-z1"
+    summed = parse_poly(text, 1)
+    form = parse_form(f"({text})*dz1+(z1-zb1)*dz1", 1)
+    assert calls == []
+    monkeypatch.undo()
+    assert summed == WirtingerPolynomial(1, {(k, 0): 1 for k in range(2, 200)})
+    assert form == Form.term(1, (1,), (), summed + WirtingerPolynomial.z(1, 1) - WirtingerPolynomial.zb(1, 1))
+
+
 def test_parse_poly():
     n = 4
     poly = parse_poly("z1*zb4+3", n)

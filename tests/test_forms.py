@@ -163,6 +163,26 @@ def test_pairs_with_repeated_keys_build_the_sum(pairs):
     assert Form(2, iter(pairs)) == total
 
 
+def test_repeated_keys_merge_without_polynomial_adds(monkeypatch):
+    n = 2
+    coeffs = [WirtingerPolynomial.z(n, 1).scale(k) + WirtingerPolynomial.zb(n, k % 2 + 1) for k in range(1, 40)]
+    expected = WirtingerPolynomial(n, {})
+    for c in coeffs:
+        expected = expected + c
+    calls = []
+    add = WirtingerPolynomial.__add__
+
+    def counted(self, other):
+        calls.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(WirtingerPolynomial, "__add__", counted)
+    merged = Form(n, [(((1,), (2,)), c) for c in coeffs] + [(((2,), ()), coeffs[0])])
+    assert calls == []
+    monkeypatch.undo()
+    assert merged == Form(n, {((1,), (2,)): expected, ((2,), ()): coeffs[0]})
+
+
 def test_cancelling_pairs_leave_no_key():
     key = ((1,), (2,))
     c = WirtingerPolynomial.z(2, 1) + WirtingerPolynomial.constant(2, gaussian(0, 1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import forms, homogeneous_forms, polys, random_form, recording_trusted
+from helpers import brute_pull_back, forms, homogeneous_forms, polys, random_form, recording_trusted
 from pqforms import (
     Form,
     HermitianMetric,
@@ -20,8 +20,8 @@ from pqforms import (
     realify,
     volume_form,
 )
-from pqforms.forms import _term_key
-from pqforms.realoracle import _validate_real_index
+from pqforms.forms import _factors, _term_key
+from pqforms.realoracle import _real_frames, _validate_real_index
 from pqforms.scalars import GaussianRational
 
 
@@ -223,3 +223,43 @@ def test_real_star_makes_no_scalar_multiply(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert starred == RealForm(2, {(2, 3, 4): c, (1, 3, 4): -c.scale(7)})
+
+
+def _brute_realify(form):
+    substitution, frame = _real_frames(form.n)[0]
+    return brute_pull_back(form.terms, _factors, frame.unit, lambda c: c.substitute(substitution), frame.images)
+
+
+def _brute_complexify(real):
+    substitution, frame = _real_frames(real.n)[1]
+    return brute_pull_back(real.terms, tuple, frame.unit, lambda c: c.substitute(substitution), frame.images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(forms(max_terms=3, max_degree=1))
+def test_real_frames_match_the_unmemoized_pull_back(form):
+    # cold memo on the first call, warm on the second
+    _real_frames.cache_clear()
+    real = _brute_realify(form)
+    assert realify(form) == real and realify(form) == real
+    back = _brute_complexify(real)
+    assert complexify(real) == back and complexify(real) == back
+    assert back == form
+
+
+def test_real_frames_hold_six_to_the_n_pairs():
+    # a coordinate's part of a key is one of 1, dz, dzb, dz^dzb, with 1, 2, 2
+    # and 1 real images (dz^dzb = -2i dx^dy): 6 pairs per coordinate
+    n = 2
+    _real_frames.cache_clear()
+    (_, to_real), (_, to_complex) = _real_frames(n)
+    subsets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+    realify(Form(n, {(I, J): 1 for I in subsets for J in subsets}))
+    complexify(RealForm(n, {K: 1 for k in range(2 * n + 1) for K in combinations(range(1, 2 * n + 1), k)}))
+    for frame in (to_real, to_complex):
+        assert len(frame.memo) == 16
+        assert sum(len(image) for image in frame.memo.values()) == 36
+        # equal image keys and constants are one object each
+        for part in (0, 1):
+            values = [pair[part] for image in frame.memo.values() for pair in image]
+            assert len({id(v) for v in values}) == len(set(values))

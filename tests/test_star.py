@@ -11,9 +11,10 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pqforms.star
-from helpers import brute_raise, homogeneous_forms, random_dense_metric, random_form
+from helpers import brute_pull_back, brute_raise, forms, homogeneous_forms, random_dense_metric, random_form
 from pqforms import (
     DEFAULT_CONVENTION,
     Form,
@@ -28,6 +29,7 @@ from pqforms import (
     raise_indices,
     volume_form,
 )
+from pqforms.forms import _factors
 
 
 def lemma31_coeff(n=4):
@@ -297,3 +299,38 @@ def test_defining_identity_check_errors(phi, psi, message):
 def test_defining_identity_zero_phi_accepts_mixed_psi():
     report = defining_identity_check(Form.zero(2), _MIXED, HermitianMetric.identity(2))
     assert report.holds and report.residual.is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(forms(max_terms=4, max_degree=1), st.integers(0, 2**32))
+def test_raise_indices_matches_the_unmemoized_pull_back(psi, seed):
+    # each component through one metric's frame: cold memo on the first
+    # raise, warm on the second
+    metric = random_dense_metric(random.Random(seed), psi.n)
+    parts = [psi.component(p, q) for p, q in sorted(psi.bidegrees())]
+    first = [raise_indices(part, metric) for part in parts]
+    frame = metric._raising
+    if frame is None:  # only the zero form never builds the frame
+        assert psi.is_zero()
+        return
+    conjugate = WirtingerPolynomial.conjugate
+    expected = [brute_pull_back(part.terms, _factors, frame.unit, conjugate, frame.images).terms for part in parts]
+    assert first == expected
+    assert [raise_indices(part, metric) for part in parts] == expected
+
+
+def test_repeated_raises_do_not_grow_the_memo():
+    rng = random.Random(5)
+    metric = random_dense_metric(rng, 3)
+    psis = [random_form(rng, 3, bidegree=(p, q), max_degree=1) for p in range(4) for q in range(4)]
+    for psi in psis:
+        raise_indices(psi, metric)
+    frame = metric._raising
+    memo, interned = dict(frame.memo), dict(frame._interned)
+    # the halves of a key are kept, never the whole key
+    assert all(not I or not J for I, J in memo)
+    for _ in range(3):
+        for psi in psis:
+            raise_indices(psi, metric)
+    assert frame.memo == memo and frame._interned == interned
+    assert all(frame.memo[key] is memo[key] for key in memo)

@@ -123,6 +123,21 @@ def test_power_builds_no_product_above_its_degree(monkeypatch):
         assert max(degrees, default=0) <= exponent, (exponent, degrees)
 
 
+def test_power_starts_from_the_base(monkeypatch):
+    p = z(2, 1).scale(gaussian(1, 2)) + zb(2, 2)
+    calls = []
+    multiply = WirtingerPolynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(WirtingerPolynomial, "__mul__", counted)
+    assert p ** 1 == p and calls == []
+    assert p ** 0 == WirtingerPolynomial.one(2) and calls == []
+    assert p ** 2 == multiply(p, p) and len(calls) == 1
+
+
 @pytest.mark.parametrize("exponent", range(10))
 def test_power_equals_repeated_multiplication(exponent):
     n = 2
