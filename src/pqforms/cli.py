@@ -144,10 +144,7 @@ def _run_form_command(args: argparse.Namespace) -> int:
     elif args.command == "harmonic":
         report = harmonic_check(form, metric, convention)
         payload = {
-            "schema": 1,
-            "op": "harmonic",
-            "n": n,
-            "convention": convention.describe(),
+            **result_payload,
             "d_vanishes": report.d_vanishes,
             "delta_vanishes": report.delta_vanishes,
             "harmonic": report.harmonic,
@@ -179,10 +176,7 @@ def _run_form_command(args: argparse.Namespace) -> int:
             for cmp in report.comparisons
         ]
         payload = {
-            "schema": 1,
-            "op": "oracle-star",
-            "n": n,
-            "convention": convention.describe(),
+            **result_payload,
             "proportional": report.proportional,
             "comparisons": comparisons,
         }

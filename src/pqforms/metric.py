@@ -3,6 +3,10 @@
 Only constant matrices are supported: the engine works at a base point of
 the flat local model, where the metric can always be brought to a constant
 (usually the identity).  Position-dependent metrics are out of scope.
+
+A matrix is checked and inverted by one exact Gauss-Jordan pass, whose
+pivots also give the determinant and the leading principal minors
+(Sylvester's criterion decides positive-definiteness from the minors).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .forms import Form
 from .scalars import GaussianRational, I_UNIT, ONE, ScalarLike, ZERO, parse_scalar
@@ -38,58 +42,40 @@ def coerce_matrix(entries: MatrixLike) -> Matrix:
     return rows
 
 
-def mat_determinant(matrix: Matrix) -> GaussianRational:
-    """Exact determinant by fraction-friendly Gaussian elimination."""
+def _gauss_jordan(matrix: Matrix) -> Tuple[GaussianRational, Optional[Matrix], Tuple[GaussianRational, ...]]:
+    """One exact Gauss-Jordan pass: the determinant, the inverse (None when
+    singular) and the leading principal minors D_1, D_2, ...
+
+    While no row swap is needed, the k-th pivot is D_k / D_(k-1), so the
+    running product of the pivots is D_k (Horn & Johnson, Matrix Analysis,
+    7.2).  A swap at column k means D_k = 0: that 0 is the last minor
+    recorded, and the pass goes on for the determinant and the inverse.
+    """
     n = len(matrix)
-    rows: List[List[GaussianRational]] = [list(row) for row in matrix]
+    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(matrix)]
     det = ONE
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            ratio = rows[r][col] / pivot
-            if ratio.is_zero():
-                continue
-            rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
-def mat_inverse(matrix: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-    n = len(matrix)
-    work: List[List[GaussianRational]] = [
-        list(row) + [ONE if i == j else ZERO for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
+    minors: List[GaussianRational] = []
+    unswapped = True
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
+        if pivot_row != col:
+            if unswapped:
+                minors.append(ZERO)
+                unswapped = False
+            if pivot_row is None:
+                return ZERO, None, tuple(minors)
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
         pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
+        det = det * pivot
+        if unswapped:
+            minors.append(det)
+        work[col] = [v / pivot if v else v for v in work[col]]
         for r in range(n):
-            if r == col:
-                continue
             factor = work[r][col]
-            if factor.is_zero():
-                continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def leading_principal_minors(matrix: Matrix) -> List[GaussianRational]:
-    n = len(matrix)
-    return [
-        mat_determinant(tuple(tuple(matrix[i][j] for j in range(k)) for i in range(k)))
-        for k in range(1, n + 1)
-    ]
+            if r != col and not factor.is_zero():
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det, tuple(tuple(row[n:]) for row in work), tuple(minors)
 
 
 @dataclass(frozen=True)
@@ -109,12 +95,9 @@ class MetricValidation:
         return self.is_hermitian and self.is_invertible and self.is_positive_definite
 
 
-def validate_matrix(entries: MatrixLike) -> MetricValidation:
-    """Check Hermitian-ness, invertibility and positive-definiteness.
-
-    Positive-definiteness is decided exactly by the leading principal
-    minors, which for a Hermitian matrix are all real.
-    """
+def _validated(entries: MatrixLike) -> Tuple[Matrix, MetricValidation, Optional[Matrix]]:
+    """The coerced matrix, its validation report and its inverse (None
+    when singular), from one coercion and one elimination."""
     matrix = coerce_matrix(entries)
     n = len(matrix)
     failures = tuple(
@@ -124,10 +107,10 @@ def validate_matrix(entries: MatrixLike) -> MetricValidation:
         if matrix[i][j] != matrix[j][i].conjugate()
     )
     hermitian = not failures
-    det = mat_determinant(matrix)
-    minors = tuple(leading_principal_minors(matrix)) if hermitian else ()
+    det, inverse, minors = _gauss_jordan(matrix)
+    minors = minors if hermitian else ()
     positive = hermitian and all(m.im == 0 and m.re > 0 for m in minors)
-    return MetricValidation(
+    report = MetricValidation(
         n=n,
         is_hermitian=hermitian,
         hermitian_failures=failures,
@@ -136,6 +119,19 @@ def validate_matrix(entries: MatrixLike) -> MetricValidation:
         is_positive_definite=positive,
         leading_minors=minors,
     )
+    return matrix, report, inverse
+
+
+def validate_matrix(entries: MatrixLike) -> MetricValidation:
+    """Check Hermitian-ness, invertibility and positive-definiteness.
+
+    Positive-definiteness is decided exactly by the leading principal
+    minors, which for a Hermitian matrix are all real.  They come from the
+    pivots of the elimination that gives the determinant (Sylvester), so
+    ``leading_minors`` ends at the first zero minor; a matrix that is not
+    Hermitian gets none.
+    """
+    return _validated(entries)[1]
 
 
 class HermitianMetric:
@@ -148,8 +144,7 @@ class HermitianMetric:
     __slots__ = ("n", "entries", "inverse", "determinant", "_volume", "_raising")
 
     def __init__(self, entries: MatrixLike):
-        matrix = coerce_matrix(entries)
-        report = validate_matrix(matrix)
+        matrix, report, inverse = _validated(entries)
         if not report.is_hermitian:
             offenders = ", ".join(
                 f"[{i},{j}]={matrix[i - 1][j - 1]} vs conj([{j},{i}])={matrix[j - 1][i - 1].conjugate()}"
@@ -161,7 +156,7 @@ class HermitianMetric:
         self.n = len(matrix)
         self.entries = matrix
         self.determinant = report.determinant
-        self.inverse = mat_inverse(matrix)
+        self.inverse = inverse
         self._volume = None  # filled by volume_form on first use
         self._raising = None  # filled by star.raise_indices on first use
 
@@ -196,9 +191,9 @@ class HermitianMetric:
 
 def associated_form(metric: HermitianMetric) -> Form:
     """The (1,1)-form i * sum g[a][b] dz^a ^ dzb^b attached to the metric."""
-    n = metric.n
-    entries = metric.entries
-    return Form(n, {((a,), (b,)): I_UNIT * entries[a - 1][b - 1] for a in range(1, n + 1) for b in range(1, n + 1)})
+    return Form(metric.n, {
+        ((a,), (b,)): I_UNIT * c for a, row in enumerate(metric.entries, 1) for b, c in enumerate(row, 1) if c
+    })
 
 
 def volume_form(metric: HermitianMetric) -> Form:

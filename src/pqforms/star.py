@@ -96,8 +96,8 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
         ginv = metric.inverse
         images = {}  # (kind, k) of dz^k or dzb^k -> its image under ginv
         for k in range(1, n + 1):
-            images[(Z, k)] = Form(n, {((a,), ()): ginv[k - 1][a - 1] for a in range(1, n + 1)})
-            images[(ZBAR, k)] = Form(n, {((), (b,)): ginv[b - 1][k - 1] for b in range(1, n + 1)})
+            images[(Z, k)] = Form(n, {((a,), ()): c for a, c in enumerate(ginv[k - 1], 1) if c})
+            images[(ZBAR, k)] = Form(n, {((), (b,)): row[k - 1] for b, row in enumerate(ginv, 1) if row[k - 1]})
         frame = metric._raising = _Frame(Form.from_scalar(n, 1), images, _factors)
     return Form._trusted(n, _raised_pairs(psi.terms, frame.image)).terms
 
@@ -134,26 +134,28 @@ def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerP
     return _contracted(phi, raise_indices(psi, metric), n)
 
 
+_I_POWERS = (ONE, I_UNIT, MINUS_ONE, -I_UNIT)
+
+
 def _star_prefactor(n: int, p: int, q: int) -> GaussianRational:
-    exponent = n * (n - 1) // 2 + (n - p) * q
-    sign = MINUS_ONE if exponent % 2 else ONE
-    return (I_UNIT ** n) * sign
+    """i^n * (-1)^e with e = n(n-1)/2 + (n-p)q, read as i^(n + 2e)."""
+    return _I_POWERS[(n + 2 * (n * (n - 1) // 2 + (n - p) * q)) % 4]
 
 
 def _starred(raised, p: int, q: int, metric: HermitianMetric, convention: StarConvention):
     """The (key, coeff) pairs of the star of a (p,q)-form, from its raised table."""
     n = metric.n
     prefactor = _star_prefactor(n, p, q) * metric.determinant
+    signed = {1: prefactor, -1: -prefactor}
     for (A, B), coeff in raised.items():
         A_c = complement(A, n)
         B_c = complement(B, n)
-        sign = concat_sign(A, A_c) * concat_sign(B, B_c)
         # the literal variant's extra bar applies to the raised
         # coefficient only, never to the i^n prefactor
         if convention.conjugation_mode == "literal_eq_2_9":
             coeff = coeff.conjugate()
         key = (A_c, B_c) if convention.output_index_mode == "same_type_complement" else (B_c, A_c)
-        yield key, coeff.scale(prefactor * sign)
+        yield key, coeff.scale(signed[concat_sign(A, A_c) * concat_sign(B, B_c)])
 
 
 def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = DEFAULT_CONVENTION) -> Form:

@@ -1,8 +1,11 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import pqforms.metric
+from helpers import brute_determinant, random_dense_metric
 from pqforms import (
     Form,
     HermitianMetric,
@@ -14,6 +17,7 @@ from pqforms import (
     raise_indices,
     volume_form,
 )
+from pqforms.wpoly import WirtingerPolynomial
 
 
 def test_identity_metric_is_valid():
@@ -113,6 +117,25 @@ def test_raising_images_are_built_once_per_metric():
     assert HermitianMetric(metric.entries)._raising is None
 
 
+def test_raising_builds_one_constant_per_nonzero_inverse_entry(monkeypatch):
+    # the identity's inverse has n nonzero entries of n^2, used once for the
+    # dz images and once for the dzb images
+    calls = []
+    original = WirtingerPolynomial.constant.__func__
+
+    def counted(cls, n, value):
+        calls.append(value)
+        return original(cls, n, value)
+
+    monkeypatch.setattr(WirtingerPolynomial, "constant", classmethod(counted))
+    n = 6
+    metric = HermitianMetric.identity(n)
+    psi = Form.term(n, (1,), (2,), 1)
+    calls.clear()
+    raise_indices(psi, metric)
+    assert len(calls) == 2 * n + 1  # the 2n images' entries and the frame's unit form
+
+
 @pytest.mark.parametrize("n,expect_match", [(1, False), (2, False), (3, False), (4, True)])
 def test_volume_coefficient_report(n, expect_match):
     # the i^n-free prefactor variant only agrees when i^n = 1
@@ -155,3 +178,68 @@ def test_load_metric_rejects_wrong_n(tmp_path):
     path.write_text(json.dumps({"n": 3, "entries": [[1, 0], [0, 1]]}))
     with pytest.raises(ValueError):
         load_metric(str(path))
+
+
+def _random_hermitian(rng, n):
+    """Small integer Gaussian entries, so that zero leading minors, singular
+    and indefinite matrices all turn up."""
+    rows = [[None] * n for _ in range(n)]
+    for a in range(n):
+        rows[a][a] = gaussian(rng.randint(-1, 2))
+        for b in range(a + 1, n):
+            rows[a][b] = gaussian(rng.randint(-1, 1), rng.randint(-1, 1))
+            rows[b][a] = rows[a][b].conjugate()
+    return rows
+
+
+def _random_low_rank(rng, n):
+    """P*P for a (n-1) x n Gaussian P: Hermitian, positive semidefinite, singular."""
+    P = [[gaussian(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)] for _ in range(n - 1)]
+    return [[sum((P[k][a].conjugate() * P[k][b] for k in range(n - 1)), gaussian(0)) for b in range(n)] for a in range(n)]
+
+
+def test_one_elimination_matches_leibniz_minors():
+    rng = random.Random(9)
+    seen = {"positive definite": 0, "indefinite": 0, "singular": 0, "zero minor, invertible": 0}
+    for n in range(1, 6):
+        for _ in range(30):
+            for rows in (
+                [list(row) for row in random_dense_metric(rng, n).entries],
+                _random_hermitian(rng, n),
+                _random_low_rank(rng, n) if n > 1 else [[gaussian(0)]],
+            ):
+                minors = [brute_determinant([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+                first_zero = next((k for k, m in enumerate(minors, 1) if m.is_zero()), n)
+                positive = all(m.im == 0 and m.re > 0 for m in minors)
+                report = validate_matrix(rows)
+                assert report.determinant == minors[-1]
+                assert report.leading_minors == tuple(minors[:first_zero])
+                assert report.is_positive_definite is positive
+                if minors[-1].is_zero():
+                    seen["singular"] += 1
+                    with pytest.raises(ValueError, match="metric matrix is singular"):
+                        HermitianMetric(rows)
+                    continue
+                seen["positive definite" if positive else "indefinite"] += 1
+                seen["zero minor, invertible"] += first_zero < n
+                inverse = HermitianMetric(rows).inverse
+                product = [
+                    [sum((rows[i][k] * inverse[k][j] for k in range(n)), gaussian(0)) for j in range(n)]
+                    for i in range(n)
+                ]
+                assert product == [[gaussian(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("build", [HermitianMetric, validate_matrix])
+def test_metric_build_and_validation_run_one_elimination(monkeypatch, build):
+    calls = []
+    original = pqforms.metric._gauss_jordan
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(pqforms.metric, "_gauss_jordan", counted)
+    build([[2, "1+i", 0], ["1-i", 3, "1/2"], [0, "1/2", 1]])
+    assert len(calls) == 1

@@ -125,6 +125,15 @@ def test_star_literal_variant_returns_input_shape():
     assert hodge_star(psi, metric, LITERAL_CONVENTION) == psi
 
 
+def test_star_prefactor_table_is_the_power_of_i():
+    i = gaussian(0, 1)
+    for n in range(1, 13):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                exponent = n * (n - 1) // 2 + (n - p) * q
+                assert pqforms.star._star_prefactor(n, p, q) == i ** n * (-1) ** exponent
+
+
 def test_defining_identity_simplest_case():
     metric = HermitianMetric.identity(1)
     dz1 = Form.term(1, (1,), (), 1)
