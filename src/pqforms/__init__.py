@@ -8,7 +8,7 @@ real-coordinate oracle that cross-checks the star.
 
 from .scalars import GaussianRational, gaussian, parse_scalar
 from .wpoly import WirtingerPolynomial
-from .forms import Form, wedge, wedge_all
+from .forms import Form
 from .metric import (
     HermitianMetric,
     MetricValidation,
@@ -70,8 +70,6 @@ __all__ = [
     "parse_scalar",
     "WirtingerPolynomial",
     "Form",
-    "wedge",
-    "wedge_all",
     "HermitianMetric",
     "MetricValidation",
     "associated_form",

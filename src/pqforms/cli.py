@@ -1,9 +1,12 @@
 """Command-line driver.
 
-Single-shot commands over the form DSL.  Output is deterministic: the
-same argv and input files always produce byte-identical stdout.  Exit
-codes: 0 success, 2 parse or validation failure, 3 scenario deviation
-under --strict.
+Single-shot commands over the form DSL.  Each form command is one entry
+of ``_COMMANDS``, which gives its help, the forms it reads, whether it
+reads --metric and how its result is computed; the parser, the metric
+decision and the dispatch all read that entry.  Output is deterministic:
+the same argv and input files always produce byte-identical stdout.
+Exit codes: 0 success, 2 parse or validation failure, 3 scenario
+deviation under --strict.
 """
 
 from __future__ import annotations
@@ -27,11 +30,90 @@ from .obstruction import Direction, obstruction
 from .realoracle import oracle_compare
 from .scalars import format_scalar
 from .scenarios import SCENARIO_IDS, scenario_runner
-from .star import DEFAULT_CONVENTION, LITERAL_CONVENTION, hodge_star, pointwise_inner
+from .star import CONVENTIONS, hodge_star, pointwise_inner
 
-_CONVENTIONS = {"default": DEFAULT_CONVENTION, "literal": LITERAL_CONVENTION}
-# single-form commands that read --metric; of the two-form commands only inner does
-_METRIC_COMMANDS = ("star", "delta", "laplacian", "harmonic", "oracle-star")
+
+def _harmonic(form, metric, convention, args) -> dict:
+    report = harmonic_check(form, metric, convention)
+    return {
+        "d_vanishes": report.d_vanishes,
+        "delta_vanishes": report.delta_vanishes,
+        "harmonic": report.harmonic,
+        "d_residual": pretty_print(report.d_residual),
+        "delta_residual": pretty_print(report.delta_residual),
+        "note": report.note,
+    }
+
+
+def _oracle_star(form, metric, convention, args) -> dict:
+    report = oracle_compare(form, metric, convention)
+    comparisons = [
+        {
+            "p": cmp.p,
+            "q": cmp.q,
+            "proportional": cmp.proportional,
+            "ratio": format_scalar(cmp.ratio) if cmp.ratio is not None else None,
+        }
+        for cmp in report.comparisons
+    ]
+    return {"proportional": report.proportional, "comparisons": comparisons}
+
+
+def _oracle_star_text(fields: dict) -> str:
+    lines = [f"proportional: {fields['proportional']}"]
+    for cmp in fields["comparisons"]:
+        lines.append(f"(p,q)=({cmp['p']},{cmp['q']}): proportional={cmp['proportional']} ratio={cmp['ratio']}")
+    return "\n".join(lines)
+
+
+def _fields_text(fields: dict) -> str:
+    return "\n".join(f"{key}: {value}" for key, value in fields.items())
+
+
+_ONE = ("form",)
+_TWO = ("form1", "form2")
+
+# name: (help, form arguments, reads --metric, result of (*forms, metric, convention, args),
+#        plain text of a dict result).  A text result prints as is and is the "result" key
+# under --json; a dict result is merged into the --json payload.
+_COMMANDS = {
+    "star": (
+        "Hodge star of a form", _ONE, True,
+        lambda form, metric, convention, args: pretty_print(hodge_star(form, metric, convention)), None,
+    ),
+    "d": ("exterior derivative", _ONE, False, lambda form, *_: pretty_print(exterior_d(form)), None),
+    "del": (
+        "dz half of the exterior derivative", _ONE, False, lambda form, *_: pretty_print(dolbeault_del(form)), None,
+    ),
+    "delbar": (
+        "dzb half of the exterior derivative", _ONE, False, lambda form, *_: pretty_print(dolbeault_delbar(form)), None,
+    ),
+    "delta": (
+        "codifferential", _ONE, True,
+        lambda form, metric, convention, args: pretty_print(codifferential(form, metric, convention)), None,
+    ),
+    "laplacian": (
+        "Hodge Laplacian", _ONE, True,
+        lambda form, metric, convention, args: pretty_print(laplacian(form, metric, convention)), None,
+    ),
+    "harmonic": ("independent d and delta vanishing check", _ONE, True, _harmonic, _fields_text),
+    "oracle-star": (
+        "compare the star against the real-coordinate oracle", _ONE, True, _oracle_star, _oracle_star_text,
+    ),
+    "wedge": (
+        "exterior product of two forms", _TWO, False,
+        lambda first, second, *_: pretty_print(first.wedge(second)), None,
+    ),
+    "inner": (
+        "pointwise inner product of two forms", _TWO, True,
+        lambda first, second, metric, *_: format_poly(pointwise_inner(first, second, metric)), None,
+    ),
+    # --v is parsed after the form, so a bad form is reported first
+    "obstruction": (
+        "pairing functional against a direction", _ONE, False,
+        lambda form, metric, convention, args: format_poly(obstruction(form, Direction.parse(args.v, args.n))), None,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,46 +122,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact symbolic exterior calculus for complex (p,q)-forms",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub: argparse.ArgumentParser, forms: int) -> None:
+    for name, (help_text, forms, _, _, _) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--n", type=int, required=True, help="ambient complex dimension")
         sub.add_argument("--metric", help="JSON metric file; identity when omitted")
         sub.add_argument(
             "--convention",
-            choices=sorted(_CONVENTIONS),
+            choices=sorted(CONVENTIONS),
             default="default",
             help="star convention variant",
         )
         sub.add_argument("--json", action="store_true", help="structured output")
-        if forms == 1:
-            sub.add_argument("form")
-        else:
-            for i in range(forms):
-                sub.add_argument(f"form{i + 1}")
-
-    for name, help_text in (
-        ("star", "Hodge star of a form"),
-        ("d", "exterior derivative"),
-        ("del", "dz half of the exterior derivative"),
-        ("delbar", "dzb half of the exterior derivative"),
-        ("delta", "codifferential"),
-        ("laplacian", "Hodge Laplacian"),
-        ("harmonic", "independent d and delta vanishing check"),
-        ("oracle-star", "compare the star against the real-coordinate oracle"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
-        add_common(sub, 1)
-
-    for name, help_text in (
-        ("wedge", "exterior product of two forms"),
-        ("inner", "pointwise inner product of two forms"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
-        add_common(sub, 2)
-
-    sub = subparsers.add_parser("obstruction", help="pairing functional against a direction")
-    add_common(sub, 1)
-    sub.add_argument("--v", required=True, help='direction components, e.g. "1,0,0,0"')
+        for dest in forms:
+            sub.add_argument(dest)
+    subparsers.choices["obstruction"].add_argument("--v", required=True, help='direction components, e.g. "1,0,0,0"')
 
     sub = subparsers.add_parser("scenario", help="run a named desk-scale check")
     sub.add_argument("id", choices=SCENARIO_IDS)
@@ -98,100 +154,19 @@ def _metric_for(args: argparse.Namespace) -> HermitianMetric:
     return HermitianMetric.identity(args.n)
 
 
-def _emit(args: argparse.Namespace, payload: dict, plain: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(plain)
-
-
 def _run_form_command(args: argparse.Namespace) -> int:
-    n = args.n
-    convention = _CONVENTIONS[args.convention]
-    result_payload: dict = {"schema": 1, "op": args.command, "n": n, "convention": convention.describe()}
-
-    if args.command in ("wedge", "inner"):
-        metric = _metric_for(args) if args.command == "inner" else None
-        first = parse_form(args.form1, n)
-        second = parse_form(args.form2, n)
-        if args.command == "wedge":
-            value = first.wedge(second)
-            text = pretty_print(value)
-        else:
-            value = pointwise_inner(first, second, metric)
-            text = format_poly(value)
-        result_payload["result"] = text
-        _emit(args, result_payload, text)
-        return 0
-
-    metric = _metric_for(args) if args.command in _METRIC_COMMANDS else None
-    form = parse_form(args.form, n)
-    if args.command == "star":
-        text = pretty_print(hodge_star(form, metric, convention))
-    elif args.command == "d":
-        text = pretty_print(exterior_d(form))
-    elif args.command == "del":
-        text = pretty_print(dolbeault_del(form))
-    elif args.command == "delbar":
-        text = pretty_print(dolbeault_delbar(form))
-    elif args.command == "delta":
-        text = pretty_print(codifferential(form, metric, convention))
-    elif args.command == "laplacian":
-        text = pretty_print(laplacian(form, metric, convention))
-    elif args.command == "obstruction":
-        direction = Direction.parse(args.v, n)
-        text = format_poly(obstruction(form, direction))
-    elif args.command == "harmonic":
-        report = harmonic_check(form, metric, convention)
-        payload = {
-            **result_payload,
-            "d_vanishes": report.d_vanishes,
-            "delta_vanishes": report.delta_vanishes,
-            "harmonic": report.harmonic,
-            "d_residual": pretty_print(report.d_residual),
-            "delta_residual": pretty_print(report.delta_residual),
-            "note": report.note,
-        }
-        plain = "\n".join(
-            [
-                f"d_vanishes: {report.d_vanishes}",
-                f"delta_vanishes: {report.delta_vanishes}",
-                f"harmonic: {report.harmonic}",
-                f"d_residual: {pretty_print(report.d_residual)}",
-                f"delta_residual: {pretty_print(report.delta_residual)}",
-                f"note: {report.note}",
-            ]
-        )
-        _emit(args, payload, plain)
-        return 0
-    elif args.command == "oracle-star":
-        report = oracle_compare(form, metric, convention)
-        comparisons = [
-            {
-                "p": cmp.p,
-                "q": cmp.q,
-                "proportional": cmp.proportional,
-                "ratio": format_scalar(cmp.ratio) if cmp.ratio is not None else None,
-            }
-            for cmp in report.comparisons
-        ]
-        payload = {
-            **result_payload,
-            "proportional": report.proportional,
-            "comparisons": comparisons,
-        }
-        lines = [f"proportional: {report.proportional}"]
-        for cmp in comparisons:
-            lines.append(
-                f"(p,q)=({cmp['p']},{cmp['q']}): proportional={cmp['proportional']} ratio={cmp['ratio']}"
-            )
-        _emit(args, payload, "\n".join(lines))
-        return 0
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unhandled command {args.command}")
-
-    result_payload["result"] = text
-    _emit(args, result_payload, text)
+    _, forms, reads_metric, compute, render = _COMMANDS[args.command]
+    convention = CONVENTIONS[args.convention]
+    metric = _metric_for(args) if reads_metric else None
+    parsed = [parse_form(getattr(args, dest), args.n) for dest in forms]
+    result = compute(*parsed, metric, convention, args)
+    payload = {"schema": 1, "op": args.command, "n": args.n, "convention": convention.describe()}
+    if isinstance(result, str):
+        payload["result"] = text = result
+    else:
+        payload.update(result)
+        text = render(result)
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
     return 0
 
 

@@ -379,15 +379,3 @@ class Form:
             bits.append(f"{coeff!r}*{'^'.join(names) if names else '1'}")
         return "<form " + " + ".join(bits) + ">"
 
-
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
-def wedge_all(forms: Sequence[Form]) -> Form:
-    if not forms:
-        raise ValueError("need at least one form")
-    out = forms[0]
-    for f in forms[1:]:
-        out = out.wedge(f)
-    return out

@@ -250,6 +250,11 @@ def load_metric(path: str) -> HermitianMetric:
     if not isinstance(payload, dict) or "entries" not in payload:
         raise ValueError(f"{path}: metric file must be an object with an 'entries' field")
     entries = payload["entries"]
+    # type(), not isinstance: JSON true and false load as bools, which are ints
+    if not isinstance(entries, list) or not all(
+        isinstance(row, list) and all(type(v) in (int, str) for v in row) for row in entries
+    ):
+        raise ValueError(f"{path}: metric 'entries' must be a list of rows of integers or strings")
     declared = payload.get("n")
     if declared is not None and declared != len(entries):
         raise ValueError(f"{path}: declared n={declared} but entries have {len(entries)} rows")

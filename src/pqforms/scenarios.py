@@ -11,9 +11,9 @@ part of the scenario definition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
-from .calculus import harmonic_check, laplacian
+from .calculus import HarmonicReport, harmonic_check, laplacian
 from .dsl import format_poly, pretty_print
 from .forms import Form, _summed
 from .metric import HermitianMetric
@@ -26,13 +26,7 @@ from .obstruction import (
     obstruction_direction_coefficients,
     paired_class_form,
 )
-from .star import (
-    DEFAULT_CONVENTION,
-    LITERAL_CONVENTION,
-    StarConvention,
-    defining_identity_check,
-    hodge_star,
-)
+from .star import CONVENTIONS, StarConvention, defining_identity_check, hodge_star
 from .wpoly import WirtingerPolynomial
 
 SCENARIO_IDS = ("lemma31", "lemma33", "lemma34", "k3")
@@ -90,6 +84,49 @@ class ScenarioReport:
         }
 
 
+def _check(
+    convention: StarConvention,
+    engine: Union[Form, WirtingerPolynomial],
+    claim: Union[Form, WirtingerPolynomial],
+    expected: bool,
+    extras: Dict[str, ExtraValue],
+    extras_as_expected: bool,
+) -> ConventionCheck:
+    """The check of an engine value against a claimed value, both forms or both polynomials."""
+    show = pretty_print if isinstance(engine, Form) else format_poly
+    return ConventionCheck(
+        convention=convention,
+        engine_result=show(engine),
+        paper_claim=show(claim),
+        match=engine == claim,
+        expected_match=expected,
+        residual=show(engine - claim),
+        extras=extras,
+        extras_as_expected=extras_as_expected,
+    )
+
+
+def _laplacian_checks(
+    psi: Form, extras: Callable[[HarmonicReport], Dict[str, ExtraValue]], extras_ok: bool
+) -> Tuple[ConventionCheck, ...]:
+    """Laplacian(psi) = 0 under each convention, with the independent d and delta
+    verdicts and ``extras(report)`` as extras; these are as expected when psi is
+    harmonic and ``extras_ok`` holds."""
+    metric = HermitianMetric.identity(psi.n)
+    checks = []
+    for convention in CONVENTIONS.values():
+        report = harmonic_check(psi, metric, convention)
+        verdicts: Dict[str, ExtraValue] = {
+            "d_vanishes": report.d_vanishes,
+            "delta_vanishes": report.delta_vanishes,
+            "harmonic": report.harmonic,
+            **extras(report),
+        }
+        lap = laplacian(psi, metric, convention)
+        checks.append(_check(convention, lap, Form.zero(psi.n), True, verdicts, report.harmonic and extras_ok))
+    return tuple(checks)
+
+
 def _lemma31_f() -> WirtingerPolynomial:
     n = 4
     return WirtingerPolynomial.z(n, 1) * WirtingerPolynomial.zb(n, 4) + WirtingerPolynomial.constant(n, 3)
@@ -102,26 +139,14 @@ def _run_lemma31() -> ScenarioReport:
     psi = Form.term(n, (1, 2), (3, 4), f)
     claim = Form.term(n, (3, 4), (1, 2), f.conjugate())
     checks = []
-    for convention, expected in ((DEFAULT_CONVENTION, True), (LITERAL_CONVENTION, False)):
+    for convention, expected in zip(CONVENTIONS.values(), (True, False)):
         engine = hodge_star(psi, metric, convention)
         identity = defining_identity_check(psi, psi, metric, convention)
-        match = engine == claim
         extras: Dict[str, ExtraValue] = {
             "defining_identity_holds": identity.holds,
             "defining_identity_residual": pretty_print(identity.residual),
         }
-        checks.append(
-            ConventionCheck(
-                convention=convention,
-                engine_result=pretty_print(engine),
-                paper_claim=pretty_print(claim),
-                match=match,
-                expected_match=expected,
-                residual=pretty_print(engine - claim),
-                extras=extras,
-                extras_as_expected=identity.holds == expected,
-            )
-        )
+        checks.append(_check(convention, engine, claim, expected, extras, identity.holds == expected))
     return ScenarioReport(
         scenario_id="lemma31",
         checks=tuple(checks),
@@ -133,36 +158,14 @@ def _run_lemma31() -> ScenarioReport:
     )
 
 
+def _residuals(report: HarmonicReport) -> Dict[str, ExtraValue]:
+    return {"d_residual": pretty_print(report.d_residual), "delta_residual": pretty_print(report.delta_residual)}
+
+
 def _run_lemma33() -> ScenarioReport:
-    n = 4
-    metric = HermitianMetric.identity(n)
-    psi = Form.term(n, (1, 2), (3, 4), _lemma31_f())
-    checks = []
-    for convention in (DEFAULT_CONVENTION, LITERAL_CONVENTION):
-        report = harmonic_check(psi, metric, convention)
-        lap = laplacian(psi, metric, convention)
-        extras: Dict[str, ExtraValue] = {
-            "d_vanishes": report.d_vanishes,
-            "delta_vanishes": report.delta_vanishes,
-            "harmonic": report.harmonic,
-            "d_residual": pretty_print(report.d_residual),
-            "delta_residual": pretty_print(report.delta_residual),
-        }
-        checks.append(
-            ConventionCheck(
-                convention=convention,
-                engine_result=pretty_print(lap),
-                paper_claim="0",
-                match=lap.is_zero(),
-                expected_match=True,
-                residual=pretty_print(lap),
-                extras=extras,
-                extras_as_expected=report.harmonic,
-            )
-        )
     return ScenarioReport(
         scenario_id="lemma33",
-        checks=tuple(checks),
+        checks=_laplacian_checks(Form.term(4, (1, 2), (3, 4), _lemma31_f()), _residuals, True),
         notes=(
             "d and delta both vanish on the holomorphic-coefficient (2,2)-monomial, "
             "so its Laplacian is zero; holds under both conventions"
@@ -237,23 +240,10 @@ def _run_lemma34() -> ScenarioReport:
         "candidate_nonzero_in_standard_frame": not candidate_report.frames[0].all_zero,
         "frames_tested": len(frame_report.frames),
     }
-    checks = []
-    for convention in (DEFAULT_CONVENTION, LITERAL_CONVENTION):
-        checks.append(
-            ConventionCheck(
-                convention=convention,
-                engine_result=format_poly(value_e1),
-                paper_claim="1",
-                match=format_poly(value_e1) == "1",
-                expected_match=True,
-                residual=format_poly(value_e1 - WirtingerPolynomial.one(n)),
-                extras=extras,
-                extras_as_expected=extras_ok,
-            )
-        )
+    one = WirtingerPolynomial.one(n)
     return ScenarioReport(
         scenario_id="lemma34",
-        checks=tuple(checks),
+        checks=tuple(_check(c, value_e1, one, True, extras, extras_ok) for c in CONVENTIONS.values()),
         notes=(
             "pairing functionals: zero on every paired-index class form (symbolically in v, "
             "and in rotated exact orthogonal frames), nonzero on the mixed-index candidate; "
@@ -264,36 +254,13 @@ def _run_lemma34() -> ScenarioReport:
 
 def _run_k3() -> ScenarioReport:
     n = 4
-    metric = HermitianMetric.identity(n)
     one = WirtingerPolynomial.one(n)
     psi = k3_product_form(one, one, n)
     value_e1 = obstruction(psi, Direction.basis(n, 1))
-    checks = []
-    for convention in (DEFAULT_CONVENTION, LITERAL_CONVENTION):
-        report = harmonic_check(psi, metric, convention)
-        lap = laplacian(psi, metric, convention)
-        extras: Dict[str, ExtraValue] = {
-            "harmonic": report.harmonic,
-            "d_vanishes": report.d_vanishes,
-            "delta_vanishes": report.delta_vanishes,
-            "obstruction_e1": format_poly(value_e1),
-            "obstruction_e1_nonzero": not value_e1.is_zero(),
-        }
-        checks.append(
-            ConventionCheck(
-                convention=convention,
-                engine_result=pretty_print(lap),
-                paper_claim="0",
-                match=lap.is_zero(),
-                expected_match=True,
-                residual=pretty_print(lap),
-                extras=extras,
-                extras_as_expected=report.harmonic and not value_e1.is_zero(),
-            )
-        )
+    pairing = {"obstruction_e1": format_poly(value_e1), "obstruction_e1_nonzero": not value_e1.is_zero()}
     return ScenarioReport(
         scenario_id="k3",
-        checks=tuple(checks),
+        checks=_laplacian_checks(psi, lambda report: pairing, not value_e1.is_zero()),
         notes=(
             "the product-construction (2,2)-form with unit block factors is harmonic on the "
             "flat model yet fails the pairing equation for v = e1; both facts in one report"

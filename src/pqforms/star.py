@@ -61,6 +61,8 @@ LITERAL_CONVENTION = StarConvention(
     conjugation_mode="literal_eq_2_9",
     output_index_mode="printed_eq_2_9",
 )
+# the --convention choices by name; every scenario runs under each, in this order
+CONVENTIONS: Dict[str, StarConvention] = {"default": DEFAULT_CONVENTION, "literal": LITERAL_CONVENTION}
 
 
 def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial]:

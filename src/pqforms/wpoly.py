@@ -38,7 +38,7 @@ def _add_into(out: Dict[Exponents, GaussianRational], terms: Mapping[Exponents, 
 class WirtingerPolynomial:
     """Sparse exact polynomial over the variables z1..zn, zb1..zn."""
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[Exponents, GaussianRational] | None = None):
         if n < 1:
@@ -58,7 +58,6 @@ class WirtingerPolynomial:
                     clean[exponents] = coeff
         self.n = n
         self.terms = clean
-        self._hash: int | None = None
 
     @classmethod
     def _trusted(cls, n: int, terms: Mapping[Exponents, GaussianRational]) -> "WirtingerPolynomial":
@@ -68,7 +67,6 @@ class WirtingerPolynomial:
         poly = _new(cls)
         poly.n = n
         poly.terms = {e: c for e, c in terms.items() if c}
-        poly._hash = None
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -253,9 +251,7 @@ class WirtingerPolynomial:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.n, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

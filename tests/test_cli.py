@@ -104,6 +104,17 @@ def test_bad_metric_exit_code(capsys, tmp_path):
     assert "Hermitian" in err
 
 
+@pytest.mark.parametrize(
+    "entries", [[[1.5]], [[None]], [[[1]]], 5, [[True]], "1"], ids=["float", "null", "nested", "number", "bool", "string"]
+)
+def test_malformed_metric_entries_exit_2(capsys, tmp_path, entries):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"entries": entries}))
+    code, out, err = run(capsys, "star", "--n", "1", "--metric", str(path), "dz1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 def test_unknown_subcommand_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "star", "--n", "1", "--bogus", "dz1")[0] == 2
@@ -145,7 +156,17 @@ def test_commands_without_a_metric_build_none(capsys, monkeypatch, argv):
     assert run(capsys, *argv)[0] == 0
 
 
-@pytest.mark.parametrize("argv", [["star", "--n", "1", "dz1"], ["inner", "--n", "1", "dz1", "dz1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "--n", "1", "dz1"],
+        ["inner", "--n", "1", "dz1", "dz1"],
+        ["delta", "--n", "1", "dz1"],
+        ["laplacian", "--n", "1", "dz1"],
+        ["harmonic", "--n", "1", "dz1"],
+        ["oracle-star", "--n", "1", "dz1"],
+    ],
+)
 def test_metric_commands_still_build_one(capsys, monkeypatch, argv):
     monkeypatch.setattr(HermitianMetric, "identity", classmethod(_refuse_metric))
     code, _, err = run(capsys, *argv)

@@ -63,6 +63,18 @@ def test_wedge_transposition_sign():
     assert left.wedge(right) == Form.term(n, (1, 2), (1, 2), -1)
 
 
+def test_equal_forms_from_different_op_orders_hash_equal():
+    n = 3
+    a = Form.term(n, (1,), (), WirtingerPolynomial.z(n, 2))
+    b = Form.term(n, (), (2,), 1)
+    c = Form.term(n, (3,), (1,), WirtingerPolynomial.zb(n, 1))
+    # a and b have degree 1 and c degree 2, so a^b = -b^a and a^c = c^a
+    built = [a.wedge(b + c), a.wedge(c) + a.wedge(b), c.wedge(a) - b.wedge(a), (c - b).wedge(a)]
+    assert all(f == built[0] for f in built)
+    assert len({hash(f) for f in built}) == 1
+    assert len(set(built)) == 1
+
+
 def test_wedge_dimension_mismatch():
     with pytest.raises(ValueError):
         Form.term(1, (1,), (), 1).wedge(Form.term(2, (1,), (), 1))

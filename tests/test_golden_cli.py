@@ -3,7 +3,10 @@
 Every case in ``golden_cli.json`` is one ``main(argv)`` call with its exact
 stdout and exit code.  An argv entry ``{name}`` stands for the file
 ``name.json`` whose content is the ``files[name]`` entry, written to a
-temporary directory before the call.  After an intended output change,
+temporary directory before the call.  The ``parser`` entry pins the
+argparse declaration itself: each subcommand's help and, per argument,
+the fields argparse keeps (compared as data, since the rendered ``--help``
+layout differs between Python versions).  After an intended output change,
 rewrite the expectations from the current code with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -11,6 +14,7 @@ rewrite the expectations from the current code with
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -43,6 +47,33 @@ def run_case(argv, files, directory: Path):
     return code, out.getvalue()
 
 
+def parser_surface() -> list:
+    """The declared CLI surface: one entry per subcommand, in order."""
+    from pqforms.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    helps = {choice.dest: choice.help for choice in subparsers._choices_actions}
+    surface = []
+    for name, sub in subparsers.choices.items():
+        arguments = [
+            {
+                "option_strings": action.option_strings,
+                "dest": action.dest,
+                "required": action.required,
+                "default": action.default,
+                "choices": list(action.choices) if action.choices is not None else None,
+                "help": action.help,
+                "nargs": action.nargs,
+                "const": action.const,
+                "type": action.type.__name__ if action.type is not None else None,
+            }
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        surface.append({"command": name, "help": helps[name], "arguments": arguments})
+    return surface
+
+
 _GOLDEN = _load()
 
 
@@ -65,6 +96,10 @@ def test_golden_cases_cover_every_command():
     assert {2} <= {case["exit"] for case in _GOLDEN["cases"]}
 
 
+def test_parser_surface_is_unchanged():
+    assert parser_surface() == _GOLDEN["parser"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -72,5 +107,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in golden["cases"]:
             case["exit"], case["stdout"] = run_case(case["argv"], golden["files"], Path(tmp))
+    golden["parser"] = parser_surface()
     DATA.write_text(json.dumps(golden, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"rewrote {len(golden['cases'])} cases in {DATA}")

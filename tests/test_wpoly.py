@@ -30,6 +30,15 @@ def test_difference_of_squares():
     assert (z(n, 1) + zb(n, 2)) * (z(n, 1) - zb(n, 2)) == z(n, 1) ** 2 - zb(n, 2) ** 2
 
 
+def test_equal_polynomials_from_different_op_orders_hash_equal():
+    n = 2
+    a, b = z(n, 1), zb(n, 2)
+    built = [(a + b) * (a - b), a**2 - b**2, (b + a) * (a - b) + a * b - b * a, -(b**2) + a**2]
+    assert all(p == built[0] for p in built)
+    assert len({hash(p) for p in built}) == 1
+    assert len(set(built)) == 1
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         z(2, 1) + z(3, 1)
