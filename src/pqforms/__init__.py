@@ -53,7 +53,6 @@ from .obstruction import (
     RealOrthogonalMatrix,
     k3_product_form,
     lemma34_scenario,
-    load_transform,
     obstruction,
     obstruction_direction_coefficients,
     paired_class_form,
@@ -105,7 +104,6 @@ __all__ = [
     "RealOrthogonalMatrix",
     "k3_product_form",
     "lemma34_scenario",
-    "load_transform",
     "obstruction",
     "obstruction_direction_coefficients",
     "paired_class_form",

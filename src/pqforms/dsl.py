@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple, Union
 
 from .forms import Form, _summed
 from .scalars import GaussianRational, format_scalar, gaussian
-from .wpoly import WirtingerPolynomial
+from .wpoly import WirtingerPolynomial, _variable_names
 
 # Deepest "(" nesting the parser reads; a deeper "(" is a ParseError.
 MAX_NESTING = 100
@@ -360,16 +360,6 @@ def parse_poly(src: str, n: int) -> WirtingerPolynomial:
 
 
 # -- printing -----------------------------------------------------------------
-
-
-def _variable_names(exponents: Tuple[int, ...], n: int) -> str:
-    names = []
-    for slot, e in enumerate(exponents):
-        if e == 0:
-            continue
-        name = f"z{slot + 1}" if slot < n else f"zb{slot - n + 1}"
-        names.append(name if e == 1 else f"{name}**{e}")
-    return "*".join(names)
 
 
 def _format_monomial(exponents: Tuple[int, ...], scalar: GaussianRational, n: int) -> str:

@@ -5,12 +5,17 @@ before all dzb factors and both index blocks strictly increasing.  Every
 sign in the engine flows from this single convention via permutation
 parity, so re-canonicalizing a stored form is always the identity.
 
-The term store is shared with the oracle's ``RealForm``: ``_merged`` is
-the one merge loop of both and ``_wedge_terms`` the one wedge loop, so
-every sum is built in a single constructor call.  The public constructors
-validate each key and coefficient (``_checked``) before the merge; the
-internal ops build through the trusted ``_trusted``, which only merges.
-A repeated key's coefficients are summed in place into one term map.
+The term store is one private base class, ``_TermStore``, of which
+``Form`` and the oracle's ``RealForm`` are thin subclasses: the base holds
+the constructors, the linear structure, equality, hashing, the degrees and
+the repr, and each subclass gives only how its keys are checked, their
+degree and the names of their differentials, besides its own ``term`` and
+``wedge``.  ``_merged`` is the one merge loop of both and ``_wedge_terms``
+the one wedge loop, so every sum is built in a single constructor call.
+The public constructors validate each key and coefficient (``_checked``)
+before the merge; the internal ops build through the trusted
+``_trusted``, which only merges.  A repeated key's coefficients are summed
+in place into one term map.
 
 Index raising, ``realify``, ``complexify`` and ``transform_form`` pull
 forms back through a ``_Frame``: a linear change of frame that keeps the
@@ -118,34 +123,9 @@ def _checked(n: int, terms, check_key: Callable[[Any, int], Hashable]) -> Iterat
         yield key, coeff
 
 
-def _trusted(cls, n: int, pairs: Iterable[Tuple[Any, WirtingerPolynomial]]):
-    """The constructor of the internal ops of ``Form`` and ``RealForm``: the
-    engine built the keys and coefficients, so the pairs are only merged."""
-    form = object.__new__(cls)
-    form.n = n
-    form.terms = _merged(pairs)
-    return form
-
-
-def _same_space(form, other):
-    """``other`` if it is a form of the same kind and dimension as ``form``."""
-    if not isinstance(other, type(form)):
-        raise TypeError(f"expected a {type(form).__name__}, got {type(other).__name__}")
-    if other.n != form.n:
-        raise ValueError(f"ambient dimension mismatch: {form.n} vs {other.n}")
-    return other
-
-
 def _summed(forms: Iterable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
     """The (key, coeff) pairs of a sum of forms, for one constructor call."""
     return chain.from_iterable(form.terms.items() for form in forms)
-
-
-def _scaled(terms: Mapping, value: CoeffLike) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
-    if isinstance(value, WirtingerPolynomial):
-        return ((key, coeff * value) for key, coeff in terms.items())
-    value = GaussianRational.coerce(value)
-    return ((key, coeff.scale(value)) for key, coeff in terms.items())
 
 
 def _factors(key: TermKey) -> List[Factor]:
@@ -232,28 +212,115 @@ class _Frame:
                 yield image_key, c.scale(scalar)
 
 
-class Form:
-    """A finite sum of terms coeff * dz^I ^ dzb^J in canonical order.
+class _TermStore:
+    """The term store of ``Form`` and ``RealForm``: a dimension n and a map
+    from canonical keys to nonzero polynomial coefficients.
 
-    Terms of different bidegrees may coexist, so the exterior derivative
-    needs no special casing; homogeneous pieces are recovered with
-    :meth:`component`.  ``terms`` may be a mapping or an iterable of
-    (key, coeff) pairs; repeated keys are summed.
+    A subclass gives only what its keys mean: ``_check_key`` validates a
+    key, ``_degree`` is its degree, ``_names`` the names of its
+    differentials and ``_label`` the word its repr starts with; it also
+    has its own ``term`` constructor and its own ``wedge``.  ``terms`` may
+    be a mapping or an iterable of (key, coeff) pairs; repeated keys are
+    summed.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: TermsLike = None):
-        self.terms = _merged(_checked(n, terms, _term_key))
+        self.terms = _merged(_checked(n, terms, self._check_key))
         self.n = n
 
-    _trusted = classmethod(_trusted)
+    @classmethod
+    def _trusted(cls, n: int, pairs: Iterable[Tuple[Any, WirtingerPolynomial]]):
+        """The constructor of the internal ops: the engine built the keys
+        and coefficients, so the pairs are only merged."""
+        form = object.__new__(cls)
+        form.n = n
+        form.terms = _merged(pairs)
+        return form
 
-    # -- constructors --------------------------------------------------------
+    def _same_space(self, other):
+        """``other`` if it is a form of the same kind and dimension."""
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
+        if other.n != self.n:
+            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
+        return other
 
     @classmethod
-    def zero(cls, n: int) -> "Form":
+    def zero(cls, n: int):
         return cls(n)
+
+    # -- linear structure ------------------------------------------------------
+
+    def __add__(self, other):
+        return self._trusted(self.n, _summed((self, self._same_space(other))))
+
+    def __neg__(self):
+        return self._trusted(self.n, ((key, -c) for key, c in self.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-self._same_space(other))
+
+    def scale(self, value: CoeffLike):
+        """Multiply every coefficient by a scalar or polynomial."""
+        if isinstance(value, WirtingerPolynomial):
+            return self._trusted(self.n, ((key, coeff * value) for key, coeff in self.terms.items()))
+        value = GaussianRational.coerce(value)
+        return self._trusted(self.n, ((key, coeff.scale(value)) for key, coeff in self.terms.items()))
+
+    # -- queries ------------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def total_degrees(self) -> Set[int]:
+        return {self._degree(key) for key in self.terms}
+
+    def sorted_terms(self) -> List[Tuple[Any, WirtingerPolynomial]]:
+        """Terms ordered by (degree, key); the printer's order."""
+        return sorted(self.terms.items(), key=lambda kv: (self._degree(kv[0]), kv[0]))
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return f"<{self._label} 0>"
+        bits = [f"{coeff!r}*{'^'.join(self._names(key)) or '1'}" for key, coeff in self.sorted_terms()]
+        return f"<{self._label} " + " + ".join(bits) + ">"
+
+
+class Form(_TermStore):
+    """A finite sum of terms coeff * dz^I ^ dzb^J in canonical order.
+
+    Terms of different bidegrees may coexist, so the exterior derivative
+    needs no special casing; homogeneous pieces are recovered with
+    :meth:`component`.
+    """
+
+    __slots__ = ()
+
+    _check_key = staticmethod(_term_key)
+    _label = "form"
+
+    @staticmethod
+    def _degree(key: TermKey) -> int:
+        return len(key[0]) + len(key[1])
+
+    @staticmethod
+    def _names(key: TermKey) -> List[str]:
+        return [f"dz{k}" for k in key[0]] + [f"dzb{k}" for k in key[1]]
+
+    # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_scalar(cls, n: int, value: CoeffLike) -> "Form":
@@ -281,21 +348,6 @@ class Form:
                 raise ValueError(f"differential index {index} out of range 1..{n}")
         return cls(n, _sorted_term(factors, coeff, n))
 
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other: "Form") -> "Form":
-        return Form._trusted(self.n, _summed((self, _same_space(self, other))))
-
-    def __neg__(self) -> "Form":
-        return Form._trusted(self.n, ((key, -c) for key, c in self.terms.items()))
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-_same_space(self, other))
-
-    def scale(self, value: CoeffLike) -> "Form":
-        """Multiply every coefficient by a scalar or polynomial."""
-        return Form._trusted(self.n, _scaled(self.terms, value))
-
     # -- graded multiplication ---------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
@@ -303,11 +355,11 @@ class Form:
         n = self.n
         pairs = _wedge_terms(
             self.terms,
-            _same_space(self, other).terms,
+            self._same_space(other).terms,
             lambda key: _flatten(key, n),
             lambda flat: _unflatten(flat, n),
         )
-        return Form._trusted(n, pairs)
+        return self._trusted(n, pairs)
 
     def __xor__(self, other: "Form") -> "Form":
         return self.wedge(other)
@@ -325,17 +377,14 @@ class Form:
         for (I, J), coeff in self.terms.items():
             conj = coeff.conjugate()
             pairs.append(((J, I), -conj if (len(I) * len(J)) % 2 else conj))
-        return Form._trusted(self.n, pairs)
+        return self._trusted(self.n, pairs)
 
     def component(self, p: int, q: int) -> "Form":
         """The (p,q)-homogeneous part; summing over all (p,q) rebuilds the form."""
-        return Form._trusted(self.n, ((key, c) for key, c in self.terms.items() if len(key[0]) == p and len(key[1]) == q))
+        return self._trusted(self.n, ((key, c) for key, c in self.terms.items() if len(key[0]) == p and len(key[1]) == q))
 
     def bidegrees(self) -> Set[Tuple[int, int]]:
         return {(len(I), len(J)) for I, J in self.terms}
-
-    def total_degrees(self) -> Set[int]:
-        return {len(I) + len(J) for I, J in self.terms}
 
     def is_homogeneous(self) -> bool:
         """Single bidegree (vacuously true for the zero form)."""
@@ -351,31 +400,3 @@ class Form:
 
     def coefficient(self, I: Iterable[int], J: Iterable[int]) -> WirtingerPolynomial:
         return self.terms.get((tuple(I), tuple(J)), WirtingerPolynomial.zero(self.n))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> List[Tuple[TermKey, WirtingerPolynomial]]:
-        """Terms ordered by (total degree, I, J); the printer's order."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0][0]) + len(kv[0][1]), kv[0]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<form 0>"
-        bits = []
-        for (I, J), coeff in self.sorted_terms():
-            names = [f"dz{k}" for k in I] + [f"dzb{k}" for k in J]
-            bits.append(f"{coeff!r}*{'^'.join(names) if names else '1'}")
-        return "<form " + " + ".join(bits) + ">"
-

@@ -18,7 +18,6 @@ complex pairing against v) are conceivable but not implemented.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
@@ -333,13 +332,3 @@ def lemma34_scenario(
         evaluate(f"transform_{idx}", transform_form(form, matrix))
     return FrameReport(frames=tuple(frames))
 
-
-def load_transform(path: str) -> RealOrthogonalMatrix:
-    """Load an exact orthogonal matrix from JSON: an n x n array whose
-    entries are integers or rational strings.  Orthogonality is validated
-    exactly on load."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, list):
-        raise ValueError(f"{path}: transform file must be a JSON array of rows")
-    return RealOrthogonalMatrix(payload)

@@ -16,12 +16,14 @@ x-exponents and the last n slots hold y-exponents.  Conjugation and
 Wirtinger derivatives of that container are meaningless under this reading
 and are never called here.
 
-:class:`RealForm` shares the term store of :mod:`pqforms.forms`: its keys
-are strictly increasing tuples over 1..2n, merged and wedged by the same
-helpers as the keys of :class:`~pqforms.forms.Form`.  Only its index
-validation, its degrees and its printing are its own.  The oracle is thus
-independent of the complex star but not of the container, so the tests
-check realify(a ^ b) == realify(a) ^ realify(b) on random forms.
+:class:`RealForm` is the second subclass of the term store of
+:mod:`pqforms.forms`: its keys are strictly increasing tuples over 1..2n,
+merged and wedged by the same helpers as the keys of
+:class:`~pqforms.forms.Form`.  Only its key check, the degree and the names
+of a key, its ``term`` constructor and its ``wedge`` are its own.  The
+oracle is thus independent of the complex star but not of the container,
+so the tests check realify(a ^ b) == realify(a) ^ realify(b) on random
+forms.
 """
 
 from __future__ import annotations
@@ -31,20 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .forms import (
-    Form,
-    _checked,
-    _factors,
-    _Frame,
-    _merged,
-    _same_space,
-    _scaled,
-    _summed,
-    _trusted,
-    _wedge_terms,
-    complement,
-    concat_sign,
-)
+from .forms import Form, _factors, _Frame, _summed, _TermStore, _wedge_terms, complement, concat_sign
 from .metric import HermitianMetric
 from .scalars import GaussianRational, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
@@ -100,61 +89,27 @@ def _validate_real_index(indices: RealIndex, n: int) -> RealIndex:
     return indices
 
 
-class RealForm:
+class RealForm(_TermStore):
     """A form over coordinates x1, y1, ..., xn, yn with complex-valued
     polynomial coefficients.  Basis covectors are numbered 1..2n with
     2k-1 = dx^k and 2k = dy^k."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        self.terms = _merged(_checked(n, terms, _validate_real_index))
-        self.n = n
+    _check_key = staticmethod(_validate_real_index)
+    _degree = staticmethod(len)
+    _label = "realform"
 
-    _trusted = classmethod(_trusted)
-
-    @classmethod
-    def zero(cls, n: int) -> "RealForm":
-        return cls(n)
+    @staticmethod
+    def _names(key: RealIndex):
+        return [f"dx{(v + 1) // 2}" if v % 2 else f"dy{v // 2}" for v in key]
 
     @classmethod
     def term(cls, n: int, indices: RealIndex, coeff) -> "RealForm":
         return cls(n, {tuple(indices): coeff})
 
-    def __add__(self, other: "RealForm") -> "RealForm":
-        return RealForm._trusted(self.n, _summed((self, _same_space(self, other))))
-
-    def __neg__(self) -> "RealForm":
-        return RealForm._trusted(self.n, ((k, -c) for k, c in self.terms.items()))
-
-    def __sub__(self, other: "RealForm") -> "RealForm":
-        return self + (-_same_space(self, other))
-
-    def scale(self, value) -> "RealForm":
-        return RealForm._trusted(self.n, _scaled(self.terms, value))
-
     def wedge(self, other: "RealForm") -> "RealForm":
-        return RealForm._trusted(self.n, _wedge_terms(self.terms, _same_space(self, other).terms))
-
-    def degrees(self):
-        return {len(k) for k in self.terms}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RealForm):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<realform 0>"
-        bits = []
-        for key in sorted(self.terms, key=lambda k: (len(k), k)):
-            names = [f"dx{(v + 1) // 2}" if v % 2 else f"dy{v // 2}" for v in key]
-            bits.append(f"{self.terms[key]!r}*{'^'.join(names) if names else '1'}")
-        return "<realform " + " + ".join(bits) + ">"
+        return self._trusted(self.n, _wedge_terms(self.terms, self._same_space(other).terms))
 
 
 @lru_cache(maxsize=16)
@@ -200,7 +155,7 @@ def real_hodge_star(real: RealForm) -> RealForm:
     """Euclidean Hodge star on monomials: star(e_K) = sgn(K, K^c) e_(K^c)
     with orientation dx1 ^ dy1 ^ ... ^ dxn ^ dyn.  Linear; coefficients
     pass through untouched, negated where the sign is -1."""
-    degrees = real.degrees()
+    degrees = real.total_degrees()
     if len(degrees) > 1:
         raise ValueError(f"real star needs a homogeneous form, got degrees {sorted(degrees)}")
     pairs = []

@@ -261,14 +261,17 @@ class WirtingerPolynomial:
             return "<poly 0>"
         parts = []
         for exponents in sorted(self.terms, reverse=True):
-            coeff = self.terms[exponents]
-            names = []
-            for slot, e in enumerate(exponents):
-                if e == 0:
-                    continue
-                kind = Z if slot < self.n else ZBAR
-                index = slot + 1 if slot < self.n else slot - self.n + 1
-                names.append(f"{kind}{index}" + (f"**{e}" if e > 1 else ""))
-            body = "*".join(names)
-            parts.append(f"({coeff}){'*' + body if body else ''}")
+            body = _variable_names(exponents, self.n)
+            parts.append(f"({self.terms[exponents]}){'*' + body if body else ''}")
         return "<poly " + " + ".join(parts) + ">"
+
+
+def _variable_names(exponents: Exponents, n: int) -> str:
+    """The variables of a monomial, as ``z1**2*zb1``; empty for a constant."""
+    names = []
+    for slot, e in enumerate(exponents):
+        if e == 0:
+            continue
+        name = f"{Z}{slot + 1}" if slot < n else f"{ZBAR}{slot - n + 1}"
+        names.append(name if e == 1 else f"{name}**{e}")
+    return "*".join(names)

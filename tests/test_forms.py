@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import brute_parity, forms, homogeneous_forms, polys, random_dense_metric, random_form, recording_trusted
 from pqforms import (
     Form,
+    RealForm,
     RealOrthogonalMatrix,
     WirtingerPolynomial,
     exterior_d,
@@ -65,14 +66,17 @@ def test_wedge_transposition_sign():
 
 def test_equal_forms_from_different_op_orders_hash_equal():
     n = 3
-    a = Form.term(n, (1,), (), WirtingerPolynomial.z(n, 2))
-    b = Form.term(n, (), (2,), 1)
-    c = Form.term(n, (3,), (1,), WirtingerPolynomial.zb(n, 1))
-    # a and b have degree 1 and c degree 2, so a^b = -b^a and a^c = c^a
-    built = [a.wedge(b + c), a.wedge(c) + a.wedge(b), c.wedge(a) - b.wedge(a), (c - b).wedge(a)]
-    assert all(f == built[0] for f in built)
-    assert len({hash(f) for f in built}) == 1
-    assert len(set(built)) == 1
+    z2, zb1 = WirtingerPolynomial.z(n, 2), WirtingerPolynomial.zb(n, 1)
+    inputs = [
+        (Form.term(n, (1,), (), z2), Form.term(n, (), (2,), 1), Form.term(n, (3,), (1,), zb1)),
+        (RealForm.term(n, (1,), z2), RealForm.term(n, (4,), 1), RealForm.term(n, (2, 5), zb1)),
+    ]
+    for a, b, c in inputs:
+        # a and b have degree 1 and c degree 2, so a^b = -b^a and a^c = c^a
+        built = [a.wedge(b + c), a.wedge(c) + a.wedge(b), c.wedge(a) - b.wedge(a), (c - b).wedge(a)]
+        assert all(f == built[0] for f in built)
+        assert len({hash(f) for f in built}) == 1
+        assert len(set(built)) == 1
 
 
 def test_wedge_dimension_mismatch():

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +15,6 @@ from pqforms import (
     harmonic_check,
     k3_product_form,
     lemma34_scenario,
-    load_transform,
     obstruction,
     obstruction_direction_coefficients,
     paired_class_form,
@@ -219,13 +217,3 @@ def test_lemma34_scenario_zero_form():
     report = lemma34_scenario(Form.zero(4), [e(4, 1)], scenario_transforms())
     assert report.all_zero
 
-
-def test_load_transform(tmp_path):
-    path = tmp_path / "rot.json"
-    path.write_text(json.dumps([["3/5", "4/5"], ["-4/5", "3/5"]]))
-    matrix = load_transform(str(path))
-    assert matrix.entries[0][0] == Fraction(3, 5)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps([["1", "1"], ["0", "1"]]))
-    with pytest.raises(ValueError):
-        load_transform(str(bad))

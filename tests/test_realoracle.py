@@ -189,6 +189,24 @@ def test_oracle_ops_build_only_canonical_terms(a, b, h):
     assert all(any(out is seen for seen in built) for out in results)
 
 
+
+def test_realform_truth_value():
+    assert not RealForm.zero(2)
+    assert RealForm.term(2, (1,), 1)
+    assert not RealForm.term(2, (1,), 1) - RealForm.term(2, (1,), 1)
+
+
+def test_form_and_realform_do_not_mix():
+    form, real = Form.term(2, (1,), (), 1), RealForm.term(2, (1,), 1)
+    with pytest.raises(TypeError):
+        form + real
+    with pytest.raises(TypeError):
+        real - form
+    with pytest.raises(TypeError):
+        real.wedge(form)
+    assert Form.zero(2) != RealForm.zero(2)
+    assert not Form.zero(2) == RealForm.zero(2)
+
 @pytest.mark.parametrize(
     "n, terms, message",
     [
