@@ -57,16 +57,12 @@ def sort_with_sign(values: Sequence[int]) -> Tuple[MultiIndex, int]:
     return tuple(items), sign
 
 
-def complement(indices: MultiIndex, n: int) -> MultiIndex:
-    """Increasing complement of an index set inside 1..n."""
+def complement(indices: MultiIndex, n: int) -> Tuple[MultiIndex, int]:
+    """The increasing complement K^c of an index set K inside 1..n, and the
+    sign of the permutation sorting K followed by K^c."""
     present = set(indices)
-    return tuple(k for k in range(1, n + 1) if k not in present)
-
-
-def concat_sign(first: Sequence[int], second: Sequence[int]) -> int:
-    """Sign of the permutation sorting the concatenation into increasing order."""
-    _, sign = sort_with_sign(tuple(first) + tuple(second))
-    return sign
+    rest = tuple(k for k in range(1, n + 1) if k not in present)
+    return rest, sort_with_sign(indices + rest)[1]
 
 
 def _validate_multi_index(indices: MultiIndex, n: int, label: str) -> MultiIndex:
@@ -203,13 +199,12 @@ class _Frame:
             pairs = self.memo[key] = tuple((one(k), one(c.constant_value())) for k, c in piece.terms.items())
         return pairs
 
-    def pulled_back(self, terms: Mapping, coefficient: Callable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
-        """The pairs of the image of a form with these terms, each
-        coefficient c going to coefficient(c) times the image constants."""
+    def pulled_back(self, terms: Mapping) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
+        """The pairs of the image of a form with these terms: each
+        coefficient is kept and scaled by the image constants."""
         for key, coeff in terms.items():
-            c = coefficient(coeff)
             for image_key, scalar in self.image(key):
-                yield image_key, c.scale(scalar)
+                yield image_key, coeff.scale(scalar)
 
 
 class _TermStore:

@@ -226,7 +226,8 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
             variables = (WirtingerPolynomial.variable(n, kind, m).scale(a) for m, a in enumerate(row, start=1))
             substitution[(kind, j)] = WirtingerPolynomial._sum(n, variables)
     frame = _Frame(Form.from_scalar(n, 1), images, _factors)
-    return Form._trusted(n, frame.pulled_back(form.terms, lambda c: c.substitute(substitution)))
+    substituted = {key: coeff.substitute(substitution) for key, coeff in form.terms.items()}
+    return Form._trusted(n, frame.pulled_back(substituted))
 
 
 def _restricted_to(poly: WirtingerPolynomial, allowed: Iterable[int]) -> Tuple[bool, str]:

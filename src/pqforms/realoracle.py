@@ -10,11 +10,10 @@ The Euclidean real metric dx^2 + dy^2 is used as-is; the resulting
 normalization gap against the Hermitian identity metric is not hidden but
 surfaces as the per-bidegree ratio recorded in ORACLE_STAR_RATIOS.
 
-Real polynomial coefficients reuse the sparse container from
-:mod:`pqforms.wpoly` with reinterpreted slots: the first n slots hold
-x-exponents and the last n slots hold y-exponents.  Conjugation and
-Wirtinger derivatives of that container are meaningless under this reading
-and are never called here.
+The Euclidean star is pointwise: it acts on the differentials and carries
+each coefficient function unchanged.  So the oracle pulls back only the
+differentials, and the coefficients of a :class:`RealForm` stay the same
+Wirtinger polynomials in z and zb as those of the complex form.
 
 :class:`RealForm` is the second subclass of the term store of
 :mod:`pqforms.forms`: its keys are strictly increasing tuples over 1..2n,
@@ -33,11 +32,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .forms import Form, _factors, _Frame, _summed, _TermStore, _wedge_terms, complement, concat_sign
+from .forms import Form, _factors, _Frame, _summed, _TermStore, _validate_multi_index, _wedge_terms, complement
 from .metric import HermitianMetric
 from .scalars import GaussianRational, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
-from .wpoly import WirtingerPolynomial, Z, ZBAR
+from .wpoly import Z, ZBAR
 
 RealIndex = Tuple[int, ...]
 
@@ -80,19 +79,13 @@ ORACLE_STAR_RATIOS: Dict[Tuple[int, int, int], GaussianRational] = {
 
 
 def _validate_real_index(indices: RealIndex, n: int) -> RealIndex:
-    indices = tuple(indices)
-    for k in indices:
-        if not 1 <= k <= 2 * n:
-            raise ValueError(f"real index {k} out of range 1..{2 * n}")
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"real multi-index {indices} is not strictly increasing")
-    return indices
+    return _validate_multi_index(indices, 2 * n, "real")
 
 
 class RealForm(_TermStore):
-    """A form over coordinates x1, y1, ..., xn, yn with complex-valued
-    polynomial coefficients.  Basis covectors are numbered 1..2n with
-    2k-1 = dx^k and 2k = dy^k."""
+    """A form over coordinates x1, y1, ..., xn, yn whose coefficients are
+    Wirtinger polynomials in z and zb.  Basis covectors are numbered 1..2n
+    with 2k-1 = dx^k and 2k = dy^k."""
 
     __slots__ = ()
 
@@ -113,42 +106,33 @@ class RealForm(_TermStore):
 
 
 @lru_cache(maxsize=16)
-def _real_frames(n: int):
-    """The (substitution, frame) pairs of realify and complexify in
-    dimension n, built once per n (the last 16 are kept).  Each frame
-    (``forms._Frame``) keeps the image of every key it has pulled back;
-    a complex key over k coordinates spreads to at most 2^k real keys, so
-    a frame holds at most 6^n pairs in all (36 at n = 2, 1,296 at n = 4)."""
+def _real_frames(n: int) -> Tuple[_Frame, _Frame]:
+    """The frames of realify and complexify in dimension n, built once per
+    n (the last 16 are kept).  Each frame (``forms._Frame``) keeps the
+    image of every key it has pulled back; a complex key over k coordinates
+    spreads to at most 2^k real keys, so a frame holds at most 6^n pairs in
+    all (36 at n = 2, 1,296 at n = 4)."""
     i, half = gaussian(0, 1), Fraction(1, 2)
-    to_real, to_complex = {}, {}  # (kind, k) -> real image; complex image
     real_images, complex_images = {}, {}  # (kind, k) -> RealForm; real index -> Form
     for k in range(1, n + 1):
-        z, zb = WirtingerPolynomial.z(n, k), WirtingerPolynomial.zb(n, k)
-        # read as x_k and y_k on the real side
-        to_real[(Z, k)] = z + zb.scale(i)
-        to_real[(ZBAR, k)] = z - zb.scale(i)
-        to_complex[(Z, k)] = (z + zb).scale(gaussian(half))
-        to_complex[(ZBAR, k)] = (z - zb).scale(gaussian(0, -half))
         real_images[(Z, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): i})
         real_images[(ZBAR, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): -i})
         complex_images[2 * k - 1] = Form(n, {((k,), ()): half, ((), (k,)): half})
         complex_images[2 * k] = Form(n, {((k,), ()): gaussian(0, -half), ((), (k,)): gaussian(0, half)})
     return (
-        (to_real, _Frame(RealForm.term(n, (), 1), real_images, _factors)),
-        (to_complex, _Frame(Form.from_scalar(n, 1), complex_images, tuple)),
+        _Frame(RealForm.term(n, (), 1), real_images, _factors),
+        _Frame(Form.from_scalar(n, 1), complex_images, tuple),
     )
 
 
 def realify(form: Form) -> RealForm:
-    """Expand dz^k = dx^k + i dy^k, z^k = x^k + i y^k exactly."""
-    substitution, frame = _real_frames(form.n)[0]
-    return RealForm._trusted(form.n, frame.pulled_back(form.terms, lambda c: c.substitute(substitution)))
+    """Expand dz^k = dx^k + i dy^k exactly; coefficients are kept."""
+    return RealForm._trusted(form.n, _real_frames(form.n)[0].pulled_back(form.terms))
 
 
 def complexify(real: RealForm) -> Form:
     """Exact inverse of :func:`realify`."""
-    substitution, frame = _real_frames(real.n)[1]
-    return Form._trusted(real.n, frame.pulled_back(real.terms, lambda c: c.substitute(substitution)))
+    return Form._trusted(real.n, _real_frames(real.n)[1].pulled_back(real.terms))
 
 
 def real_hodge_star(real: RealForm) -> RealForm:
@@ -160,8 +144,8 @@ def real_hodge_star(real: RealForm) -> RealForm:
         raise ValueError(f"real star needs a homogeneous form, got degrees {sorted(degrees)}")
     pairs = []
     for indices, coeff in real.terms.items():
-        rest = complement(indices, 2 * real.n)
-        pairs.append((rest, coeff if concat_sign(indices, rest) > 0 else -coeff))
+        rest, sign = complement(indices, 2 * real.n)
+        pairs.append((rest, coeff if sign > 0 else -coeff))
     return RealForm._trusted(real.n, pairs)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Literal, Tuple
 
-from .forms import Form, MultiIndex, _factors, _Frame, complement, concat_sign
+from .forms import Form, MultiIndex, _factors, _Frame, complement
 from .metric import HermitianMetric, volume_form
 from .scalars import GaussianRational, I_UNIT, MINUS_ONE, ONE
 from .wpoly import Z, ZBAR, WirtingerPolynomial
@@ -150,14 +150,14 @@ def _starred(raised, p: int, q: int, metric: HermitianMetric, convention: StarCo
     prefactor = _star_prefactor(n, p, q) * metric.determinant
     signed = {1: prefactor, -1: -prefactor}
     for (A, B), coeff in raised.items():
-        A_c = complement(A, n)
-        B_c = complement(B, n)
+        A_c, sign_A = complement(A, n)
+        B_c, sign_B = complement(B, n)
         # the literal variant's extra bar applies to the raised
         # coefficient only, never to the i^n prefactor
         if convention.conjugation_mode == "literal_eq_2_9":
             coeff = coeff.conjugate()
         key = (A_c, B_c) if convention.output_index_mode == "same_type_complement" else (B_c, A_c)
-        yield key, coeff.scale(signed[concat_sign(A, A_c) * concat_sign(B, B_c)])
+        yield key, coeff.scale(signed[sign_A * sign_B])
 
 
 def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = DEFAULT_CONVENTION) -> Form:

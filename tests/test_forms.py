@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -163,8 +164,15 @@ def test_sort_with_sign_matches_brute_parity():
 
 
 def test_complement():
-    assert complement((2, 4), 5) == (1, 3, 5)
-    assert complement((), 3) == (1, 2, 3)
+    assert complement((2, 4), 5) == ((1, 3, 5), -1)
+    assert complement((), 3) == ((1, 2, 3), 1)
+    for m in range(9):
+        for k in range(m + 1):
+            for K in combinations(range(1, m + 1), k):
+                rest, sign = complement(K, m)
+                assert sorted(K + rest) == list(range(1, m + 1))
+                assert rest == tuple(sorted(rest))
+                assert sign == brute_parity(K + rest)
 
 
 _KEYS = [((1,), ()), ((), (1, 2)), ((1,), (2,))]

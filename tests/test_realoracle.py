@@ -41,14 +41,36 @@ def test_realify_zero():
     assert realify(Form.zero(3)).is_zero()
 
 
-def test_realify_variables():
-    n = 1
-    form = Form.from_scalar(n, WirtingerPolynomial.z(n, 1))
-    result = realify(form)
-    coeff = result.terms[()]
-    x = WirtingerPolynomial.z(n, 1)  # slot reused as x1
-    y = WirtingerPolynomial.zb(n, 1)  # slot reused as y1
-    assert coeff == x + y.scale(gaussian(0, 1))
+def test_realify_and_complexify_keep_coefficients():
+    # the star is pointwise, so only the differentials move: z1*zb2 stays z1*zb2
+    n = 2
+    c = WirtingerPolynomial.z(n, 1) * WirtingerPolynomial.zb(n, 2)
+    assert realify(Form.from_scalar(n, c)) == RealForm.term(n, (), c)
+    assert complexify(RealForm.term(n, (), c)) == Form.from_scalar(n, c)
+    real = realify(Form.term(n, (1,), (2,), c))
+    # (dx1 + i dy1) ^ (dx2 - i dy2), each term carrying c itself
+    i = gaussian(0, 1)
+    assert real == RealForm(n, {(1, 3): c, (1, 4): c.scale(-i), (2, 3): c.scale(i), (2, 4): c})
+    assert complexify(real) == Form.term(n, (1,), (2,), c)
+
+
+def test_realify_and_complexify_make_no_polynomial_product(monkeypatch):
+    n = 2
+    c = (WirtingerPolynomial.z(n, 1) + WirtingerPolynomial.zb(n, 2)) ** 3
+    psi = Form(n, {((1,), (2,)): c, ((1, 2), ()): c.scale(gaussian(2, -1))})
+    calls = []
+    multiply = WirtingerPolynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    complexify(realify(psi))  # the frames wedge their constant images once per key
+    monkeypatch.setattr(WirtingerPolynomial, "__mul__", counted)
+    back = complexify(realify(psi))
+    assert calls == []
+    monkeypatch.undo()
+    assert back == psi
 
 
 def test_complexify_dx1():
@@ -171,7 +193,7 @@ def test_realform_cancelling_pairs_leave_no_key():
     )
 )
 def test_realify_turns_wedge_into_real_wedge(pair):
-    # RealForm.wedge against Form.wedge through the independent substitution
+    # RealForm.wedge against Form.wedge through the independent frame
     a, b = pair
     assert realify(a.wedge(b)) == realify(a).wedge(realify(b))
 
@@ -244,13 +266,13 @@ def test_real_star_makes_no_scalar_multiply(monkeypatch):
 
 
 def _brute_realify(form):
-    substitution, frame = _real_frames(form.n)[0]
-    return brute_pull_back(form.terms, _factors, frame.unit, lambda c: c.substitute(substitution), frame.images)
+    frame = _real_frames(form.n)[0]
+    return brute_pull_back(form.terms, _factors, frame.unit, lambda c: c, frame.images)
 
 
 def _brute_complexify(real):
-    substitution, frame = _real_frames(real.n)[1]
-    return brute_pull_back(real.terms, tuple, frame.unit, lambda c: c.substitute(substitution), frame.images)
+    frame = _real_frames(real.n)[1]
+    return brute_pull_back(real.terms, tuple, frame.unit, lambda c: c, frame.images)
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,7 +292,7 @@ def test_real_frames_hold_six_to_the_n_pairs():
     # and 1 real images (dz^dzb = -2i dx^dy): 6 pairs per coordinate
     n = 2
     _real_frames.cache_clear()
-    (_, to_real), (_, to_complex) = _real_frames(n)
+    to_real, to_complex = _real_frames(n)
     subsets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
     realify(Form(n, {(I, J): 1 for I in subsets for J in subsets}))
     complexify(RealForm(n, {K: 1 for k in range(2 * n + 1) for K in combinations(range(1, 2 * n + 1), k)}))
