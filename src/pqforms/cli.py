@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Single-shot commands over the form DSL.  Each form command is one entry
-of ``_COMMANDS``, which gives its help, the forms it reads, whether it
-reads --metric and how its result is computed; the parser, the metric
-decision and the dispatch all read that entry.  Output is deterministic:
-the same argv and input files always produce byte-identical stdout.
+of ``_COMMANDS``, which gives its help, the forms and options it reads
+and how its result is computed; the parser offers a command only the
+options its entry names, and the dispatch reads the same entry.  Output
+is deterministic: the same argv and input files always produce
+byte-identical stdout.
 Exit codes: 0 success, 2 parse or validation failure, 3 scenario
 deviation under --strict.
 """
@@ -24,16 +25,16 @@ from .calculus import (
     harmonic_check,
     laplacian,
 )
-from .dsl import ParseError, format_poly, parse_form, pretty_print
+from .dsl import ParseError, _format_value, parse_form, pretty_print
 from .metric import HermitianMetric, load_metric
 from .obstruction import Direction, obstruction
 from .realoracle import oracle_compare
 from .scalars import format_scalar
 from .scenarios import SCENARIO_IDS, scenario_runner
-from .star import CONVENTIONS, hodge_star, pointwise_inner
+from .star import CONVENTIONS, DEFAULT_CONVENTION, hodge_star, pointwise_inner
 
 
-def _harmonic(form, metric, convention, args) -> dict:
+def _harmonic(form, metric, convention) -> dict:
     report = harmonic_check(form, metric, convention)
     return {
         "d_vanishes": report.d_vanishes,
@@ -45,7 +46,7 @@ def _harmonic(form, metric, convention, args) -> dict:
     }
 
 
-def _oracle_star(form, metric, convention, args) -> dict:
+def _oracle_star(form, metric, convention) -> dict:
     report = oracle_compare(form, metric, convention)
     comparisons = [
         {
@@ -70,48 +71,52 @@ def _fields_text(fields: dict) -> str:
     return "\n".join(f"{key}: {value}" for key, value in fields.items())
 
 
+def _metric_for(args: argparse.Namespace) -> HermitianMetric:
+    """The --metric file, or the identity."""
+    if args.metric:
+        metric = load_metric(args.metric)
+        if metric.n != args.n:
+            raise ValueError(f"metric dimension {metric.n} does not match --n {args.n}")
+        return metric
+    return HermitianMetric.identity(args.n)
+
+
+# name: (argparse declaration, value a row reads).  Values are read before the
+# forms are parsed, so a bad metric is reported first; --v stays text until
+# the row parses it, after the forms.
+_OPTIONS = {
+    "metric": ({"help": "JSON metric file; identity when omitted"}, _metric_for),
+    "convention": (
+        {"choices": sorted(CONVENTIONS), "default": "default", "help": "star convention variant"},
+        lambda args: CONVENTIONS[args.convention],
+    ),
+    "v": ({"required": True, "help": 'direction components, e.g. "1,0,0,0"'}, lambda args: args.v),
+}
+
 _ONE = ("form",)
 _TWO = ("form1", "form2")
+_STAR = ("metric", "convention")
 
-# name: (help, form arguments, reads --metric, result of (*forms, metric, convention, args),
-#        plain text of a dict result).  A text result prints as is and is the "result" key
-# under --json; a dict result is merged into the --json payload.
+# name: (help, form arguments, options read, result of (*forms, *option values),
+#        plain text of a dict result).  A Form or polynomial result prints canonically
+# and is the "result" key under --json; a dict result is merged into the --json payload.
+# Rows call the engine through this module's names, never a stored function, so bench/tracer.py sees each call.
 _COMMANDS = {
-    "star": (
-        "Hodge star of a form", _ONE, True,
-        lambda form, metric, convention, args: pretty_print(hodge_star(form, metric, convention)), None,
-    ),
-    "d": ("exterior derivative", _ONE, False, lambda form, *_: pretty_print(exterior_d(form)), None),
-    "del": (
-        "dz half of the exterior derivative", _ONE, False, lambda form, *_: pretty_print(dolbeault_del(form)), None,
-    ),
-    "delbar": (
-        "dzb half of the exterior derivative", _ONE, False, lambda form, *_: pretty_print(dolbeault_delbar(form)), None,
-    ),
-    "delta": (
-        "codifferential", _ONE, True,
-        lambda form, metric, convention, args: pretty_print(codifferential(form, metric, convention)), None,
-    ),
-    "laplacian": (
-        "Hodge Laplacian", _ONE, True,
-        lambda form, metric, convention, args: pretty_print(laplacian(form, metric, convention)), None,
-    ),
-    "harmonic": ("independent d and delta vanishing check", _ONE, True, _harmonic, _fields_text),
+    "star": ("Hodge star of a form", _ONE, _STAR, lambda *a: hodge_star(*a), None),
+    "d": ("exterior derivative", _ONE, (), lambda *a: exterior_d(*a), None),
+    "del": ("dz half of the exterior derivative", _ONE, (), lambda *a: dolbeault_del(*a), None),
+    "delbar": ("dzb half of the exterior derivative", _ONE, (), lambda *a: dolbeault_delbar(*a), None),
+    "delta": ("codifferential", _ONE, _STAR, lambda *a: codifferential(*a), None),
+    "laplacian": ("Hodge Laplacian", _ONE, _STAR, lambda *a: laplacian(*a), None),
+    "harmonic": ("independent d and delta vanishing check", _ONE, _STAR, _harmonic, _fields_text),
     "oracle-star": (
-        "compare the star against the real-coordinate oracle", _ONE, True, _oracle_star, _oracle_star_text,
+        "compare the star against the real-coordinate oracle", _ONE, _STAR, _oracle_star, _oracle_star_text,
     ),
-    "wedge": (
-        "exterior product of two forms", _TWO, False,
-        lambda first, second, *_: pretty_print(first.wedge(second)), None,
-    ),
-    "inner": (
-        "pointwise inner product of two forms", _TWO, True,
-        lambda first, second, metric, *_: format_poly(pointwise_inner(first, second, metric)), None,
-    ),
-    # --v is parsed after the form, so a bad form is reported first
+    "wedge": ("exterior product of two forms", _TWO, (), lambda first, second: first.wedge(second), None),
+    "inner": ("pointwise inner product of two forms", _TWO, ("metric",), lambda *a: pointwise_inner(*a), None),
     "obstruction": (
-        "pairing functional against a direction", _ONE, False,
-        lambda form, metric, convention, args: format_poly(obstruction(form, Direction.parse(args.v, args.n))), None,
+        "pairing functional against a direction", _ONE, ("v",),
+        lambda form, v: obstruction(form, Direction.parse(v, form.n)), None,
     ),
 }
 
@@ -122,20 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact symbolic exterior calculus for complex (p,q)-forms",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, forms, _, _, _) in _COMMANDS.items():
+    for name, (help_text, forms, options, _, _) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--n", type=int, required=True, help="ambient complex dimension")
-        sub.add_argument("--metric", help="JSON metric file; identity when omitted")
-        sub.add_argument(
-            "--convention",
-            choices=sorted(CONVENTIONS),
-            default="default",
-            help="star convention variant",
-        )
+        for option in options:
+            sub.add_argument(f"--{option}", **_OPTIONS[option][0])
         sub.add_argument("--json", action="store_true", help="structured output")
         for dest in forms:
             sub.add_argument(dest)
-    subparsers.choices["obstruction"].add_argument("--v", required=True, help='direction components, e.g. "1,0,0,0"')
 
     sub = subparsers.add_parser("scenario", help="run a named desk-scale check")
     sub.add_argument("id", choices=SCENARIO_IDS)
@@ -144,28 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _metric_for(args: argparse.Namespace) -> HermitianMetric:
-    """The --metric file, or the identity; built only by commands that use a metric."""
-    if args.metric:
-        metric = load_metric(args.metric)
-        if metric.n != args.n:
-            raise ValueError(f"metric dimension {metric.n} does not match --n {args.n}")
-        return metric
-    return HermitianMetric.identity(args.n)
-
-
 def _run_form_command(args: argparse.Namespace) -> int:
-    _, forms, reads_metric, compute, render = _COMMANDS[args.command]
-    convention = CONVENTIONS[args.convention]
-    metric = _metric_for(args) if reads_metric else None
+    _, forms, options, compute, render = _COMMANDS[args.command]
+    values = [_OPTIONS[option][1](args) for option in options]
     parsed = [parse_form(getattr(args, dest), args.n) for dest in forms]
-    result = compute(*parsed, metric, convention, args)
+    result = compute(*parsed, *values)
+    convention = CONVENTIONS[args.convention] if "convention" in options else DEFAULT_CONVENTION
     payload = {"schema": 1, "op": args.command, "n": args.n, "convention": convention.describe()}
-    if isinstance(result, str):
-        payload["result"] = text = result
-    else:
+    if isinstance(result, dict):
         payload.update(result)
         text = render(result)
+    else:
+        payload["result"] = text = _format_value(result)
     print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
     return 0
 

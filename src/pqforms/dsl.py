@@ -38,8 +38,8 @@ from fractions import Fraction
 from math import comb, lcm, log2
 from typing import List, Optional, Tuple, Union
 
-from .forms import Form, _summed
-from .scalars import GaussianRational, format_scalar, gaussian
+from .forms import Form, TermKey, _summed
+from .scalars import MINUS_ONE, ONE, GaussianRational, format_scalar, gaussian
 from .wpoly import WirtingerPolynomial, _variable_names
 
 # Deepest "(" nesting the parser reads; a deeper "(" is a ParseError.
@@ -362,18 +362,18 @@ def parse_poly(src: str, n: int) -> WirtingerPolynomial:
 # -- printing -----------------------------------------------------------------
 
 
-def _format_monomial(exponents: Tuple[int, ...], scalar: GaussianRational, n: int) -> str:
-    variables = _variable_names(exponents, n)
-    if not variables:
+def _format_monomial(scalar: GaussianRational, names: str) -> str:
+    """The scalar times ``names``: the variables, then the differentials, joined by "*"."""
+    if not names:
         return format_scalar(scalar)
-    if scalar == gaussian(1):
-        return variables
-    if scalar == gaussian(-1):
-        return f"-{variables}"
+    if scalar == ONE:
+        return names
+    if scalar == MINUS_ONE:
+        return f"-{names}"
     rendered = format_scalar(scalar)
     if scalar.re != 0 and scalar.im != 0:
         rendered = f"({rendered})"
-    return f"{rendered}*{variables}"
+    return f"{rendered}*{names}"
 
 
 def _join_signed(pieces: List[str]) -> str:
@@ -388,35 +388,27 @@ def format_poly(poly: WirtingerPolynomial) -> str:
     if poly.is_zero():
         return "0"
     pieces = [
-        _format_monomial(exponents, poly.terms[exponents], poly.n)
+        _format_monomial(poly.terms[exponents], _variable_names(exponents, poly.n))
         for exponents in sorted(poly.terms, reverse=True)
     ]
     return _join_signed(pieces)
 
 
-def _format_form_term(I: Tuple[int, ...], J: Tuple[int, ...], poly: WirtingerPolynomial, n: int) -> str:
-    factors = "^".join([f"dz{k}" for k in I] + [f"dzb{k}" for k in J])
-    if not factors:
-        return format_poly(poly)
+def _format_form_term(key: TermKey, poly: WirtingerPolynomial, n: int) -> str:
+    factors = "^".join(Form._names(key))
     if len(poly.terms) > 1:
-        return f"({format_poly(poly)})*{factors}"
-    exponents, scalar = next(iter(poly.terms.items()))
-    mono = _format_monomial(exponents, scalar, n)
-    if mono == "1":
-        return factors
-    if mono == "-1":
-        return f"-{factors}"
-    if scalar.re != 0 and scalar.im != 0 and not mono.startswith("("):
-        mono = f"({mono})"
-    return f"{mono}*{factors}"
+        return f"({format_poly(poly)})*{factors}" if factors else format_poly(poly)
+    (exponents, scalar), = poly.terms.items()
+    return _format_monomial(scalar, "*".join(filter(None, (_variable_names(exponents, n), factors))))
 
 
 def pretty_print(form: Form) -> str:
     """Deterministic canonical text; parse_form(pretty_print(a), a.n) == a."""
     if form.is_zero():
         return "0"
-    pieces = [
-        _format_form_term(I, J, poly, form.n)
-        for (I, J), poly in form.sorted_terms()
-    ]
-    return _join_signed(pieces)
+    return _join_signed([_format_form_term(key, poly, form.n) for key, poly in form.sorted_terms()])
+
+
+def _format_value(value: _Value) -> str:
+    """The canonical text of a form or a polynomial."""
+    return pretty_print(value) if isinstance(value, Form) else format_poly(value)

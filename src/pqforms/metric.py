@@ -135,7 +135,7 @@ def validate_matrix(entries: MatrixLike) -> MetricValidation:
 
 
 class HermitianMetric:
-    """A constant n x n Hermitian invertible matrix with cached inverse.
+    """A constant n x n Hermitian positive-definite matrix with cached inverse.
 
     Entry [a][b] is the metric coefficient pairing dz^(a+1) with the
     conjugate of dz^(b+1).
@@ -153,6 +153,9 @@ class HermitianMetric:
             raise ValueError(f"matrix is not Hermitian: {offenders}")
         if not report.is_invertible:
             raise ValueError("metric matrix is singular")
+        if not report.is_positive_definite:
+            k, minor = next((k, m) for k, m in enumerate(report.leading_minors, 1) if m.re <= 0)
+            raise ValueError(f"metric matrix is not positive definite: leading minor {k} is {minor}")
         self.n = len(matrix)
         self.entries = matrix
         self.determinant = report.determinant
@@ -243,7 +246,8 @@ def load_metric(path: str) -> HermitianMetric:
 
     Entries may be integers, rational strings like "1/2", or complex
     literals like "1/2+3/4i".  Non-Hermitian matrices are rejected with a
-    diff of the offending entries.
+    diff of the offending entries, and matrices that are not positive
+    definite with the first leading minor that is not positive.
     """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple, Union
 
 from .calculus import HarmonicReport, harmonic_check, laplacian
-from .dsl import format_poly, pretty_print
+from .dsl import _format_value, format_poly, pretty_print
 from .forms import Form, _summed
 from .metric import HermitianMetric
 from .obstruction import (
@@ -93,14 +93,13 @@ def _check(
     extras_as_expected: bool,
 ) -> ConventionCheck:
     """The check of an engine value against a claimed value, both forms or both polynomials."""
-    show = pretty_print if isinstance(engine, Form) else format_poly
     return ConventionCheck(
         convention=convention,
-        engine_result=show(engine),
-        paper_claim=show(claim),
+        engine_result=_format_value(engine),
+        paper_claim=_format_value(claim),
         match=engine == claim,
         expected_match=expected,
-        residual=show(engine - claim),
+        residual=_format_value(engine - claim),
         extras=extras,
         extras_as_expected=extras_as_expected,
     )

@@ -104,6 +104,13 @@ def test_bad_metric_exit_code(capsys, tmp_path):
     assert "Hermitian" in err
 
 
+def test_indefinite_metric_exit_code(capsys, tmp_path):
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps({"n": 2, "entries": [["1", "0"], ["0", "-1"]]}))
+    code, out, err = run(capsys, "star", "--n", "2", "--metric", str(path), "dz1")
+    assert (code, out, err) == (2, "", "error: metric matrix is not positive definite: leading minor 2 is -1\n")
+
+
 @pytest.mark.parametrize(
     "entries", [[[1.5]], [[None]], [[[1]]], 5, [[True]], "1"], ids=["float", "null", "nested", "number", "bool", "string"]
 )
@@ -118,6 +125,32 @@ def test_malformed_metric_entries_exit_2(capsys, tmp_path, entries):
 def test_unknown_subcommand_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "star", "--n", "1", "--bogus", "dz1")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["d", "--n", "2", "dz1"], "metric"),
+        (["d", "--n", "2", "dz1"], "convention"),
+        (["del", "--n", "2", "z1*dz2"], "metric"),
+        (["del", "--n", "2", "z1*dz2"], "convention"),
+        (["delbar", "--n", "2", "zb1*dz2"], "metric"),
+        (["delbar", "--n", "2", "zb1*dz2"], "convention"),
+        (["wedge", "--n", "2", "dz1", "dzb2"], "metric"),
+        (["wedge", "--n", "2", "dz1", "dzb2"], "convention"),
+        (["obstruction", "--n", "2", "--v", "1,0", "dz1^dzb2"], "metric"),
+        (["obstruction", "--n", "2", "--v", "1,0", "dz1^dzb2"], "convention"),
+        (["inner", "--n", "2", "dz1", "dz1"], "convention"),
+    ],
+)
+def test_options_a_command_does_not_read_exit_2(capsys, tmp_path, argv, option):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"n": 2, "entries": [["2", "0"], ["0", "1"]]}))
+    assert run(capsys, *argv)[0] == 0
+    value = str(path) if option == "metric" else "literal"
+    code, out, err = run(capsys, argv[0], f"--{option}", value, *argv[1:])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: --{option}" in err and "Traceback" not in err
 
 
 def test_oracle_star_rejects_non_identity_metric(capsys, tmp_path):

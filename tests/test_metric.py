@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from pqforms import (
     raise_indices,
     volume_form,
 )
+from pqforms.metric import coerce_matrix
 from pqforms.wpoly import WirtingerPolynomial
 
 
@@ -222,7 +224,14 @@ def test_one_elimination_matches_leibniz_minors():
                     continue
                 seen["positive definite" if positive else "indefinite"] += 1
                 seen["zero minor, invertible"] += first_zero < n
-                inverse = HermitianMetric(rows).inverse
+                if positive:
+                    inverse = HermitianMetric(rows).inverse
+                else:
+                    bad = next(k for k, m in enumerate(minors, 1) if not m.re > 0)
+                    message = f"metric matrix is not positive definite: leading minor {bad} is {minors[bad - 1]}"
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        HermitianMetric(rows)
+                    inverse = pqforms.metric._gauss_jordan(coerce_matrix(rows))[1]
                 product = [
                     [sum((rows[i][k] * inverse[k][j] for k in range(n)), gaussian(0)) for j in range(n)]
                     for i in range(n)
