@@ -8,11 +8,14 @@ the engine makes no compactness claim, and every harmonic report says so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
+from .choices import DEFAULT_CONVENTION, StarConvention
 from .forms import Form, _factors, _sorted_term
-from .metric import HermitianMetric
-from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
 from .wpoly import Z, ZBAR
+
+if TYPE_CHECKING:
+    from .metric import HermitianMetric
 
 FLAT_MODEL_NOTE = (
     "flat local model: 'harmonic' means d and delta both vanish; "
@@ -64,6 +67,8 @@ def codifferential(
     The sign exponent uses n = complex dimension.  delta is linear: the
     two antilinear stars compose to a linear map.
     """
+    from .star import hodge_star  # here, so that d and its halves load neither the star nor the metric
+
     k = _homogeneous_total_degree(form, "codifferential")
     n = metric.n
     starred = hodge_star(form, metric, convention)

@@ -1,9 +1,10 @@
 """Command-line driver.
 
 Single-shot commands over the form DSL.  Each form command is one entry
-of ``_COMMANDS``, which gives its help, the forms and options it reads
-and how its result is computed; the parser offers a command only the
-options its entry names, and the dispatch reads the same entry.  Output
+of ``_COMMANDS``, which gives its help, the forms and options it reads,
+the module that computes it and how; the parser offers a command only the
+options its entry names, and the dispatch reads the same entry and imports
+only that module, since each call is a fresh interpreter.  Output
 is deterministic: the same argv and input files always produce
 byte-identical stdout.
 Exit codes: 0 success, 2 parse or validation failure, 3 scenario
@@ -13,29 +14,19 @@ deviation under --strict.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
+from itertools import islice
 from typing import List, Optional
 
-from .calculus import (
-    codifferential,
-    dolbeault_del,
-    dolbeault_delbar,
-    exterior_d,
-    harmonic_check,
-    laplacian,
-)
+from .choices import CONVENTIONS, DEFAULT_CONVENTION, SCENARIO_IDS
 from .dsl import ParseError, _format_value, parse_form, pretty_print
-from .metric import HermitianMetric, load_metric
-from .obstruction import Direction, obstruction
-from .realoracle import oracle_compare
 from .scalars import format_scalar
-from .scenarios import SCENARIO_IDS, scenario_runner
-from .star import CONVENTIONS, DEFAULT_CONVENTION, hodge_star, pointwise_inner
 
 
-def _harmonic(form, metric, convention) -> dict:
-    report = harmonic_check(form, metric, convention)
+def _harmonic(calculus, form, metric, convention) -> dict:
+    report = calculus.harmonic_check(form, metric, convention)
     return {
         "d_vanishes": report.d_vanishes,
         "delta_vanishes": report.delta_vanishes,
@@ -46,8 +37,8 @@ def _harmonic(form, metric, convention) -> dict:
     }
 
 
-def _oracle_star(form, metric, convention) -> dict:
-    report = oracle_compare(form, metric, convention)
+def _oracle_star(realoracle, form, metric, convention) -> dict:
+    report = realoracle.oracle_compare(form, metric, convention)
     comparisons = [
         {
             "p": cmp.p,
@@ -71,8 +62,10 @@ def _fields_text(fields: dict) -> str:
     return "\n".join(f"{key}: {value}" for key, value in fields.items())
 
 
-def _metric_for(args: argparse.Namespace) -> HermitianMetric:
+def _metric_for(args: argparse.Namespace):
     """The --metric file, or the identity."""
+    from .metric import HermitianMetric, load_metric
+
     if args.metric:
         metric = load_metric(args.metric)
         if metric.n != args.n:
@@ -97,28 +90,60 @@ _ONE = ("form",)
 _TWO = ("form1", "form2")
 _STAR = ("metric", "convention")
 
-# name: (help, form arguments, options read, result of (*forms, *option values),
-#        plain text of a dict result).  A Form or polynomial result prints canonically
-# and is the "result" key under --json; a dict result is merged into the --json payload.
-# Rows call the engine through this module's names, never a stored function, so bench/tracer.py sees each call.
+# name: (help, form arguments, options read, module that computes it, result of
+#        (module, *forms, *option values), plain text of a dict result).  The dispatch imports
+# the module when the command runs.  A Form or polynomial result prints canonically and is the
+# "result" key under --json; a dict result is merged into the --json payload.  Rows call the
+# engine through the module, never a stored function, so bench/tracer.py sees each call.
 _COMMANDS = {
-    "star": ("Hodge star of a form", _ONE, _STAR, lambda *a: hodge_star(*a), None),
-    "d": ("exterior derivative", _ONE, (), lambda *a: exterior_d(*a), None),
-    "del": ("dz half of the exterior derivative", _ONE, (), lambda *a: dolbeault_del(*a), None),
-    "delbar": ("dzb half of the exterior derivative", _ONE, (), lambda *a: dolbeault_delbar(*a), None),
-    "delta": ("codifferential", _ONE, _STAR, lambda *a: codifferential(*a), None),
-    "laplacian": ("Hodge Laplacian", _ONE, _STAR, lambda *a: laplacian(*a), None),
-    "harmonic": ("independent d and delta vanishing check", _ONE, _STAR, _harmonic, _fields_text),
-    "oracle-star": (
-        "compare the star against the real-coordinate oracle", _ONE, _STAR, _oracle_star, _oracle_star_text,
+    "star": ("Hodge star of a form", _ONE, _STAR, "star", lambda star, *a: star.hodge_star(*a), None),
+    "d": ("exterior derivative", _ONE, (), "calculus", lambda calculus, *a: calculus.exterior_d(*a), None),
+    "del": (
+        "dz half of the exterior derivative", _ONE, (), "calculus",
+        lambda calculus, *a: calculus.dolbeault_del(*a), None,
     ),
-    "wedge": ("exterior product of two forms", _TWO, (), lambda first, second: first.wedge(second), None),
-    "inner": ("pointwise inner product of two forms", _TWO, ("metric",), lambda *a: pointwise_inner(*a), None),
+    "delbar": (
+        "dzb half of the exterior derivative", _ONE, (), "calculus",
+        lambda calculus, *a: calculus.dolbeault_delbar(*a), None,
+    ),
+    "delta": ("codifferential", _ONE, _STAR, "calculus", lambda calculus, *a: calculus.codifferential(*a), None),
+    "laplacian": ("Hodge Laplacian", _ONE, _STAR, "calculus", lambda calculus, *a: calculus.laplacian(*a), None),
+    "harmonic": ("independent d and delta vanishing check", _ONE, _STAR, "calculus", _harmonic, _fields_text),
+    "oracle-star": (
+        "compare the star against the real-coordinate oracle", _ONE, _STAR, "realoracle", _oracle_star,
+        _oracle_star_text,
+    ),
+    "wedge": (
+        "exterior product of two forms", _TWO, (), "forms", lambda forms, first, second: first.wedge(second), None,
+    ),
+    "inner": (
+        "pointwise inner product of two forms", _TWO, ("metric",), "star",
+        lambda star, *a: star.pointwise_inner(*a), None,
+    ),
     "obstruction": (
-        "pairing functional against a direction", _ONE, ("v",),
-        lambda form, v: obstruction(form, Direction.parse(v, form.n)), None,
+        "pairing functional against a direction", _ONE, ("v",), "obstruction",
+        lambda obstruction, form, v: obstruction.obstruction(form, obstruction.Direction.parse(v, form.n)), None,
     ),
 }
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser.  An option from ``_OPTIONS`` that the command does not
+    declare is reported together with the value after it; argparse alone would
+    read that value as a form and report the form instead."""
+
+    def parse_known_args(self, args, namespace=None):
+        kept, stray = [], []
+        tokens = iter(args)
+        for token in tokens:
+            if token == "--":
+                kept += [token, *tokens]
+            elif token.startswith("--") and token[2:] in _OPTIONS and token not in self._option_string_actions:
+                stray += [token, *islice(tokens, 1)]
+            else:
+                kept.append(token)
+        namespace, extras = super().parse_known_args(kept, namespace)
+        return namespace, stray + extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pqforms",
         description="exact symbolic exterior calculus for complex (p,q)-forms",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, forms, options, _, _) in _COMMANDS.items():
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, (help_text, forms, options, _, _, _) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--n", type=int, required=True, help="ambient complex dimension")
         for option in options:
@@ -144,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_form_command(args: argparse.Namespace) -> int:
-    _, forms, options, compute, render = _COMMANDS[args.command]
+    _, forms, options, module, compute, render = _COMMANDS[args.command]
     values = [_OPTIONS[option][1](args) for option in options]
     parsed = [parse_form(getattr(args, dest), args.n) for dest in forms]
-    result = compute(*parsed, *values)
+    result = compute(importlib.import_module(f".{module}", __package__), *parsed, *values)
     convention = CONVENTIONS[args.convention] if "convention" in options else DEFAULT_CONVENTION
     payload = {"schema": 1, "op": args.command, "n": args.n, "convention": convention.describe()}
     if isinstance(result, dict):
@@ -160,6 +185,8 @@ def _run_form_command(args: argparse.Namespace) -> int:
 
 
 def _run_scenario(args: argparse.Namespace) -> int:
+    from .scenarios import scenario_runner
+
     report = scenario_runner(args.id)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple, Union
 
 from .calculus import HarmonicReport, harmonic_check, laplacian
+from .choices import CONVENTIONS, SCENARIO_IDS, StarConvention
 from .dsl import _format_value, format_poly, pretty_print
 from .forms import Form, _summed
 from .metric import HermitianMetric
@@ -26,10 +27,8 @@ from .obstruction import (
     obstruction_direction_coefficients,
     paired_class_form,
 )
-from .star import CONVENTIONS, StarConvention, defining_identity_check, hodge_star
+from .star import defining_identity_check, hodge_star
 from .wpoly import WirtingerPolynomial
-
-SCENARIO_IDS = ("lemma31", "lemma33", "lemma34", "k3")
 
 ExtraValue = Union[bool, int, str, Dict[str, str]]
 

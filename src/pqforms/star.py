@@ -30,39 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Literal, Tuple
+from typing import Dict, Tuple
 
+from .choices import CONVENTIONS, DEFAULT_CONVENTION, LITERAL_CONVENTION, StarConvention  # noqa: F401  (re-exported)
 from .forms import Form, MultiIndex, _factors, _Frame, complement
 from .metric import HermitianMetric, volume_form
 from .scalars import GaussianRational, I_UNIT, MINUS_ONE, ONE
 from .wpoly import Z, ZBAR, WirtingerPolynomial
-
-ConjugationMode = Literal["single", "literal_eq_2_9"]
-OutputIndexMode = Literal["same_type_complement", "printed_eq_2_9"]
-
-
-@dataclass(frozen=True)
-class StarConvention:
-    """Switches selecting between the consistent star and the literal
-    printed variant.  Every report records which convention produced it."""
-
-    conjugation_mode: ConjugationMode = "single"
-    output_index_mode: OutputIndexMode = "same_type_complement"
-
-    def describe(self) -> Dict[str, str]:
-        return {
-            "conjugation": self.conjugation_mode,
-            "output_index": self.output_index_mode,
-        }
-
-
-DEFAULT_CONVENTION = StarConvention()
-LITERAL_CONVENTION = StarConvention(
-    conjugation_mode="literal_eq_2_9",
-    output_index_mode="printed_eq_2_9",
-)
-# the --convention choices by name; every scenario runs under each, in this order
-CONVENTIONS: Dict[str, StarConvention] = {"default": DEFAULT_CONVENTION, "literal": LITERAL_CONVENTION}
 
 
 def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial]:

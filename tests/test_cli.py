@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import pqforms
 
 from pqforms import HermitianMetric
 from pqforms.cli import main
@@ -150,7 +155,19 @@ def test_options_a_command_does_not_read_exit_2(capsys, tmp_path, argv, option):
     value = str(path) if option == "metric" else "literal"
     code, out, err = run(capsys, argv[0], f"--{option}", value, *argv[1:])
     assert (code, out) == (2, "")
-    assert f"unrecognized arguments: --{option}" in err and "Traceback" not in err
+    assert err.endswith(f"error: unrecognized arguments: --{option} {value}\n") and "Traceback" not in err
+
+
+def test_undeclared_option_is_reported_with_its_value(capsys):
+    # argparse alone read the path as the form and reported "--metric dz1"
+    code, out, err = run(capsys, "d", "--n", "2", "--metric", "/nonexistent.json", "dz1")
+    assert (code, out) == (2, "")
+    assert err.endswith("pqforms: error: unrecognized arguments: --metric /nonexistent.json\n")
+    code, out, err = run(capsys, "scenario", "--convention", "literal", "k3")
+    assert (code, out) == (2, "")
+    assert err.endswith("pqforms: error: unrecognized arguments: --convention literal\n")
+    code, out, _ = run(capsys, "star", "--n", "1", "--convention", "literal", "--", "dz1")
+    assert (code, out) == (0, "i*dz1\n")
 
 
 def test_oracle_star_rejects_non_identity_metric(capsys, tmp_path):
@@ -204,3 +221,32 @@ def test_metric_commands_still_build_one(capsys, monkeypatch, argv):
     monkeypatch.setattr(HermitianMetric, "identity", classmethod(_refuse_metric))
     code, _, err = run(capsys, *argv)
     assert (code, err) == (2, "error: metric refused\n")
+
+
+_LOADED = (
+    "import io, sys; from contextlib import redirect_stdout; from pqforms.cli import main\n"
+    "with redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
+    "print(code, *sorted(name for name in sys.modules if name.startswith('pqforms.')))"
+)
+
+
+def loaded_modules(*argv):
+    """Exit code and the pqforms modules that one command loads in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(pqforms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, capture_output=True, text=True, check=True)
+    code, *modules = done.stdout.split()
+    return int(code), set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["d", "--n", "1", "dz1"], ("metric", "star", "realoracle", "obstruction", "scenarios")),
+        (["star", "--n", "1", "dz1"], ("realoracle", "obstruction", "scenarios", "calculus")),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_computes_with(argv, absent):
+    code, modules = loaded_modules(*argv)
+    assert code == 0
+    assert not modules & {f"pqforms.{name}" for name in absent}
