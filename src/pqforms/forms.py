@@ -17,15 +17,19 @@ before the merge; the internal ops build through the trusted
 ``_trusted``, which only merges.  A repeated key's coefficients are summed
 in place into one term map.
 
-Index raising, ``realify``, ``complexify`` and ``transform_form`` pull
-forms back through a ``_Frame``: a linear change of frame that keeps the
-image of each key, its row of the compound matrix, once it is built.
+Index raising, ``realify``, ``complexify``, the oracle star and
+``transform_form`` pull forms back through a ``_Frame``: a linear map on
+keys that keeps the image of each key, its row of (image key, constant)
+pairs, once it is built.  ``_Frame.pulled_back`` is the one pull-back
+loop: it sums the scaled monomials in place, one term map per image key.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import reduce
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple, Union
 
 from .scalars import GaussianRational
@@ -171,40 +175,52 @@ def _wedge_terms(left: Mapping, right: Mapping, flatten=tuple, unflatten=tuple) 
 class _Frame:
     """A linear change of frame, with the image of each key kept once built.
 
-    A basis form e_f1 ^ e_f2 ^ ..., with f1, f2, ... the ``factors`` of its
-    key, goes to images[f1] ^ images[f2] ^ ..., the wedge starting from the
-    form ``unit``.  The images of the differentials have constant
-    coefficients, so the image of a key is its row of the frame's compound
-    matrix (Cauchy-Binet): a tuple of (image key, constant) pairs, wedged
-    out on the first request and read from ``memo`` after that.  Equal keys
+    The image of a key is a form with constant coefficients, built by
+    ``build`` on the first request and kept in ``memo`` as a tuple of
+    (image key, constant) pairs: its row of the frame's matrix.  By
+    default a basis form e_f1 ^ e_f2 ^ ..., with f1, f2, ... the
+    ``factors`` of its key, goes to unit ^ images[f1] ^ images[f2] ^ ...,
+    so the row is one of the compound matrix (Cauchy-Binet).  Equal keys
     and constants of all images are interned to one object each.
     """
 
-    __slots__ = ("unit", "images", "factors", "memo", "_interned")
+    __slots__ = ("unit", "images", "factors", "build", "memo", "_interned")
 
-    def __init__(self, unit, images: Mapping, factors: Callable[[Any], Iterable[Hashable]]):
+    def __init__(self, unit, images: Mapping = None, factors: Callable[[Any], Iterable[Hashable]] = None, build=None):
         self.unit = unit
         self.images = images
         self.factors = factors
+        self.build = build or self._wedged
         self.memo: Dict[Any, Tuple[Tuple[Any, GaussianRational], ...]] = {}
         self._interned: Dict[Any, Any] = {}
+
+    def _wedged(self, key):
+        return reduce(lambda piece, factor: piece.wedge(self.images[factor]), self.factors(key), self.unit)
 
     def image(self, key) -> Tuple[Tuple[Any, GaussianRational], ...]:
         pairs = self.memo.get(key)
         if pairs is None:
-            piece = self.unit
-            for factor in self.factors(key):
-                piece = piece.wedge(self.images[factor])
             one = lambda value: self._interned.setdefault(value, value)
-            pairs = self.memo[key] = tuple((one(k), one(c.constant_value())) for k, c in piece.terms.items())
+            pairs = self.memo[key] = tuple((one(k), one(c.constant_value())) for k, c in self.build(key).terms.items())
         return pairs
 
-    def pulled_back(self, terms: Mapping) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
-        """The pairs of the image of a form with these terms: each
-        coefficient is kept and scaled by the image constants."""
+    def pulled_back(self, terms: Mapping, image=None, read=attrgetter("terms")) -> Dict[Any, WirtingerPolynomial]:
+        """The one pull-back loop: the term map of the image of a form.
+
+        Each monomial of a coefficient (its term map by ``read``) times each
+        constant of its key's row (``image``, the memo by default) is added
+        in place into that image key's term map; each map that does not
+        cancel becomes one polynomial at the end."""
+        image = image or self.image
+        sums: Dict[Any, dict] = {}
         for key, coeff in terms.items():
-            for image_key, scalar in self.image(key):
-                yield image_key, coeff.scale(scalar)
+            monomials = read(coeff).items()
+            for image_key, scalar in image(key):
+                out = sums.setdefault(image_key, {})
+                for exponents, c in monomials:
+                    prev = out.get(exponents)
+                    out[exponents] = c * scalar if prev is None else prev + c * scalar
+        return {key: WirtingerPolynomial._trusted(self.unit.n, out) for key, out in sums.items() if any(out.values())}
 
 
 class _TermStore:

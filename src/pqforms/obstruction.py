@@ -227,7 +227,7 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
             substitution[(kind, j)] = WirtingerPolynomial._sum(n, variables)
     frame = _Frame(Form.from_scalar(n, 1), images, _factors)
     substituted = {key: coeff.substitute(substitution) for key, coeff in form.terms.items()}
-    return Form._trusted(n, frame.pulled_back(substituted))
+    return Form._trusted(n, frame.pulled_back(substituted).items())
 
 
 def _restricted_to(poly: WirtingerPolynomial, allowed: Iterable[int]) -> Tuple[bool, str]:

@@ -13,7 +13,10 @@ surfaces as the per-bidegree ratio recorded in ORACLE_STAR_RATIOS.
 The Euclidean star is pointwise: it acts on the differentials and carries
 each coefficient function unchanged.  So the oracle pulls back only the
 differentials, and the coefficients of a :class:`RealForm` stay the same
-Wirtinger polynomials in z and zb as those of the complex form.
+Wirtinger polynomials in z and zb as those of the complex form.  The whole
+oracle star is then a linear map on complex keys with constant images:
+the image of each key is built once per n by realify, the Euclidean star
+and complexify on the unit form, and kept.
 
 :class:`RealForm` is the second subclass of the term store of
 :mod:`pqforms.forms`: its keys are strictly increasing tuples over 1..2n,
@@ -32,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .forms import Form, _factors, _Frame, _summed, _TermStore, _validate_multi_index, _wedge_terms, complement
+from .forms import Form, _factors, _Frame, _TermStore, _validate_multi_index, _wedge_terms, complement
 from .metric import HermitianMetric
 from .scalars import GaussianRational, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
@@ -127,12 +130,12 @@ def _real_frames(n: int) -> Tuple[_Frame, _Frame]:
 
 def realify(form: Form) -> RealForm:
     """Expand dz^k = dx^k + i dy^k exactly; coefficients are kept."""
-    return RealForm._trusted(form.n, _real_frames(form.n)[0].pulled_back(form.terms))
+    return RealForm._trusted(form.n, _real_frames(form.n)[0].pulled_back(form.terms).items())
 
 
 def complexify(real: RealForm) -> Form:
     """Exact inverse of :func:`realify`."""
-    return Form._trusted(real.n, _real_frames(real.n)[1].pulled_back(real.terms))
+    return Form._trusted(real.n, _real_frames(real.n)[1].pulled_back(real.terms).items())
 
 
 def real_hodge_star(real: RealForm) -> RealForm:
@@ -149,15 +152,24 @@ def real_hodge_star(real: RealForm) -> RealForm:
     return RealForm._trusted(real.n, pairs)
 
 
+@lru_cache(maxsize=16)
+def _star_frame(n: int) -> _Frame:
+    """The oracle star in dimension n as one frame (``forms._Frame``): the
+    Euclidean star moves only the differentials, so the image of a complex
+    key K is complexify(real_hodge_star(realify(e_K))) on the unit form,
+    built on the first request by these three steps alone and kept."""
+    return _Frame(Form.from_scalar(n, 1), build=lambda key: complexify(real_hodge_star(realify(Form(n, {key: 1})))))
+
+
 def oracle_star(psi: Form) -> Form:
     """The oracle path: conjugate, realify, Euclidean star, map back.
 
     The engine star is antilinear while the Euclidean star is linear, so
     conjugating first lines up both the bidegree and the coefficient
-    conjugation of the two paths.
+    conjugation of the two paths.  The three steps act on keys only, so
+    the conjugate is pulled back through their memoized composite.
     """
-    parts = (psi.component(p, q).conjugate() for p, q in sorted(psi.bidegrees()))
-    return Form._trusted(psi.n, _summed(complexify(real_hodge_star(realify(part))) for part in parts))
+    return Form._trusted(psi.n, _star_frame(psi.n).pulled_back(psi.conjugate().terms).items())
 
 
 @dataclass(frozen=True)

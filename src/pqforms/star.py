@@ -50,11 +50,11 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     are the exterior power of ginv (Cauchy-Binet), so the table is a
     pull-back: dz^l goes to sum_a ginv[l][a] dz^a, dzb^m to sum_b ginv[b][m] dzb^b.
     Raising keeps the dz and dzb types apart, so the image of (L, M) is
-    the wedge of the images of its dz-half (L, ()) and its dzb-half
+    the product of the images of its dz-half (L, ()) and its dzb-half
     ((), M), with no sign.  The metric's ``_raising`` slot holds the frame
     (``forms._Frame``), built on the first raise, which keeps the image of
-    each half once it is built; the table is merged by the trusted form
-    constructor.
+    each half once it is built; its pull-back reads each coefficient
+    conjugated and sums the table in place.
 
     With the identity metric this collapses to coefficient-wise
     conjugation.  The table carries exactly one conjugation; callers pick
@@ -75,17 +75,12 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
             images[(Z, k)] = Form(n, {((a,), ()): c for a, c in enumerate(ginv[k - 1], 1) if c})
             images[(ZBAR, k)] = Form(n, {((), (b,)): row[k - 1] for b, row in enumerate(ginv, 1) if row[k - 1]})
         frame = metric._raising = _Frame(Form.from_scalar(n, 1), images, _factors)
-    return Form._trusted(n, _raised_pairs(psi.terms, frame.image)).terms
 
+    def image(key):
+        right = frame.image(((), key[1]))
+        return [((A, B), a * b) for (A, _), a in frame.image((key[0], ())) for (_, B), b in right]
 
-def _raised_pairs(terms, image):
-    """The pairs of a raised table, from the images of the two halves of each key."""
-    for (I, J), coeff in terms.items():
-        conj = coeff.conjugate()
-        right = image(((), J))
-        for (A, _), a in image((I, ())):
-            for (_, B), b in right:
-                yield (A, B), conj.scale(a * b)
+    return frame.pulled_back(psi.terms, image, WirtingerPolynomial._conjugate_terms)
 
 
 def _contracted(phi: Form, raised, n: int) -> WirtingerPolynomial:

@@ -176,12 +176,12 @@ class WirtingerPolynomial:
     def conjugate(self) -> "WirtingerPolynomial":
         """Complex conjugation: swap the z block with the zb block and
         conjugate every coefficient.  An involution."""
+        return WirtingerPolynomial._trusted(self.n, self._conjugate_terms())
+
+    def _conjugate_terms(self) -> Dict[Exponents, GaussianRational]:
+        """The term map of the conjugate, without building the polynomial."""
         n = self.n
-        out = {}
-        for exponents, coeff in self.terms.items():
-            swapped = exponents[n:] + exponents[:n]
-            out[swapped] = coeff.conjugate()
-        return WirtingerPolynomial._trusted(n, out)
+        return {exponents[n:] + exponents[:n]: coeff.conjugate() for exponents, coeff in self.terms.items()}
 
     def derivative(self, kind: str, index: int) -> "WirtingerPolynomial":
         """Formal partial derivative with respect to z_index or zb_index.

@@ -9,7 +9,9 @@ from typing import Optional, Tuple
 
 from hypothesis import strategies as st
 
-from pqforms import Form, HermitianMetric, WirtingerPolynomial, gaussian
+from pqforms import Form, HermitianMetric, WirtingerPolynomial, gaussian, real_hodge_star
+from pqforms.forms import _factors
+from pqforms.realoracle import _real_frames
 
 
 def brute_parity(values) -> int:
@@ -83,6 +85,23 @@ def brute_pull_back(terms, factors, unit, coefficient, images):
             piece = piece.wedge(images[factor])
         pairs.extend((image_key, c * coefficient(coeff)) for image_key, c in piece.terms.items())
     return type(unit)(unit.n, pairs)
+
+
+def brute_oracle_star(psi: Form) -> Form:
+    """The oracle star by its three steps, one bidegree at a time: the
+    conjugate of each part is realified, starred with the Euclidean star and
+    complexified, and the parts are summed.  realify and complexify are
+    wedged out afresh per term (:func:`brute_pull_back` over the images of
+    the oracle's real frames), so neither the oracle's memo of whole keys
+    nor the engine's pull-back loop is used."""
+    to_real, to_complex = _real_frames(psi.n)
+    keep = lambda c: c
+    total = Form.zero(psi.n)
+    for p, q in sorted(psi.bidegrees()):
+        part = psi.component(p, q).conjugate()
+        real = brute_pull_back(part.terms, _factors, to_real.unit, keep, to_real.images)
+        total = total + brute_pull_back(real_hodge_star(real).terms, tuple, to_complex.unit, keep, to_complex.images)
+    return total
 
 
 class FractionPair:

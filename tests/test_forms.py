@@ -15,9 +15,11 @@ from pqforms import (
     gaussian,
     hodge_star,
     raise_indices,
+    complexify,
+    realify,
     transform_form,
 )
-from pqforms.forms import _term_key, complement, sort_with_sign
+from pqforms.forms import _Frame, _term_key, complement, sort_with_sign
 from pqforms.wpoly import Z, ZBAR
 
 
@@ -224,12 +226,14 @@ def test_internal_ops_build_only_canonical_terms(a, b, h, c):
     rotation = RealOrthogonalMatrix([["3/5", "4/5"], ["-4/5", "3/5"]])
     with pytest.MonkeyPatch.context() as patch:
         built = recording_trusted(patch, Form, _term_key)
-        raise_indices(h, metric)  # its table is the terms of a trusted build
+        table = raise_indices(h, metric)
         results = [
             a + b, a - b, -a, a.scale(gaussian(2, -1)), a.scale(c), a ^ b, a.conjugate(), a.component(1, 0),
             hodge_star(a, metric), exterior_d(a), transform_form(a, rotation),
         ]
     assert all(any(out is seen for seen in built) for out in results)
+    # the raised table is the pull-back's own term map: canonical keys, no zero
+    assert Form(2, table).terms == table and all(c.terms for c in table.values())
 
 
 @pytest.mark.parametrize(
@@ -249,3 +253,78 @@ def test_public_constructor_rejections(n, terms, message):
         Form(n, terms)
     with pytest.raises(ValueError, match=message):
         Form(n, list(terms.items()) if terms else terms)
+
+
+def _counting_the_pull_back(monkeypatch):
+    """Count the polynomials built and the ``WirtingerPolynomial.scale``
+    calls from the entry of the last ``_Frame.pulled_back`` on, leaving out
+    the wedges that build an image on its first request."""
+    counts = {"built": 0, "scale": 0}
+    paused = []
+    trusted, init, scale = WirtingerPolynomial._trusted.__func__, WirtingerPolynomial.__init__, WirtingerPolynomial.scale
+    pulled_back, image = _Frame.pulled_back, _Frame.image
+
+    def count(name):
+        if not paused:
+            counts[name] += 1
+
+    def counted_trusted(cls, n, terms):
+        count("built")
+        return trusted(cls, n, terms)
+
+    def counted_init(self, *args):
+        count("built")
+        init(self, *args)
+
+    def counted_scale(self, value):
+        count("scale")
+        return scale(self, value)
+
+    def entered(self, *args):
+        counts.update(built=0, scale=0)
+        return pulled_back(self, *args)
+
+    def unmeasured_image(self, key):
+        paused.append(key)
+        try:
+            return image(self, key)
+        finally:
+            paused.pop()
+
+    monkeypatch.setattr(WirtingerPolynomial, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(WirtingerPolynomial, "__init__", counted_init)
+    monkeypatch.setattr(WirtingerPolynomial, "scale", counted_scale)
+    monkeypatch.setattr(_Frame, "pulled_back", entered)
+    monkeypatch.setattr(_Frame, "image", unmeasured_image)
+    return counts
+
+
+def test_pull_back_builds_one_polynomial_per_output_key(monkeypatch):
+    # every input below sends two keys onto the same image keys, with no
+    # cancellation; the second call of each runs on a warm memo
+    n = 3
+    c = (WirtingerPolynomial.z(n, 1) + WirtingerPolynomial.zb(n, 2).scale(gaussian(2, -1))) ** 2
+    psi = Form(n, {((1,), ()): c, ((), (1,)): c.scale(3), ((2,), (3,)): c})
+    real = realify(psi)
+    h = Form(n, {((1,), (2,)): c, ((2,), (3,)): c.scale(gaussian(0, 1))})
+    metric = random_dense_metric(random.Random(7), n)
+    rotation = RealOrthogonalMatrix([["3/5", "4/5", 0], ["-4/5", "3/5", 0], [0, 0, 1]])
+    calls = [
+        lambda: realify(psi).terms,
+        lambda: complexify(real).terms,
+        lambda: raise_indices(h, metric),
+        lambda: transform_form(psi, rotation).terms,
+    ]
+    expected = [call() for call in calls]
+    counts = _counting_the_pull_back(monkeypatch)
+    for call, terms in zip(calls, expected):
+        assert call() == terms
+        assert counts == {"built": len(terms), "scale": 0}
+
+
+def test_complexify_cancels_in_place():
+    # z1 dx1 + i z1 dy1 = z1 dz1: the dzb1 parts cancel inside one term map
+    z1 = WirtingerPolynomial.z(1, 1)
+    back = complexify(RealForm(1, {(1,): z1, (2,): z1.scale(gaussian(0, 1))}))
+    assert back == Form.term(1, (1,), (), z1)
+    assert list(back.terms) == [((1,), ())] and all(coeff.terms for coeff in back.terms.values())

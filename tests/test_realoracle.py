@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_pull_back, forms, homogeneous_forms, polys, random_form, recording_trusted
+from helpers import brute_oracle_star, brute_pull_back, forms, homogeneous_forms, polys, random_form, recording_trusted
 from pqforms import (
     Form,
     HermitianMetric,
@@ -21,7 +21,7 @@ from pqforms import (
     volume_form,
 )
 from pqforms.forms import _factors, _term_key
-from pqforms.realoracle import _real_frames, _validate_real_index
+from pqforms.realoracle import _real_frames, _star_frame, _validate_real_index
 from pqforms.scalars import GaussianRational
 
 
@@ -303,3 +303,37 @@ def test_real_frames_hold_six_to_the_n_pairs():
         for part in (0, 1):
             values = [pair[part] for image in frame.memo.values() for pair in image]
             assert len({id(v) for v in values}) == len(set(values))
+
+
+def test_oracle_star_memo_holds_one_pair_per_unit_key(monkeypatch):
+    # a cold build needs only realify, the Euclidean star and complexify:
+    # with the complex star and index raising refusing to run, it succeeds
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran the complex star")
+
+    for name in ("pqforms.star.hodge_star", "pqforms.star.raise_indices", "pqforms.realoracle.hodge_star"):
+        monkeypatch.setattr(name, refuse)
+    _star_frame.cache_clear()
+    for n in (1, 2, 3):
+        frame = _star_frame(n)
+        subsets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+        for I in subsets:
+            for J in subsets:
+                pairs = frame.image((I, J))
+                assert len(pairs) == 1
+                (key, value), = pairs
+                # the unmemoized three-step path of e_(I,J), reached through its conjugate
+                assert Form(n, {key: value}) == brute_oracle_star(Form.term(n, I, J, 1).conjugate())
+        assert len(frame.memo) == 4 ** n
+
+
+@settings(max_examples=40, deadline=None)
+@given(forms(max_terms=4, max_degree=2))
+def test_oracle_star_matches_the_three_step_path(psi):
+    # cold memo on the first call, warm on the second
+    _star_frame.cache_clear()
+    _real_frames.cache_clear()
+    cold = oracle_star(psi)
+    expected = brute_oracle_star(psi)
+    assert cold == expected
+    assert oracle_star(psi) == expected
