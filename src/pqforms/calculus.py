@@ -7,8 +7,7 @@ the engine makes no compactness claim, and every harmonic report says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .choices import DEFAULT_CONVENTION, StarConvention
 from .forms import Form, _factors, _sorted_term
@@ -89,8 +88,7 @@ def laplacian(
     )
 
 
-@dataclass(frozen=True)
-class HarmonicReport:
+class HarmonicReport(NamedTuple):
     """Independent evaluation of d(psi) = 0 and delta(psi) = 0."""
 
     d_vanishes: bool
@@ -98,7 +96,7 @@ class HarmonicReport:
     d_residual: Form
     delta_residual: Form
     convention: StarConvention
-    note: str = field(default=FLAT_MODEL_NOTE)
+    note: str = FLAT_MODEL_NOTE
 
     @property
     def harmonic(self) -> bool:

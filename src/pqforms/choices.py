@@ -8,15 +8,13 @@ without loading the metric, the star or the scenarios.  ``star`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Literal
+from typing import Dict, Literal, NamedTuple
 
 ConjugationMode = Literal["single", "literal_eq_2_9"]
 OutputIndexMode = Literal["same_type_complement", "printed_eq_2_9"]
 
 
-@dataclass(frozen=True)
-class StarConvention:
+class StarConvention(NamedTuple):
     """Switches selecting between the consistent star and the literal
     printed variant.  Every report records which convention produced it."""
 

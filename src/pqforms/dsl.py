@@ -33,10 +33,9 @@ exactly ``a``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, log2
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .forms import Form, TermKey, _summed
 from .scalars import MINUS_ONE, ONE, GaussianRational, format_scalar, gaussian
@@ -89,8 +88,7 @@ _NUMBERED = ("dzb", "dz", "zb", "z", "int")
 _ATOM_START = ("int", "imag", "z", "zb", "lparen")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     value: int

@@ -12,10 +12,9 @@ pivots also give the determinant and the leading principal minors
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .forms import Form
 from .scalars import GaussianRational, I_UNIT, ONE, ScalarLike, ZERO, parse_scalar
@@ -78,8 +77,7 @@ def _gauss_jordan(matrix: Matrix) -> Tuple[GaussianRational, Optional[Matrix], T
     return det, tuple(tuple(row[n:]) for row in work), tuple(minors)
 
 
-@dataclass(frozen=True)
-class MetricValidation:
+class MetricValidation(NamedTuple):
     """Validation report for a candidate Hermitian metric matrix."""
 
     n: int
@@ -88,7 +86,7 @@ class MetricValidation:
     determinant: GaussianRational
     is_invertible: bool
     is_positive_definite: bool
-    leading_minors: Tuple[GaussianRational, ...] = field(default=())
+    leading_minors: Tuple[GaussianRational, ...] = ()
 
     @property
     def is_valid(self) -> bool:
@@ -214,8 +212,7 @@ def volume_form(metric: HermitianMetric) -> Form:
     return metric._volume
 
 
-@dataclass(frozen=True)
-class VolumeCoefficientReport:
+class VolumeCoefficientReport(NamedTuple):
     """Comparison of the wedge-power volume coefficient against the
     real-prefactor variant (-1)^{n(n-1)/2} det(g) that some texts print
     without the i^n factor."""

@@ -18,12 +18,11 @@ complex pairing against v) are conceivable but not implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .forms import Form, MultiIndex, _factors, _Frame
-from .scalars import GaussianRational
+from .scalars import GaussianRational, parse_scalar
 from .wpoly import WirtingerPolynomial, Z, ZBAR
 
 RationalLike = Union[int, str, Fraction]
@@ -35,26 +34,27 @@ def _fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        scalar = parse_scalar(value)
+        if scalar.im:
+            raise ValueError(f"{value!r} is not a real rational")
+        return scalar.re
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(NamedTuple("Direction", [("n", int), ("components", Tuple[Fraction, ...])])):
     """A real rational vector v = sum_j c_j x^j, not all components zero."""
 
-    n: int
-    components: Tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, components: Iterable[RationalLike]) -> "Direction":
+        if n < 1:
             raise ValueError("dimension must be positive")
-        components = tuple(_fraction(c) for c in self.components)
-        if len(components) != self.n:
-            raise ValueError(f"expected {self.n} components, got {len(components)}")
+        components = tuple(_fraction(c) for c in components)
+        if len(components) != n:
+            raise ValueError(f"expected {n} components, got {len(components)}")
         if all(c == 0 for c in components):
             raise ValueError("direction must have at least one nonzero component")
-        object.__setattr__(self, "components", components)
+        return super().__new__(cls, n, components)
 
     @classmethod
     def basis(cls, n: int, index: int) -> "Direction":
@@ -64,7 +64,10 @@ class Direction:
 
     @classmethod
     def parse(cls, text: str, n: int) -> "Direction":
-        """Parse the CLI syntax: comma-separated rationals, e.g. "1,0,-1/2,0"."""
+        """Parse the CLI syntax: comma-separated rationals, e.g. "1,0,-1/2,0".
+
+        Each component is read by ``parse_scalar``, the metric-file grammar,
+        and must have no imaginary part."""
         parts = [p for p in text.split(",")]
         if len(parts) != n:
             raise ValueError(f"direction {text!r} has {len(parts)} components, expected {n}")
@@ -272,15 +275,13 @@ def k3_product_form(
     return left.wedge(right)
 
 
-@dataclass(frozen=True)
-class DirectionVerdict:
+class DirectionVerdict(NamedTuple):
     direction: Direction
     value: WirtingerPolynomial
     is_zero: bool
 
 
-@dataclass(frozen=True)
-class FrameVerdict:
+class FrameVerdict(NamedTuple):
     frame: str
     verdicts: Tuple[DirectionVerdict, ...]
 
@@ -289,8 +290,7 @@ class FrameVerdict:
         return all(v.is_zero for v in self.verdicts)
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(NamedTuple):
     """Obstruction verdicts for one form across rotated frames."""
 
     frames: Tuple[FrameVerdict, ...]

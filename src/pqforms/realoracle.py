@@ -30,10 +30,9 @@ forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .forms import Form, _factors, _Frame, _TermStore, _validate_multi_index, _wedge_terms, complement
 from .metric import HermitianMetric
@@ -172,16 +171,14 @@ def oracle_star(psi: Form) -> Form:
     return Form._trusted(psi.n, _star_frame(psi.n).pulled_back(psi.conjugate().terms).items())
 
 
-@dataclass(frozen=True)
-class BidegreeComparison:
+class BidegreeComparison(NamedTuple):
     p: int
     q: int
     proportional: bool
     ratio: Optional[GaussianRational]
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Engine star versus oracle star, compared per bidegree."""
 
     n: int

@@ -10,8 +10,7 @@ part of the scenario definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
 from .calculus import HarmonicReport, harmonic_check, laplacian
 from .choices import CONVENTIONS, SCENARIO_IDS, StarConvention
@@ -33,8 +32,7 @@ from .wpoly import WirtingerPolynomial
 ExtraValue = Union[bool, int, str, Dict[str, str]]
 
 
-@dataclass(frozen=True)
-class ConventionCheck:
+class ConventionCheck(NamedTuple):
     """One scenario evaluation under one star convention."""
 
     convention: StarConvention
@@ -43,7 +41,7 @@ class ConventionCheck:
     match: bool
     expected_match: bool
     residual: str
-    extras: Dict[str, ExtraValue] = field(default_factory=dict)
+    extras: Dict[str, ExtraValue]
     extras_as_expected: bool = True
 
     @property
@@ -63,8 +61,7 @@ class ConventionCheck:
         }
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     scenario_id: str
     checks: Tuple[ConventionCheck, ...]
     notes: str

@@ -28,9 +28,8 @@ contracts the conjugated coefficient with inverse-metric entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .choices import CONVENTIONS, DEFAULT_CONVENTION, LITERAL_CONVENTION, StarConvention  # noqa: F401  (re-exported)
 from .forms import Form, MultiIndex, _factors, _Frame, complement
@@ -145,8 +144,7 @@ def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = 
     ))
 
 
-@dataclass(frozen=True)
-class DefiningIdentityReport:
+class DefiningIdentityReport(NamedTuple):
     """Outcome of checking phi ^ star(psi) == <phi, psi> * vol exactly."""
 
     holds: bool

@@ -8,7 +8,7 @@ import pytest
 import pqforms
 
 from pqforms import HermitianMetric
-from pqforms.cli import main
+from pqforms.cli import _COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -226,12 +226,12 @@ def test_metric_commands_still_build_one(capsys, monkeypatch, argv):
 _LOADED = (
     "import io, sys; from contextlib import redirect_stdout; from pqforms.cli import main\n"
     "with redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
-    "print(code, *sorted(name for name in sys.modules if name.startswith('pqforms.')))"
+    "print(code, *sorted(sys.modules))"
 )
 
 
 def loaded_modules(*argv):
-    """Exit code and the pqforms modules that one command loads in a fresh interpreter."""
+    """Exit code and the modules that one command loads in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(pqforms.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, capture_output=True, text=True, check=True)
@@ -250,3 +250,20 @@ def test_a_command_loads_only_the_modules_it_computes_with(argv, absent):
     code, modules = loaded_modules(*argv)
     assert code == 0
     assert not modules & {f"pqforms.{name}" for name in absent}
+
+
+# The records are typing.NamedTuple classes; a dataclass would load dataclasses
+# and, through it, inspect: about 13 ms of every child.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [name, "--n", "1", *(["--v", "1"] if "v" in options else []), *["dz1"] * len(forms)]
+        for name, (_, forms, options, *_) in _COMMANDS.items()
+    ]
+    + [["scenario", "k3"]],
+    ids=[*_COMMANDS, "scenario-k3"],
+)
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    code, modules = loaded_modules(*argv)
+    assert code == 0
+    assert not modules & {"dataclasses", "inspect"}

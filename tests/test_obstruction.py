@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,11 +31,26 @@ def e(n, j):
 
 
 def test_direction_validation():
-    with pytest.raises(ValueError):
-        Direction(2, (Fraction(0), Fraction(0)))
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        Direction(0, ())
+    with pytest.raises(ValueError, match="at least one nonzero component"):
+        Direction(2, (Fraction(0), "0/3"))
+    with pytest.raises(ValueError, match="expected 2 components, got 1"):
+        Direction(2, (1,))
     with pytest.raises(ValueError):
         Direction.parse("1,2", 3)
-    assert Direction.parse("1,-1/2", 2).components == (Fraction(1), Fraction(-1, 2))
+    components = Direction.parse("1,-1/2", 2).components
+    assert components == (Fraction(1), Fraction(-1, 2)) and all(type(c) is Fraction for c in components)
+
+
+# Components are read in the metric-file scalar grammar: an exponent, a decimal
+# point, a digit separator or an imaginary part is refused before any arithmetic.
+@pytest.mark.parametrize("text", ["1e999999999,1", "1.5,1", "1e3,1", "1_0,1", "2i,1"])
+def test_direction_components_outside_the_rational_grammar_are_refused_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a real rational|invalid scalar literal"):
+        Direction.parse(text, 2)
+    assert time.perf_counter() - start < 1
 
 
 def test_pr_on_paired_term():
