@@ -7,6 +7,7 @@ the engine makes no compactness claim, and every harmonic report says so.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
 from .choices import DEFAULT_CONVENTION, StarConvention
@@ -23,14 +24,18 @@ FLAT_MODEL_NOTE = (
 
 
 def _half_derivative(form: Form, kind: str) -> Form:
+    """sum_j d/d(kind)_j (.) d(kind)^j ^ (.), differentiating each
+    coefficient only by the variables of that kind that occur in it."""
     n = form.n
+    first = 0 if kind == Z else n  # the slot of variable 1 of this kind
     pairs = []
     for key, coeff in form.terms.items():
         base = _factors(key)
-        for j in range(1, n + 1):
-            partial = coeff.derivative(kind, j)
-            if not partial.is_zero():
-                pairs.extend(_sorted_term([(kind, j)] + base, partial, n))
+        occurring = set()
+        for exponents in coeff.terms:
+            occurring.update(compress(range(1, n + 1), exponents[first : first + n]))
+        for j in sorted(occurring):
+            pairs.extend(_sorted_term([(kind, j)] + base, coeff.derivative(kind, j), n))
     return Form._trusted(n, pairs)
 
 

@@ -17,11 +17,13 @@ before the merge; the internal ops build through the trusted
 ``_trusted``, which only merges.  A repeated key's coefficients are summed
 in place into one term map.
 
-Index raising, ``realify``, ``complexify``, the oracle star and
-``transform_form`` pull forms back through a ``_Frame``: a linear map on
-keys that keeps the image of each key, its row of (image key, constant)
-pairs, once it is built.  ``_Frame.pulled_back`` is the one pull-back
-loop: it sums the scaled monomials in place, one term map per image key.
+Index raising, the oracle star and ``transform_form`` pull forms back
+through a ``_Frame``: a linear map on keys that keeps the image of each
+key, its row of (image key, constant) pairs, once it is built.
+``_Frame.pulled_back`` is the one pull-back loop: it sums the scaled
+monomials in place, one term map per image key.  ``realify`` and
+``complexify`` act on one coordinate at a time instead (see
+:mod:`pqforms.realoracle`).
 """
 
 from __future__ import annotations

@@ -18,6 +18,15 @@ oracle star is then a linear map on complex keys with constant images:
 the image of each key is built once per n by realify, the Euclidean star
 and complexify on the unit form, and kept.
 
+realify and complexify act on each coordinate alone, so they factor into
+one 2x2 map per coordinate (the Kronecker-factored transform).  A key
+codec kept per n reads a key as its support and builds each row or image
+key once.  realify fans a complex key out through its row; complexify runs
+one butterfly stage per coordinate that carries one differential and drops
+the term maps that cancel after each stage, so a key with s such
+coordinates costs O(s 2^s) additions, not the 4^s products of a change of
+frame per real key.
+
 :class:`RealForm` is the second subclass of the term store of
 :mod:`pqforms.forms`: its keys are strictly increasing tuples over 1..2n,
 merged and wedged by the same helpers as the keys of
@@ -31,22 +40,23 @@ forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, NamedTuple, Optional, Tuple
+from functools import lru_cache, reduce
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .forms import Form, _factors, _Frame, _TermStore, _validate_multi_index, _wedge_terms, complement
+from .forms import Form, TermKey, _Frame, _TermStore, _validate_multi_index, _wedge_terms, complement, sort_with_sign
 from .metric import HermitianMetric
-from .scalars import GaussianRational, gaussian
+from .scalars import GaussianRational, _quarter_turned, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
-from .wpoly import Z, ZBAR
+from .wpoly import WirtingerPolynomial, _add_into
 
 RealIndex = Tuple[int, ...]
+Support = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (S, D): coordinates with one and with two differentials
 
 # Engine star versus oracle star: exact ratio per (n, p, q), derived by
 # running the oracle over every unit monomial before the star tests were
-# frozen (n = 3 was recorded the same way later, over all 64 monomials).
-# The observed pattern is 2^(n-p-q); the table keeps the raw recorded
-# values rather than the formula.
+# frozen (n = 3 and n = 4 were recorded the same way later, over all 64 and
+# all 256 monomials).  The observed pattern is 2^(n-p-q); the table keeps
+# the raw recorded values rather than the formula.
 ORACLE_STAR_RATIOS: Dict[Tuple[int, int, int], GaussianRational] = {
     (1, 0, 0): gaussian(2),
     (1, 0, 1): gaussian(1),
@@ -77,6 +87,31 @@ ORACLE_STAR_RATIOS: Dict[Tuple[int, int, int], GaussianRational] = {
     (3, 3, 1): gaussian(Fraction(1, 2)),
     (3, 3, 2): gaussian(Fraction(1, 4)),
     (3, 3, 3): gaussian(Fraction(1, 8)),
+    (4, 0, 0): gaussian(16),
+    (4, 0, 1): gaussian(8),
+    (4, 0, 2): gaussian(4),
+    (4, 0, 3): gaussian(2),
+    (4, 0, 4): gaussian(1),
+    (4, 1, 0): gaussian(8),
+    (4, 1, 1): gaussian(4),
+    (4, 1, 2): gaussian(2),
+    (4, 1, 3): gaussian(1),
+    (4, 1, 4): gaussian(Fraction(1, 2)),
+    (4, 2, 0): gaussian(4),
+    (4, 2, 1): gaussian(2),
+    (4, 2, 2): gaussian(1),
+    (4, 2, 3): gaussian(Fraction(1, 2)),
+    (4, 2, 4): gaussian(Fraction(1, 4)),
+    (4, 3, 0): gaussian(2),
+    (4, 3, 1): gaussian(1),
+    (4, 3, 2): gaussian(Fraction(1, 2)),
+    (4, 3, 3): gaussian(Fraction(1, 4)),
+    (4, 3, 4): gaussian(Fraction(1, 8)),
+    (4, 4, 0): gaussian(1),
+    (4, 4, 1): gaussian(Fraction(1, 2)),
+    (4, 4, 2): gaussian(Fraction(1, 4)),
+    (4, 4, 3): gaussian(Fraction(1, 8)),
+    (4, 4, 4): gaussian(Fraction(1, 16)),
 }
 
 
@@ -107,34 +142,182 @@ class RealForm(_TermStore):
         return self._trusted(self.n, _wedge_terms(self.terms, self._same_space(other).terms))
 
 
+class _Codec:
+    """The per-coordinate key codec of realify and complexify in dimension n.
+
+    Both maps act on each coordinate alone.  So a key is read as its
+    support: the coordinates S that carry one differential and those D that
+    carry two, with a bit mask over S of the coordinates that carry dy, or
+    dzb.  Coordinate k maps dx_k, dy_k to (dz_k + dzb_k)/2, (i/2)(dzb_k - dz_k)
+    and dx_k ^ dy_k to (i/2) dz_k ^ dzb_k.  Written with dz_k next to dzb_k,
+    like the real keys, the maps keep every slot in place and need no sign;
+    one sign per complex key takes that order to (I, J).  The reading of a
+    key and the image of a (support, mask) pair depend only on the key, so
+    each is built once and kept.
+    """
+
+    __slots__ = ("n", "rows", "supports", "keys")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows: Dict[TermKey, Tuple[Optional[GaussianRational], Tuple[Tuple[RealIndex, int], ...]]] = {}
+        self.supports: Dict[RealIndex, Tuple[Support, int, int]] = {}
+        self.keys: Dict[Tuple[Support, int], Tuple[TermKey, GaussianRational]] = {}
+
+    def _sign(self, key: TermKey) -> int:
+        """The sign taking a complex key from dz_k next to dzb_k to (I, J)."""
+        I, J = key
+        order = sorted([2 * k for k in I] + [2 * k + 1 for k in J])
+        return sort_with_sign([v // 2 + (v % 2) * self.n for v in order])[1]
+
+    def row(self, key: TermKey) -> Tuple[Optional[GaussianRational], Tuple[Tuple[RealIndex, int], ...]]:
+        """realify's row of a complex key: the scale 2^|D| (None for 1) and
+        one (real key, quarter turns) pair per dy mask; the image of e_K is
+        the sum of scale * i**turns * e_real over the row."""
+        row = self.rows.get(key)
+        if row is None:
+            I, J = key
+            both = set(I).intersection(J)
+            # dz = dx + i dy and dzb = dx - i dy: the quarter turns of each dy
+            singles = [(k, 3 if k in J else 1) for k in sorted(set(I).symmetric_difference(J))]
+            # dz ^ dzb = -2i dx ^ dy: the unit part of the factor (-2i)^|D| * sgn is turned
+            base = 3 * len(both) + (0 if self._sign(key) > 0 else 2)
+            fixed = [v for k in both for v in (2 * k - 1, 2 * k)]
+            pairs = []
+            for mask in range(1 << len(singles)):
+                real, turns = list(fixed), base
+                for j, (k, dy_turns) in enumerate(singles):
+                    if mask >> j & 1:
+                        real.append(2 * k)
+                        turns += dy_turns
+                    else:
+                        real.append(2 * k - 1)
+                pairs.append((tuple(sorted(real)), turns % 4))
+            row = self.rows[key] = (gaussian(2 ** len(both)) if both else None, tuple(pairs))
+        return row
+
+    def support(self, real: RealIndex) -> Tuple[Support, int, int]:
+        """complexify's reading of a real key: its support (S, D), its dy
+        mask Y over S and the quarter turns of (-i)^|Y|."""
+        found = self.supports.get(real)
+        if found is None:
+            slots: Dict[int, List[int]] = {}
+            for v in real:
+                slots.setdefault((v + 1) // 2, []).append(v)
+            singles = tuple(k for k, vs in slots.items() if len(vs) == 1)
+            both = tuple(k for k, vs in slots.items() if len(vs) == 2)
+            dy = [j for j, k in enumerate(singles) if slots[k][0] == 2 * k]
+            found = self.supports[real] = ((singles, both), sum(1 << j for j in dy), 3 * len(dy) % 4)
+        return found
+
+    def key(self, support: Support, zb: int) -> Tuple[TermKey, GaussianRational]:
+        """complexify's image of a support and a dzb mask over S: the
+        complex key and its constant 2^-|S| (i/2)^|D| sgn."""
+        found = self.keys.get((support, zb))
+        if found is None:
+            singles, both = support
+            I = tuple(sorted(both + tuple(k for j, k in enumerate(singles) if not zb >> j & 1)))
+            J = tuple(sorted(both + tuple(k for j, k in enumerate(singles) if zb >> j & 1)))
+            scale = gaussian(Fraction(self._sign((I, J)), 2 ** (len(singles) + len(both))))
+            found = self.keys[(support, zb)] = ((I, J), _quarter_turned(scale, len(both)))
+        return found
+
+
 @lru_cache(maxsize=16)
-def _real_frames(n: int) -> Tuple[_Frame, _Frame]:
-    """The frames of realify and complexify in dimension n, built once per
-    n (the last 16 are kept).  Each frame (``forms._Frame``) keeps the
-    image of every key it has pulled back; a complex key over k coordinates
-    spreads to at most 2^k real keys, so a frame holds at most 6^n pairs in
-    all (36 at n = 2, 1,296 at n = 4)."""
-    i, half = gaussian(0, 1), Fraction(1, 2)
-    real_images, complex_images = {}, {}  # (kind, k) -> RealForm; real index -> Form
-    for k in range(1, n + 1):
-        real_images[(Z, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): i})
-        real_images[(ZBAR, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): -i})
-        complex_images[2 * k - 1] = Form(n, {((k,), ()): half, ((), (k,)): half})
-        complex_images[2 * k] = Form(n, {((k,), ()): gaussian(0, -half), ((), (k,)): gaussian(0, half)})
-    return (
-        _Frame(RealForm.term(n, (), 1), real_images, _factors),
-        _Frame(Form.from_scalar(n, 1), complex_images, tuple),
-    )
+def _codec(n: int) -> _Codec:
+    """The key codec of dimension n, built once per n (the last 16 are kept)."""
+    return _Codec(n)
 
 
 def realify(form: Form) -> RealForm:
-    """Expand dz^k = dx^k + i dy^k exactly; coefficients are kept."""
-    return RealForm._trusted(form.n, _real_frames(form.n)[0].pulled_back(form.terms).items())
+    """Expand dz^k = dx^k + i dy^k exactly; coefficients are kept.
+
+    Each complex key fans out through its row (``_Codec.row``): its term
+    map is scaled once by 2^|D| and turned once per power of i, and each
+    real key sums the maps it receives into one polynomial."""
+    n, codec = form.n, _codec(form.n)
+    pieces: Dict[RealIndex, list] = {}
+    for key, coeff in form.terms.items():
+        scale, row = codec.row(key)
+        terms = coeff.terms if scale is None else {e: c * scale for e, c in coeff.terms.items()}
+        turned = {0: terms}
+        for real, turns in row:
+            if turns not in turned:
+                turned[turns] = {e: _quarter_turned(c, turns) for e, c in terms.items()}
+            pieces.setdefault(real, []).append(turned[turns])
+    pairs = []
+    for real, maps in pieces.items():
+        if len(maps) == 1:
+            pairs.append((real, WirtingerPolynomial._trusted(n, maps[0])))
+        else:
+            out = reduce(_add_into, maps[1:], dict(maps[0]))
+            if any(out.values()):  # keys that cancel build no polynomial
+                pairs.append((real, WirtingerPolynomial._trusted(n, out)))
+    return RealForm._trusted(n, pairs)
+
+
+def _plus(u: dict, v: dict, negate: bool) -> Optional[dict]:
+    """The term map u + v, or u - v when ``negate``; None when it cancels."""
+    out = dict(u)
+    for exponents, c in v.items():
+        if negate:
+            c = -c
+        prev = out.get(exponents)
+        if prev is None:
+            out[exponents] = c
+        else:
+            total = prev + c
+            if total:
+                out[exponents] = total
+            else:
+                del out[exponents]
+    return out or None
+
+
+def _butterflies(maps: List[Optional[dict]]) -> None:
+    """The Walsh-Hadamard transform of 2^s term maps, in place: the stage
+    of bit b sends the maps (u, v) at masks (Y, Y | b) to (u + v, u - v).
+    A map that cancels becomes None at once, so a round trip cancels as it
+    goes (Van Loan, "The ubiquitous Kronecker product", 2000)."""
+    width, bit = len(maps), 1
+    while bit < width:
+        for low in range(width):
+            if low & bit:
+                continue
+            high = low | bit
+            u, v = maps[low], maps[high]
+            if v is None:
+                maps[high] = u
+            elif u is None:
+                maps[low], maps[high] = v, {e: -c for e, c in v.items()}
+            else:
+                maps[low], maps[high] = _plus(u, v, False), _plus(u, v, True)
+        bit <<= 1
 
 
 def complexify(real: RealForm) -> Form:
-    """Exact inverse of :func:`realify`."""
-    return Form._trusted(real.n, _real_frames(real.n)[1].pulled_back(real.terms).items())
+    """Exact inverse of :func:`realify`.
+
+    The terms are grouped by support (``_Codec.support``); each term map
+    is turned by (-i)^|Y|, the group runs one butterfly stage per
+    coordinate of S, and each map left over is multiplied once by the
+    constant of its image key (``_Codec.key``)."""
+    n, codec = real.n, _codec(real.n)
+    groups: Dict[Support, List[Optional[dict]]] = {}
+    for key, coeff in real.terms.items():
+        support, dy, turns = codec.support(key)
+        maps = groups.get(support)
+        if maps is None:
+            maps = groups[support] = [None] * (1 << len(support[0]))
+        maps[dy] = coeff.terms if not turns else {e: _quarter_turned(c, turns) for e, c in coeff.terms.items()}
+    pairs = []
+    for support, maps in groups.items():
+        _butterflies(maps)
+        for zb, terms in enumerate(maps):
+            if terms:
+                key, constant = codec.key(support, zb)
+                pairs.append((key, WirtingerPolynomial._trusted(n, {e: c * constant for e, c in terms.items()})))
+    return Form._trusted(n, pairs)
 
 
 def real_hodge_star(real: RealForm) -> RealForm:
@@ -205,8 +388,8 @@ def _proportionality_ratio(engine: Form, oracle: Form) -> Tuple[bool, Optional[G
     if lead is None:
         return False, None
     ratio = lead / scalar
-    residual = engine - oracle.scale(ratio)
-    return residual.is_zero(), (ratio if residual.is_zero() else None)
+    proportional = engine == oracle.scale(ratio)
+    return proportional, (ratio if proportional else None)
 
 
 def oracle_compare(

@@ -159,6 +159,20 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _triple(a, b, d)
 
 
+def _quarter_turned(value: GaussianRational, turns: int) -> GaussianRational:
+    """value * i**turns: a unit rotation permutes and negates the integer
+    triple, so it keeps the invariant and needs no gcd."""
+    turns &= 3
+    if not turns:
+        return value
+    a, b, d = value._a, value._b, value._d
+    if turns == 1:
+        return _triple(-b, a, d)
+    if turns == 2:
+        return _triple(-a, -b, d)
+    return _triple(b, -a, d)
+
+
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
 I_UNIT = GaussianRational(0, 1)

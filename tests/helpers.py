@@ -9,9 +9,9 @@ from typing import Optional, Tuple
 
 from hypothesis import strategies as st
 
-from pqforms import Form, HermitianMetric, WirtingerPolynomial, gaussian, real_hodge_star
+from pqforms import Form, HermitianMetric, RealForm, WirtingerPolynomial, gaussian, real_hodge_star
 from pqforms.forms import _factors
-from pqforms.realoracle import _real_frames
+from pqforms.wpoly import Z, ZBAR
 
 
 def brute_parity(values) -> int:
@@ -87,20 +87,45 @@ def brute_pull_back(terms, factors, unit, coefficient, images):
     return type(unit)(unit.n, pairs)
 
 
+def real_images(n: int):
+    """The change of frame of realify and of complexify, one image per
+    differential: dz_k = dx_k + i dy_k and dzb_k = dx_k - i dy_k, and
+    dx_k = (dz_k + dzb_k)/2 and dy_k = (i/2)(dzb_k - dz_k), written out by
+    hand.  Returns ((unit, images, factors) of realify, the same of
+    complexify), for :func:`brute_pull_back`."""
+    i, half = gaussian(0, 1), Fraction(1, 2)
+    to_real, to_complex = {}, {}  # (kind, k) -> RealForm; real index -> Form
+    for k in range(1, n + 1):
+        to_real[(Z, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): i})
+        to_real[(ZBAR, k)] = RealForm(n, {(2 * k - 1,): 1, (2 * k,): -i})
+        to_complex[2 * k - 1] = Form(n, {((k,), ()): half, ((), (k,)): half})
+        to_complex[2 * k] = Form(n, {((k,), ()): gaussian(0, -half), ((), (k,)): gaussian(0, half)})
+    return (RealForm.term(n, (), 1), to_real, _factors), (Form.from_scalar(n, 1), to_complex, tuple)
+
+
+def brute_realify(form: Form) -> RealForm:
+    """realify wedged out afresh per term from :func:`real_images`."""
+    unit, images, factors = real_images(form.n)[0]
+    return brute_pull_back(form.terms, factors, unit, lambda c: c, images)
+
+
+def brute_complexify(real: RealForm) -> Form:
+    """complexify wedged out afresh per term from :func:`real_images`."""
+    unit, images, factors = real_images(real.n)[1]
+    return brute_pull_back(real.terms, factors, unit, lambda c: c, images)
+
+
 def brute_oracle_star(psi: Form) -> Form:
     """The oracle star by its three steps, one bidegree at a time: the
     conjugate of each part is realified, starred with the Euclidean star and
     complexified, and the parts are summed.  realify and complexify are
-    wedged out afresh per term (:func:`brute_pull_back` over the images of
-    the oracle's real frames), so neither the oracle's memo of whole keys
-    nor the engine's pull-back loop is used."""
-    to_real, to_complex = _real_frames(psi.n)
-    keep = lambda c: c
+    wedged out afresh per term from their per-differential images
+    (:func:`brute_realify`, :func:`brute_complexify`), so neither the
+    oracle's codec nor its memo nor the engine's pull-back loop is used."""
     total = Form.zero(psi.n)
     for p, q in sorted(psi.bidegrees()):
         part = psi.component(p, q).conjugate()
-        real = brute_pull_back(part.terms, _factors, to_real.unit, keep, to_real.images)
-        total = total + brute_pull_back(real_hodge_star(real).terms, tuple, to_complex.unit, keep, to_complex.images)
+        total = total + brute_complexify(real_hodge_star(brute_realify(part)))
     return total
 
 

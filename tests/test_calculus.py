@@ -36,6 +36,26 @@ def test_d_of_linear_coefficient():
     assert exterior_d(form) == Form.term(n, (1, 2), (), 1)
 
 
+def test_d_differentiates_only_by_the_variables_that_occur(monkeypatch):
+    # z1*zb2*dz1 at n = 40: one z1 partial in the del half and one zb2 partial
+    # in the delbar half, not one call per variable of each kind
+    n = 40
+    c = WirtingerPolynomial.z(n, 1) * WirtingerPolynomial.zb(n, 2) + WirtingerPolynomial.z(n, 1) ** 2
+    form = Form.term(n, (1,), (), c)
+    calls = []
+    derivative = WirtingerPolynomial.derivative
+
+    def counted(self, kind, index):
+        calls.append((kind, index))
+        return derivative(self, kind, index)
+
+    monkeypatch.setattr(WirtingerPolynomial, "derivative", counted)
+    result = exterior_d(form)
+    assert sorted(calls) == [("z", 1), ("zb", 2)]
+    monkeypatch.undo()
+    assert result == Form.term(n, (1,), (2,), -WirtingerPolynomial.z(n, 1))
+
+
 def test_d_kills_holomorphic_block_form():
     n = 4
     rng = random.Random(5)

@@ -19,6 +19,7 @@ from pqforms import (
     realify,
     transform_form,
 )
+from pqforms import realoracle
 from pqforms.forms import _Frame, _term_key, complement, sort_with_sign
 from pqforms.wpoly import Z, ZBAR
 
@@ -257,8 +258,9 @@ def test_public_constructor_rejections(n, terms, message):
 
 def _counting_the_pull_back(monkeypatch):
     """Count the polynomials built and the ``WirtingerPolynomial.scale``
-    calls from the entry of the last ``_Frame.pulled_back`` on, leaving out
-    the wedges that build an image on its first request."""
+    calls from the entry of the last ``_Frame.pulled_back``,
+    ``realoracle.realify`` or ``realoracle.complexify`` on, leaving out the
+    wedges that build an image on its first request."""
     counts = {"built": 0, "scale": 0}
     paused = []
     trusted, init, scale = WirtingerPolynomial._trusted.__func__, WirtingerPolynomial.__init__, WirtingerPolynomial.scale
@@ -280,9 +282,12 @@ def _counting_the_pull_back(monkeypatch):
         count("scale")
         return scale(self, value)
 
-    def entered(self, *args):
-        counts.update(built=0, scale=0)
-        return pulled_back(self, *args)
+    def entering(function):
+        def entered(*args):
+            counts.update(built=0, scale=0)
+            return function(*args)
+
+        return entered
 
     def unmeasured_image(self, key):
         paused.append(key)
@@ -294,7 +299,9 @@ def _counting_the_pull_back(monkeypatch):
     monkeypatch.setattr(WirtingerPolynomial, "_trusted", classmethod(counted_trusted))
     monkeypatch.setattr(WirtingerPolynomial, "__init__", counted_init)
     monkeypatch.setattr(WirtingerPolynomial, "scale", counted_scale)
-    monkeypatch.setattr(_Frame, "pulled_back", entered)
+    monkeypatch.setattr(_Frame, "pulled_back", entering(pulled_back))
+    for name in ("realify", "complexify"):
+        monkeypatch.setattr(realoracle, name, entering(getattr(realoracle, name)))
     monkeypatch.setattr(_Frame, "image", unmeasured_image)
     return counts
 
@@ -310,8 +317,8 @@ def test_pull_back_builds_one_polynomial_per_output_key(monkeypatch):
     metric = random_dense_metric(random.Random(7), n)
     rotation = RealOrthogonalMatrix([["3/5", "4/5", 0], ["-4/5", "3/5", 0], [0, 0, 1]])
     calls = [
-        lambda: realify(psi).terms,
-        lambda: complexify(real).terms,
+        lambda: realoracle.realify(psi).terms,
+        lambda: realoracle.complexify(real).terms,
         lambda: raise_indices(h, metric),
         lambda: transform_form(psi, rotation).terms,
     ]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_oracle_star, brute_pull_back, forms, homogeneous_forms, polys, random_form, recording_trusted
+from helpers import brute_complexify, brute_oracle_star, brute_realify, forms, homogeneous_forms, polys, random_form, recording_trusted
 from pqforms import (
     Form,
     HermitianMetric,
@@ -20,8 +20,8 @@ from pqforms import (
     realify,
     volume_form,
 )
-from pqforms.forms import _factors, _term_key
-from pqforms.realoracle import _real_frames, _star_frame, _validate_real_index
+from pqforms.forms import _term_key
+from pqforms.realoracle import _codec, _star_frame, _validate_real_index
 from pqforms.scalars import GaussianRational
 
 
@@ -71,6 +71,27 @@ def test_realify_and_complexify_make_no_polynomial_product(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert back == psi
+
+
+def test_round_trip_of_an_n8_key_cancels_as_it_goes(monkeypatch):
+    # the (4,4) key dz1^..^dz4^dzb5^..^dzb8 spreads to 2^8 real keys; the
+    # butterfly stages of complexify cost at most 8 * 2^8 additions and
+    # subtractions, against 4^8 products for a change of frame per key
+    n = 8
+    e = Form.term(n, (1, 2, 3, 4), (5, 6, 7, 8), 1)
+    counts = {"add": 0, "mul": 0}
+    for name, kind in (("__add__", "add"), ("__radd__", "add"), ("__sub__", "add"), ("__rsub__", "add"),
+                       ("__mul__", "mul"), ("__rmul__", "mul")):
+        def counted(self, other, _op=getattr(GaussianRational, name), _kind=kind):
+            counts[_kind] += 1
+            return _op(self, other)
+
+        monkeypatch.setattr(GaussianRational, name, counted)
+    back = complexify(realify(e))
+    monkeypatch.undo()
+    assert back == e
+    assert counts["add"] <= 8 * 2 ** 8
+    assert counts["mul"] <= 1  # the image key's constant, once per surviving monomial
 
 
 def test_complexify_dx1():
@@ -265,44 +286,54 @@ def test_real_star_makes_no_scalar_multiply(monkeypatch):
     assert starred == RealForm(2, {(2, 3, 4): c, (1, 3, 4): -c.scale(7)})
 
 
-def _brute_realify(form):
-    frame = _real_frames(form.n)[0]
-    return brute_pull_back(form.terms, _factors, frame.unit, lambda c: c, frame.images)
-
-
-def _brute_complexify(real):
-    frame = _real_frames(real.n)[1]
-    return brute_pull_back(real.terms, tuple, frame.unit, lambda c: c, frame.images)
-
-
 @settings(max_examples=40, deadline=None)
 @given(forms(max_terms=3, max_degree=1))
 def test_real_frames_match_the_unmemoized_pull_back(form):
-    # cold memo on the first call, warm on the second
-    _real_frames.cache_clear()
-    real = _brute_realify(form)
+    # cold codec on the first call, warm on the second
+    _codec.cache_clear()
+    real = brute_realify(form)
     assert realify(form) == real and realify(form) == real
-    back = _brute_complexify(real)
+    back = brute_complexify(real)
     assert complexify(real) == back and complexify(real) == back
     assert back == form
 
 
-def test_real_frames_hold_six_to_the_n_pairs():
+@st.composite
+def real_forms(draw):
+    n = draw(st.integers(1, 3))
+    keys = st.lists(st.integers(1, 2 * n), unique=True).map(lambda k: tuple(sorted(k)))
+    return RealForm(n, draw(st.lists(st.tuples(keys, polys(n=n, max_terms=2)), max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_forms())
+def test_complexify_matches_the_unmemoized_pull_back_on_any_real_form(real):
+    # any keys and supports mixed in one form, with cancelling butterflies
+    _codec.cache_clear()
+    back = brute_complexify(real)
+    assert complexify(real) == back and complexify(real) == back
+    assert realify(back) == real
+
+
+def test_real_codec_keeps_one_entry_per_key():
     # a coordinate's part of a key is one of 1, dz, dzb, dz^dzb, with 1, 2, 2
-    # and 1 real images (dz^dzb = -2i dx^dy): 6 pairs per coordinate
+    # and 1 real images (dz^dzb = -2i dx^dy): 6 row pairs per coordinate.
+    # complexify reads each of the 4^n real keys once and encodes each of the
+    # 4^n (support, dzb mask) pairs once: one per complex key.
     n = 2
-    _real_frames.cache_clear()
-    to_real, to_complex = _real_frames(n)
+    _codec.cache_clear()
+    codec = _codec(n)
     subsets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
-    realify(Form(n, {(I, J): 1 for I in subsets for J in subsets}))
-    complexify(RealForm(n, {K: 1 for k in range(2 * n + 1) for K in combinations(range(1, 2 * n + 1), k)}))
-    for frame in (to_real, to_complex):
-        assert len(frame.memo) == 16
-        assert sum(len(image) for image in frame.memo.values()) == 36
-        # equal image keys and constants are one object each
-        for part in (0, 1):
-            values = [pair[part] for image in frame.memo.values() for pair in image]
-            assert len({id(v) for v in values}) == len(set(values))
+    every_complex = Form(n, {(I, J): 1 for I in subsets for J in subsets})
+    every_real = RealForm(n, {K: 1 for k in range(2 * n + 1) for K in combinations(range(1, 2 * n + 1), k)})
+    for _ in range(2):
+        realify(every_complex)
+        complexify(every_real)
+        assert len(codec.rows) == 16
+        assert sum(len(pairs) for _, pairs in codec.rows.values()) == 36
+        assert len(codec.supports) == 16
+        assert len(codec.keys) == 16
+        assert sorted(key for key, _ in codec.keys.values()) == sorted(every_complex.terms)
 
 
 def test_oracle_star_memo_holds_one_pair_per_unit_key(monkeypatch):
@@ -325,6 +356,32 @@ def test_oracle_star_memo_holds_one_pair_per_unit_key(monkeypatch):
                 # the unmemoized three-step path of e_(I,J), reached through its conjugate
                 assert Form(n, {key: value}) == brute_oracle_star(Form.term(n, I, J, 1).conjugate())
         assert len(frame.memo) == 4 ** n
+        # equal image keys and constants are one object each
+        for part in (0, 1):
+            values = [pair[part] for image in frame.memo.values() for pair in image]
+            assert len({id(v) for v in values}) == len(set(values))
+
+
+def test_oracle_ratio_law_on_every_unit_key_up_to_n5():
+    # 4 + 16 + 64 + 256 + 1,024 = 1,364 unit keys: each oracle image is one
+    # pair, and the engine star is 2^(n-p-q) times it; the recorded table
+    # agrees wherever it has an entry
+    checked = 0
+    for n in range(1, 6):
+        metric = HermitianMetric.identity(n)
+        frame = _star_frame(n)
+        subsets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+        for I in subsets:
+            for J in subsets:
+                p, q = len(I), len(J)
+                assert len(frame.image((I, J))) == 1
+                report = oracle_compare(Form.term(n, I, J, 1), metric)
+                law = gaussian(2) ** (n - p - q)
+                assert report.proportional and report.ratio_for(p, q) == law, (n, I, J)
+                assert ORACLE_STAR_RATIOS.get((n, p, q), law) == law
+                checked += 1
+    assert checked == 1364
+    assert {key[0] for key in ORACLE_STAR_RATIOS} == {1, 2, 3, 4}
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,7 +389,7 @@ def test_oracle_star_memo_holds_one_pair_per_unit_key(monkeypatch):
 def test_oracle_star_matches_the_three_step_path(psi):
     # cold memo on the first call, warm on the second
     _star_frame.cache_clear()
-    _real_frames.cache_clear()
+    _codec.cache_clear()
     cold = oracle_star(psi)
     expected = brute_oracle_star(psi)
     assert cold == expected
