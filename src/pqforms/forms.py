@@ -17,13 +17,13 @@ before the merge; the internal ops build through the trusted
 ``_trusted``, which only merges.  A repeated key's coefficients are summed
 in place into one term map.
 
-Index raising, the oracle star and ``transform_form`` pull forms back
-through a ``_Frame``: a linear map on keys that keeps the image of each
-key, its row of (image key, constant) pairs, once it is built.
-``_Frame.pulled_back`` is the one pull-back loop: it sums the scaled
-monomials in place, one term map per image key.  ``realify`` and
-``complexify`` act on one coordinate at a time instead (see
-:mod:`pqforms.realoracle`).
+Index raising and ``transform_form`` pull forms back through a
+``_Frame``, the change of generators given by its two n x n matrices; the
+oracle star pulls back through its key codec's memo (see
+:mod:`pqforms.realoracle`).  ``_pulled_back`` is the one pull-back loop:
+it reads each key's row of (image key, constant) pairs and sums the
+scaled monomials in place, one term map per image key.  ``realify`` and
+``complexify`` act on one coordinate at a time instead.
 """
 
 from __future__ import annotations
@@ -174,55 +174,62 @@ def _wedge_terms(left: Mapping, right: Mapping, flatten=tuple, unflatten=tuple) 
                 yield unflatten(merged), product if sign > 0 else -product
 
 
+def _row(pairs: Iterable[Tuple[Any, WirtingerPolynomial]], interned: Dict) -> Tuple[Tuple[Any, GaussianRational], ...]:
+    """A row of (key, constant) pairs, with equal keys and constants interned through ``interned``."""
+    one = lambda value: interned.setdefault(value, value)
+    return tuple((one(key), one(c.constant_value())) for key, c in pairs)
+
+
+def _pulled_back(n: int, terms: Mapping, image: Callable, read=attrgetter("terms")) -> Dict[Any, WirtingerPolynomial]:
+    """The one pull-back loop: the term map of a form's image under a linear
+    map on keys.  Each monomial of a coefficient (its term map by ``read``)
+    times each constant of its key's row (``image(key)``) is added in place
+    into that image key's term map; each map that does not cancel becomes
+    one polynomial at the end."""
+    sums: Dict[Any, dict] = {}
+    for key, coeff in terms.items():
+        monomials = read(coeff).items()
+        for image_key, scalar in image(key):
+            out = sums.setdefault(image_key, {})
+            for exponents, c in monomials:
+                prev = out.get(exponents)
+                out[exponents] = c * scalar if prev is None else prev + c * scalar
+    return {key: WirtingerPolynomial._trusted(n, out) for key, out in sums.items() if any(out.values())}
+
+
 class _Frame:
-    """A linear change of frame, with the image of each key kept once built.
+    """The change of generators given by two n x n matrices: dz_k goes to
+    sum_a dz[k][a] dz_a and dzb_k to sum_b dzb[k][b] dzb_b.
 
-    The image of a key is a form with constant coefficients, built by
-    ``build`` on the first request and kept in ``memo`` as a tuple of
-    (image key, constant) pairs: its row of the frame's matrix.  By
-    default a basis form e_f1 ^ e_f2 ^ ..., with f1, f2, ... the
-    ``factors`` of its key, goes to unit ^ images[f1] ^ images[f2] ^ ...,
-    so the row is one of the compound matrix (Cauchy-Binet).  Equal keys
-    and constants of all images are interned to one object each.
-    """
+    The 2n generator images are built once, from the nonzero entries.  The
+    image of a key (I, J) is the product of the images of its halves I and
+    J, with no sign.  The image of a half, the wedge of its generators'
+    images (a row of the compound matrix, Cauchy-Binet), is kept in
+    ``halves`` as (indices, constant) pairs once built."""
 
-    __slots__ = ("unit", "images", "factors", "build", "memo", "_interned")
+    __slots__ = ("unit", "generators", "halves", "interned")
 
-    def __init__(self, unit, images: Mapping = None, factors: Callable[[Any], Iterable[Hashable]] = None, build=None):
-        self.unit = unit
-        self.images = images
-        self.factors = factors
-        self.build = build or self._wedged
-        self.memo: Dict[Any, Tuple[Tuple[Any, GaussianRational], ...]] = {}
-        self._interned: Dict[Any, Any] = {}
+    def __init__(self, n: int, dz: Sequence[Sequence[Any]], dzb: Sequence[Sequence[Any]]):
+        self.unit = Form.from_scalar(n, 1)
+        self.generators = (
+            [Form(n, {((a,), ()): c for a, c in enumerate(row, 1) if c}) for row in dz],
+            [Form(n, {((), (b,)): c for b, c in enumerate(row, 1) if c}) for row in dzb],
+        )
+        self.halves: Tuple[dict, dict] = ({}, {})  # dz-half I or dzb-half J -> its row
+        self.interned: Dict[Any, Any] = {}
 
-    def _wedged(self, key):
-        return reduce(lambda piece, factor: piece.wedge(self.images[factor]), self.factors(key), self.unit)
+    def _half(self, side: int, indices: MultiIndex) -> Tuple[Tuple[MultiIndex, GaussianRational], ...]:
+        row = self.halves[side].get(indices)
+        if row is None:
+            images = self.generators[side]
+            wedged = reduce(lambda piece, k: piece.wedge(images[k - 1]), indices, self.unit)
+            row = self.halves[side][indices] = _row(((key[side], c) for key, c in wedged.terms.items()), self.interned)
+        return row
 
-    def image(self, key) -> Tuple[Tuple[Any, GaussianRational], ...]:
-        pairs = self.memo.get(key)
-        if pairs is None:
-            one = lambda value: self._interned.setdefault(value, value)
-            pairs = self.memo[key] = tuple((one(k), one(c.constant_value())) for k, c in self.build(key).terms.items())
-        return pairs
-
-    def pulled_back(self, terms: Mapping, image=None, read=attrgetter("terms")) -> Dict[Any, WirtingerPolynomial]:
-        """The one pull-back loop: the term map of the image of a form.
-
-        Each monomial of a coefficient (its term map by ``read``) times each
-        constant of its key's row (``image``, the memo by default) is added
-        in place into that image key's term map; each map that does not
-        cancel becomes one polynomial at the end."""
-        image = image or self.image
-        sums: Dict[Any, dict] = {}
-        for key, coeff in terms.items():
-            monomials = read(coeff).items()
-            for image_key, scalar in image(key):
-                out = sums.setdefault(image_key, {})
-                for exponents, c in monomials:
-                    prev = out.get(exponents)
-                    out[exponents] = c * scalar if prev is None else prev + c * scalar
-        return {key: WirtingerPolynomial._trusted(self.unit.n, out) for key, out in sums.items() if any(out.values())}
+    def image(self, key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
+        """The row of a key: (image key, constant) pairs."""
+        right = self._half(1, key[1])
+        return [((A, B), a * b) for A, a in self._half(0, key[0]) for B, b in right]
 
 
 class _TermStore:

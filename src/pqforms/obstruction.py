@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
-from .forms import Form, MultiIndex, _factors, _Frame
+from .forms import Form, MultiIndex, _Frame, _pulled_back
 from .scalars import GaussianRational, parse_scalar
 from .wpoly import WirtingerPolynomial, Z, ZBAR
 
@@ -214,23 +214,21 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
 
     Differentials and variables transform with the same real entries:
     dz^j becomes sum_m a[j][m] dz^m, and z^j becomes sum_m a[j][m] z^m,
-    likewise for the barred copies.  The result is an ordinary form read
-    in the primed frame.
+    likewise for the barred copies: the differentials go through the change
+    of generators ``forms._Frame(n, a, a)``.  The result is an ordinary form
+    read in the primed frame.
     """
     n = form.n
     if matrix.n != n:
         raise ValueError(f"matrix dimension {matrix.n} != form dimension {n}")
-    images = {}  # (kind, j) of dz^j or dzb^j -> its image
     substitution = {}
     for j, row in enumerate(matrix.entries, start=1):
-        images[(Z, j)] = Form(n, {((m,), ()): a for m, a in enumerate(row, start=1)})
-        images[(ZBAR, j)] = Form(n, {((), (m,)): a for m, a in enumerate(row, start=1)})
         for kind in (Z, ZBAR):
             variables = (WirtingerPolynomial.variable(n, kind, m).scale(a) for m, a in enumerate(row, start=1))
             substitution[(kind, j)] = WirtingerPolynomial._sum(n, variables)
-    frame = _Frame(Form.from_scalar(n, 1), images, _factors)
     substituted = {key: coeff.substitute(substitution) for key, coeff in form.terms.items()}
-    return Form._trusted(n, frame.pulled_back(substituted).items())
+    frame = _Frame(n, matrix.entries, matrix.entries)
+    return Form._trusted(n, _pulled_back(n, substituted, frame.image).items())
 
 
 def _restricted_to(poly: WirtingerPolynomial, allowed: Iterable[int]) -> Tuple[bool, str]:

@@ -15,8 +15,8 @@ each coefficient function unchanged.  So the oracle pulls back only the
 differentials, and the coefficients of a :class:`RealForm` stay the same
 Wirtinger polynomials in z and zb as those of the complex form.  The whole
 oracle star is then a linear map on complex keys with constant images:
-the image of each key is built once per n by realify, the Euclidean star
-and complexify on the unit form, and kept.
+the key codec of dimension n builds the image of each key once, by realify,
+the Euclidean star and complexify on the unit form, and keeps it.
 
 realify and complexify act on each coordinate alone, so they factor into
 one 2x2 map per coordinate (the Kronecker-factored transform).  A key
@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .forms import Form, TermKey, _Frame, _TermStore, _validate_multi_index, _wedge_terms, complement, sort_with_sign
+from .forms import Form, TermKey, _TermStore, _pulled_back, _row, _validate_multi_index, _wedge_terms, complement, sort_with_sign
 from .metric import HermitianMetric
 from .scalars import GaussianRational, _quarter_turned, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
@@ -152,17 +152,20 @@ class _Codec:
     and dx_k ^ dy_k to (i/2) dz_k ^ dzb_k.  Written with dz_k next to dzb_k,
     like the real keys, the maps keep every slot in place and need no sign;
     one sign per complex key takes that order to (I, J).  The reading of a
-    key and the image of a (support, mask) pair depend only on the key, so
-    each is built once and kept.
+    key, the image of a (support, mask) pair and the oracle star's row of a
+    complex key (``star``) depend only on the key, so each is built once
+    and kept.
     """
 
-    __slots__ = ("n", "rows", "supports", "keys")
+    __slots__ = ("n", "rows", "supports", "keys", "stars", "interned")
 
     def __init__(self, n: int):
         self.n = n
         self.rows: Dict[TermKey, Tuple[Optional[GaussianRational], Tuple[Tuple[RealIndex, int], ...]]] = {}
         self.supports: Dict[RealIndex, Tuple[Support, int, int]] = {}
         self.keys: Dict[Tuple[Support, int], Tuple[TermKey, GaussianRational]] = {}
+        self.stars: Dict[TermKey, Tuple[Tuple[TermKey, GaussianRational], ...]] = {}
+        self.interned: Dict[object, object] = {}
 
     def _sign(self, key: TermKey) -> int:
         """The sign taking a complex key from dz_k next to dzb_k to (I, J)."""
@@ -222,6 +225,16 @@ class _Codec:
             found = self.keys[(support, zb)] = ((I, J), _quarter_turned(scale, len(both)))
         return found
 
+    def star(self, key: TermKey) -> Tuple[Tuple[TermKey, GaussianRational], ...]:
+        """The oracle star's row of a complex key, the (key, constant) pairs of
+        complexify(real_hodge_star(realify(e_K))), built by these three steps
+        alone on the first request and kept, interned like a frame's rows."""
+        row = self.stars.get(key)
+        if row is None:
+            image = complexify(real_hodge_star(realify(Form(self.n, {key: 1}))))
+            row = self.stars[key] = _row(image.terms.items(), self.interned)
+        return row
+
 
 @lru_cache(maxsize=16)
 def _codec(n: int) -> _Codec:
@@ -260,13 +273,11 @@ def _plus(u: dict, v: dict, negate: bool) -> Optional[dict]:
     """The term map u + v, or u - v when ``negate``; None when it cancels."""
     out = dict(u)
     for exponents, c in v.items():
-        if negate:
-            c = -c
         prev = out.get(exponents)
         if prev is None:
-            out[exponents] = c
+            out[exponents] = -c if negate else c
         else:
-            total = prev + c
+            total = prev - c if negate else prev + c
             if total:
                 out[exponents] = total
             else:
@@ -334,24 +345,15 @@ def real_hodge_star(real: RealForm) -> RealForm:
     return RealForm._trusted(real.n, pairs)
 
 
-@lru_cache(maxsize=16)
-def _star_frame(n: int) -> _Frame:
-    """The oracle star in dimension n as one frame (``forms._Frame``): the
-    Euclidean star moves only the differentials, so the image of a complex
-    key K is complexify(real_hodge_star(realify(e_K))) on the unit form,
-    built on the first request by these three steps alone and kept."""
-    return _Frame(Form.from_scalar(n, 1), build=lambda key: complexify(real_hodge_star(realify(Form(n, {key: 1})))))
-
-
 def oracle_star(psi: Form) -> Form:
     """The oracle path: conjugate, realify, Euclidean star, map back.
 
     The engine star is antilinear while the Euclidean star is linear, so
     conjugating first lines up both the bidegree and the coefficient
     conjugation of the two paths.  The three steps act on keys only, so
-    the conjugate is pulled back through their memoized composite.
+    the conjugate is pulled back through their memoized rows (``_Codec.star``).
     """
-    return Form._trusted(psi.n, _star_frame(psi.n).pulled_back(psi.conjugate().terms).items())
+    return Form._trusted(psi.n, _pulled_back(psi.n, psi.conjugate().terms, _codec(psi.n).star).items())
 
 
 class BidegreeComparison(NamedTuple):

@@ -53,12 +53,7 @@ class GaussianRational:
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
-        d, f = self._d, other._d
-        if d == f:
-            return _reduced(self._a + other._a, self._b + other._b, d)
-        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
+        return _signed_sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -66,10 +61,10 @@ class GaussianRational:
         return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        return self + (-GaussianRational.coerce(other))
+        return _signed_sum(self, other, -1)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.coerce(other) + (-self)
+        return _signed_sum(GaussianRational.coerce(other), self, -1)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         if type(other) is not GaussianRational:
@@ -157,6 +152,16 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
         b //= g
         d //= g
     return _triple(a, b, d)
+
+
+def _signed_sum(x: GaussianRational, y: ScalarLike, sign: int) -> GaussianRational:
+    """x + sign * y on the triples, with sign 1 or -1."""
+    if type(y) is not GaussianRational:
+        y = GaussianRational.coerce(y)
+    d, f = x._d, y._d
+    if d == f:
+        return _reduced(x._a + sign * y._a, x._b + sign * y._b, d)
+    return _reduced(x._a * f + sign * y._a * d, x._b * f + sign * y._b * d, d * f)
 
 
 def _quarter_turned(value: GaussianRational, turns: int) -> GaussianRational:

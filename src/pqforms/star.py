@@ -32,10 +32,10 @@ from itertools import chain
 from typing import Dict, NamedTuple, Tuple
 
 from .choices import CONVENTIONS, DEFAULT_CONVENTION, LITERAL_CONVENTION, StarConvention  # noqa: F401  (re-exported)
-from .forms import Form, MultiIndex, _factors, _Frame, complement
+from .forms import Form, MultiIndex, _Frame, _pulled_back, complement
 from .metric import HermitianMetric, volume_form
 from .scalars import GaussianRational, I_UNIT, MINUS_ONE, ONE
-from .wpoly import Z, ZBAR, WirtingerPolynomial
+from .wpoly import WirtingerPolynomial
 
 
 def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial]:
@@ -47,12 +47,10 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     over strictly increasing (A, B), where ginv[r][c] is the inverse-metric
     entry with barred row r and unbarred column c (1-based).  The minors
     are the exterior power of ginv (Cauchy-Binet), so the table is a
-    pull-back: dz^l goes to sum_a ginv[l][a] dz^a, dzb^m to sum_b ginv[b][m] dzb^b.
-    Raising keeps the dz and dzb types apart, so the image of (L, M) is
-    the product of the images of its dz-half (L, ()) and its dzb-half
-    ((), M), with no sign.  The metric's ``_raising`` slot holds the frame
-    (``forms._Frame``), built on the first raise, which keeps the image of
-    each half once it is built; its pull-back reads each coefficient
+    pull-back through the change of generators ``forms._Frame`` of ginv and
+    its transpose: dz^l goes to sum_a ginv[l][a] dz^a, dzb^m to
+    sum_b ginv[b][m] dzb^b.  The metric's ``_raising`` slot keeps that frame
+    from the first raise on; the pull-back reads each coefficient
     conjugated and sums the table in place.
 
     With the identity metric this collapses to coefficient-wise
@@ -68,18 +66,8 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
         raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
     frame = metric._raising
     if frame is None:
-        ginv = metric.inverse
-        images = {}  # (kind, k) of dz^k or dzb^k -> its image under ginv
-        for k in range(1, n + 1):
-            images[(Z, k)] = Form(n, {((a,), ()): c for a, c in enumerate(ginv[k - 1], 1) if c})
-            images[(ZBAR, k)] = Form(n, {((), (b,)): row[k - 1] for b, row in enumerate(ginv, 1) if row[k - 1]})
-        frame = metric._raising = _Frame(Form.from_scalar(n, 1), images, _factors)
-
-    def image(key):
-        right = frame.image(((), key[1]))
-        return [((A, B), a * b) for (A, _), a in frame.image((key[0], ())) for (_, B), b in right]
-
-    return frame.pulled_back(psi.terms, image, WirtingerPolynomial._conjugate_terms)
+        frame = metric._raising = _Frame(n, metric.inverse, list(zip(*metric.inverse)))
+    return _pulled_back(n, psi.terms, frame.image, WirtingerPolynomial._conjugate_terms)
 
 
 def _contracted(phi: Form, raised, n: int) -> WirtingerPolynomial:

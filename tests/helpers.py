@@ -87,6 +87,19 @@ def brute_pull_back(terms, factors, unit, coefficient, images):
     return type(unit)(unit.n, pairs)
 
 
+def matrix_images(n: int, dz, dzb):
+    """The generator images of the change of generators with matrices dz
+    and dzb, written out from their entries: dz_k goes to
+    sum_a dz[k][a] dz_a and dzb_k to sum_b dzb[k][b] dzb_b.  Returns the
+    unit form and the images keyed by (kind, k), for
+    :func:`brute_pull_back` with ``_factors``."""
+    images = {}
+    for k in range(1, n + 1):
+        images[(Z, k)] = Form(n, {((a,), ()): c for a, c in enumerate(dz[k - 1], 1)})
+        images[(ZBAR, k)] = Form(n, {((), (b,)): c for b, c in enumerate(dzb[k - 1], 1)})
+    return Form.from_scalar(n, 1), images
+
+
 def real_images(n: int):
     """The change of frame of realify and of complexify, one image per
     differential: dz_k = dx_k + i dy_k and dzb_k = dx_k - i dy_k, and

@@ -1,11 +1,12 @@
 import random
+from importlib import import_module
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_parity, forms, homogeneous_forms, polys, random_dense_metric, random_form, recording_trusted
+from helpers import brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, polys, random_dense_metric, random_form, recording_trusted, scalars
 from pqforms import (
     Form,
     RealForm,
@@ -14,13 +15,15 @@ from pqforms import (
     exterior_d,
     gaussian,
     hodge_star,
+    oracle_star,
     raise_indices,
     complexify,
     realify,
     transform_form,
 )
 from pqforms import realoracle
-from pqforms.forms import _Frame, _term_key, complement, sort_with_sign
+from pqforms.forms import _factors, _Frame, _pulled_back, _term_key, complement, sort_with_sign
+from pqforms.realoracle import _Codec
 from pqforms.wpoly import Z, ZBAR
 
 
@@ -258,13 +261,13 @@ def test_public_constructor_rejections(n, terms, message):
 
 def _counting_the_pull_back(monkeypatch):
     """Count the polynomials built and the ``WirtingerPolynomial.scale``
-    calls from the entry of the last ``_Frame.pulled_back``,
-    ``realoracle.realify`` or ``realoracle.complexify`` on, leaving out the
-    wedges that build an image on its first request."""
+    calls from the entry of the last pull-back loop (``forms._pulled_back``,
+    patched where each caller imports it), ``realoracle.realify`` or
+    ``realoracle.complexify`` on, leaving out the work that builds a row on
+    its first request (``_Frame.image``, ``_Codec.star``)."""
     counts = {"built": 0, "scale": 0}
     paused = []
     trusted, init, scale = WirtingerPolynomial._trusted.__func__, WirtingerPolynomial.__init__, WirtingerPolynomial.scale
-    pulled_back, image = _Frame.pulled_back, _Frame.image
 
     def count(name):
         if not paused:
@@ -289,20 +292,25 @@ def _counting_the_pull_back(monkeypatch):
 
         return entered
 
-    def unmeasured_image(self, key):
-        paused.append(key)
-        try:
-            return image(self, key)
-        finally:
-            paused.pop()
+    def unmeasured(row):
+        def rowed(self, key):
+            paused.append(key)
+            try:
+                return row(self, key)
+            finally:
+                paused.pop()
+
+        return rowed
 
     monkeypatch.setattr(WirtingerPolynomial, "_trusted", classmethod(counted_trusted))
     monkeypatch.setattr(WirtingerPolynomial, "__init__", counted_init)
     monkeypatch.setattr(WirtingerPolynomial, "scale", counted_scale)
-    monkeypatch.setattr(_Frame, "pulled_back", entering(pulled_back))
+    for name in ("star", "obstruction", "realoracle"):
+        monkeypatch.setattr(import_module(f"pqforms.{name}"), "_pulled_back", entering(_pulled_back))
     for name in ("realify", "complexify"):
         monkeypatch.setattr(realoracle, name, entering(getattr(realoracle, name)))
-    monkeypatch.setattr(_Frame, "image", unmeasured_image)
+    monkeypatch.setattr(_Frame, "image", unmeasured(_Frame.image))
+    monkeypatch.setattr(_Codec, "star", unmeasured(_Codec.star))
     return counts
 
 
@@ -321,6 +329,7 @@ def test_pull_back_builds_one_polynomial_per_output_key(monkeypatch):
         lambda: realoracle.complexify(real).terms,
         lambda: raise_indices(h, metric),
         lambda: transform_form(psi, rotation).terms,
+        lambda: oracle_star(psi).terms,
     ]
     expected = [call() for call in calls]
     counts = _counting_the_pull_back(monkeypatch)
@@ -335,3 +344,28 @@ def test_complexify_cancels_in_place():
     back = complexify(RealForm(1, {(1,): z1, (2,): z1.scale(gaussian(0, 1))}))
     assert back == Form.term(1, (1,), (), z1)
     assert list(back.terms) == [((1,), ())] and all(coeff.terms for coeff in back.terms.values())
+
+
+@st.composite
+def frame_matrices(draw, n: int):
+    """An n x n matrix over Q(i) with many zero entries; now and then its
+    last row repeats its first, so singular matrices are drawn too."""
+    entry = st.one_of(st.just(gaussian(0)), scalars())
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_frame_matches_the_unmemoized_pull_back(data):
+    # cold halves on the first pull-back, warm on the second
+    form = data.draw(forms(max_terms=4, max_degree=1))
+    n = form.n
+    dz, dzb = data.draw(frame_matrices(n)), data.draw(frame_matrices(n))
+    unit, images = matrix_images(n, dz, dzb)
+    expected = brute_pull_back(form.terms, _factors, unit, lambda c: c, images).terms
+    frame = _Frame(n, dz, dzb)
+    assert _pulled_back(n, form.terms, frame.image) == expected
+    assert _pulled_back(n, form.terms, frame.image) == expected

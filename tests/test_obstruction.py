@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_form
+from helpers import brute_pull_back, forms, matrix_images, random_form
 from pqforms import (
     Direction,
     Form,
@@ -23,7 +25,9 @@ from pqforms import (
     pr_plus,
     transform_form,
 )
+from pqforms.forms import _factors
 from pqforms.scenarios import scenario_transforms
+from pqforms.wpoly import Z, ZBAR
 
 
 def e(n, j):
@@ -165,6 +169,43 @@ def test_transform_substitutes_variables():
     form = Form.from_scalar(n, WirtingerPolynomial.z(n, 1))
     assert transform_form(form, matrix) == Form.from_scalar(n, WirtingerPolynomial.z(n, 2))
 
+
+
+@st.composite
+def orthogonal_matrices(draw, n: int):
+    """A product of one to three exact rotations, permutations and sign flips."""
+    matrix = RealOrthogonalMatrix.identity(n)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("rotation", "permutation", "sign_flip") if n > 1 else ("sign_flip",)))
+        if kind == "rotation":
+            a, b = draw(st.permutations(range(1, n + 1)))[:2]
+            cos, sin = draw(st.sampled_from((("3/5", "4/5"), ("5/13", "12/13"))))
+            factor = RealOrthogonalMatrix.rotation(n, a, b, cos, sin)
+        elif kind == "permutation":
+            factor = RealOrthogonalMatrix.permutation(draw(st.permutations(range(1, n + 1))))
+        else:
+            factor = RealOrthogonalMatrix.sign_flip(n, draw(st.sets(st.integers(1, n))))
+        matrix = matrix.compose(factor)
+    return matrix
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_transform_form_matches_the_unmemoized_pull_back(data):
+    # z^j and zb^j go to sum_m a[j][m] z^m and sum_m a[j][m] zb^m in the
+    # coefficients, dz^j and dzb^j to the same sums of differentials
+    form = data.draw(forms(max_terms=3, max_degree=2))
+    n = form.n
+    matrix = data.draw(orthogonal_matrices(n))
+    a = matrix.entries
+    substitution = {
+        (kind, j): sum((WirtingerPolynomial.variable(n, kind, m).scale(a[j - 1][m - 1]) for m in range(1, n + 1)), WirtingerPolynomial.zero(n))
+        for kind in (Z, ZBAR)
+        for j in range(1, n + 1)
+    }
+    substituted = {key: coeff.substitute(substitution) for key, coeff in form.terms.items()}
+    unit, images = matrix_images(n, a, a)
+    assert transform_form(form, matrix) == brute_pull_back(substituted, _factors, unit, lambda c: c, images)
 
 def test_non_orthogonal_matrix_rejected():
     with pytest.raises(ValueError):

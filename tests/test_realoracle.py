@@ -20,8 +20,9 @@ from pqforms import (
     realify,
     volume_form,
 )
+from pqforms import realoracle
 from pqforms.forms import _term_key
-from pqforms.realoracle import _codec, _star_frame, _validate_real_index
+from pqforms.realoracle import _codec, _validate_real_index
 from pqforms.scalars import GaussianRational
 
 
@@ -288,7 +289,7 @@ def test_real_star_makes_no_scalar_multiply(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(forms(max_terms=3, max_degree=1))
-def test_real_frames_match_the_unmemoized_pull_back(form):
+def test_real_codec_matches_the_unmemoized_pull_back(form):
     # cold codec on the first call, warm on the second
     _codec.cache_clear()
     real = brute_realify(form)
@@ -344,22 +345,40 @@ def test_oracle_star_memo_holds_one_pair_per_unit_key(monkeypatch):
 
     for name in ("pqforms.star.hodge_star", "pqforms.star.raise_indices", "pqforms.realoracle.hodge_star"):
         monkeypatch.setattr(name, refuse)
-    _star_frame.cache_clear()
+    _codec.cache_clear()
     for n in (1, 2, 3):
-        frame = _star_frame(n)
+        codec = _codec(n)
         subsets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
         for I in subsets:
             for J in subsets:
-                pairs = frame.image((I, J))
+                pairs = codec.star((I, J))
                 assert len(pairs) == 1
                 (key, value), = pairs
                 # the unmemoized three-step path of e_(I,J), reached through its conjugate
                 assert Form(n, {key: value}) == brute_oracle_star(Form.term(n, I, J, 1).conjugate())
-        assert len(frame.memo) == 4 ** n
+        assert len(codec.stars) == 4 ** n
         # equal image keys and constants are one object each
         for part in (0, 1):
-            values = [pair[part] for image in frame.memo.values() for pair in image]
+            values = [pair[part] for image in codec.stars.values() for pair in image]
             assert len({id(v) for v in values}) == len(set(values))
+
+
+def test_a_warm_oracle_star_runs_none_of_its_three_steps(monkeypatch):
+    # the codec keeps each key's oracle image: once every key of psi has
+    # been starred, the three steps are never called again
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle star memo was missed")
+
+    n = 3
+    c = WirtingerPolynomial.z(n, 1) * WirtingerPolynomial.zb(n, 3) + WirtingerPolynomial.constant(n, gaussian(1, 2))
+    psi = Form(n, {((1,), (2,)): c, ((1, 3), ()): c.scale(5), ((), (1, 2, 3)): c, ((2,), (2,)): 1})
+    _codec.cache_clear()
+    expected = oracle_star(psi)
+    assert expected == brute_oracle_star(psi)
+    for name in ("realify", "real_hodge_star", "complexify"):
+        monkeypatch.setattr(realoracle, name, refuse)
+    assert oracle_star(psi) == expected
+    assert oracle_star(psi.scale(gaussian(0, 1))) == expected.scale(gaussian(0, -1))
 
 
 def test_oracle_ratio_law_on_every_unit_key_up_to_n5():
@@ -369,12 +388,12 @@ def test_oracle_ratio_law_on_every_unit_key_up_to_n5():
     checked = 0
     for n in range(1, 6):
         metric = HermitianMetric.identity(n)
-        frame = _star_frame(n)
+        codec = _codec(n)
         subsets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
         for I in subsets:
             for J in subsets:
                 p, q = len(I), len(J)
-                assert len(frame.image((I, J))) == 1
+                assert len(codec.star((I, J))) == 1
                 report = oracle_compare(Form.term(n, I, J, 1), metric)
                 law = gaussian(2) ** (n - p - q)
                 assert report.proportional and report.ratio_for(p, q) == law, (n, I, J)
@@ -388,7 +407,6 @@ def test_oracle_ratio_law_on_every_unit_key_up_to_n5():
 @given(forms(max_terms=4, max_degree=2))
 def test_oracle_star_matches_the_three_step_path(psi):
     # cold memo on the first call, warm on the second
-    _star_frame.cache_clear()
     _codec.cache_clear()
     cold = oracle_star(psi)
     expected = brute_oracle_star(psi)

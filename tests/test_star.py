@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqforms.star
-from helpers import brute_pull_back, brute_raise, forms, homogeneous_forms, random_dense_metric, random_form
+from helpers import brute_pull_back, brute_raise, forms, homogeneous_forms, matrix_images, random_dense_metric, random_form
 from pqforms import (
     DEFAULT_CONVENTION,
     Form,
@@ -318,12 +318,14 @@ def test_raise_indices_matches_the_unmemoized_pull_back(psi, seed):
     metric = random_dense_metric(random.Random(seed), psi.n)
     parts = [psi.component(p, q) for p, q in sorted(psi.bidegrees())]
     first = [raise_indices(part, metric) for part in parts]
-    frame = metric._raising
-    if frame is None:  # only the zero form never builds the frame
+    if metric._raising is None:  # only the zero form never builds the frame
         assert psi.is_zero()
         return
+    # dz^l goes to sum_a ginv[l][a] dz^a and dzb^m to sum_b ginv[b][m] dzb^b
+    n, ginv = psi.n, metric.inverse
+    unit, images = matrix_images(n, ginv, [[ginv[b][m] for b in range(n)] for m in range(n)])
     conjugate = WirtingerPolynomial.conjugate
-    expected = [brute_pull_back(part.terms, _factors, frame.unit, conjugate, frame.images).terms for part in parts]
+    expected = [brute_pull_back(part.terms, _factors, unit, conjugate, images).terms for part in parts]
     assert first == expected
     assert [raise_indices(part, metric) for part in parts] == expected
 
@@ -335,11 +337,12 @@ def test_repeated_raises_do_not_grow_the_memo():
     for psi in psis:
         raise_indices(psi, metric)
     frame = metric._raising
-    memo, interned = dict(frame.memo), dict(frame._interned)
+    halves, interned = [dict(memo) for memo in frame.halves], dict(frame.interned)
     # the halves of a key are kept, never the whole key
-    assert all(not I or not J for I, J in memo)
+    assert set(halves[0]) == {I for psi in psis for I, _ in psi.terms}
+    assert set(halves[1]) == {J for psi in psis for _, J in psi.terms}
     for _ in range(3):
         for psi in psis:
             raise_indices(psi, metric)
-    assert frame.memo == memo and frame._interned == interned
-    assert all(frame.memo[key] is memo[key] for key in memo)
+    assert list(frame.halves) == halves and frame.interned == interned
+    assert all(frame.halves[side][key] is halves[side][key] for side in (0, 1) for key in halves[side])
