@@ -64,11 +64,13 @@ def sort_with_sign(values: Sequence[int]) -> Tuple[MultiIndex, int]:
 
 
 def complement(indices: MultiIndex, n: int) -> Tuple[MultiIndex, int]:
-    """The increasing complement K^c of an index set K inside 1..n, and the
-    sign of the permutation sorting K followed by K^c."""
+    """The increasing complement K^c of a strictly increasing K inside 1..n,
+    and the sign of the permutation sorting K followed by K^c: the j-th
+    index of K passes the K_j - j indices of K^c below it."""
     present = set(indices)
     rest = tuple(k for k in range(1, n + 1) if k not in present)
-    return rest, sort_with_sign(indices + rest)[1]
+    k = len(indices)
+    return rest, -1 if (sum(indices) - k * (k + 1) // 2) % 2 else 1
 
 
 def _validate_multi_index(indices: MultiIndex, n: int, label: str) -> MultiIndex:

@@ -15,17 +15,18 @@ each coefficient function unchanged.  So the oracle pulls back only the
 differentials, and the coefficients of a :class:`RealForm` stay the same
 Wirtinger polynomials in z and zb as those of the complex form.  The whole
 oracle star is then a linear map on complex keys with constant images:
-the key codec of dimension n builds the image of each key once, by realify,
-the Euclidean star and complexify on the unit form, and keeps it.
+the key codec of dimension n builds the image of conj(e_K) once for each
+key K, by realify, the Euclidean star and complexify on the unit form, and
+keeps it.
 
 realify and complexify act on each coordinate alone, so they factor into
-one 2x2 map per coordinate (the Kronecker-factored transform).  A key
-codec kept per n reads a key as its support and builds each row or image
-key once.  realify fans a complex key out through its row; complexify runs
-one butterfly stage per coordinate that carries one differential and drops
-the term maps that cancel after each stage, so a key with s such
-coordinates costs O(s 2^s) additions, not the 4^s products of a change of
-frame per real key.
+one 2x2 map per coordinate (the Kronecker-factored transform).  Both are
+one private transform, ``_transform``: a key codec kept per n reads each
+key as its support and a mask, and on the masks of one support either map
+is a factor per input key, one butterfly stage per coordinate that carries
+one differential, and a factor per output key.  The term maps that cancel
+are dropped after each stage, so a key with s such coordinates costs
+O(s 2^s) additions, not the 4^s products of a change of frame per real key.
 
 :class:`RealForm` is the second subclass of the term store of
 :mod:`pqforms.forms`: its keys are strictly increasing tuples over 1..2n,
@@ -40,14 +41,14 @@ forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .forms import Form, TermKey, _TermStore, _pulled_back, _row, _validate_multi_index, _wedge_terms, complement, sort_with_sign
+from .forms import Form, TermKey, _TermStore, _pulled_back, _row, _validate_multi_index, _wedge_terms, complement
 from .metric import HermitianMetric
 from .scalars import GaussianRational, _quarter_turned, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
-from .wpoly import WirtingerPolynomial, _add_into
+from .wpoly import WirtingerPolynomial
 
 RealIndex = Tuple[int, ...]
 Support = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (S, D): coordinates with one and with two differentials
@@ -142,96 +143,84 @@ class RealForm(_TermStore):
         return self._trusted(self.n, _wedge_terms(self.terms, self._same_space(other).terms))
 
 
+_COMPLEX, _REAL = 0, 1  # the two sides of the codec: realify reads _COMPLEX keys, complexify _REAL keys
+
+
 class _Codec:
     """The per-coordinate key codec of realify and complexify in dimension n.
 
-    Both maps act on each coordinate alone.  So a key is read as its
-    support: the coordinates S that carry one differential and those D that
-    carry two, with a bit mask over S of the coordinates that carry dy, or
-    dzb.  Coordinate k maps dx_k, dy_k to (dz_k + dzb_k)/2, (i/2)(dzb_k - dz_k)
-    and dx_k ^ dy_k to (i/2) dz_k ^ dzb_k.  Written with dz_k next to dzb_k,
-    like the real keys, the maps keep every slot in place and need no sign;
-    one sign per complex key takes that order to (I, J).  The reading of a
-    key, the image of a (support, mask) pair and the oracle star's row of a
-    complex key (``star``) depend only on the key, so each is built once
-    and kept.
+    A key of either side is written in slots 2k - 1 (dx_k, or dz_k) and 2k
+    (dy_k, or dzb_k) and read as its support: the coordinates S that carry
+    one differential and those D that carry two, with a bit mask over S of
+    the coordinates in slot 2k.  One sign per complex key (``_sign``) takes
+    the slot order to (I, J).  The reading of a key (``read``), the key and
+    factor of a (support, mask) pair (``image``) and the oracle star's row
+    of a complex key (``star``) depend only on the key, so each is built
+    once and kept.
     """
 
-    __slots__ = ("n", "rows", "supports", "keys", "stars", "interned")
+    __slots__ = ("n", "readings", "images", "stars", "interned")
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: Dict[TermKey, Tuple[Optional[GaussianRational], Tuple[Tuple[RealIndex, int], ...]]] = {}
-        self.supports: Dict[RealIndex, Tuple[Support, int, int]] = {}
-        self.keys: Dict[Tuple[Support, int], Tuple[TermKey, GaussianRational]] = {}
+        # per side (_COMPLEX, _REAL): key -> (support, mask, factor), (support, mask) -> (key, factor)
+        self.readings: Tuple[dict, dict] = ({}, {})
+        self.images: Tuple[dict, dict] = ({}, {})
         self.stars: Dict[TermKey, Tuple[Tuple[TermKey, GaussianRational], ...]] = {}
         self.interned: Dict[object, object] = {}
 
-    def _sign(self, key: TermKey) -> int:
-        """The sign taking a complex key from dz_k next to dzb_k to (I, J)."""
+    @staticmethod
+    def _sign(key: TermKey) -> int:
+        """The sign taking a complex key from dz_k next to dzb_k to (I, J):
+        each dz_i passes the dzb_j with j < i."""
         I, J = key
-        order = sorted([2 * k for k in I] + [2 * k + 1 for k in J])
-        return sort_with_sign([v // 2 + (v % 2) * self.n for v in order])[1]
+        return -1 if sum(j < i for i in I for j in J) % 2 else 1
 
-    def row(self, key: TermKey) -> Tuple[Optional[GaussianRational], Tuple[Tuple[RealIndex, int], ...]]:
-        """realify's row of a complex key: the scale 2^|D| (None for 1) and
-        one (real key, quarter turns) pair per dy mask; the image of e_K is
-        the sum of scale * i**turns * e_real over the row."""
-        row = self.rows.get(key)
-        if row is None:
-            I, J = key
-            both = set(I).intersection(J)
-            # dz = dx + i dy and dzb = dx - i dy: the quarter turns of each dy
-            singles = [(k, 3 if k in J else 1) for k in sorted(set(I).symmetric_difference(J))]
-            # dz ^ dzb = -2i dx ^ dy: the unit part of the factor (-2i)^|D| * sgn is turned
-            base = 3 * len(both) + (0 if self._sign(key) > 0 else 2)
-            fixed = [v for k in both for v in (2 * k - 1, 2 * k)]
-            pairs = []
-            for mask in range(1 << len(singles)):
-                real, turns = list(fixed), base
-                for j, (k, dy_turns) in enumerate(singles):
-                    if mask >> j & 1:
-                        real.append(2 * k)
-                        turns += dy_turns
-                    else:
-                        real.append(2 * k - 1)
-                pairs.append((tuple(sorted(real)), turns % 4))
-            row = self.rows[key] = (gaussian(2 ** len(both)) if both else None, tuple(pairs))
-        return row
-
-    def support(self, real: RealIndex) -> Tuple[Support, int, int]:
-        """complexify's reading of a real key: its support (S, D), its dy
-        mask Y over S and the quarter turns of (-i)^|Y|."""
-        found = self.supports.get(real)
+    def read(self, side: int, key) -> Tuple[Support, int, object]:
+        """A key of ``side`` as its support, its mask and the factor applied
+        before the butterflies: (-2i)^|D| sgn for a complex key, (-i)^|Y|
+        for a real key with dy mask Y.  A unit factor is kept as its
+        quarter turns."""
+        found = self.readings[side].get(key)
         if found is None:
-            slots: Dict[int, List[int]] = {}
-            for v in real:
-                slots.setdefault((v + 1) // 2, []).append(v)
-            singles = tuple(k for k, vs in slots.items() if len(vs) == 1)
-            both = tuple(k for k, vs in slots.items() if len(vs) == 2)
-            dy = [j for j, k in enumerate(singles) if slots[k][0] == 2 * k]
-            found = self.supports[real] = ((singles, both), sum(1 << j for j in dy), 3 * len(dy) % 4)
+            slots = set(key if side else [2 * k - 1 for k in key[0]] + [2 * k for k in key[1]])
+            coords = sorted({(v + 1) // 2 for v in slots})
+            both = tuple(k for k in coords if 2 * k - 1 in slots and 2 * k in slots)
+            singles = tuple(k for k in coords if k not in both)
+            mask = sum(1 << j for j, k in enumerate(singles) if 2 * k in slots)
+            if side:
+                factor = 3 * mask.bit_count() % 4
+            else:  # dz ^ dzb = -2i dx ^ dy
+                turns = 3 * len(both) + (0 if self._sign(key) > 0 else 2)
+                factor = _quarter_turned(gaussian(2 ** len(both)), turns) if both else turns % 4
+            found = self.readings[side][key] = ((singles, both), mask, factor)
         return found
 
-    def key(self, support: Support, zb: int) -> Tuple[TermKey, GaussianRational]:
-        """complexify's image of a support and a dzb mask over S: the
-        complex key and its constant 2^-|S| (i/2)^|D| sgn."""
-        found = self.keys.get((support, zb))
+    def image(self, side: int, support: Support, mask: int) -> Tuple[object, object]:
+        """The key of ``side`` of a support and a mask, and the factor applied
+        after the butterflies: i^|Y| for a real key with dy mask Y, the
+        constant 2^-|S| (i/2)^|D| sgn for a complex key."""
+        found = self.images[side].get((support, mask))
         if found is None:
             singles, both = support
-            I = tuple(sorted(both + tuple(k for j, k in enumerate(singles) if not zb >> j & 1)))
-            J = tuple(sorted(both + tuple(k for j, k in enumerate(singles) if zb >> j & 1)))
-            scale = gaussian(Fraction(self._sign((I, J)), 2 ** (len(singles) + len(both))))
-            found = self.keys[(support, zb)] = ((I, J), _quarter_turned(scale, len(both)))
+            doubled = [v for k in both for v in (2 * k - 1, 2 * k)]
+            slots = sorted(doubled + [2 * k - 1 + (mask >> j & 1) for j, k in enumerate(singles)])
+            if side:
+                key, factor = tuple(slots), mask.bit_count() % 4
+            else:
+                key = (tuple((v + 1) // 2 for v in slots if v % 2), tuple(v // 2 for v in slots if not v % 2))
+                factor = _quarter_turned(gaussian(Fraction(self._sign(key), 2 ** (len(singles) + len(both)))), len(both))
+            found = self.images[side][(support, mask)] = (key, factor)
         return found
 
     def star(self, key: TermKey) -> Tuple[Tuple[TermKey, GaussianRational], ...]:
-        """The oracle star's row of a complex key, the (key, constant) pairs of
-        complexify(real_hodge_star(realify(e_K))), built by these three steps
-        alone on the first request and kept, interned like a frame's rows."""
+        """The oracle star's row of a complex key K: the (key, constant) pairs
+        of the oracle image of conj(e_K), complexify(real_hodge_star(realify(
+        conj(e_K)))), built by these three steps alone on the first request
+        and kept, interned like a frame's rows."""
         row = self.stars.get(key)
         if row is None:
-            image = complexify(real_hodge_star(realify(Form(self.n, {key: 1}))))
+            image = complexify(real_hodge_star(realify(Form(self.n, {key: 1}).conjugate())))
             row = self.stars[key] = _row(image.terms.items(), self.interned)
         return row
 
@@ -242,31 +231,12 @@ def _codec(n: int) -> _Codec:
     return _Codec(n)
 
 
-def realify(form: Form) -> RealForm:
-    """Expand dz^k = dx^k + i dy^k exactly; coefficients are kept.
-
-    Each complex key fans out through its row (``_Codec.row``): its term
-    map is scaled once by 2^|D| and turned once per power of i, and each
-    real key sums the maps it receives into one polynomial."""
-    n, codec = form.n, _codec(form.n)
-    pieces: Dict[RealIndex, list] = {}
-    for key, coeff in form.terms.items():
-        scale, row = codec.row(key)
-        terms = coeff.terms if scale is None else {e: c * scale for e, c in coeff.terms.items()}
-        turned = {0: terms}
-        for real, turns in row:
-            if turns not in turned:
-                turned[turns] = {e: _quarter_turned(c, turns) for e, c in terms.items()}
-            pieces.setdefault(real, []).append(turned[turns])
-    pairs = []
-    for real, maps in pieces.items():
-        if len(maps) == 1:
-            pairs.append((real, WirtingerPolynomial._trusted(n, maps[0])))
-        else:
-            out = reduce(_add_into, maps[1:], dict(maps[0]))
-            if any(out.values()):  # keys that cancel build no polynomial
-                pairs.append((real, WirtingerPolynomial._trusted(n, out)))
-    return RealForm._trusted(n, pairs)
+def _times(terms: dict, factor) -> dict:
+    """A term map times a codec factor: a constant, or a unit kept as its
+    quarter turns (an int)."""
+    if isinstance(factor, int):
+        return {e: _quarter_turned(c, factor) for e, c in terms.items()} if factor else terms
+    return {e: c * factor for e, c in terms.items()}
 
 
 def _plus(u: dict, v: dict, negate: bool) -> Optional[dict]:
@@ -306,29 +276,48 @@ def _butterflies(maps: List[Optional[dict]]) -> None:
         bit <<= 1
 
 
-def complexify(real: RealForm) -> Form:
-    """Exact inverse of :func:`realify`.
+def _transform(n: int, terms: Mapping, side: int) -> List[Tuple[object, WirtingerPolynomial]]:
+    """The (key, coefficient) pairs of realify (``side`` _COMPLEX) or
+    complexify (``side`` _REAL) of a term map.
 
-    The terms are grouped by support (``_Codec.support``); each term map
-    is turned by (-i)^|Y|, the group runs one butterfly stage per
-    coordinate of S, and each map left over is multiplied once by the
-    constant of its image key (``_Codec.key``)."""
-    n, codec = real.n, _codec(real.n)
+    Each key is read as its support and mask (``_Codec.read``) and its
+    term map is multiplied by its factor; each support runs one butterfly
+    stage per coordinate of S, and each map left over is written as its
+    image key (``_Codec.image``), multiplied by that key's factor."""
+    codec = _codec(n)
     groups: Dict[Support, List[Optional[dict]]] = {}
-    for key, coeff in real.terms.items():
-        support, dy, turns = codec.support(key)
+    for key, coeff in terms.items():
+        support, mask, factor = codec.read(side, key)
         maps = groups.get(support)
         if maps is None:
             maps = groups[support] = [None] * (1 << len(support[0]))
-        maps[dy] = coeff.terms if not turns else {e: _quarter_turned(c, turns) for e, c in coeff.terms.items()}
+        maps[mask] = _times(coeff.terms, factor)
     pairs = []
     for support, maps in groups.items():
         _butterflies(maps)
-        for zb, terms in enumerate(maps):
-            if terms:
-                key, constant = codec.key(support, zb)
-                pairs.append((key, WirtingerPolynomial._trusted(n, {e: c * constant for e, c in terms.items()})))
-    return Form._trusted(n, pairs)
+        for mask, out in enumerate(maps):
+            if out:
+                key, factor = codec.image(1 - side, support, mask)
+                pairs.append((key, WirtingerPolynomial._trusted(n, _times(out, factor))))
+    return pairs
+
+
+def realify(form: Form) -> RealForm:
+    """Expand dz^k = dx^k + i dy^k exactly; coefficients are kept.
+
+    One call of ``_transform``: per coordinate of S, dz and dzb go to
+    dx + i dy and dx - i dy, and each coordinate of D carries
+    dz ^ dzb = -2i dx ^ dy."""
+    return RealForm._trusted(form.n, _transform(form.n, form.terms, _COMPLEX))
+
+
+def complexify(real: RealForm) -> Form:
+    """Exact inverse of :func:`realify`.
+
+    One call of ``_transform``: per coordinate of S, dx and dy go to
+    (dz + dzb)/2 and (i/2)(dzb - dz), and each coordinate of D carries
+    dx ^ dy = (i/2) dz ^ dzb."""
+    return Form._trusted(real.n, _transform(real.n, real.terms, _REAL))
 
 
 def real_hodge_star(real: RealForm) -> RealForm:
@@ -351,9 +340,11 @@ def oracle_star(psi: Form) -> Form:
     The engine star is antilinear while the Euclidean star is linear, so
     conjugating first lines up both the bidegree and the coefficient
     conjugation of the two paths.  The three steps act on keys only, so
-    the conjugate is pulled back through their memoized rows (``_Codec.star``).
+    psi is pulled back through the rows of conj(e_K) (``_Codec.star``),
+    each coefficient read conjugated, as ``star.raise_indices`` reads it.
     """
-    return Form._trusted(psi.n, _pulled_back(psi.n, psi.conjugate().terms, _codec(psi.n).star).items())
+    image = _pulled_back(psi.n, psi.terms, _codec(psi.n).star, WirtingerPolynomial._conjugate_terms)
+    return Form._trusted(psi.n, image.items())
 
 
 class BidegreeComparison(NamedTuple):
@@ -383,8 +374,9 @@ def _proportionality_ratio(engine: Form, oracle: Form) -> Tuple[bool, Optional[G
         return engine.is_zero(), None
     if engine.is_zero():
         return False, None
-    key, oracle_coeff = oracle.sorted_terms()[0]
-    exponents, scalar = next(iter(sorted(oracle_coeff.terms.items())))
+    # any oracle monomial: when the forms are proportional, the ratio is unique
+    key, oracle_coeff = next(iter(oracle.terms.items()))
+    exponents, scalar = next(iter(oracle_coeff.terms.items()))
     engine_coeff = engine.coefficient(*key)
     lead = engine_coeff.terms.get(exponents)
     if lead is None:

@@ -28,7 +28,6 @@ contracts the conjugated coefficient with inverse-metric entries.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, NamedTuple, Tuple
 
 from .choices import CONVENTIONS, DEFAULT_CONVENTION, LITERAL_CONVENTION, StarConvention  # noqa: F401  (re-exported)
@@ -61,6 +60,12 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
         return {}
     if not psi.is_homogeneous():
         raise ValueError(f"raise_indices needs a homogeneous form, got bidegrees {sorted(psi.bidegrees())}")
+    return _raised(psi, metric)
+
+
+def _raised(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial]:
+    """The raised table of any form, all its bidegrees in one pull-back:
+    the frame keeps each key's bidegree."""
     n = metric.n
     if psi.n != n:
         raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
@@ -100,14 +105,18 @@ def _star_prefactor(n: int, p: int, q: int) -> GaussianRational:
     return _I_POWERS[(n + 2 * (n * (n - 1) // 2 + (n - p) * q)) % 4]
 
 
-def _starred(raised, p: int, q: int, metric: HermitianMetric, convention: StarConvention):
-    """The (key, coeff) pairs of the star of a (p,q)-form, from its raised table."""
+def _starred(raised, metric: HermitianMetric, convention: StarConvention):
+    """The (key, coeff) pairs of the star of a form, from its raised table;
+    each key's halves give its bidegree (p, q), and so its prefactor."""
     n = metric.n
-    prefactor = _star_prefactor(n, p, q) * metric.determinant
-    signed = {1: prefactor, -1: -prefactor}
+    prefactors = {}
     for (A, B), coeff in raised.items():
         A_c, sign_A = complement(A, n)
         B_c, sign_B = complement(B, n)
+        signed = prefactors.get((len(A), len(B)))
+        if signed is None:
+            prefactor = _star_prefactor(n, len(A), len(B)) * metric.determinant
+            signed = prefactors[len(A), len(B)] = {1: prefactor, -1: -prefactor}
         # the literal variant's extra bar applies to the raised
         # coefficient only, never to the i^n prefactor
         if convention.conjugation_mode == "literal_eq_2_9":
@@ -117,19 +126,14 @@ def _starred(raised, p: int, q: int, metric: HermitianMetric, convention: StarCo
 
 
 def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = DEFAULT_CONVENTION) -> Form:
-    """Hodge star of a form, applied per (p,q)-component: each component
-    is raised, then its star is emitted term by term.
+    """Hodge star of a form: the whole form is raised in one pull-back,
+    then its star is emitted term by term, each term with the prefactor of
+    its own bidegree.
 
     Antilinear under the default convention: star(c * psi) equals
     conj(c) * star(psi) for constant c.
     """
-    n = metric.n
-    if psi.n != n:
-        raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
-    return Form._trusted(n, chain.from_iterable(
-        _starred(raise_indices(psi.component(p, q), metric), p, q, metric, convention)
-        for p, q in sorted(psi.bidegrees())
-    ))
+    return Form._trusted(metric.n, _starred(_raised(psi, metric), metric, convention))
 
 
 class DefiningIdentityReport(NamedTuple):
@@ -149,17 +153,13 @@ def defining_identity_check(
     """Check the star-defining identity as an exact polynomial-form identity.
 
     Inputs must be homogeneous of equal bidegree (zero forms pass
-    trivially).  The residual is phi ^ star(psi) - <phi, psi> * vol.  When
-    both forms are nonzero, psi is raised once, for the star and for the
-    inner product alike.
+    trivially).  The residual is phi ^ star(psi) - <phi, psi> * vol.  psi
+    is raised once, for the star and for the inner product alike.
     """
     both = not phi.is_zero() and not psi.is_zero()
     if both and phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
         raise ValueError("defining identity needs forms of equal bidegree")
-    raised = raise_indices(psi, metric) if both else {}
-    if both:
-        star = Form._trusted(metric.n, _starred(raised, *psi.homogeneous_bidegree(), metric, convention))
-    else:
-        star = hodge_star(psi, metric, convention)
+    raised = _raised(psi, metric)
+    star = Form._trusted(metric.n, _starred(raised, metric, convention))
     residual = phi.wedge(star) - volume_form(metric).scale(_contracted(phi, raised, metric.n))
     return DefiningIdentityReport(holds=residual.is_zero(), residual=residual, convention=convention)

@@ -317,10 +317,11 @@ def test_complexify_matches_the_unmemoized_pull_back_on_any_real_form(real):
 
 
 def test_real_codec_keeps_one_entry_per_key():
-    # a coordinate's part of a key is one of 1, dz, dzb, dz^dzb, with 1, 2, 2
-    # and 1 real images (dz^dzb = -2i dx^dy): 6 row pairs per coordinate.
-    # complexify reads each of the 4^n real keys once and encodes each of the
-    # 4^n (support, dzb mask) pairs once: one per complex key.
+    # realify reads each of the 4^n complex keys once and writes each of the
+    # 4^n (support, dy mask) pairs once, as one real key each; complexify
+    # reads each of the 4^n real keys once and writes each of the 4^n
+    # (support, dzb mask) pairs once, as one complex key each.  The unit
+    # keys go one at a time, so that no image cancels.
     n = 2
     _codec.cache_clear()
     codec = _codec(n)
@@ -328,13 +329,15 @@ def test_real_codec_keeps_one_entry_per_key():
     every_complex = Form(n, {(I, J): 1 for I in subsets for J in subsets})
     every_real = RealForm(n, {K: 1 for k in range(2 * n + 1) for K in combinations(range(1, 2 * n + 1), k)})
     for _ in range(2):
-        realify(every_complex)
-        complexify(every_real)
-        assert len(codec.rows) == 16
-        assert sum(len(pairs) for _, pairs in codec.rows.values()) == 36
-        assert len(codec.supports) == 16
-        assert len(codec.keys) == 16
-        assert sorted(key for key, _ in codec.keys.values()) == sorted(every_complex.terms)
+        for key in every_complex.terms:
+            realify(Form(n, {key: 1}))
+        for key in every_real.terms:
+            complexify(RealForm(n, {key: 1}))
+        assert [len(memo) for memo in codec.readings + codec.images] == [16] * 4
+        assert sorted(codec.readings[realoracle._COMPLEX]) == sorted(every_complex.terms)
+        assert sorted(codec.readings[realoracle._REAL]) == sorted(every_real.terms)
+        assert sorted(key for key, _ in codec.images[realoracle._COMPLEX].values()) == sorted(every_complex.terms)
+        assert sorted(key for key, _ in codec.images[realoracle._REAL].values()) == sorted(every_real.terms)
 
 
 def test_oracle_star_memo_holds_one_pair_per_unit_key(monkeypatch):
@@ -354,8 +357,8 @@ def test_oracle_star_memo_holds_one_pair_per_unit_key(monkeypatch):
                 pairs = codec.star((I, J))
                 assert len(pairs) == 1
                 (key, value), = pairs
-                # the unmemoized three-step path of e_(I,J), reached through its conjugate
-                assert Form(n, {key: value}) == brute_oracle_star(Form.term(n, I, J, 1).conjugate())
+                # the row of conj(e_(I,J)): the unmemoized three-step path of e_(I,J)
+                assert Form(n, {key: value}) == brute_oracle_star(Form.term(n, I, J, 1))
         assert len(codec.stars) == 4 ** n
         # equal image keys and constants are one object each
         for part in (0, 1):
@@ -412,3 +415,29 @@ def test_oracle_star_matches_the_three_step_path(psi):
     expected = brute_oracle_star(psi)
     assert cold == expected
     assert oracle_star(psi) == expected
+
+
+def test_a_warm_oracle_star_builds_one_polynomial_per_output_key(monkeypatch):
+    # each coefficient is read conjugated in place, so no conjugate form is
+    # built; the key ((1,), (2,)) has odd |I||J|, whose conjugate is negated
+    n = 4
+    c = (WirtingerPolynomial.z(n, 1) + WirtingerPolynomial.zb(n, 2).scale(gaussian(2, -1)) + WirtingerPolynomial.z(n, 3)) ** 4
+    assert len(c.terms) == 15
+    psi = Form(n, {((1,), (2,)): c, ((1, 2), (3, 4)): c.scale(3), ((), (1, 4)): c.scale(gaussian(0, 1))})
+    expected = oracle_star(psi)
+    assert len(expected.terms) == 3
+    built = []
+    trusted, init = WirtingerPolynomial._trusted.__func__, WirtingerPolynomial.__init__
+
+    def counted_trusted(cls, n, terms):
+        built.append(terms)
+        return trusted(cls, n, terms)
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(WirtingerPolynomial, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(WirtingerPolynomial, "__init__", counted_init)
+    assert oracle_star(psi) == expected
+    assert len(built) == len(expected.terms)

@@ -244,14 +244,15 @@ def test_raise_indices_on_a_reused_metric_matches_a_fresh_copy():
 
 
 def test_defining_identity_check_raises_psi_once(monkeypatch):
+    # the one raise is the internal one, which takes any bidegree
     calls = []
-    original = pqforms.star.raise_indices
+    original = pqforms.star._raised
 
     def counted(psi, metric):
         calls.append(psi)
         return original(psi, metric)
 
-    monkeypatch.setattr(pqforms.star, "raise_indices", counted)
+    monkeypatch.setattr(pqforms.star, "_raised", counted)
     rng = random.Random(2)
     metric = random_dense_metric(rng, 3)
     for p, q in [(0, 0), (1, 0), (1, 2), (3, 3)]:
@@ -260,6 +261,29 @@ def test_defining_identity_check_raises_psi_once(monkeypatch):
         calls.clear()
         assert defining_identity_check(phi, psi, metric).holds
         assert calls == [psi]
+
+
+def test_hodge_star_raises_a_mixed_form_in_one_pull_back(monkeypatch):
+    # four bidegrees, one pull-back, and the same star as per component
+    rng = random.Random(4)
+    metric = random_dense_metric(rng, 3)
+    psi = Form.zero(3)
+    for p, q in [(0, 0), (1, 0), (1, 2), (3, 1)]:
+        psi = psi + random_form(rng, 3, bidegree=(p, q), max_degree=1) + Form.term(3, range(1, p + 1), range(1, q + 1), 1)
+    assert len(psi.bidegrees()) == 4
+    expected = Form.zero(3)
+    for p, q in sorted(psi.bidegrees()):
+        expected = expected + hodge_star(psi.component(p, q), metric)
+    calls = []
+    original = pqforms.star._pulled_back
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pqforms.star, "_pulled_back", counted)
+    assert hodge_star(psi, metric) == expected
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("convention", [DEFAULT_CONVENTION, LITERAL_CONVENTION], ids=["default", "literal"])
