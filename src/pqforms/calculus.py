@@ -7,11 +7,10 @@ the engine makes no compactness claim, and every harmonic report says so.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple
 
 from .choices import DEFAULT_CONVENTION, StarConvention
-from .forms import Form, _factors, _sorted_term
+from .forms import Form, _key_product
 from .wpoly import Z, ZBAR
 
 if TYPE_CHECKING:
@@ -26,17 +25,14 @@ FLAT_MODEL_NOTE = (
 def _half_derivative(form: Form, kind: str) -> Form:
     """sum_j d/d(kind)_j (.) d(kind)^j ^ (.), differentiating each
     coefficient only by the variables of that kind that occur in it."""
-    n = form.n
-    first = 0 if kind == Z else n  # the slot of variable 1 of this kind
     pairs = []
     for key, coeff in form.terms.items():
-        base = _factors(key)
-        occurring = set()
-        for exponents in coeff.terms:
-            occurring.update(compress(range(1, n + 1), exponents[first : first + n]))
-        for j in sorted(occurring):
-            pairs.extend(_sorted_term([(kind, j)] + base, coeff.derivative(kind, j), n))
-    return Form._trusted(n, pairs)
+        for j in coeff.variables(kind):
+            derivative = coeff.derivative(kind, j)
+            image, sign = _key_product(((j,), ()) if kind == Z else ((), (j,)), key)
+            if sign:
+                pairs.append((image, derivative if sign > 0 else -derivative))
+    return Form._trusted(form.n, pairs)
 
 
 def dolbeault_del(form: Form) -> Form:

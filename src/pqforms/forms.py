@@ -3,7 +3,11 @@
 Storage convention: every term is coeff * dz^I ^ dzb^J with all dz factors
 before all dzb factors and both index blocks strictly increasing.  Every
 sign in the engine flows from this single convention via permutation
-parity, so re-canonicalizing a stored form is always the identity.
+parity, so re-canonicalizing a stored form is always the identity.  One
+kernel, ``_shuffled``, merges two increasing index tuples and signs the
+shuffle; ``_key_product`` applies it to ``Form`` keys half by half.  Every
+wedge, derivative, canonicalization and codec sign is one of the two, and
+``complement`` and ``Form.conjugate`` use closed forms of it.
 
 The term store is one private base class, ``_TermStore``, of which
 ``Form`` and the oracle's ``RealForm`` are thin subclasses: the base holds
@@ -28,7 +32,6 @@ scaled monomials in place, one term map per image key.  ``realify`` and
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import reduce
 from itertools import chain
 from operator import attrgetter
@@ -45,28 +48,43 @@ CoeffLike = Union[PolyLike, "WirtingerPolynomial"]
 TermsLike = Union[Mapping[TermKey, CoeffLike], Iterable[Tuple[TermKey, CoeffLike]], None]
 
 
-def sort_with_sign(values: Sequence[int]) -> Tuple[MultiIndex, int]:
-    """Sort a sequence of indices, returning (sorted tuple, permutation sign).
+def _shuffled(a: MultiIndex, b: MultiIndex) -> Tuple[MultiIndex, int]:
+    """The one permutation-sign kernel: the increasing merge of two strictly
+    increasing tuples and the sign of the shuffle that sorts a + b, the
+    parity of the pairs x in a, y in b with y < x; 0 when they share an
+    index (the wedge monomial vanishes)."""
+    if not a or not b:
+        return a + b, 1
+    merged: List[int] = []
+    passed, i, size = 0, 0, len(a)
+    for y in b:
+        while i < size and a[i] < y:
+            merged.append(a[i])
+            i += 1
+        if i < size and a[i] == y:
+            return (), 0
+        passed += size - i  # the indices of a that y passes
+        merged.append(y)
+    return tuple(merged) + a[i:], -1 if passed % 2 else 1
 
-    Sign is 0 when a value repeats (the wedge monomial vanishes).
-    """
-    items = list(values)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and items[j - 1] == items[j]:
-            return tuple(items), 0
-    return tuple(items), sign
+
+def _key_product(left: TermKey, right: TermKey) -> Tuple[TermKey, int]:
+    """The key of e_left ^ e_right and its sign (0 when they share a
+    differential): the dz halves and the dzb halves are merged by
+    ``_shuffled``, and the dzb half of ``left`` passes the dz half of
+    ``right``."""
+    (I, J), (K, L) = left, right
+    dz, sign = _shuffled(I, K)
+    dzb, half = _shuffled(J, L)
+    sign *= half
+    return (dz, dzb), -sign if len(J) * len(K) % 2 else sign
 
 
 def complement(indices: MultiIndex, n: int) -> Tuple[MultiIndex, int]:
     """The increasing complement K^c of a strictly increasing K inside 1..n,
-    and the sign of the permutation sorting K followed by K^c: the j-th
-    index of K passes the K_j - j indices of K^c below it."""
+    and the sign of the permutation sorting K followed by K^c, which is
+    ``_shuffled(K, K^c)`` in closed form: the j-th index of K passes the
+    K_j - j indices of K^c below it."""
     present = set(indices)
     rest = tuple(k for k in range(1, n + 1) if k not in present)
     k = len(indices)
@@ -132,48 +150,21 @@ def _summed(forms: Iterable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
     return chain.from_iterable(form.terms.items() for form in forms)
 
 
-def _factors(key: TermKey) -> List[Factor]:
-    """The tagged differentials of a key, in canonical order."""
-    I, J = key
-    return [(Z, k) for k in I] + [(ZBAR, k) for k in J]
-
-
-def _flatten(key: TermKey, n: int) -> MultiIndex:
-    """One flat index tuple for a key: dz_k is k and dzb_k is n + k."""
-    I, J = key
-    return I + tuple(n + k for k in J)
-
-
-def _unflatten(flat: MultiIndex, n: int) -> TermKey:
-    """The key of a strictly increasing flat index tuple."""
-    split = bisect_right(flat, n)
-    return flat[:split], tuple(v - n for v in flat[split:])
-
-
-def _sorted_term(factors: Sequence[Factor], coeff: CoeffLike, n: int) -> List[Tuple[TermKey, CoeffLike]]:
-    """The canonical (key, +-coeff) of coeff times the wedge of the tagged
-    factors in the order given, as a list; empty when a factor repeats."""
-    merged, sign = sort_with_sign([index if kind == Z else n + index for kind, index in factors])
-    if sign == 0:
-        return []
-    return [(_unflatten(merged, n), coeff if sign > 0 else -coeff)]
-
-
-def _wedge_terms(left: Mapping, right: Mapping, flatten=tuple, unflatten=tuple) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
+def _wedge_terms(left: Mapping, right: Mapping, product: Callable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
     """The one wedge loop: yield (key, +-c1*c2) for every pair of terms.
 
-    Keys are read as flat index tuples through ``flatten``; the sign is
-    the parity of sorting their concatenation, and a pair sharing an index
-    vanishes without its coefficient product being formed.
+    ``product`` gives the key of a product of two keys and its sign, as
+    ``_key_product`` does for ``Form`` keys and ``_shuffled`` for real
+    keys; a pair sharing an index vanishes without its coefficient product
+    being formed.
     """
-    right_flat = [(flatten(key), coeff) for key, coeff in right.items()]
+    pairs = right.items()
     for key, c1 in left.items():
-        flat = flatten(key)
-        for flat2, c2 in right_flat:
-            merged, sign = sort_with_sign(flat + flat2)
+        for key2, c2 in pairs:
+            merged, sign = product(key, key2)
             if sign:
-                product = c1 * c2
-                yield unflatten(merged), product if sign > 0 else -product
+                c = c1 * c2
+                yield merged, c if sign > 0 else -c
 
 
 def _row(pairs: Iterable[Tuple[Any, WirtingerPolynomial]], interned: Dict) -> Tuple[Tuple[Any, GaussianRational], ...]:
@@ -241,9 +232,10 @@ class _TermStore:
     A subclass gives only what its keys mean: ``_check_key`` validates a
     key, ``_degree`` is its degree, ``_names`` the names of its
     differentials and ``_label`` the word its repr starts with; it also
-    has its own ``term`` constructor and its own ``wedge``.  ``terms`` may
-    be a mapping or an iterable of (key, coeff) pairs; repeated keys are
-    summed.
+    has its own ``term`` constructor and its own ``wedge``, which passes
+    ``_wedge_terms`` the product of its keys (``_key_product`` or
+    ``_shuffled``).  ``terms`` may be a mapping or an iterable of
+    (key, coeff) pairs; repeated keys are summed.
     """
 
     __slots__ = ("n", "terms")
@@ -361,27 +353,27 @@ class Form(_TermStore):
 
         The factors may arrive in any order; the result carries the parity
         of the permutation that sorts all dz factors (by index) in front of
-        all dzb factors (by index).  A repeated differential gives zero.
+        all dzb factors (by index), folded one factor at a time through
+        ``_key_product``.  A repeated differential gives zero.
         """
         for kind, index in factors:
             if kind not in (Z, ZBAR):
                 raise ValueError(f"differential kind must be 'z' or 'zb', got {kind!r}")
             if not 1 <= index <= n:
                 raise ValueError(f"differential index {index} out of range 1..{n}")
-        return cls(n, _sorted_term(factors, coeff, n))
+        key, sign = ((), ()), 1
+        for kind, index in factors:
+            key, step = _key_product(key, ((index,), ()) if kind == Z else ((), (index,)))
+            sign *= step
+            if not sign:
+                return cls(n)
+        return cls(n, {key: coeff if sign > 0 else -coeff})
 
     # -- graded multiplication ---------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
         """Exterior product; bilinear, associative, graded-anticommutative."""
-        n = self.n
-        pairs = _wedge_terms(
-            self.terms,
-            self._same_space(other).terms,
-            lambda key: _flatten(key, n),
-            lambda flat: _unflatten(flat, n),
-        )
-        return self._trusted(n, pairs)
+        return self._trusted(self.n, _wedge_terms(self.terms, self._same_space(other).terms, _key_product))
 
     def __xor__(self, other: "Form") -> "Form":
         return self.wedge(other)
@@ -392,8 +384,9 @@ class Form(_TermStore):
         """Complex conjugate form.
 
         Each term (I, J, c) maps to (J, I, conj(c) * (-1)^{|I||J|}); the sign
-        is forced by reordering dzb^I ^ dz^J back into canonical order, and
-        bidegrees (p,q) swap to (q,p).  An involution.
+        is that of reordering dzb^I ^ dz^J back into canonical order,
+        ``_key_product(((), I), (J, ()))`` in closed form, and bidegrees
+        (p,q) swap to (q,p).  An involution.
         """
         pairs = []
         for (I, J), coeff in self.terms.items():

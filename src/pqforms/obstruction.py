@@ -77,6 +77,13 @@ class Direction(NamedTuple("Direction", [("n", int), ("components", Tuple[Fracti
         return self.components[index - 1]
 
 
+def _axis(n: int, axis: int) -> int:
+    """A coordinate axis of a frame builder, checked to lie in 1..n."""
+    if not 1 <= axis <= n:
+        raise ValueError(f"axis {axis} out of range 1..{n}")
+    return axis
+
+
 class RealOrthogonalMatrix:
     """An exact rational matrix with A^T A = I.
 
@@ -116,7 +123,7 @@ class RealOrthogonalMatrix:
 
     @classmethod
     def sign_flip(cls, n: int, flipped: Iterable[int]) -> "RealOrthogonalMatrix":
-        flipped = set(flipped)
+        flipped = {_axis(n, k) for k in flipped}
         return cls(
             [[(-1 if i + 1 in flipped else 1) if i == j else 0 for j in range(n)] for i in range(n)]
         )
@@ -124,6 +131,8 @@ class RealOrthogonalMatrix:
     @classmethod
     def rotation(cls, n: int, axis_a: int, axis_b: int, cos: RationalLike, sin: RationalLike) -> "RealOrthogonalMatrix":
         """Plane rotation with exact rational cosine and sine, e.g. 3/5 and 4/5."""
+        if _axis(n, axis_a) == _axis(n, axis_b):
+            raise ValueError(f"rotation axes must differ, got axis {axis_a} twice")
         c, s = _fraction(cos), _fraction(sin)
         if c * c + s * s != 1:
             raise ValueError(f"({c}, {s}) is not on the rational unit circle")
@@ -231,19 +240,11 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
     return Form._trusted(n, _pulled_back(n, substituted, frame.image).items())
 
 
-def _restricted_to(poly: WirtingerPolynomial, allowed: Iterable[int]) -> Tuple[bool, str]:
+def _restricted_to(poly: WirtingerPolynomial, allowed: Tuple[int, ...]) -> Tuple[bool, str]:
     """Check a polynomial only uses the allowed z-variables (and no zb
     variables at all); returns (ok, offending variable name)."""
-    n = poly.n
-    allowed = set(allowed)
-    for slot in poly.used_slots():
-        if slot < n:
-            index = slot + 1
-            if index not in allowed:
-                return False, f"z{index}"
-        else:
-            return False, f"zb{slot - n + 1}"
-    return True, ""
+    outside = [f"z{k}" for k in poly.variables(Z) if k not in allowed] + [f"zb{k}" for k in poly.variables(ZBAR)]
+    return (False, outside[0]) if outside else (True, "")
 
 
 def k3_product_form(

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .forms import Form, TermKey, _TermStore, _pulled_back, _row, _validate_multi_index, _wedge_terms, complement
+from .forms import Form, TermKey, _TermStore, _pulled_back, _row, _shuffled, _validate_multi_index, _wedge_terms, complement
 from .metric import HermitianMetric
 from .scalars import GaussianRational, _quarter_turned, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
@@ -140,7 +140,7 @@ class RealForm(_TermStore):
         return cls(n, {tuple(indices): coeff})
 
     def wedge(self, other: "RealForm") -> "RealForm":
-        return self._trusted(self.n, _wedge_terms(self.terms, self._same_space(other).terms))
+        return self._trusted(self.n, _wedge_terms(self.terms, self._same_space(other).terms, _shuffled))
 
 
 _COMPLEX, _REAL = 0, 1  # the two sides of the codec: realify reads _COMPLEX keys, complexify _REAL keys
@@ -172,9 +172,10 @@ class _Codec:
     @staticmethod
     def _sign(key: TermKey) -> int:
         """The sign taking a complex key from dz_k next to dzb_k to (I, J):
-        each dz_i passes the dzb_j with j < i."""
+        each dz_i passes the dzb_j with j < i, so it is the shuffle sign of
+        their slots 2i - 1 and 2j, which never tie."""
         I, J = key
-        return -1 if sum(j < i for i in I for j in J) % 2 else 1
+        return _shuffled(tuple(2 * i - 1 for i in I), tuple(2 * j for j in J))[1]
 
     def read(self, side: int, key) -> Tuple[Support, int, object]:
         """A key of ``side`` as its support, its mask and the factor applied

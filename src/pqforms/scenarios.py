@@ -86,9 +86,11 @@ def _check(
     claim: Union[Form, WirtingerPolynomial],
     expected: bool,
     extras: Dict[str, ExtraValue],
-    extras_as_expected: bool,
+    wanted: Dict[str, ExtraValue],
 ) -> ConventionCheck:
-    """The check of an engine value against a claimed value, both forms or both polynomials."""
+    """The check of an engine value against a claimed value, both forms or
+    both polynomials; its extras are as expected when each ``wanted`` extra
+    has its wanted value."""
     return ConventionCheck(
         convention=convention,
         engine_result=_format_value(engine),
@@ -97,16 +99,16 @@ def _check(
         expected_match=expected,
         residual=_format_value(engine - claim),
         extras=extras,
-        extras_as_expected=extras_as_expected,
+        extras_as_expected=all(extras[name] == value for name, value in wanted.items()),
     )
 
 
 def _laplacian_checks(
-    psi: Form, extras: Callable[[HarmonicReport], Dict[str, ExtraValue]], extras_ok: bool
+    psi: Form, extras: Callable[[HarmonicReport], Dict[str, ExtraValue]], wanted: Dict[str, ExtraValue]
 ) -> Tuple[ConventionCheck, ...]:
     """Laplacian(psi) = 0 under each convention, with the independent d and delta
     verdicts and ``extras(report)`` as extras; these are as expected when psi is
-    harmonic and ``extras_ok`` holds."""
+    harmonic and each ``wanted`` extra has its wanted value."""
     metric = HermitianMetric.identity(psi.n)
     checks = []
     for convention in CONVENTIONS.values():
@@ -118,7 +120,7 @@ def _laplacian_checks(
             **extras(report),
         }
         lap = laplacian(psi, metric, convention)
-        checks.append(_check(convention, lap, Form.zero(psi.n), True, verdicts, report.harmonic and extras_ok))
+        checks.append(_check(convention, lap, Form.zero(psi.n), True, verdicts, {"harmonic": True, **wanted}))
     return tuple(checks)
 
 
@@ -141,7 +143,7 @@ def _run_lemma31() -> ScenarioReport:
             "defining_identity_holds": identity.holds,
             "defining_identity_residual": pretty_print(identity.residual),
         }
-        checks.append(_check(convention, engine, claim, expected, extras, identity.holds == expected))
+        checks.append(_check(convention, engine, claim, expected, extras, {"defining_identity_holds": expected}))
     return ScenarioReport(
         scenario_id="lemma31",
         checks=tuple(checks),
@@ -160,7 +162,7 @@ def _residuals(report: HarmonicReport) -> Dict[str, ExtraValue]:
 def _run_lemma33() -> ScenarioReport:
     return ScenarioReport(
         scenario_id="lemma33",
-        checks=_laplacian_checks(Form.term(4, (1, 2), (3, 4), _lemma31_f()), _residuals, True),
+        checks=_laplacian_checks(Form.term(4, (1, 2), (3, 4), _lemma31_f()), _residuals, {}),
         notes=(
             "d and delta both vanish on the holomorphic-coefficient (2,2)-monomial, "
             "so its Laplacian is zero; holds under both conventions"
@@ -218,14 +220,6 @@ def _run_lemma34() -> ScenarioReport:
     symbolic_printed = {f"c{j}": format_poly(value) for j, value in sorted(symbolic.items())}
     value_e1 = obstruction(candidate, Direction.basis(n, 1))
 
-    expected_symbolic = {"c1": "1", "c2": "1", "c3": "-1", "c4": "-1"}
-    extras_ok = (
-        paired_symbolic_zero
-        and frame_report.all_zero
-        and frame_report.zero_verdict_stable
-        and not candidate_report.frames[0].all_zero
-        and symbolic_printed == expected_symbolic
-    )
     extras: Dict[str, ExtraValue] = {
         "paired_forms_tested": len(paired),
         "paired_symbolic_zero": paired_symbolic_zero,
@@ -235,10 +229,17 @@ def _run_lemma34() -> ScenarioReport:
         "candidate_nonzero_in_standard_frame": not candidate_report.frames[0].all_zero,
         "frames_tested": len(frame_report.frames),
     }
+    wanted: Dict[str, ExtraValue] = {
+        "paired_symbolic_zero": True,
+        "paired_combination_zero_in_all_frames": True,
+        "zero_verdict_stable_under_transforms": True,
+        "candidate_symbolic": {"c1": "1", "c2": "1", "c3": "-1", "c4": "-1"},
+        "candidate_nonzero_in_standard_frame": True,
+    }
     one = WirtingerPolynomial.one(n)
     return ScenarioReport(
         scenario_id="lemma34",
-        checks=tuple(_check(c, value_e1, one, True, extras, extras_ok) for c in CONVENTIONS.values()),
+        checks=tuple(_check(c, value_e1, one, True, extras, wanted) for c in CONVENTIONS.values()),
         notes=(
             "pairing functionals: zero on every paired-index class form (symbolically in v, "
             "and in rotated exact orthogonal frames), nonzero on the mixed-index candidate; "
@@ -255,7 +256,7 @@ def _run_k3() -> ScenarioReport:
     pairing = {"obstruction_e1": format_poly(value_e1), "obstruction_e1_nonzero": not value_e1.is_zero()}
     return ScenarioReport(
         scenario_id="k3",
-        checks=_laplacian_checks(psi, lambda report: pairing, not value_e1.is_zero()),
+        checks=_laplacian_checks(psi, lambda report: pairing, {"obstruction_e1_nonzero": True}),
         notes=(
             "the product-construction (2,2)-form with unit block factors is harmonic on the "
             "flat model yet fails the pairing equation for v = e1; both facts in one report"

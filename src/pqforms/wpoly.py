@@ -10,8 +10,9 @@ polynomials are equal exactly when their term maps are equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from operator import add
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .scalars import ZERO, GaussianRational, ScalarLike
 
@@ -236,14 +237,15 @@ class WirtingerPolynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def used_slots(self) -> Iterable[int]:
-        """Indices of variable slots that appear with a positive exponent."""
-        seen = set()
+    def variables(self, kind: str) -> List[int]:
+        """The ascending indices k of the variables z_k (or zb_k, by
+        ``kind``) that occur with a positive exponent."""
+        n = self.n
+        first = self._slot(n, kind, 1)
+        occurring = set()
         for exponents in self.terms:
-            for slot, e in enumerate(exponents):
-                if e > 0:
-                    seen.add(slot)
-        return sorted(seen)
+            occurring.update(compress(range(1, n + 1), exponents[first : first + n]))
+        return sorted(occurring)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WirtingerPolynomial):

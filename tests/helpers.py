@@ -10,7 +10,6 @@ from typing import Optional, Tuple
 from hypothesis import strategies as st
 
 from pqforms import Form, HermitianMetric, RealForm, WirtingerPolynomial, gaussian, real_hodge_star
-from pqforms.forms import _factors
 from pqforms.wpoly import Z, ZBAR
 
 
@@ -29,6 +28,13 @@ def brute_parity(values) -> int:
             if values[i] > values[j]:
                 sign = -sign
     return sign
+
+
+def _factors(key):
+    """The tagged differentials of a Form key, in canonical order: dz_k is
+    (Z, k) and dzb_k is (ZBAR, k)."""
+    I, J = key
+    return [(Z, k) for k in I] + [(ZBAR, k) for k in J]
 
 
 def brute_determinant(rows):

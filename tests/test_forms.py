@@ -1,12 +1,12 @@
 import random
 from importlib import import_module
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, polys, random_dense_metric, random_form, recording_trusted, scalars
+from helpers import _factors, brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, polys, random_dense_metric, random_form, recording_trusted, scalars
 from pqforms import (
     Form,
     RealForm,
@@ -22,7 +22,7 @@ from pqforms import (
     transform_form,
 )
 from pqforms import realoracle
-from pqforms.forms import _factors, _Frame, _pulled_back, _term_key, complement, sort_with_sign
+from pqforms.forms import _Frame, _key_product, _pulled_back, _shuffled, _term_key, complement
 from pqforms.realoracle import _Codec
 from pqforms.wpoly import Z, ZBAR
 
@@ -161,12 +161,66 @@ def test_recanonicalization_is_identity():
         assert rebuilt == a
 
 
-def test_sort_with_sign_matches_brute_parity():
-    rng = random.Random(11)
-    for _ in range(200):
-        seq = [rng.randint(1, 6) for _ in range(rng.randint(0, 6))]
-        _, sign = sort_with_sign(seq)
-        assert sign == brute_parity(seq)
+def _subsets(n):
+    return [K for k in range(n + 1) for K in combinations(range(1, n + 1), k)]
+
+
+def _keys(n):
+    return [(I, J) for I in _subsets(n) for J in _subsets(n)]
+
+
+def test_shuffled_matches_brute_parity():
+    # every pair of subsets of 1..6, disjoint or not
+    subsets = _subsets(6)
+    for a in subsets:
+        for b in subsets:
+            merged, sign = _shuffled(a, b)
+            assert sign == brute_parity(a + b)
+            if sign:
+                assert merged == tuple(sorted(a + b))
+
+
+def test_key_product_matches_a_flat_sort():
+    # dz_k is k and dzb_k is n + k in one flat tuple, sorted and signed by brute_parity
+    for n in range(1, 4):
+        keys = _keys(n)
+        for left in keys:
+            for right in keys:
+                flat = [k for I, J in (left, right) for k in I + tuple(n + j for j in J)]
+                key, sign = _key_product(left, right)
+                assert sign == brute_parity(flat)
+                if sign:
+                    flat.sort()
+                    assert key == (tuple(k for k in flat if k <= n), tuple(k - n for k in flat if k > n))
+
+
+def test_from_factors_matches_brute_parity_in_every_order():
+    # every order of up to 5 of these factors; dz2 is in the pool twice, so
+    # some orders repeat a factor and must give zero
+    pool = [(Z, 2), (ZBAR, 1), (Z, 3), (ZBAR, 3), (Z, 1), (Z, 2)]
+    for size in range(len(pool)):
+        for factors in permutations(pool, size):
+            sign = brute_parity([(0 if kind == Z else 1, k) for kind, k in factors])
+            I = tuple(sorted(k for kind, k in factors if kind == Z))
+            J = tuple(sorted(k for kind, k in factors if kind == ZBAR))
+            expected = Form.term(3, I, J, sign) if sign else Form.zero(3)
+            assert Form.from_factors(3, factors, 1) == expected
+
+
+def test_codec_sign_matches_an_inversion_count():
+    # dz_i sits in slot 2i - 1 and dzb_j in slot 2j; the key writes I, then J
+    for n in range(1, 5):
+        for I, J in _keys(n):
+            assert _Codec._sign((I, J)) == brute_parity([2 * i - 1 for i in I] + [2 * j for j in J])
+
+
+def test_conjugate_sign_is_the_key_product_sign():
+    # conj(dz^I ^ dzb^J) = dzb^I ^ dz^J, reordered to dz^J ^ dzb^I
+    for n in range(1, 4):
+        for I, J in _keys(n):
+            key, sign = _key_product(((), I), (J, ()))
+            assert key == (J, I)
+            assert Form.term(n, I, J, 1).conjugate() == Form.term(n, J, I, sign)
 
 
 def test_complement():
@@ -178,7 +232,7 @@ def test_complement():
                 rest, sign = complement(K, m)
                 assert sorted(K + rest) == list(range(1, m + 1))
                 assert rest == tuple(sorted(rest))
-                assert sign == brute_parity(K + rest)
+                assert sign == brute_parity(K + rest) == _shuffled(K, rest)[1]
 
 
 _KEYS = [((1,), ()), ((), (1, 2)), ((1,), (2,))]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_pull_back, forms, matrix_images, random_form
+from helpers import _factors, brute_pull_back, forms, matrix_images, random_form
 from pqforms import (
     Direction,
     Form,
@@ -25,7 +25,6 @@ from pqforms import (
     pr_plus,
     transform_form,
 )
-from pqforms.forms import _factors
 from pqforms.scenarios import scenario_transforms
 from pqforms.wpoly import Z, ZBAR
 
@@ -212,6 +211,23 @@ def test_non_orthogonal_matrix_rejected():
         RealOrthogonalMatrix([[1, 1], [0, 1]])
     with pytest.raises(ValueError):
         RealOrthogonalMatrix.rotation(2, 1, 2, "1/2", "1/2")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RealOrthogonalMatrix.rotation(4, 0, 2, "3/5", "4/5"), "axis 0 out of range 1..4"),
+        (lambda: RealOrthogonalMatrix.rotation(4, 1, 5, "3/5", "4/5"), "axis 5 out of range 1..4"),
+        (lambda: RealOrthogonalMatrix.rotation(4, 3, 3, "3/5", "4/5"), "rotation axes must differ, got axis 3 twice"),
+        (lambda: RealOrthogonalMatrix.sign_flip(3, [0, 7]), "axis 0 out of range 1..3"),
+        (lambda: RealOrthogonalMatrix.sign_flip(3, [7]), "axis 7 out of range 1..3"),
+    ],
+)
+def test_frame_builders_reject_bad_axes(build, message):
+    # a bad axis would otherwise index from the end, raise an IndexError or
+    # be ignored
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_k3_product_form_unit_factors():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pqforms import scenario_runner
+from pqforms import scenario_runner, scenarios
 from pqforms.dsl import parse_form, parse_poly
 from pqforms.scenarios import SCENARIO_IDS
 
@@ -49,6 +49,18 @@ def test_lemma34_battery():
     assert check.extras["paired_symbolic_zero"] is True
     assert check.extras["zero_verdict_stable_under_transforms"] is True
     assert check.extras["frames_tested"] == 4
+
+
+def test_lemma34_fails_when_a_wanted_extra_deviates(monkeypatch):
+    # the symbolic obstruction reads as zero everywhere, so the candidate's
+    # extra deviates from its wanted value while the engine result still matches
+    monkeypatch.setattr(scenarios, "obstruction_direction_coefficients", lambda form: {})
+    report = scenario_runner("lemma34")
+    assert not report.overall_pass
+    for check in report.checks:
+        assert check.match and check.extras["paired_symbolic_zero"] is True
+        assert check.extras["candidate_symbolic"] == {}
+        assert not check.extras_as_expected and not check.passed
 
 
 def test_k3_combined_report():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqforms.star
-from helpers import brute_pull_back, brute_raise, forms, homogeneous_forms, matrix_images, random_dense_metric, random_form
+from helpers import _factors, brute_pull_back, brute_raise, forms, homogeneous_forms, matrix_images, random_dense_metric, random_form
 from pqforms import (
     DEFAULT_CONVENTION,
     Form,
@@ -29,7 +29,6 @@ from pqforms import (
     raise_indices,
     volume_form,
 )
-from pqforms.forms import _factors
 
 
 def lemma31_coeff(n=4):
