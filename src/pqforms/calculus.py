@@ -24,13 +24,15 @@ FLAT_MODEL_NOTE = (
 
 def _half_derivative(form: Form, kind: str) -> Form:
     """sum_j d/d(kind)_j (.) d(kind)^j ^ (.), differentiating each
-    coefficient only by the variables of that kind that occur in it."""
+    coefficient only by the variables of that kind that occur in it and
+    whose differential is not in its key, where the wedge would vanish."""
+    side = 0 if kind == Z else 1
     pairs = []
     for key, coeff in form.terms.items():
         for j in coeff.variables(kind):
-            derivative = coeff.derivative(kind, j)
-            image, sign = _key_product(((j,), ()) if kind == Z else ((), (j,)), key)
-            if sign:
+            if j not in key[side]:
+                derivative = coeff.derivative(kind, j)
+                image, sign = _key_product(((j,), ()) if kind == Z else ((), (j,)), key)
                 pairs.append((image, derivative if sign > 0 else -derivative))
     return Form._trusted(form.n, pairs)
 

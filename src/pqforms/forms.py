@@ -22,8 +22,8 @@ before the merge; the internal ops build through the trusted
 in place into one term map.
 
 Index raising and ``transform_form`` pull forms back through a
-``_Frame``, the change of generators given by its two n x n matrices; the
-oracle star pulls back through its key codec's memo (see
+``_Frame``, a change of generators on constants given by its two n x n
+matrices; the oracle star pulls back through its key codec's memo (see
 :mod:`pqforms.realoracle`).  ``_pulled_back`` is the one pull-back loop:
 it reads each key's row of (image key, constant) pairs and sums the
 scaled monomials in place, one term map per image key.  ``realify`` and
@@ -32,12 +32,11 @@ scaled monomials in place, one term map per image key.  ``realify`` and
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple, Union
 
-from .scalars import GaussianRational
+from .scalars import ONE, GaussianRational
 from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial, _add_into
 
 MultiIndex = Tuple[int, ...]
@@ -150,13 +149,14 @@ def _summed(forms: Iterable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
     return chain.from_iterable(form.terms.items() for form in forms)
 
 
-def _wedge_terms(left: Mapping, right: Mapping, product: Callable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
-    """The one wedge loop: yield (key, +-c1*c2) for every pair of terms.
+def _wedge_terms(left: Mapping, right: Mapping, product: Callable) -> Iterator[Tuple[Any, Any]]:
+    """The one wedge loop: yield (key, +-c1*c2) for every pair of terms,
+    whose coefficients are polynomials or, in a ``_Frame``, constants.
 
     ``product`` gives the key of a product of two keys and its sign, as
-    ``_key_product`` does for ``Form`` keys and ``_shuffled`` for real
-    keys; a pair sharing an index vanishes without its coefficient product
-    being formed.
+    ``_key_product`` does for ``Form`` keys and ``_shuffled`` for real keys
+    and a frame's halves; a pair sharing an index vanishes without its
+    coefficient product being formed.
     """
     pairs = right.items()
     for key, c1 in left.items():
@@ -165,12 +165,6 @@ def _wedge_terms(left: Mapping, right: Mapping, product: Callable) -> Iterator[T
             if sign:
                 c = c1 * c2
                 yield merged, c if sign > 0 else -c
-
-
-def _row(pairs: Iterable[Tuple[Any, WirtingerPolynomial]], interned: Dict) -> Tuple[Tuple[Any, GaussianRational], ...]:
-    """A row of (key, constant) pairs, with equal keys and constants interned through ``interned``."""
-    one = lambda value: interned.setdefault(value, value)
-    return tuple((one(key), one(c.constant_value())) for key, c in pairs)
 
 
 def _pulled_back(n: int, terms: Mapping, image: Callable, read=attrgetter("terms")) -> Dict[Any, WirtingerPolynomial]:
@@ -194,29 +188,29 @@ class _Frame:
     """The change of generators given by two n x n matrices: dz_k goes to
     sum_a dz[k][a] dz_a and dzb_k to sum_b dzb[k][b] dzb_b.
 
-    The 2n generator images are built once, from the nonzero entries.  The
-    image of a key (I, J) is the product of the images of its halves I and
-    J, with no sign.  The image of a half, the wedge of its generators'
-    images (a row of the compound matrix, Cauchy-Binet), is kept in
-    ``halves`` as (indices, constant) pairs once built."""
+    The 2n generator images, term maps of constants, are built once from the
+    nonzero entries.  The image of a key (I, J) is the product of the images
+    of its halves I and J, with no sign.  The image of a half, a row of the
+    compound matrix (Cauchy-Binet), folds its generators' images through the
+    one wedge loop and is kept in ``halves`` as (indices, constant) pairs."""
 
-    __slots__ = ("unit", "generators", "halves", "interned")
+    __slots__ = ("generators", "halves")
 
-    def __init__(self, n: int, dz: Sequence[Sequence[Any]], dzb: Sequence[Sequence[Any]]):
-        self.unit = Form.from_scalar(n, 1)
-        self.generators = (
-            [Form(n, {((a,), ()): c for a, c in enumerate(row, 1) if c}) for row in dz],
-            [Form(n, {((), (b,)): c for b, c in enumerate(row, 1) if c}) for row in dzb],
-        )
+    def __init__(self, dz: Sequence[Sequence[Any]], dzb: Sequence[Sequence[Any]]):
+        self.generators = tuple([{(a,): GaussianRational.coerce(c) for a, c in enumerate(row, 1) if c} for row in rows] for rows in (dz, dzb))
         self.halves: Tuple[dict, dict] = ({}, {})  # dz-half I or dzb-half J -> its row
-        self.interned: Dict[Any, Any] = {}
 
     def _half(self, side: int, indices: MultiIndex) -> Tuple[Tuple[MultiIndex, GaussianRational], ...]:
         row = self.halves[side].get(indices)
         if row is None:
-            images = self.generators[side]
-            wedged = reduce(lambda piece, k: piece.wedge(images[k - 1]), indices, self.unit)
-            row = self.halves[side][indices] = _row(((key[side], c) for key, c in wedged.terms.items()), self.interned)
+            terms: Dict[MultiIndex, GaussianRational] = {(): ONE}
+            for k in indices:
+                sums: Dict[MultiIndex, GaussianRational] = {}
+                for key, c in _wedge_terms(terms, self.generators[side][k - 1], _shuffled):
+                    prev = sums.get(key)
+                    sums[key] = c if prev is None else prev + c
+                terms = {key: c for key, c in sums.items() if c}
+            row = self.halves[side][indices] = tuple(terms.items())
         return row
 
     def image(self, key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
@@ -414,4 +408,5 @@ class Form(_TermStore):
     # -- queries ------------------------------------------------------------------
 
     def coefficient(self, I: Iterable[int], J: Iterable[int]) -> WirtingerPolynomial:
-        return self.terms.get((tuple(I), tuple(J)), WirtingerPolynomial.zero(self.n))
+        """The coefficient of dz^I ^ dzb^J; the key is checked as ``Form(n, terms)`` checks it."""
+        return self.terms.get(_term_key((I, J), self.n), WirtingerPolynomial.zero(self.n))

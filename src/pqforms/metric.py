@@ -159,7 +159,7 @@ class HermitianMetric:
         self.determinant = report.determinant
         self.inverse = inverse
         self._volume = None  # filled by volume_form on first use
-        self._raising = None  # filled by star.raise_indices on first use
+        self._raising = None  # the raising frame (forms._Frame of the inverse), built by the first raise
 
     @classmethod
     def identity(cls, n: int) -> "HermitianMetric":

@@ -224,8 +224,8 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
     Differentials and variables transform with the same real entries:
     dz^j becomes sum_m a[j][m] dz^m, and z^j becomes sum_m a[j][m] z^m,
     likewise for the barred copies: the differentials go through the change
-    of generators ``forms._Frame(n, a, a)``.  The result is an ordinary form
-    read in the primed frame.
+    of generators ``forms._Frame(a, a)``, whose rows are the minors of a.
+    The result is an ordinary form read in the primed frame.
     """
     n = form.n
     if matrix.n != n:
@@ -236,7 +236,7 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
             variables = (WirtingerPolynomial.variable(n, kind, m).scale(a) for m, a in enumerate(row, start=1))
             substitution[(kind, j)] = WirtingerPolynomial._sum(n, variables)
     substituted = {key: coeff.substitute(substitution) for key, coeff in form.terms.items()}
-    frame = _Frame(n, matrix.entries, matrix.entries)
+    frame = _Frame(matrix.entries, matrix.entries)
     return Form._trusted(n, _pulled_back(n, substituted, frame.image).items())
 
 

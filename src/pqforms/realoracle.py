@@ -16,8 +16,7 @@ differentials, and the coefficients of a :class:`RealForm` stay the same
 Wirtinger polynomials in z and zb as those of the complex form.  The whole
 oracle star is then a linear map on complex keys with constant images:
 the key codec of dimension n builds the image of conj(e_K) once for each
-key K, by realify, the Euclidean star and complexify on the unit form, and
-keeps it.
+key K, by realify, the Euclidean star and complexify alone, and keeps it.
 
 realify and complexify act on each coordinate alone, so they factor into
 one 2x2 map per coordinate (the Kronecker-factored transform).  Both are
@@ -44,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .forms import Form, TermKey, _TermStore, _pulled_back, _row, _shuffled, _validate_multi_index, _wedge_terms, complement
+from .forms import Form, TermKey, _TermStore, _pulled_back, _shuffled, _validate_multi_index, _wedge_terms, complement
 from .metric import HermitianMetric
 from .scalars import GaussianRational, _quarter_turned, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
@@ -159,7 +158,7 @@ class _Codec:
     once and kept.
     """
 
-    __slots__ = ("n", "readings", "images", "stars", "interned")
+    __slots__ = ("n", "readings", "images", "stars")
 
     def __init__(self, n: int):
         self.n = n
@@ -167,7 +166,6 @@ class _Codec:
         self.readings: Tuple[dict, dict] = ({}, {})
         self.images: Tuple[dict, dict] = ({}, {})
         self.stars: Dict[TermKey, Tuple[Tuple[TermKey, GaussianRational], ...]] = {}
-        self.interned: Dict[object, object] = {}
 
     @staticmethod
     def _sign(key: TermKey) -> int:
@@ -218,11 +216,11 @@ class _Codec:
         """The oracle star's row of a complex key K: the (key, constant) pairs
         of the oracle image of conj(e_K), complexify(real_hodge_star(realify(
         conj(e_K)))), built by these three steps alone on the first request
-        and kept, interned like a frame's rows."""
+        and kept."""
         row = self.stars.get(key)
         if row is None:
             image = complexify(real_hodge_star(realify(Form(self.n, {key: 1}).conjugate())))
-            row = self.stars[key] = _row(image.terms.items(), self.interned)
+            row = self.stars[key] = tuple((image_key, c.constant_value()) for image_key, c in image.terms.items())
         return row
 
 

@@ -214,7 +214,7 @@ def _run_lemma34() -> ScenarioReport:
     paired_symbolic_zero = all(not obstruction_direction_coefficients(f) for f in paired)
     combination = Form(n, _summed(f.scale(weight) for weight, f in zip((1, -2, 3, -1, 2), paired)))
     frame_report = lemma34_scenario(combination, directions, transforms)
-    candidate_report = lemma34_scenario(candidate, directions, transforms)
+    candidate_report = lemma34_scenario(candidate, directions)
 
     symbolic = obstruction_direction_coefficients(candidate)
     symbolic_printed = {f"c{j}": format_poly(value) for j, value in sorted(symbolic.items())}

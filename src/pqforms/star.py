@@ -48,9 +48,10 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     are the exterior power of ginv (Cauchy-Binet), so the table is a
     pull-back through the change of generators ``forms._Frame`` of ginv and
     its transpose: dz^l goes to sum_a ginv[l][a] dz^a, dzb^m to
-    sum_b ginv[b][m] dzb^b.  The metric's ``_raising`` slot keeps that frame
-    from the first raise on; the pull-back reads each coefficient
-    conjugated and sums the table in place.
+    sum_b ginv[b][m] dzb^b.  The frame's rows are constants, the minors
+    themselves.  The metric's ``_raising`` slot keeps that frame from the
+    first raise on; the pull-back reads each coefficient conjugated and
+    sums the table in place.
 
     With the identity metric this collapses to coefficient-wise
     conjugation.  The table carries exactly one conjugation; callers pick
@@ -71,7 +72,7 @@ def _raised(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiI
         raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
     frame = metric._raising
     if frame is None:
-        frame = metric._raising = _Frame(n, metric.inverse, list(zip(*metric.inverse)))
+        frame = metric._raising = _Frame(metric.inverse, list(zip(*metric.inverse)))
     return _pulled_back(n, psi.terms, frame.image, WirtingerPolynomial._conjugate_terms)
 
 

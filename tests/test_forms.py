@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from importlib import import_module
 from itertools import combinations, permutations
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import _factors, brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, polys, random_dense_metric, random_form, recording_trusted, scalars
 from pqforms import (
     Form,
+    GaussianRational,
     RealForm,
     RealOrthogonalMatrix,
     WirtingerPolynomial,
@@ -313,12 +315,29 @@ def test_public_constructor_rejections(n, terms, message):
         Form(n, list(terms.items()) if terms else terms)
 
 
-def _counting_the_pull_back(monkeypatch):
+@pytest.mark.parametrize(
+    "I,J,message",
+    [
+        ((2, 1), (), r"dz multi-index \(2, 1\) is not strictly increasing"),
+        ((5,), (9,), "dz index 5 out of range 1..2"),
+        ((), (1, 1), r"dzb multi-index \(1, 1\) is not strictly increasing"),
+    ],
+)
+def test_coefficient_checks_its_key(I, J, message):
+    # dz2 ^ dz1 is not a stored key of dz1 ^ dz2: it is refused, not read as 0
+    form = Form.term(2, (1, 2), (), 1)
+    with pytest.raises(ValueError, match=message):
+        form.coefficient(I, J)
+    assert form.coefficient(iter((1, 2)), ()) == WirtingerPolynomial.one(2)
+    assert form.coefficient((1,), ()) == WirtingerPolynomial.zero(2)
+
+
+def _counting_the_pull_back(monkeypatch, rows=False):
     """Count the polynomials built and the ``WirtingerPolynomial.scale``
     calls from the entry of the last pull-back loop (``forms._pulled_back``,
     patched where each caller imports it), ``realoracle.realify`` or
     ``realoracle.complexify`` on, leaving out the work that builds a row on
-    its first request (``_Frame.image``, ``_Codec.star``)."""
+    its first request (``_Frame.image``, ``_Codec.star``) unless ``rows``."""
     counts = {"built": 0, "scale": 0}
     paused = []
     trusted, init, scale = WirtingerPolynomial._trusted.__func__, WirtingerPolynomial.__init__, WirtingerPolynomial.scale
@@ -363,8 +382,9 @@ def _counting_the_pull_back(monkeypatch):
         monkeypatch.setattr(import_module(f"pqforms.{name}"), "_pulled_back", entering(_pulled_back))
     for name in ("realify", "complexify"):
         monkeypatch.setattr(realoracle, name, entering(getattr(realoracle, name)))
-    monkeypatch.setattr(_Frame, "image", unmeasured(_Frame.image))
-    monkeypatch.setattr(_Codec, "star", unmeasured(_Codec.star))
+    if not rows:
+        monkeypatch.setattr(_Frame, "image", unmeasured(_Frame.image))
+        monkeypatch.setattr(_Codec, "star", unmeasured(_Codec.star))
     return counts
 
 
@@ -390,6 +410,39 @@ def test_pull_back_builds_one_polynomial_per_output_key(monkeypatch):
     for call, terms in zip(calls, expected):
         assert call() == terms
         assert counts == {"built": len(terms), "scale": 0}
+
+
+def test_a_cold_frame_builds_no_polynomial_and_no_wedge(monkeypatch):
+    # the rows of a frame are constants: a raise or a transform through a
+    # frame whose rows are all still unbuilt builds one polynomial per output
+    # key, and wedges no form
+    n = 4
+    psi = Form.term(n, (1, 2), (3,), WirtingerPolynomial.z(n, 1) + 2)
+    matrix = RealOrthogonalMatrix([["3/5", 0, "4/5", 0], [0, 0, 0, 1], ["-4/5", 0, "3/5", 0], [0, 1, 0, 0]])
+    wedges = []
+    wedge = Form.wedge
+
+    def counted(self, other):
+        wedges.append(other)
+        return wedge(self, other)
+
+    counts = _counting_the_pull_back(monkeypatch, rows=True)
+    monkeypatch.setattr(Form, "wedge", counted)
+    raised = raise_indices(psi, random_dense_metric(random.Random(3), n))
+    assert counts == {"built": len(raised), "scale": 0} and len(raised) > 1
+    moved = transform_form(psi, matrix).terms
+    assert counts == {"built": len(moved), "scale": 0} and len(moved) > 1
+    assert wedges == []
+
+
+def test_frame_rows_do_not_depend_on_the_entry_type():
+    # one matrix written with int, Fraction or Gaussian rational entries
+    rows = [[1, 0, Fraction(-3, 2)], [Fraction(1, 2), 2, 0], [0, -1, 1]]
+    frames = [_Frame(matrix, matrix) for matrix in (rows, [[Fraction(v) for v in row] for row in rows], [[gaussian(v) for v in row] for row in rows])]
+    subsets = [c for k in range(4) for c in combinations(range(1, 4), k)]
+    images = [[frame.image((I, J)) for I in subsets for J in subsets] for frame in frames]
+    assert images[0] == images[1] == images[2]
+    assert all(type(c) is GaussianRational for image in images for row in image for _, c in row)
 
 
 def test_complexify_cancels_in_place():
@@ -420,6 +473,6 @@ def test_frame_matches_the_unmemoized_pull_back(data):
     dz, dzb = data.draw(frame_matrices(n)), data.draw(frame_matrices(n))
     unit, images = matrix_images(n, dz, dzb)
     expected = brute_pull_back(form.terms, _factors, unit, lambda c: c, images).terms
-    frame = _Frame(n, dz, dzb)
+    frame = _Frame(dz, dzb)
     assert _pulled_back(n, form.terms, frame.image) == expected
     assert _pulled_back(n, form.terms, frame.image) == expected

@@ -360,10 +360,6 @@ def test_oracle_star_memo_holds_one_pair_per_unit_key(monkeypatch):
                 # the row of conj(e_(I,J)): the unmemoized three-step path of e_(I,J)
                 assert Form(n, {key: value}) == brute_oracle_star(Form.term(n, I, J, 1))
         assert len(codec.stars) == 4 ** n
-        # equal image keys and constants are one object each
-        for part in (0, 1):
-            values = [pair[part] for image in codec.stars.values() for pair in image]
-            assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_a_warm_oracle_star_runs_none_of_its_three_steps(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from importlib import import_module
 
 import pytest
 
@@ -61,6 +62,23 @@ def test_lemma34_fails_when_a_wanted_extra_deviates(monkeypatch):
         assert check.match and check.extras["paired_symbolic_zero"] is True
         assert check.extras["candidate_symbolic"] == {}
         assert not check.extras_as_expected and not check.passed
+
+
+def test_lemma34_transforms_only_the_frames_it_reads(monkeypatch):
+    # the paired combination is read in every rotated frame; the candidate
+    # only in the standard frame, so it is never transformed
+    obstruction = import_module("pqforms.obstruction")
+    calls = []
+    transform = obstruction.transform_form
+
+    def counted(form, matrix):
+        calls.append(form)
+        return transform(form, matrix)
+
+    monkeypatch.setattr(obstruction, "transform_form", counted)
+    assert scenario_runner("lemma34").overall_pass
+    assert len(calls) == len(scenarios.scenario_transforms()) == 3
+    assert all(form != parse_form("dz1^dz2^dzb3^dzb4", 4) for form in calls)
 
 
 def test_k3_combined_report():
