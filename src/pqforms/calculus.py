@@ -3,6 +3,11 @@
 All operators live on the flat local model with a constant metric.
 Harmonicity here is *defined* as d(psi) = 0 together with delta(psi) = 0;
 the engine makes no compactness claim, and every harmonic report says so.
+
+Under the default convention the codifferential, and with it the Laplacian
+and the harmonic check, build no Hodge star: star d star is the closed form
+``_star_d_star``, a contraction of first derivatives with the inverse
+metric.  The literal convention composes the two stars around d.
 """
 
 from __future__ import annotations
@@ -52,6 +57,40 @@ def exterior_d(form: Form) -> Form:
     return dolbeault_del(form) + dolbeault_delbar(form)
 
 
+def _star_d_star(form: Form, metric: HermitianMetric) -> Form:
+    """star d star under the default convention, with no star:
+
+        sum over a, b of ginv[b][a] * (i_(d/dz_a) d/dzb_b + i_(d/dzb_b) d/dz_a) psi
+
+    where ginv[b][a] is ``metric.inverse[b-1][a-1]``, each derivative acts
+    on a coefficient by a variable that occurs in it, and the contraction i
+    removes a differential with the sign of its position in the flattened
+    key, dz half first: dz_a at position pos of I gives (-1)^pos, dzb_b at
+    position pos of J gives (-1)^(|I|+pos).  Zero inverse entries are
+    skipped, and a derivative is taken only when some entry pairs it with a
+    differential of the key.  On a flat Kaehler model this is the usual
+    contraction formula (Huybrechts, Complex Geometry, 1.2 and 3.1).
+    """
+    if form.n != metric.n:
+        raise ValueError(f"form ambient dimension {form.n} != metric dimension {metric.n}")
+    ginv = metric.inverse
+    rows = (ginv, tuple(zip(*ginv)))  # rows[0][b-1][a-1] and rows[1][a-1][b-1] are both ginv[b][a]
+    pairs = []
+    for key, coeff in form.terms.items():
+        for side, kind in ((0, ZBAR), (1, Z)):
+            half, first = key[side], side * len(key[0])
+            for j in coeff.variables(kind) if half else ():
+                row = rows[side][j - 1]
+                entries = [(pos, row[k - 1]) for pos, k in enumerate(half) if row[k - 1]]
+                if entries:
+                    derivative = coeff.derivative(kind, j)
+                    for pos, c in entries:
+                        rest = half[:pos] + half[pos + 1 :]
+                        c = -c if (first + pos) % 2 else c
+                        pairs.append(((rest, key[1]) if side == 0 else (key[0], rest), derivative.scale(c)))
+    return Form._trusted(form.n, pairs)
+
+
 def _homogeneous_total_degree(form: Form, where: str) -> int:
     degrees = form.total_degrees()
     if len(degrees) > 1:
@@ -67,15 +106,18 @@ def codifferential(
     """Codifferential delta = (-1)^(n(k+1)+1) * star d star on k-forms.
 
     The sign exponent uses n = complex dimension.  delta is linear: the
-    two antilinear stars compose to a linear map.
+    two antilinear stars compose to a linear map.  Under the default
+    convention star d star is ``_star_d_star``, which builds no star; the
+    literal convention composes ``hodge_star``, d and ``hodge_star``.
     """
-    from .star import hodge_star  # here, so that d and its halves load neither the star nor the metric
-
     k = _homogeneous_total_degree(form, "codifferential")
     n = metric.n
-    starred = hodge_star(form, metric, convention)
-    moved = exterior_d(starred)
-    back = hodge_star(moved, metric, convention)
+    if convention == DEFAULT_CONVENTION:
+        back = _star_d_star(form, metric)
+    else:
+        from .star import hodge_star  # here, so that d, its halves and the default delta never load the star
+
+        back = hodge_star(exterior_d(hodge_star(form, metric, convention)), metric, convention)
     return -back if (n * (k + 1) + 1) % 2 else back
 
 

@@ -225,6 +225,8 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
     dz^j becomes sum_m a[j][m] dz^m, and z^j becomes sum_m a[j][m] z^m,
     likewise for the barred copies: the differentials go through the change
     of generators ``forms._Frame(a, a)``, whose rows are the minors of a.
+    A variable's image sums only the nonzero entries of its row, and a
+    constant coefficient is kept as it is.
     The result is an ordinary form read in the primed frame.
     """
     n = form.n
@@ -233,9 +235,9 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
     substitution = {}
     for j, row in enumerate(matrix.entries, start=1):
         for kind in (Z, ZBAR):
-            variables = (WirtingerPolynomial.variable(n, kind, m).scale(a) for m, a in enumerate(row, start=1))
+            variables = (WirtingerPolynomial.variable(n, kind, m).scale(a) for m, a in enumerate(row, start=1) if a)
             substitution[(kind, j)] = WirtingerPolynomial._sum(n, variables)
-    substituted = {key: coeff.substitute(substitution) for key, coeff in form.terms.items()}
+    substituted = {key: coeff if coeff.is_constant() else coeff.substitute(substitution) for key, coeff in form.terms.items()}
     frame = _Frame(matrix.entries, matrix.entries)
     return Form._trusted(n, _pulled_back(n, substituted, frame.image).items())
 

@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_form, random_poly
+import pqforms.star
+from helpers import forms, random_dense_metric, random_form, random_multi_index
 from pqforms import (
     Form,
     HermitianMetric,
@@ -14,8 +18,10 @@ from pqforms import (
     exterior_d,
     gaussian,
     harmonic_check,
+    hodge_star,
     laplacian,
 )
+from pqforms.calculus import _star_d_star
 
 
 def admissible_block_coeff(rng, n=4):
@@ -121,6 +127,77 @@ def test_codifferential_squared_is_zero():
         k = rng.randint(0, 2 * n)
         a = random_form(rng, n, total_degree=k, max_degree=1)
         assert codifferential(codifferential(a, metric), metric).is_zero()
+
+
+def _composed(psi, metric, convention=None):
+    """star d star as the composition of two Hodge stars around d."""
+    args = () if convention is None else (convention,)
+    return hodge_star(exterior_d(hodge_star(psi, metric, *args)), metric, *args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms(), st.integers(0, 2**32))
+def test_star_d_star_matches_the_star_composition(psi, seed):
+    # every degree and mixed degrees, n <= 3, on a dense metric
+    metric = random_dense_metric(random.Random(seed), psi.n)
+    assert _star_d_star(psi, metric) == _composed(psi, metric)
+
+
+def test_star_d_star_matches_the_star_composition_on_diagonal_metrics():
+    # each coefficient holds zb_a for a dz_a of its key and z_b for a dzb_b,
+    # the only derivatives that a diagonal inverse pairs with the key
+    rng = random.Random(61)
+    for n in (5, 6, 7, 8):
+        metric = HermitianMetric.diagonal([Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)])
+        for _ in range(3):
+            terms = {}
+            for _ in range(2):
+                I = random_multi_index(rng, n, rng.randint(1, n))
+                J = random_multi_index(rng, n, rng.randint(1, n))
+                z, zb = WirtingerPolynomial.z(n, rng.choice(J)), WirtingerPolynomial.zb(n, rng.choice(I))
+                terms[I, J] = z * zb + z.scale(gaussian(rng.randint(-3, 3), 1)) + zb**2
+            psi = Form(n, terms)
+            closed = _star_d_star(psi, metric)
+            assert closed and closed == _composed(psi, metric)
+
+
+def test_star_d_star_checks_the_metric_dimension():
+    with pytest.raises(ValueError, match="^form ambient dimension 3 != metric dimension 2$"):
+        codifferential(Form.term(3, (1,), (), 1), HermitianMetric.identity(2))
+
+
+def test_default_delta_laplacian_and_harmonic_build_no_star(monkeypatch):
+    # the default convention contracts with the inverse metric; only the
+    # literal convention raises indices for two stars
+    n = 3
+    metric = random_dense_metric(random.Random(67), n)
+    psi = Form.term(n, (1, 2), (3,), WirtingerPolynomial.z(n, 3) * WirtingerPolynomial.zb(n, 1))
+    calls = []
+    raised = pqforms.star._raised
+
+    def counted(form, g):
+        calls.append(form)
+        return raised(form, g)
+
+    monkeypatch.setattr(pqforms.star, "_raised", counted)
+    codifferential(psi, metric)
+    laplacian(psi, metric)
+    harmonic_check(psi, metric)
+    assert calls == []
+    codifferential(psi, metric, LITERAL_CONVENTION)
+    assert len(calls) == 2
+
+
+def test_literal_delta_composes_the_stars():
+    # the closed form is the default star's star d star; the literal star's
+    # composition differs from it here, so the literal branch keeps it
+    n = 2
+    metric = HermitianMetric.identity(n)
+    psi = Form.term(n, (1,), (1,), WirtingerPolynomial.z(n, 1))
+    closed, literal = _star_d_star(psi, metric), _composed(psi, metric, LITERAL_CONVENTION)
+    assert closed == Form.term(n, (1,), (), -1) and literal == -closed
+    assert codifferential(psi, metric) == -closed
+    assert codifferential(psi, metric, LITERAL_CONVENTION) == -literal
 
 
 def test_codifferential_rejects_mixed_total_degree():

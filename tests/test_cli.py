@@ -244,6 +244,7 @@ def loaded_modules(*argv):
     [
         (["d", "--n", "1", "dz1"], ("metric", "star", "realoracle", "obstruction", "scenarios")),
         (["star", "--n", "1", "dz1"], ("realoracle", "obstruction", "scenarios", "calculus")),
+        (["delta", "--n", "2", "z1*zb1*dz1"], ("star", "realoracle", "obstruction", "scenarios")),
     ],
 )
 def test_a_command_loads_only_the_modules_it_computes_with(argv, absent):

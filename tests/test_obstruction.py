@@ -206,6 +206,34 @@ def test_transform_form_matches_the_unmemoized_pull_back(data):
     unit, images = matrix_images(n, a, a)
     assert transform_form(form, matrix) == brute_pull_back(substituted, _factors, unit, lambda c: c, images)
 
+
+def test_transform_scales_only_by_nonzero_entries(monkeypatch):
+    # the first scenario rotation at n = 4 has 6 nonzero entries of 16: one
+    # scaled variable per nonzero entry and kind, and the constant
+    # coefficient is not substituted into
+    matrix = scenario_transforms()[0]
+    form = Form.term(4, (1, 2), (3, 4), 1)
+    scales, substitutions = [], []
+    scale, substitute = WirtingerPolynomial.scale, WirtingerPolynomial.substitute
+
+    def counted_scale(self, value):
+        scales.append(value)
+        return scale(self, value)
+
+    def counted_substitute(self, mapping):
+        substitutions.append(mapping)
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(WirtingerPolynomial, "scale", counted_scale)
+    monkeypatch.setattr(WirtingerPolynomial, "substitute", counted_substitute)
+    image = transform_form(form, matrix)
+    monkeypatch.undo()
+    assert len(scales) == 2 * sum(bool(a) for row in matrix.entries for a in row) == 12
+    assert all(scales) and not substitutions
+    unit, images = matrix_images(4, matrix.entries, matrix.entries)
+    assert image == brute_pull_back(form.terms, _factors, unit, lambda c: c, images)
+
+
 def test_non_orthogonal_matrix_rejected():
     with pytest.raises(ValueError):
         RealOrthogonalMatrix([[1, 1], [0, 1]])

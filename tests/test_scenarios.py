@@ -4,7 +4,7 @@ from importlib import import_module
 import pytest
 
 from pqforms import scenario_runner, scenarios
-from pqforms.dsl import parse_form, parse_poly
+from pqforms.dsl import parse_form
 from pqforms.scenarios import SCENARIO_IDS
 
 
