@@ -3,8 +3,6 @@
 Run:  python demos/01_exact_forms_and_wedge.py
 """
 
-from fractions import Fraction
-
 from pqforms import Form, WirtingerPolynomial, gaussian
 from pqforms.dsl import format_poly, pretty_print
 

@@ -34,18 +34,19 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm, log2
+from math import comb
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .forms import Form, TermKey, _summed
-from .scalars import MINUS_ONE, ONE, GaussianRational, format_scalar, gaussian
+from .scalars import MINUS_ONE, ONE, GaussianRational, _height, _power, format_scalar, gaussian
 from .wpoly import WirtingerPolynomial, _variable_names
 
 # Deepest "(" nesting the parser reads; a deeper "(" is a ParseError.
 MAX_NESTING = 100
 # Most work the "*", "**" and "^" of one parse may do, in monomial products
-# weighted by coefficient size (see _cost); the operator that would pass it
-# is a ParseError, raised before it expands.
+# weighted by coefficient size (see _cost); "**" is charged for each product
+# of the engine's own squaring schedule (scalars._power).  The operator that
+# would pass it is a ParseError, raised before it expands.
 MAX_WORK = 500_000
 
 
@@ -241,7 +242,14 @@ class _Parser:
             return base
         operator = self.tokens[self.pos - 1]
         exponent = self.integer("exponent must be a non-negative integer")
-        self.charge(_power_cost(*_size(base), exponent), operator)
+        t, height = _size(base)
+        size = lambda k: comb(max(t, 1) + k - 1, k)  # a k-th power has at most this many terms
+
+        def charged(k: int, j: int) -> int:  # the product of the k-th and j-th powers
+            self.charge(_cost(size(k) * size(j), (k + j) * height), operator)
+            return k + j
+
+        _power(1, exponent, charged, 0)  # from the 0th power, so the first factor is charged too
         return base ** exponent
 
     def group(self, opening: Token) -> _Value:
@@ -299,15 +307,13 @@ class _Parser:
 
 
 def _size(value: Union[int, _Value]) -> Tuple[int, float]:
-    """Monomials and height of a polynomial, of all coefficients of a form, or of a sign: with D
-    the lcm of the denominators and N the sum of |re| + |im| times D, log2(D) + log2(N).  The
-    coefficients of a product have at most its factors' heights summed in bits."""
+    """Monomials and height (``scalars._height``) of a polynomial, of all
+    coefficients of a form, or of a sign."""
     if isinstance(value, int):
         return 1, 0.0
     polys = value.terms.values() if isinstance(value, Form) else (value,)
-    scalars = [c for poly in polys for c in poly.terms.values()]  # each (c._a + c._b * i) / c._d
-    den = lcm(*[c._d for c in scalars])
-    return len(scalars), log2(den * sum((abs(c._a) + abs(c._b)) * (den // c._d) for c in scalars) or 1)
+    coefficients = [c for poly in polys for c in poly.terms.values()]
+    return len(coefficients), _height(coefficients)
 
 
 def _cost(products: int, bits: float) -> int:
@@ -315,23 +321,6 @@ def _cost(products: int, bits: float) -> int:
     bits, in units of about 4 us (the exact scalar multiply-add, measured)."""
     b = int(bits) + 1
     return products * (1 + b // 24 + (b // 128) ** 2)
-
-
-def _power_cost(t: int, height: float, e: int) -> int:
-    """A bound on the work of ``WirtingerPolynomial.__pow__`` raising t
-    terms of that height to the e-th power by repeated squaring: a k-th
-    power has at most C(t+k-1, k) terms.  Counting stops above MAX_WORK."""
-    size = lambda k: comb(max(t, 1) + k - 1, k)
-    work, result, base = 0, 0, 1
-    while e and work <= MAX_WORK:
-        if e & 1:
-            work += _cost(size(result) * size(base), (result + base) * height)
-            result += base
-        e >>= 1
-        if e:
-            work += _cost(size(base) ** 2, 2 * base * height)
-            base *= 2
-    return work
 
 
 def _as_form(value: _Value, n: int) -> Form:

@@ -369,10 +369,7 @@ class OracleReport(NamedTuple):
 
 
 def _proportionality_ratio(engine: Form, oracle: Form) -> Tuple[bool, Optional[GaussianRational]]:
-    if oracle.is_zero():
-        return engine.is_zero(), None
-    if engine.is_zero():
-        return False, None
+    """The two stars of one nonzero homogeneous component, neither zero: both are injective there."""
     # any oracle monomial: when the forms are proportional, the ratio is unique
     key, oracle_coeff = next(iter(oracle.terms.items()))
     exponents, scalar = next(iter(oracle_coeff.terms.items()))

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Union
+from math import gcd, lcm, log2
+from operator import mul
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussianRational"]
+T = TypeVar("T")
 
 
 class GaussianRational:
@@ -89,18 +91,10 @@ class GaussianRational:
         return GaussianRational.coerce(other) / self
 
     def __pow__(self, exponent: int) -> "GaussianRational":
+        """``_power`` for exponent >= 1, and ONE / self ** -exponent below 0."""
         if exponent < 0:
-            return ONE / (self ** (-exponent))
-        result = ONE
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+            return ONE / self ** -exponent
+        return _power(self, exponent) if exponent else ONE
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussianRational):
@@ -162,6 +156,28 @@ def _signed_sum(x: GaussianRational, y: ScalarLike, sign: int) -> GaussianRation
     if d == f:
         return _reduced(x._a + sign * y._a, x._b + sign * y._b, d)
     return _reduced(x._a * f + sign * y._a * d, x._b * f + sign * y._b * d, d * f)
+
+
+def _power(base: T, exponent: int, multiply: Callable[[T, T], T] = mul, result: Optional[T] = None) -> T:
+    """base ** exponent, exponent >= 1, by right-to-left binary powering
+    (Knuth, TAOCP vol. 2, 4.6.3): low bit first, the result takes the base
+    at each set bit (the base itself at the first, unless ``result`` is
+    given) and the base is squared only before a later set bit.  Every
+    product is ``multiply(left, right)``; exponent 0 returns ``result``."""
+    while True:
+        if exponent & 1:
+            result = base if result is None else multiply(result, base)
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = multiply(base, base)
+
+
+def _height(values: Sequence[GaussianRational]) -> float:
+    """log2(D * N), with D the lcm of the denominators and N the sum of |re| + |im|
+    times D; 0 for none.  A product's coefficients have at most its factors' heights summed."""
+    den = lcm(*[c._d for c in values])
+    return log2(den * sum((abs(c._a) + abs(c._b)) * (den // c._d) for c in values) or 1)
 
 
 def _quarter_turned(value: GaussianRational, turns: int) -> GaussianRational:

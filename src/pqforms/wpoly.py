@@ -14,7 +14,7 @@ from itertools import compress
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
-from .scalars import ZERO, GaussianRational, ScalarLike
+from .scalars import ZERO, GaussianRational, ScalarLike, _power
 
 Exponents = Tuple[int, ...]
 
@@ -159,18 +159,10 @@ class WirtingerPolynomial:
         return WirtingerPolynomial._trusted(self.n, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "WirtingerPolynomial":
+        """``scalars._power``, whose products the DSL budget charges first; one(n) for 0."""
         if exponent < 0:
             raise ValueError("polynomial powers must be non-negative")
-        if exponent == 0:
-            return WirtingerPolynomial.one(self.n)
-        result, base = None, self
-        while True:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = base * base
+        return _power(self, exponent) if exponent else WirtingerPolynomial.one(self.n)
 
     # -- structure ----------------------------------------------------------
 

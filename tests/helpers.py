@@ -241,7 +241,9 @@ def random_form(
         else:
             p = rng.randint(0, n)
             q = rng.randint(0, n)
-        coeff = random_poly(rng, n, max_terms=2, max_degree=max_degree)
+        coeff = WirtingerPolynomial.zero(n)
+        while coeff.is_zero():  # redrawn, so that no term of the form is dropped
+            coeff = random_poly(rng, n, max_terms=2, max_degree=max_degree)
         form = form + Form(
             n, {(random_multi_index(rng, n, p), random_multi_index(rng, n, q)): coeff}
         )

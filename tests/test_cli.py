@@ -87,6 +87,15 @@ def test_scenario_json_and_strict(capsys):
     assert code == 0
 
 
+def test_scenario_strict_exits_3_when_a_verdict_deviates(capsys, monkeypatch):
+    # as in tests/test_scenarios.py: the symbolic obstruction reads as zero, so a wanted extra deviates
+    monkeypatch.setattr(pqforms.scenarios, "obstruction_direction_coefficients", lambda form: {})
+    code, out, _ = run(capsys, "scenario", "lemma34")
+    assert code == 0 and out.endswith("pass: False\n")
+    code, _, _ = run(capsys, "scenario", "lemma34", "--strict")
+    assert code == 3
+
+
 def test_metric_file_flag(capsys, tmp_path):
     path = tmp_path / "metric.json"
     path.write_text(json.dumps({"n": 2, "entries": [["2", "0"], ["0", "1"]]}))

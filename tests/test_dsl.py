@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import random_form, random_poly
 from pqforms import Form, ParseError, WirtingerPolynomial, format_poly, gaussian, pretty_print
 from pqforms.cli import main
-from pqforms.dsl import MAX_NESTING, MAX_WORK, parse_form, parse_poly
+from pqforms.dsl import MAX_NESTING, MAX_WORK, _Parser, parse_form, parse_poly
 
 
 def test_parse_plain_wedge():
@@ -74,6 +74,18 @@ def test_parse_reports_position():
     assert err.value.column == 7
 
 
+@pytest.mark.parametrize("text, line, column", [("dz1 +\n  + dz2", 2, 3), ("dz1\n^\n  dz9", 3, 3)])
+def test_parse_reports_position_on_later_lines(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_form(text, 2)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_rejects_a_nonpositive_dimension():
+    with pytest.raises(ValueError, match="^ambient dimension must be positive, got 0$"):
+        parse_form("dz1", 0)
+
+
 def test_parse_range_error():
     with pytest.raises(ParseError) as err:
         parse_form("dz3", 2)
@@ -106,6 +118,9 @@ EDGE_CASES = [
     ("-(-dz1)", Form.term(2, (1,), (), 1)),
     ("((z1))**2", Form.from_scalar(2, _Z1 ** 2)),
     ("(1)^(2)", Form.from_scalar(2, 2)),
+    # a run of differentials is closed before a form group joins it
+    ("dz1^(dz2+dzb1)", Form.term(2, (1,), (1,), 1) + Form.term(2, (1, 2), (), 1)),
+    ("dzb1^(dz1)^dz2", Form.term(2, (1, 2), (1,), 1)),
     ("z1^dz1", None),
     ("2*(z1)^dz1", None),
     ("(dz1)*(z1)", None),
@@ -151,6 +166,20 @@ def test_work_budget_boundary():
     _budget_error("(z1+zb1)**305", 1, 9)
     # the budget is one per parse, so a second power that alone would pass does not
     _budget_error("(z1+zb1)**304+(z1+zb1)**304", 1, 23)
+
+
+def test_power_budget_charges_each_product_of_the_power(monkeypatch):
+    # one charge for the first factor and one for each product __pow__ makes, all before it makes any
+    events = []
+    charge, multiply = _Parser.charge, WirtingerPolynomial.__mul__
+    monkeypatch.setattr(_Parser, "charge", lambda self, *args: events.append("charge") or charge(self, *args))
+    monkeypatch.setattr(WirtingerPolynomial, "__mul__", lambda *args: events.append("mul") or multiply(*args))
+    for exponent in range(1, 41):
+        events.clear()
+        parse_poly(f"(z1+zb1)**{exponent}", 1)
+        products = events.count("mul")
+        assert products == exponent.bit_length() + bin(exponent).count("1") - 2
+        assert events == ["charge"] * (products + 1) + ["mul"] * products, exponent
 
 
 def test_work_budget_charges_products_and_wedges():

@@ -476,3 +476,12 @@ def test_frame_matches_the_unmemoized_pull_back(data):
     frame = _Frame(dz, dzb)
     assert _pulled_back(n, form.terms, frame.image) == expected
     assert _pulled_back(n, form.terms, frame.image) == expected
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: Form.from_factors(2, [("w", 1)]), "differential kind must be 'z' or 'zb', got 'w'")],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -254,3 +254,25 @@ def test_metric_build_and_validation_run_one_elimination(monkeypatch, build):
     monkeypatch.setattr(pqforms.metric, "_gauss_jordan", counted)
     build([[2, "1+i", 0], ["1-i", 3, "1/2"], [0, "1/2", 1]])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda path: coerce_matrix([]), "matrix must be non-empty"),
+        (lambda path: coerce_matrix([[1, 0], [0]]), "matrix rows have unequal lengths"),
+        (lambda path: load_metric(path), "{path}: metric file must be an object with an 'entries' field"),
+    ],
+)
+def test_input_checks(tmp_path, build, message):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps([[1, 0], [0, 1]]))
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        build(path)
+
+
+def test_metric_equality_and_repr():
+    metric = HermitianMetric([[2, "i"], ["-i", 1]])
+    assert metric == HermitianMetric([["2", "i"], ["-i", "1"]])
+    assert metric != HermitianMetric.identity(2) and metric.__eq__(1) is NotImplemented
+    assert repr(metric) == "HermitianMetric[2, i; -i, 1]"

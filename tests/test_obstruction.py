@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -318,3 +319,35 @@ def test_lemma34_scenario_zero_form():
     report = lemma34_scenario(Form.zero(4), [e(4, 1)], scenario_transforms())
     assert report.all_zero
 
+
+_I2, _I3 = RealOrthogonalMatrix.identity(2), RealOrthogonalMatrix.identity(3)
+_ONE3, _ONE4, _ONE5 = (WirtingerPolynomial.one(n) for n in (3, 4, 5))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Direction.basis(2, 3), ValueError, "basis index 3 out of range 1..2"),
+        (lambda: Direction(1, [1.5]), TypeError, "cannot interpret 1.5 as an exact rational"),
+        (lambda: RealOrthogonalMatrix([]), ValueError, "orthogonal matrix must be square and non-empty"),
+        (lambda: RealOrthogonalMatrix([[1, 0]]), ValueError, "orthogonal matrix must be square and non-empty"),
+        (lambda: RealOrthogonalMatrix.permutation([1, 1]), ValueError, "[1, 1] is not a permutation of 1..2"),
+        (lambda: _I2.compose(_I3), ValueError, "dimension mismatch"),
+        (lambda: obstruction(Form.term(2, (1,), (1,), 1), Direction.basis(3, 1)), ValueError, "direction dimension 3 != form dimension 2"),
+        (lambda: paired_class_form([], 1, 2), ValueError, "paired class form needs at least one index"),
+        (lambda: paired_class_form([3], 1, 2), ValueError, "paired index 3 out of range 1..2"),
+        (lambda: transform_form(Form.term(2, (1,), (), 1), _I3), ValueError, "matrix dimension 3 != form dimension 2"),
+        (lambda: k3_product_form(_ONE3, _ONE3, 3), ValueError, "the product construction needs at least 4 coordinates"),
+        (lambda: k3_product_form(_ONE5, _ONE4, 4), ValueError, "factors must live in ambient dimension 4"),
+    ],
+)
+def test_input_checks(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_orthogonal_matrix_equality_and_repr():
+    rotation = RealOrthogonalMatrix.rotation(2, 1, 2, "3/5", "4/5")
+    assert rotation == RealOrthogonalMatrix([["3/5", "4/5"], ["-4/5", "3/5"]])
+    assert rotation != _I2 and rotation.__eq__(1) is NotImplemented
+    assert repr(rotation) == "RealOrthogonalMatrix[3/5, 4/5; -4/5, 3/5]"

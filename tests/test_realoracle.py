@@ -437,3 +437,9 @@ def test_a_warm_oracle_star_builds_one_polynomial_per_output_key(monkeypatch):
     monkeypatch.setattr(WirtingerPolynomial, "__init__", counted_init)
     assert oracle_star(psi) == expected
     assert len(built) == len(expected.terms)
+
+
+@pytest.mark.parametrize("n, metric_n", [(2, 3), (3, 2)])
+def test_oracle_compare_checks_the_metric_dimension(n, metric_n):
+    with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+        oracle_compare(Form.term(n, (1,), (), 1), HermitianMetric.identity(metric_n))

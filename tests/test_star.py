@@ -369,3 +369,12 @@ def test_repeated_raises_do_not_grow_the_memo():
             raise_indices(psi, metric)
     assert list(frame.halves) == halves
     assert all(frame.halves[side][key] is halves[side][key] for side in (0, 1) for key in halves[side])
+
+
+@pytest.mark.parametrize(
+    "phi, psi",
+    [(_dz(2, 1), _dz(2, 1)), (_dz(2, 1), _dz(3, 1)), (_dz(3, 1), _dz(2, 1))],
+)
+def test_pointwise_inner_checks_the_metric_dimension(phi, psi):
+    with pytest.raises(ValueError, match="^ambient dimension mismatch between forms and metric$"):
+        pointwise_inner(phi, psi, HermitianMetric.identity(3))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -191,3 +192,17 @@ def test_internal_ops_keep_terms_canonical(p, q, r, c):
 def test_public_constructor_rejects(terms, error):
     with pytest.raises(error):
         WirtingerPolynomial(2, terms)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: WirtingerPolynomial(0), "ambient dimension must be positive, got 0"),
+        (lambda: WirtingerPolynomial.variable(2, "w", 1), "variable kind must be one of ('z', 'zb'), got 'w'"),
+        (lambda: z(2, 1) ** -1, "polynomial powers must be non-negative"),
+        (lambda: z(2, 1).constant_value(), "polynomial is not constant"),
+    ],
+)
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
