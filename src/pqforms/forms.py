@@ -192,7 +192,8 @@ class _Frame:
     nonzero entries.  The image of a key (I, J) is the product of the images
     of its halves I and J, with no sign.  The image of a half, a row of the
     compound matrix (Cauchy-Binet), folds its generators' images through the
-    one wedge loop and is kept in ``halves`` as (indices, constant) pairs."""
+    one wedge loop and is kept in ``halves`` as a map from indices to
+    constants, so a row can also be read at chosen indices."""
 
     __slots__ = ("generators", "halves")
 
@@ -200,23 +201,23 @@ class _Frame:
         self.generators = tuple([{(a,): GaussianRational.coerce(c) for a, c in enumerate(row, 1) if c} for row in rows] for rows in (dz, dzb))
         self.halves: Tuple[dict, dict] = ({}, {})  # dz-half I or dzb-half J -> its row
 
-    def _half(self, side: int, indices: MultiIndex) -> Tuple[Tuple[MultiIndex, GaussianRational], ...]:
+    def _half(self, side: int, indices: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
         row = self.halves[side].get(indices)
         if row is None:
-            terms: Dict[MultiIndex, GaussianRational] = {(): ONE}
+            row = {(): ONE}
             for k in indices:
                 sums: Dict[MultiIndex, GaussianRational] = {}
-                for key, c in _wedge_terms(terms, self.generators[side][k - 1], _shuffled):
+                for key, c in _wedge_terms(row, self.generators[side][k - 1], _shuffled):
                     prev = sums.get(key)
                     sums[key] = c if prev is None else prev + c
-                terms = {key: c for key, c in sums.items() if c}
-            row = self.halves[side][indices] = tuple(terms.items())
+                row = {key: c for key, c in sums.items() if c}
+            self.halves[side][indices] = row
         return row
 
     def image(self, key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
         """The row of a key: (image key, constant) pairs."""
-        right = self._half(1, key[1])
-        return [((A, B), a * b) for A, a in self._half(0, key[0]) for B, b in right]
+        right = self._half(1, key[1]).items()
+        return [((A, B), a * b) for A, a in self._half(0, key[0]).items() for B, b in right]
 
 
 class _TermStore:

@@ -139,7 +139,7 @@ class HermitianMetric:
     conjugate of dz^(b+1).
     """
 
-    __slots__ = ("n", "entries", "inverse", "determinant", "_volume", "_raising")
+    __slots__ = ("n", "entries", "inverse", "determinant", "_volume", "_raising", "_stars")
 
     def __init__(self, entries: MatrixLike):
         matrix, report, inverse = _validated(entries)
@@ -160,6 +160,7 @@ class HermitianMetric:
         self.inverse = inverse
         self._volume = None  # filled by volume_form on first use
         self._raising = None  # the raising frame (forms._Frame of the inverse), built by the first raise
+        self._stars = {}  # convention -> the star's rows (star._StarRows), built by its first star
 
     @classmethod
     def identity(cls, n: int) -> "HermitianMetric":

@@ -23,18 +23,36 @@ For a (p,q)-term with coefficient c on (A, B) the default star emits
         * det(g) * raised(c)  on  dz^(A^c) ^ dzb^(B^c)
 
 where sgn sorts the concatenated index blocks into 1..n and raised(c)
-contracts the conjugated coefficient with inverse-metric entries.
+contracts the conjugated coefficient with inverse-metric entries.  The
+whole product is one linear map on keys, so the star is one pull-back
+(``forms._pulled_back``) through rows of constants, ``_StarRows``: the
+raising frame's rows with each image key complemented and its signs and
+det(g) folded into the constant.  Each monomial is multiplied once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Tuple
 
 from .choices import CONVENTIONS, DEFAULT_CONVENTION, LITERAL_CONVENTION, StarConvention  # noqa: F401  (re-exported)
-from .forms import Form, MultiIndex, _Frame, _pulled_back, complement
+from .forms import Form, MultiIndex, TermKey, _Frame, _key_product, _pulled_back, _wedge_terms, complement
 from .metric import HermitianMetric, volume_form
-from .scalars import GaussianRational, I_UNIT, MINUS_ONE, ONE
+from .scalars import GaussianRational, _quarter_turned
 from .wpoly import WirtingerPolynomial
+
+
+def _frame(psi: Form, metric: HermitianMetric) -> _Frame:
+    """The metric's raising frame, the ``forms._Frame`` of ginv and its
+    transpose, built on the first raise and kept in its ``_raising`` slot;
+    psi's dimension is checked against the metric's first."""
+    if psi.n != metric.n:
+        raise ValueError(f"form ambient dimension {psi.n} != metric dimension {metric.n}")
+    frame = metric._raising
+    if frame is None:
+        frame = metric._raising = _Frame(metric.inverse, list(zip(*metric.inverse)))
+    return frame
 
 
 def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial]:
@@ -51,7 +69,8 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     sum_b ginv[b][m] dzb^b.  The frame's rows are constants, the minors
     themselves.  The metric's ``_raising`` slot keeps that frame from the
     first raise on; the pull-back reads each coefficient conjugated and
-    sums the table in place.
+    sums the whole table in place.  The star and the inner product read
+    the same frame without forming this table.
 
     With the identity metric this collapses to coefficient-wise
     conjugation.  The table carries exactly one conjugation; callers pick
@@ -61,31 +80,28 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
         return {}
     if not psi.is_homogeneous():
         raise ValueError(f"raise_indices needs a homogeneous form, got bidegrees {sorted(psi.bidegrees())}")
-    return _raised(psi, metric)
+    return _pulled_back(metric.n, psi.terms, _frame(psi, metric).image, WirtingerPolynomial._conjugate_terms)
 
 
-def _raised(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial]:
-    """The raised table of any form, all its bidegrees in one pull-back:
-    the frame keeps each key's bidegree."""
-    n = metric.n
-    if psi.n != n:
-        raise ValueError(f"form ambient dimension {psi.n} != metric dimension {n}")
-    frame = metric._raising
-    if frame is None:
-        frame = metric._raising = _Frame(metric.inverse, list(zip(*metric.inverse)))
-    return _pulled_back(n, psi.terms, frame.image, WirtingerPolynomial._conjugate_terms)
+def _inner(phi: Form, psi: Form, frame: _Frame) -> WirtingerPolynomial:
+    """sum over phi's keys (A, B) of phi[A, B] * raised(psi)[A, B], with psi
+    raised only at phi's keys: the row of a key of psi is the frame's half
+    rows read at the halves of phi's keys."""
+    half, keys = frame._half, phi.terms.keys()
 
+    def image(key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
+        left, right = half(0, key[0]), half(1, key[1])
+        return [(k, left[k[0]] * right[k[1]]) for k in keys if k[0] in left and k[1] in right]
 
-def _contracted(phi: Form, raised, n: int) -> WirtingerPolynomial:
-    """sum over (A, B) of phi[A, B] * raised[A, B]."""
-    return WirtingerPolynomial._sum(n, (coeff * raised[key] for key, coeff in phi.terms.items() if key in raised))
+    raised = _pulled_back(phi.n, psi.terms, image, WirtingerPolynomial._conjugate_terms)
+    return WirtingerPolynomial._sum(phi.n, (coeff * raised[key] for key, coeff in phi.terms.items() if key in raised))
 
 
 def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerPolynomial:
     """Pointwise inner product: sum over increasing (A, B) of
     phi[A, B] * raised(psi)[A, B].  Sesquilinear; with the identity metric
     it is the plain sum of phi coefficients times conjugated psi
-    coefficients."""
+    coefficients.  psi is raised only at phi's keys."""
     n = metric.n
     if phi.n != n or psi.n != n:
         raise ValueError("ambient dimension mismatch between forms and metric")
@@ -95,46 +111,78 @@ def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerP
         raise ValueError(
             f"bidegree mismatch: {phi.homogeneous_bidegree()} vs {psi.homogeneous_bidegree()}"
         )
-    return _contracted(phi, raise_indices(psi, metric), n)
+    return _inner(phi, psi, _frame(psi, metric))
 
 
-_I_POWERS = (ONE, I_UNIT, MINUS_ONE, -I_UNIT)
+class _StarRows:
+    """The rows of the star on one metric under one convention, kept in the
+    metric's ``_stars`` slot by convention.
+
+    The half row of indices L (side 0) is the raising frame's row of L with
+    each image A replaced by (A^c, sgn(A, A^c) * det(g) * minor); that of M
+    (side 1) the same with sgn(B, B^c) and no det(g).  Like the frame, the
+    memo keeps halves, never whole keys.  The row of a key (L, M) of
+    bidegree (p, q) pairs its two half rows, its left constants turned by
+    the unit i^n (-1)^(n(n-1)/2 + (n-p)q) with no gcd.
+
+    The literal convention's two flags act on the same rows:
+    ``literal_eq_2_9`` conjugation conjugates the half rows (det(g) and the
+    signs are real, the unit is not conjugated) and reads each coefficient
+    unconjugated; ``printed_eq_2_9`` output swaps the image key's halves.
+    """
+
+    __slots__ = ("frame", "n", "determinant", "conjugated", "swapped", "read", "halves")
+
+    def __init__(self, frame: _Frame, metric: HermitianMetric, convention: StarConvention):
+        self.frame, self.n, self.determinant = frame, metric.n, metric.determinant
+        self.conjugated = convention.conjugation_mode == "literal_eq_2_9"
+        self.swapped = convention.output_index_mode != "same_type_complement"
+        self.read = attrgetter("terms") if self.conjugated else WirtingerPolynomial._conjugate_terms
+        self.halves: Tuple[dict, dict] = ({}, {})  # dz-half L or dzb-half M -> its row
+
+    def _half(self, side: int, indices: MultiIndex) -> Tuple[Tuple[MultiIndex, GaussianRational], ...]:
+        row = self.halves[side].get(indices)
+        if row is None:
+            pairs = []
+            for image, c in self.frame._half(side, indices).items():
+                rest, sign = complement(image, self.n)
+                if not side:
+                    c = c * self.determinant
+                if sign < 0:
+                    c = -c
+                pairs.append((rest, c.conjugate() if self.conjugated else c))
+            row = self.halves[side][indices] = tuple(pairs)
+        return row
+
+    def image(self, key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
+        """The row of a key: (image key, constant) pairs."""
+        (L, M), n = key, self.n
+        turns = n + 2 * (n * (n - 1) // 2 + (n - len(L)) * len(M))
+        left = [(A, _quarter_turned(a, turns)) for A, a in self._half(0, L)]
+        right = self._half(1, M)
+        if self.swapped:
+            return [((B, A), a * b) for A, a in left for B, b in right]
+        return [((A, B), a * b) for A, a in left for B, b in right]
 
 
-def _star_prefactor(n: int, p: int, q: int) -> GaussianRational:
-    """i^n * (-1)^e with e = n(n-1)/2 + (n-p)q, read as i^(n + 2e)."""
-    return _I_POWERS[(n + 2 * (n * (n - 1) // 2 + (n - p) * q)) % 4]
-
-
-def _starred(raised, metric: HermitianMetric, convention: StarConvention):
-    """The (key, coeff) pairs of the star of a form, from its raised table;
-    each key's halves give its bidegree (p, q), and so its prefactor."""
-    n = metric.n
-    prefactors = {}
-    for (A, B), coeff in raised.items():
-        A_c, sign_A = complement(A, n)
-        B_c, sign_B = complement(B, n)
-        signed = prefactors.get((len(A), len(B)))
-        if signed is None:
-            prefactor = _star_prefactor(n, len(A), len(B)) * metric.determinant
-            signed = prefactors[len(A), len(B)] = {1: prefactor, -1: -prefactor}
-        # the literal variant's extra bar applies to the raised
-        # coefficient only, never to the i^n prefactor
-        if convention.conjugation_mode == "literal_eq_2_9":
-            coeff = coeff.conjugate()
-        key = (A_c, B_c) if convention.output_index_mode == "same_type_complement" else (B_c, A_c)
-        yield key, coeff.scale(signed[sign_A * sign_B])
+def _star_terms(psi: Form, frame: _Frame, metric: HermitianMetric, convention: StarConvention) -> Dict[TermKey, WirtingerPolynomial]:
+    """The term map of star(psi), any bidegrees: one pull-back of psi
+    through the metric's star rows under the convention."""
+    rows = metric._stars.get(convention)
+    if rows is None:
+        rows = metric._stars[convention] = _StarRows(frame, metric, convention)
+    return _pulled_back(metric.n, psi.terms, rows.image, rows.read)
 
 
 def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = DEFAULT_CONVENTION) -> Form:
-    """Hodge star of a form: the whole form is raised in one pull-back,
-    then its star is emitted term by term, each term with the prefactor of
-    its own bidegree.
+    """Hodge star of a form: the whole form, any mix of bidegrees, is
+    pulled back once through the metric's star rows, each key's row
+    carrying the prefactor of its own bidegree.
 
     Antilinear under the default convention: star(c * psi) equals
     conj(c) * star(psi) for constant c.
     """
-    return Form._trusted(metric.n, _starred(_raised(psi, metric), metric, convention))
+    return Form._trusted(metric.n, _star_terms(psi, _frame(psi, metric), metric, convention).items())
 
 
 class DefiningIdentityReport(NamedTuple):
@@ -154,13 +202,22 @@ def defining_identity_check(
     """Check the star-defining identity as an exact polynomial-form identity.
 
     Inputs must be homogeneous of equal bidegree (zero forms pass
-    trivially).  The residual is phi ^ star(psi) - <phi, psi> * vol.  psi
-    is raised once, for the star and for the inner product alike.
+    trivially).  The residual is phi ^ star(psi) - <phi, psi> * vol, built
+    in one constructor call from the wedge pairs and the negated scaled
+    volume.  psi is pulled back once through the star rows and raised once
+    more, only at phi's keys, for the inner product.
     """
     both = not phi.is_zero() and not psi.is_zero()
     if both and phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
         raise ValueError("defining identity needs forms of equal bidegree")
-    raised = _raised(psi, metric)
-    star = Form._trusted(metric.n, _starred(raised, metric, convention))
-    residual = phi.wedge(star) - volume_form(metric).scale(_contracted(phi, raised, metric.n))
+    n = metric.n
+    frame = _frame(psi, metric)
+    if phi.n != n:
+        raise ValueError(f"ambient dimension mismatch: {phi.n} vs {n}")
+    star = _star_terms(psi, frame, metric, convention)
+    negated = -_inner(phi, psi, frame)
+    residual = Form._trusted(n, chain(
+        _wedge_terms(phi.terms, star, _key_product),
+        ((key, coeff * negated) for key, coeff in volume_form(metric).terms.items()),
+    ))
     return DefiningIdentityReport(holds=residual.is_zero(), residual=residual, convention=convention)

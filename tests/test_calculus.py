@@ -168,24 +168,24 @@ def test_star_d_star_checks_the_metric_dimension():
 
 def test_default_delta_laplacian_and_harmonic_build_no_star(monkeypatch):
     # the default convention contracts with the inverse metric; only the
-    # literal convention raises indices for two stars
+    # literal convention pulls forms back through the star rows, once per star
     n = 3
     metric = random_dense_metric(random.Random(67), n)
     psi = Form.term(n, (1, 2), (3,), WirtingerPolynomial.z(n, 3) * WirtingerPolynomial.zb(n, 1))
     calls = []
-    raised = pqforms.star._raised
+    pulled_back = pqforms.star._pulled_back
 
-    def counted(form, g):
-        calls.append(form)
-        return raised(form, g)
+    def counted(n, terms, image, read):
+        calls.append(image)
+        return pulled_back(n, terms, image, read)
 
-    monkeypatch.setattr(pqforms.star, "_raised", counted)
+    monkeypatch.setattr(pqforms.star, "_pulled_back", counted)
     codifferential(psi, metric)
     laplacian(psi, metric)
     harmonic_check(psi, metric)
-    assert calls == []
+    assert calls == [] and metric._stars == {}
     codifferential(psi, metric, LITERAL_CONVENTION)
-    assert len(calls) == 2
+    assert calls == [metric._stars[LITERAL_CONVENTION].image] * 2
 
 
 def test_literal_delta_composes_the_stars():

@@ -29,6 +29,7 @@ from pqforms import (
     raise_indices,
     volume_form,
 )
+from pqforms.forms import complement
 
 
 def lemma31_coeff(n=4):
@@ -124,13 +125,18 @@ def test_star_literal_variant_returns_input_shape():
     assert hodge_star(psi, metric, LITERAL_CONVENTION) == psi
 
 
-def test_star_prefactor_table_is_the_power_of_i():
+def test_star_of_a_unit_key_is_the_power_of_i():
+    # (1..p) and (1..q) come before their complements, so under the identity
+    # the star of the unit key is the bidegree's unit alone
     i = gaussian(0, 1)
     for n in range(1, 13):
+        metric = HermitianMetric.identity(n)
         for p in range(n + 1):
             for q in range(n + 1):
                 exponent = n * (n - 1) // 2 + (n - p) * q
-                assert pqforms.star._star_prefactor(n, p, q) == i ** n * (-1) ** exponent
+                psi = Form.term(n, range(1, p + 1), range(1, q + 1), 1)
+                expected = Form.term(n, range(p + 1, n + 1), range(q + 1, n + 1), i ** n * (-1) ** exponent)
+                assert hodge_star(psi, metric) == expected, (n, p, q)
 
 
 def test_defining_identity_simplest_case():
@@ -242,16 +248,24 @@ def test_raise_indices_on_a_reused_metric_matches_a_fresh_copy():
     assert [raise_indices(psi, metric) for psi in forms] == [raise_indices(psi, fresh) for psi in forms]
 
 
-def test_defining_identity_check_raises_psi_once(monkeypatch):
-    # the one raise is the internal one, which takes any bidegree
+def _recording_pull_backs(monkeypatch):
+    """Record (terms, image, result) of every pull-back the star module makes."""
     calls = []
-    original = pqforms.star._raised
+    original = pqforms.star._pulled_back
 
-    def counted(psi, metric):
-        calls.append(psi)
-        return original(psi, metric)
+    def counted(n, terms, image, read):
+        result = original(n, terms, image, read)
+        calls.append((terms, image, result))
+        return result
 
-    monkeypatch.setattr(pqforms.star, "_raised", counted)
+    monkeypatch.setattr(pqforms.star, "_pulled_back", counted)
+    return calls
+
+
+def test_defining_identity_check_raises_psi_once(monkeypatch):
+    # one pull-back through the star rows, any bidegree, and one raise read
+    # only at phi's keys
+    calls = _recording_pull_backs(monkeypatch)
     rng = random.Random(2)
     metric = random_dense_metric(rng, 3)
     for p, q in [(0, 0), (1, 0), (1, 2), (3, 3)]:
@@ -259,7 +273,9 @@ def test_defining_identity_check_raises_psi_once(monkeypatch):
         assert not phi.is_zero() and not psi.is_zero()
         calls.clear()
         assert defining_identity_check(phi, psi, metric).holds
-        assert calls == [psi]
+        (star_terms, star_image, _), (raise_terms, _, raised) = calls
+        assert star_terms is psi.terms and star_image == metric._stars[DEFAULT_CONVENTION].image
+        assert raise_terms is psi.terms and raised and set(raised) <= set(phi.terms)
 
 
 def test_hodge_star_raises_a_mixed_form_in_one_pull_back(monkeypatch):
@@ -273,16 +289,9 @@ def test_hodge_star_raises_a_mixed_form_in_one_pull_back(monkeypatch):
     expected = Form.zero(3)
     for p, q in sorted(psi.bidegrees()):
         expected = expected + hodge_star(psi.component(p, q), metric)
-    calls = []
-    original = pqforms.star._pulled_back
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(pqforms.star, "_pulled_back", counted)
+    calls = _recording_pull_backs(monkeypatch)
     assert hodge_star(psi, metric) == expected
-    assert len(calls) == 1
+    assert [image for _, image, _ in calls] == [metric._stars[DEFAULT_CONVENTION].image]
 
 
 @pytest.mark.parametrize("convention", [DEFAULT_CONVENTION, LITERAL_CONVENTION], ids=["default", "literal"])
@@ -378,3 +387,72 @@ def test_repeated_raises_do_not_grow_the_memo():
 def test_pointwise_inner_checks_the_metric_dimension(phi, psi):
     with pytest.raises(ValueError, match="^ambient dimension mismatch between forms and metric$"):
         pointwise_inner(phi, psi, HermitianMetric.identity(3))
+
+
+_CONVENTIONS = [StarConvention(c, o) for c in ("single", "literal_eq_2_9") for o in ("same_type_complement", "printed_eq_2_9")]
+
+
+def brute_star(psi, metric, convention):
+    """The star with no memo: psi raised by ``brute_pull_back`` through the
+    inverse metric, then each raised term sent to its complements with the
+    closed prefactor i^n (-1)^(n(n-1)/2 + (n-p)q) sgn(A, A^c) sgn(B, B^c) det(g)."""
+    n, ginv = psi.n, metric.inverse
+    unit, images = matrix_images(n, ginv, [[ginv[b][m] for b in range(n)] for m in range(n)])
+    raised = brute_pull_back(psi.terms, _factors, unit, WirtingerPolynomial.conjugate, images)
+    i = gaussian(0, 1)
+    pairs = []
+    for (A, B), coeff in raised.terms.items():
+        (A_c, sign_A), (B_c, sign_B) = complement(A, n), complement(B, n)
+        prefactor = i ** n * (-1) ** (n * (n - 1) // 2 + (n - len(A)) * len(B)) * sign_A * sign_B * metric.determinant
+        if convention.conjugation_mode == "literal_eq_2_9":
+            coeff = coeff.conjugate()
+        key = (A_c, B_c) if convention.output_index_mode == "same_type_complement" else (B_c, A_c)
+        pairs.append((key, coeff.scale(prefactor)))
+    return Form(n, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(forms(max_terms=4, max_degree=1), st.integers(0, 2**32))
+def test_hodge_star_matches_the_unmemoized_star(psi, seed):
+    # mixed bidegrees under all four conventions, each on a fresh metric:
+    # cold star rows on the first call, warm on the second
+    metric = random_dense_metric(random.Random(seed), psi.n)
+    for convention in _CONVENTIONS:
+        fresh = HermitianMetric(metric.entries)
+        expected = brute_star(psi, fresh, convention)
+        assert hodge_star(psi, fresh, convention) == expected, convention
+        assert hodge_star(psi, fresh, convention) == expected, convention
+
+
+def test_star_rows_keep_halves_only_one_set_per_convention():
+    rng = random.Random(6)
+    metric = random_dense_metric(rng, 3)
+    psis = [random_form(rng, 3, bidegree=(p, q), max_degree=1) for p in range(4) for q in range(4)]
+    for convention in _CONVENTIONS:
+        for psi in psis:
+            hodge_star(psi, metric, convention)
+    assert list(metric._stars) == _CONVENTIONS
+    sets = list(metric._stars.values())
+    assert len({id(rows) for rows in sets}) == len(_CONVENTIONS)
+    for rows in sets:
+        assert rows.frame is metric._raising
+        # the halves of a key are kept, never the whole key
+        assert set(rows.halves[0]) == {I for psi in psis for I, _ in psi.terms}
+        assert set(rows.halves[1]) == {J for psi in psis for _, J in psi.terms}
+    assert HermitianMetric(metric.entries)._stars == {}
+
+
+def test_repeated_stars_do_not_grow_the_memo():
+    rng = random.Random(9)
+    metric = random_dense_metric(rng, 3)
+    psis = [random_form(rng, 3, bidegree=(p, q), max_degree=1) for p in range(4) for q in range(4)]
+    for psi in psis:
+        hodge_star(psi, metric)
+    rows = metric._stars[DEFAULT_CONVENTION]
+    halves = [dict(memo) for memo in rows.halves]
+    for _ in range(3):
+        for psi in psis:
+            hodge_star(psi, metric)
+    assert list(metric._stars.values()) == [rows]
+    assert list(rows.halves) == halves
+    assert all(rows.halves[side][key] is halves[side][key] for side in (0, 1) for key in halves[side])
