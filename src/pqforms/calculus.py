@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .choices import DEFAULT_CONVENTION, StarConvention
 from .forms import Form, _key_product
+from .scalars import MINUS_ONE, ONE
 from .wpoly import Z, ZBAR
 
 if TYPE_CHECKING:
@@ -67,8 +68,9 @@ def _star_d_star(form: Form, metric: HermitianMetric) -> Form:
     removes a differential with the sign of its position in the flattened
     key, dz half first: dz_a at position pos of I gives (-1)^pos, dzb_b at
     position pos of J gives (-1)^(|I|+pos).  Zero inverse entries are
-    skipped, and a derivative is taken only when some entry pairs it with a
-    differential of the key.  On a flat Kaehler model this is the usual
+    skipped, a derivative is taken only when some entry pairs it with a
+    differential of the key, and an entry of +-1 reuses the derivative,
+    negated for -1, instead of scaling it.  On a flat Kaehler model this is the usual
     contraction formula (Huybrechts, Complex Geometry, 1.2 and 3.1).
     """
     if form.n != metric.n:
@@ -87,7 +89,8 @@ def _star_d_star(form: Form, metric: HermitianMetric) -> Form:
                     for pos, c in entries:
                         rest = half[:pos] + half[pos + 1 :]
                         c = -c if (first + pos) % 2 else c
-                        pairs.append(((rest, key[1]) if side == 0 else (key[0], rest), derivative.scale(c)))
+                        image = derivative if c == ONE else -derivative if c == MINUS_ONE else derivative.scale(c)
+                        pairs.append(((rest, key[1]) if side == 0 else (key[0], rest), image))
     return Form._trusted(form.n, pairs)
 
 

@@ -9,6 +9,7 @@ import pqforms.star
 from helpers import forms, random_dense_metric, random_form, random_multi_index
 from pqforms import (
     Form,
+    GaussianRational,
     HermitianMetric,
     LITERAL_CONVENTION,
     WirtingerPolynomial,
@@ -164,6 +165,32 @@ def test_star_d_star_matches_the_star_composition_on_diagonal_metrics():
 def test_star_d_star_checks_the_metric_dimension():
     with pytest.raises(ValueError, match="^form ambient dimension 3 != metric dimension 2$"):
         codifferential(Form.term(3, (1,), (), 1), HermitianMetric.identity(2))
+
+
+def test_star_d_star_reuses_the_derivative_for_unit_entries(monkeypatch):
+    # the identity's entries are 1, negated where the contraction's sign is
+    # -1: every scalar product left is a derivative's exponent (an int); a
+    # diagonal metric still scales by its entries
+    calls = []
+    multiply = GaussianRational.__mul__
+
+    def counted(self, other):
+        calls.append(type(other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted)
+    rng = random.Random(71)
+    for n in (2, 3, 4):
+        psi = Form(n, {(random_multi_index(rng, n, 2), random_multi_index(rng, n, 1)): WirtingerPolynomial.z(n, 1) * WirtingerPolynomial.zb(n, 2) + gaussian(0, 1) for _ in range(3)})
+        identity, diagonal = HermitianMetric.identity(n), HermitianMetric.diagonal([2] * n)
+        expected, weighted = _composed(psi, identity), _composed(psi, diagonal)
+        calls.clear()
+        closed = _star_d_star(psi, identity)
+        assert closed and closed == expected
+        assert calls and set(calls) == {int}
+        calls.clear()
+        assert _star_d_star(psi, diagonal) == weighted
+        assert GaussianRational in calls
 
 
 def test_default_delta_laplacian_and_harmonic_build_no_star(monkeypatch):

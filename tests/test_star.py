@@ -262,9 +262,14 @@ def _recording_pull_backs(monkeypatch):
     return calls
 
 
+def _partners(phi):
+    """The complements K^c = (A^c, B^c) of phi's keys K = (A, B)."""
+    return {(complement(A, phi.n)[0], complement(B, phi.n)[0]) for A, B in phi.terms}
+
+
 def test_defining_identity_check_raises_psi_once(monkeypatch):
-    # one pull-back through the star rows, any bidegree, and one raise read
-    # only at phi's keys
+    # one pull-back through the star rows read only at the complements of
+    # phi's keys, and one raise read only at phi's keys
     calls = _recording_pull_backs(monkeypatch)
     rng = random.Random(2)
     metric = random_dense_metric(rng, 3)
@@ -273,9 +278,27 @@ def test_defining_identity_check_raises_psi_once(monkeypatch):
         assert not phi.is_zero() and not psi.is_zero()
         calls.clear()
         assert defining_identity_check(phi, psi, metric).holds
-        (star_terms, star_image, _), (raise_terms, _, raised) = calls
-        assert star_terms is psi.terms and star_image == metric._stars[DEFAULT_CONVENTION].image
+        (star_terms, _, starred), (raise_terms, _, raised) = calls
+        assert star_terms is psi.terms and starred and set(starred) <= _partners(phi)
         assert raise_terms is psi.terms and raised and set(raised) <= set(phi.terms)
+        # the star side read the default star rows at psi's halves
+        rows = metric._stars[DEFAULT_CONVENTION]
+        assert {L for L, _ in psi.terms} <= set(rows.halves[0]) and {M for _, M in psi.terms} <= set(rows.halves[1])
+
+
+def test_defining_identity_check_stars_psi_only_at_phi_partners(monkeypatch):
+    # n = 4, a dense metric, one (2,2) key of phi and three of psi: the
+    # whole star has 36 keys, the check's star pull-back one
+    rng = random.Random(12)
+    metric = random_dense_metric(rng, 4)
+    phi = Form.term(4, (1, 3), (2, 4), WirtingerPolynomial.z(4, 2))
+    psi = Form(4, {((1, 3), (2, 4)): 1, ((1, 2), (3, 4)): WirtingerPolynomial.zb(4, 1), ((2, 4), (1, 2)): gaussian(2, -1)})
+    assert len(hodge_star(psi, metric).terms) == 36
+    calls = _recording_pull_backs(monkeypatch)
+    assert defining_identity_check(phi, psi, metric).holds
+    (_, _, starred), (_, _, raised) = calls
+    assert set(starred) == _partners(phi) == {((2, 4), (1, 3))}
+    assert set(raised) == set(phi.terms)
 
 
 def test_hodge_star_raises_a_mixed_form_in_one_pull_back(monkeypatch):
@@ -294,20 +317,65 @@ def test_hodge_star_raises_a_mixed_form_in_one_pull_back(monkeypatch):
     assert [image for _, image, _ in calls] == [metric._stars[DEFAULT_CONVENTION].image]
 
 
-@pytest.mark.parametrize("convention", [DEFAULT_CONVENTION, LITERAL_CONVENTION], ids=["default", "literal"])
-def test_defining_identity_residual_is_its_definition(convention):
-    rng = random.Random(8)
-    for n in (2, 3):
-        metric = random_dense_metric(rng, n)
-        for p, q in [(0, 0), (1, 0), (1, 1), (0, 2), (n, n - 1)]:
-            phi = random_form(rng, n, bidegree=(p, q), max_degree=1)
-            psi = random_form(rng, n, bidegree=(p, q), max_degree=1)
+_CONVENTIONS = [StarConvention(c, o) for c in ("single", "literal_eq_2_9") for o in ("same_type_complement", "printed_eq_2_9")]
+
+
+@pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(["phi", "psi", None]), st.integers(0, 2**32))
+def test_defining_identity_residual_is_its_definition(convention, n, zero, seed):
+    # every (p, q), the swapped output's p != q rows among them, and a zero
+    # phi or psi, on a dense metric
+    rng = random.Random(seed)
+    metric = random_dense_metric(rng, n)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            phi, psi = (Form.zero(n) if side == zero else random_form(rng, n, bidegree=(p, q), max_degree=1) for side in ("phi", "psi"))
             expected = phi ^ hodge_star(psi, metric, convention)
             expected = expected - volume_form(metric).scale(pointwise_inner(phi, psi, metric))
             report = defining_identity_check(phi, psi, metric, convention)
-            assert report.residual == expected
+            assert report.residual == expected, (p, q)
             assert report.holds == expected.is_zero()
             assert report.convention == convention
+
+
+def _unsigned_half(monkeypatch):
+    """Star rows whose half rows lose the complement sign sgn(A, A^c)."""
+    half = pqforms.star._StarRows._half
+
+    def unsigned(rows, side, indices):
+        # each key of a half row is A^c; the sign folded into it is sgn(A, A^c)
+        return {rest: c if complement(complement(rest, rows.n)[0], rows.n)[1] > 0 else -c for rest, c in half(rows, side, indices).items()}
+
+    monkeypatch.setattr(pqforms.star._StarRows, "_half", unsigned)
+
+
+def _unturned_unit(monkeypatch):
+    """Star rows whose unit loses its quarter turns i^n."""
+    turns = pqforms.star._StarRows._turns
+    monkeypatch.setattr(pqforms.star._StarRows, "_turns", lambda rows, key: turns(rows, key) - rows.n)
+
+
+@pytest.mark.parametrize("breaking", [_unsigned_half, _unturned_unit], ids=["complement-sign", "unit"])
+def test_defining_identity_check_catches_a_broken_star(monkeypatch, breaking):
+    # the star side and the volume side are computed apart: the check fails
+    # exactly where phi ^ star(psi) moves with the broken rows
+    rng = random.Random(31)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        p, q = rng.randint(0, n), rng.randint(0, n)
+        metric = random_dense_metric(rng, n)
+        phi, psi = (random_form(rng, n, bidegree=(p, q), max_degree=1) for _ in range(2))
+        cases.append((phi, psi, metric.entries, phi ^ hodge_star(psi, metric)))
+    breaking(monkeypatch)
+    caught = 0
+    for phi, psi, entries, wedge in cases:
+        broken = phi ^ hodge_star(psi, HermitianMetric(entries))
+        report = defining_identity_check(phi, psi, HermitianMetric(entries))
+        assert report.holds == (broken == wedge)
+        caught += not report.holds
+    assert caught >= 30
 
 
 def _dz(n, *indices):
@@ -387,9 +455,6 @@ def test_repeated_raises_do_not_grow_the_memo():
 def test_pointwise_inner_checks_the_metric_dimension(phi, psi):
     with pytest.raises(ValueError, match="^ambient dimension mismatch between forms and metric$"):
         pointwise_inner(phi, psi, HermitianMetric.identity(3))
-
-
-_CONVENTIONS = [StarConvention(c, o) for c in ("single", "literal_eq_2_9") for o in ("same_type_complement", "printed_eq_2_9")]
 
 
 def brute_star(psi, metric, convention):
