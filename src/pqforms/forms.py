@@ -18,8 +18,12 @@ degree and the names of their differentials, besides its own ``term`` and
 the one wedge loop, so every sum is built in a single constructor call.
 The public constructors validate each key and coefficient (``_checked``)
 before the merge; the internal ops build through the trusted
-``_trusted``, which only merges.  A repeated key's coefficients are summed
-in place into one term map.
+``_trusted``, which checks nothing.  It merges an iterable of pairs, as a
+sum, a wedge or a derivative yields them, and stores a ``dict`` as it
+is: a dict cannot repeat a key, so the builders whose keys are distinct
+by construction (a pull-back, a component, a conjugate, a negation, a
+nonzero scaling) pass their own term map and nothing is merged again.
+A repeated key's coefficients are summed in place into one term map.
 
 Index raising and ``transform_form`` pull forms back through a
 ``_Frame``, a change of generators on constants given by its two n x n
@@ -110,6 +114,8 @@ def _merged(pairs: Iterable[Tuple[Any, WirtingerPolynomial]]) -> Dict[Any, Wirti
 
     The coefficients of a repeated key are added in place into one term
     map, so its polynomial is built once, however often the key repeats.
+    It runs on the pairs of the public constructors and on the pairs that
+    ``_TermStore._trusted`` is given, never on a term map it is given.
     """
     clean: Dict[Any, WirtingerPolynomial] = {}
     sums: Dict[Any, dict] = {}  # repeated key -> its running term map
@@ -240,12 +246,14 @@ class _TermStore:
         self.n = n
 
     @classmethod
-    def _trusted(cls, n: int, pairs: Iterable[Tuple[Any, WirtingerPolynomial]]):
+    def _trusted(cls, n: int, terms: Union[dict, Iterable[Tuple[Any, WirtingerPolynomial]]]):
         """The constructor of the internal ops: the engine built the keys
-        and coefficients, so the pairs are only merged."""
+        and coefficients, so nothing is checked.  A ``dict`` is already
+        merged, since it cannot repeat a key, and is stored as it is: its
+        coefficients must be nonzero.  An iterable of pairs is merged."""
         form = object.__new__(cls)
         form.n = n
-        form.terms = _merged(pairs)
+        form.terms = terms if isinstance(terms, dict) else _merged(terms)
         return form
 
     def _same_space(self, other):
@@ -266,7 +274,7 @@ class _TermStore:
         return self._trusted(self.n, _summed((self, self._same_space(other))))
 
     def __neg__(self):
-        return self._trusted(self.n, ((key, -c) for key, c in self.terms.items()))
+        return self._trusted(self.n, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._same_space(other))
@@ -276,7 +284,7 @@ class _TermStore:
         if isinstance(value, WirtingerPolynomial):
             return self._trusted(self.n, ((key, coeff * value) for key, coeff in self.terms.items()))
         value = GaussianRational.coerce(value)
-        return self._trusted(self.n, ((key, coeff.scale(value)) for key, coeff in self.terms.items()))
+        return self._trusted(self.n, {key: coeff.scale(value) for key, coeff in self.terms.items()} if value else {})
 
     # -- queries ------------------------------------------------------------------
 
@@ -383,15 +391,15 @@ class Form(_TermStore):
         ``_key_product(((), I), (J, ()))`` in closed form, and bidegrees
         (p,q) swap to (q,p).  An involution.
         """
-        pairs = []
+        terms = {}
         for (I, J), coeff in self.terms.items():
             conj = coeff.conjugate()
-            pairs.append(((J, I), -conj if (len(I) * len(J)) % 2 else conj))
-        return self._trusted(self.n, pairs)
+            terms[J, I] = -conj if (len(I) * len(J)) % 2 else conj
+        return self._trusted(self.n, terms)
 
     def component(self, p: int, q: int) -> "Form":
         """The (p,q)-homogeneous part; summing over all (p,q) rebuilds the form."""
-        return self._trusted(self.n, ((key, c) for key, c in self.terms.items() if len(key[0]) == p and len(key[1]) == q))
+        return self._trusted(self.n, {key: c for key, c in self.terms.items() if len(key[0]) == p and len(key[1]) == q})
 
     def bidegrees(self) -> Set[Tuple[int, int]]:
         return {(len(I), len(J)) for I, J in self.terms}

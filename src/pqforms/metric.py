@@ -139,7 +139,7 @@ class HermitianMetric:
     conjugate of dz^(b+1).
     """
 
-    __slots__ = ("n", "entries", "inverse", "determinant", "_volume", "_raising", "_stars")
+    __slots__ = ("n", "entries", "inverse", "determinant", "_identity", "_volume", "_raising", "_stars")
 
     def __init__(self, entries: MatrixLike):
         matrix, report, inverse = _validated(entries)
@@ -158,6 +158,7 @@ class HermitianMetric:
         self.entries = matrix
         self.determinant = report.determinant
         self.inverse = inverse
+        self._identity = None  # filled by is_identity on first use
         self._volume = None  # filled by volume_form on first use
         self._raising = None  # the raising frame (forms._Frame of the inverse), built by the first raise
         self._stars = {}  # convention -> the star's rows (star._StarRows), built by its first star
@@ -175,11 +176,15 @@ class HermitianMetric:
         return validate_matrix(self.entries)
 
     def is_identity(self) -> bool:
-        return all(
-            self.entries[i][j] == (ONE if i == j else ZERO)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        """Whether the matrix is the identity, compared entry by entry on
+        the first call and kept: the metric is immutable."""
+        if self._identity is None:
+            self._identity = all(
+                self.entries[i][j] == (ONE if i == j else ZERO)
+                for i in range(self.n)
+                for j in range(self.n)
+            )
+        return self._identity
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HermitianMetric):

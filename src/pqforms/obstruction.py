@@ -239,7 +239,7 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
             substitution[(kind, j)] = WirtingerPolynomial._sum(n, variables)
     substituted = {key: coeff if coeff.is_constant() else coeff.substitute(substitution) for key, coeff in form.terms.items()}
     frame = _Frame(matrix.entries, matrix.entries)
-    return Form._trusted(n, _pulled_back(n, substituted, frame.image).items())
+    return Form._trusted(n, _pulled_back(n, substituted, frame.image))
 
 
 def _restricted_to(poly: WirtingerPolynomial, allowed: Tuple[int, ...]) -> Tuple[bool, str]:

@@ -23,9 +23,12 @@ one 2x2 map per coordinate (the Kronecker-factored transform).  Both are
 one private transform, ``_transform``: a key codec kept per n reads each
 key as its support and a mask, and on the masks of one support either map
 is a factor per input key, one butterfly stage per coordinate that carries
-one differential, and a factor per output key.  The term maps that cancel
-are dropped after each stage, so a key with s such coordinates costs
+one differential, and a factor per output key.  A stage forms the sum and
+the difference of each pair of term maps in one pass, and the maps that
+cancel are dropped after each stage, so a key with s such coordinates costs
 O(s 2^s) additions, not the 4^s products of a change of frame per real key.
+Each (support, mask) pair has one image key, so the transform returns a
+term map that the term store keeps as it is.
 
 :class:`RealForm` is the second subclass of the term store of
 :mod:`pqforms.forms`: its keys are strictly increasing tuples over 1..2n,
@@ -238,27 +241,34 @@ def _times(terms: dict, factor) -> dict:
     return {e: c * factor for e, c in terms.items()}
 
 
-def _plus(u: dict, v: dict, negate: bool) -> Optional[dict]:
-    """The term map u + v, or u - v when ``negate``; None when it cancels."""
-    out = dict(u)
+def _sum_and_difference(u: dict, v: dict) -> Tuple[Optional[dict], Optional[dict]]:
+    """The term maps u + v and u - v, built in one pass over v; None for
+    one that cancels."""
+    total, difference = dict(u), dict(u)
     for exponents, c in v.items():
-        prev = out.get(exponents)
+        prev = u.get(exponents)
         if prev is None:
-            out[exponents] = -c if negate else c
+            total[exponents] = c
+            difference[exponents] = -c
+            continue
+        plus, minus = prev + c, prev - c
+        if plus:
+            total[exponents] = plus
         else:
-            total = prev - c if negate else prev + c
-            if total:
-                out[exponents] = total
-            else:
-                del out[exponents]
-    return out or None
+            del total[exponents]
+        if minus:
+            difference[exponents] = minus
+        else:
+            del difference[exponents]
+    return total or None, difference or None
 
 
 def _butterflies(maps: List[Optional[dict]]) -> None:
     """The Walsh-Hadamard transform of 2^s term maps, in place: the stage
-    of bit b sends the maps (u, v) at masks (Y, Y | b) to (u + v, u - v).
-    A map that cancels becomes None at once, so a round trip cancels as it
-    goes (Van Loan, "The ubiquitous Kronecker product", 2000)."""
+    of bit b sends the maps (u, v) at masks (Y, Y | b) to (u + v, u - v),
+    both from one pass (``_sum_and_difference``).  A map that cancels
+    becomes None at once, so a round trip cancels as it goes (Van Loan,
+    "The ubiquitous Kronecker product", 2000)."""
     width, bit = len(maps), 1
     while bit < width:
         for low in range(width):
@@ -271,18 +281,19 @@ def _butterflies(maps: List[Optional[dict]]) -> None:
             elif u is None:
                 maps[low], maps[high] = v, {e: -c for e, c in v.items()}
             else:
-                maps[low], maps[high] = _plus(u, v, False), _plus(u, v, True)
+                maps[low], maps[high] = _sum_and_difference(u, v)
         bit <<= 1
 
 
-def _transform(n: int, terms: Mapping, side: int) -> List[Tuple[object, WirtingerPolynomial]]:
-    """The (key, coefficient) pairs of realify (``side`` _COMPLEX) or
-    complexify (``side`` _REAL) of a term map.
+def _transform(n: int, terms: Mapping, side: int) -> Dict[object, WirtingerPolynomial]:
+    """The term map of realify (``side`` _COMPLEX) or complexify (``side``
+    _REAL) of a term map.
 
     Each key is read as its support and mask (``_Codec.read``) and its
     term map is multiplied by its factor; each support runs one butterfly
     stage per coordinate of S, and each map left over is written as its
-    image key (``_Codec.image``), multiplied by that key's factor."""
+    image key (``_Codec.image``), multiplied by that key's factor.  A
+    (support, mask) pair has one image key, so no key repeats."""
     codec = _codec(n)
     groups: Dict[Support, List[Optional[dict]]] = {}
     for key, coeff in terms.items():
@@ -291,14 +302,14 @@ def _transform(n: int, terms: Mapping, side: int) -> List[Tuple[object, Wirtinge
         if maps is None:
             maps = groups[support] = [None] * (1 << len(support[0]))
         maps[mask] = _times(coeff.terms, factor)
-    pairs = []
+    image = {}
     for support, maps in groups.items():
         _butterflies(maps)
         for mask, out in enumerate(maps):
             if out:
                 key, factor = codec.image(1 - side, support, mask)
-                pairs.append((key, WirtingerPolynomial._trusted(n, _times(out, factor))))
-    return pairs
+                image[key] = WirtingerPolynomial._trusted(n, _times(out, factor))
+    return image
 
 
 def realify(form: Form) -> RealForm:
@@ -326,11 +337,11 @@ def real_hodge_star(real: RealForm) -> RealForm:
     degrees = real.total_degrees()
     if len(degrees) > 1:
         raise ValueError(f"real star needs a homogeneous form, got degrees {sorted(degrees)}")
-    pairs = []
+    terms = {}
     for indices, coeff in real.terms.items():
         rest, sign = complement(indices, 2 * real.n)
-        pairs.append((rest, coeff if sign > 0 else -coeff))
-    return RealForm._trusted(real.n, pairs)
+        terms[rest] = coeff if sign > 0 else -coeff
+    return RealForm._trusted(real.n, terms)
 
 
 def oracle_star(psi: Form) -> Form:
@@ -342,8 +353,7 @@ def oracle_star(psi: Form) -> Form:
     psi is pulled back through the rows of conj(e_K) (``_Codec.star``),
     each coefficient read conjugated, as ``star.raise_indices`` reads it.
     """
-    image = _pulled_back(psi.n, psi.terms, _codec(psi.n).star, WirtingerPolynomial._conjugate_terms)
-    return Form._trusted(psi.n, image.items())
+    return Form._trusted(psi.n, _pulled_back(psi.n, psi.terms, _codec(psi.n).star, WirtingerPolynomial._conjugate_terms))
 
 
 class BidegreeComparison(NamedTuple):
@@ -369,17 +379,26 @@ class OracleReport(NamedTuple):
 
 
 def _proportionality_ratio(engine: Form, oracle: Form) -> Tuple[bool, Optional[GaussianRational]]:
-    """The two stars of one nonzero homogeneous component, neither zero: both are injective there."""
+    """The two stars of one nonzero homogeneous component, neither zero: both are injective there.
+
+    The verdict is that of ``engine == oracle.scale(ratio)``, read in
+    place: the key sets, then each key's monomials, then each engine
+    constant against the oracle's times the ratio, up to the first
+    mismatch.  No scaled form is built."""
+    if engine.terms.keys() != oracle.terms.keys():
+        return False, None
     # any oracle monomial: when the forms are proportional, the ratio is unique
     key, oracle_coeff = next(iter(oracle.terms.items()))
     exponents, scalar = next(iter(oracle_coeff.terms.items()))
-    engine_coeff = engine.coefficient(*key)
-    lead = engine_coeff.terms.get(exponents)
+    lead = engine.terms[key].terms.get(exponents)
     if lead is None:
         return False, None
     ratio = lead / scalar
-    proportional = engine == oracle.scale(ratio)
-    return proportional, (ratio if proportional else None)
+    for key, coeff in oracle.terms.items():
+        engine_terms = engine.terms[key].terms
+        if engine_terms.keys() != coeff.terms.keys() or any(engine_terms[e] != c * ratio for e, c in coeff.terms.items()):
+            return False, None
+    return True, ratio
 
 
 def oracle_compare(

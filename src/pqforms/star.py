@@ -209,7 +209,7 @@ def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = 
     conj(c) * star(psi) for constant c.
     """
     rows = _star_rows(_frame(psi, metric), metric, convention)
-    return Form._trusted(metric.n, _pulled_back(metric.n, psi.terms, rows.image, rows.read).items())
+    return Form._trusted(metric.n, _pulled_back(metric.n, psi.terms, rows.image, rows.read))
 
 
 class DefiningIdentityReport(NamedTuple):

@@ -344,7 +344,8 @@ def recording_trusted(monkeypatch, cls, check_key):
     built = []
 
     def trusted(kind, n, pairs):
-        pairs = list(pairs)
+        if not isinstance(pairs, dict):  # a term map is stored as it is
+            pairs = list(pairs)
         out = original(kind, n, pairs)
         for key, coeff in out.terms.items():
             assert check_key(key, n) == key

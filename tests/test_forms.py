@@ -20,11 +20,14 @@ from pqforms import (
     oracle_star,
     raise_indices,
     complexify,
+    defining_identity_check,
+    real_hodge_star,
     realify,
     transform_form,
+    volume_form,
 )
 from pqforms import realoracle
-from pqforms.forms import _Frame, _key_product, _pulled_back, _shuffled, _term_key, complement
+from pqforms.forms import _Frame, _key_product, _merged, _pulled_back, _shuffled, _term_key, complement
 from pqforms.realoracle import _Codec
 from pqforms.wpoly import Z, ZBAR
 
@@ -294,6 +297,53 @@ def test_internal_ops_build_only_canonical_terms(a, b, h, c):
     assert all(any(out is seen for seen in built) for out in results)
     # the raised table is the pull-back's own term map: canonical keys, no zero
     assert Form(2, table).terms == table and all(c.terms for c in table.values())
+
+
+def test_distinct_key_builders_skip_the_merge(monkeypatch):
+    # a builder whose keys are distinct by construction hands _trusted its
+    # own term map, which is stored as it is; sums, wedges and the identity
+    # check's top-key sum still merge
+    n = 3
+    c = WirtingerPolynomial.z(n, 1) * WirtingerPolynomial.zb(n, 2) + WirtingerPolynomial.constant(n, gaussian(1, -2))
+    a = Form(n, {((1,), (2,)): c, ((2,), (3,)): c.scale(3), ((1, 3), ()): 1, ((), ()): c})
+    b = Form(n, {((3,), ()): c, ((), (1,)): 2})
+    h = a.component(1, 1)
+    metric = random_dense_metric(random.Random(5), n)
+    rotation = RealOrthogonalMatrix([["3/5", "4/5", 0], ["-4/5", "3/5", 0], [0, 0, 1]])
+    real, real_h = realify(a), realify(h)
+    oracle_star(a)  # fills the codec's rows, which the public constructor builds
+    volume_form(metric)
+    calls = []
+
+    def counted(pairs):
+        calls.append(pairs)
+        return _merged(pairs)
+
+    for name in ("forms", "star"):
+        monkeypatch.setattr(import_module(f"pqforms.{name}"), "_merged", counted)
+    builders = {
+        "hodge_star": lambda: hodge_star(a, metric),
+        "oracle_star": lambda: oracle_star(a),
+        "transform_form": lambda: transform_form(a, rotation),
+        "realify": lambda: realify(a),
+        "complexify": lambda: complexify(real),
+        "real_hodge_star": lambda: real_hodge_star(real_h),
+        "component": lambda: a.component(1, 1),
+        "conjugate": lambda: a.conjugate(),
+        "negation": lambda: -a,
+        "scale": lambda: a.scale(gaussian(2, -1)),
+        "scale by zero": lambda: a.scale(0),
+    }
+    for name, build in builders.items():
+        del calls[:]
+        out = build()
+        assert not calls, name
+        assert all(coeff.terms for coeff in out.terms.values()), name
+    assert a.scale(0).is_zero() and a.scale(0) == Form.zero(n)
+    for name, build in {"sum": lambda: a + b, "wedge": lambda: a ^ b, "identity check": lambda: defining_identity_check(h, h, metric)}.items():
+        del calls[:]
+        build()
+        assert calls, name
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from pqforms import (
     volume_form,
 )
 from pqforms.metric import coerce_matrix
+from pqforms.scalars import GaussianRational
 from pqforms.wpoly import WirtingerPolynomial
 
 
@@ -102,6 +103,29 @@ def test_volume_form_is_built_once_per_metric():
     assert volume_form(metric) is vol
     omega = associated_form(metric)
     assert vol == (omega ^ omega ^ omega).scale(Fraction(1, 6))
+
+
+def test_is_identity_is_decided_once_per_metric(monkeypatch):
+    # the identity and diag(1, ..., 1) are the identity; a dense metric and
+    # diag(2, 1) are not, and a second call compares no entry
+    compared = []
+    eq = GaussianRational.__eq__
+
+    def counted_eq(self, other):
+        compared.append(other)
+        return eq(self, other)
+
+    metrics = {
+        True: [HermitianMetric.identity(3), HermitianMetric.diagonal([1] * 3)],
+        False: [random_dense_metric(random.Random(3), 3), HermitianMetric.diagonal([2, 1])],
+    }
+    for expected, built in metrics.items():
+        for metric in built:
+            assert metric.is_identity() is expected
+            monkeypatch.setattr(GaussianRational, "__eq__", counted_eq)
+            assert metric.is_identity() is expected
+            monkeypatch.setattr(GaussianRational, "__eq__", eq)
+    assert not compared
 
 
 def test_raising_images_are_built_once_per_metric():

@@ -2,10 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_complexify, brute_oracle_star, brute_realify, forms, homogeneous_forms, polys, random_form, recording_trusted
+from helpers import brute_complexify, brute_oracle_star, brute_realify, forms, homogeneous_forms, nonzero_scalars, polys, random_form, recording_trusted
 from pqforms import (
     Form,
     HermitianMetric,
@@ -188,6 +188,57 @@ def test_single_ratio_across_random_forms():
                     report = oracle_compare(psi, metric)
                     assert report.proportional
                     assert report.ratio_for(p, q) == expected
+
+
+def _defined_ratio(engine, oracle):
+    """The ratio test by its definition: the ratio read at one oracle
+    monomial, then ``engine == oracle.scale(ratio)``."""
+    key, oracle_coeff = next(iter(oracle.terms.items()))
+    exponents, scalar = next(iter(oracle_coeff.terms.items()))
+    lead = engine.coefficient(*key).terms.get(exponents)
+    if lead is None:
+        return False, None
+    ratio = lead / scalar
+    return (True, ratio) if engine == oracle.scale(ratio) else (False, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    homogeneous_forms(max_terms=3).filter(bool),
+    nonzero_scalars(),
+    st.sampled_from(["multiple", "perturbed", "extra key", "missing key", "dropped monomial"]),
+    st.integers(0, 63),
+    nonzero_scalars(),
+)
+def test_proportionality_ratio_matches_its_definition(oracle, ratio, variant, pick, delta):
+    # engine is ratio * oracle, or that multiple changed in one place; the
+    # in-place test returns the definition's verdict and ratio
+    n = oracle.n
+    terms = {key: dict(coeff.terms) for key, coeff in oracle.scale(ratio).terms.items()}
+    keys = sorted(terms)
+    key = keys[pick % len(keys)]
+    exponents = sorted(terms[key])[pick % len(terms[key])]
+    if variant == "perturbed":
+        changed = terms[key][exponents] + delta
+        terms[key][exponents] = changed if changed else changed + delta
+    elif variant == "extra key":
+        subsets = [c for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+        extra = next((I, J) for I in subsets for J in subsets if (I, J) not in terms)
+        terms[extra] = {(0,) * (2 * n): delta}
+    elif variant == "missing key":
+        del terms[key]
+    elif variant == "dropped monomial":
+        del terms[key][exponents]
+    engine = Form(n, {key: WirtingerPolynomial(n, coeff) for key, coeff in terms.items()})
+    assume(engine)
+    verdict = realoracle._proportionality_ratio(engine, oracle)
+    assert verdict == _defined_ratio(engine, oracle)
+    monomials = sum(len(coeff.terms) for coeff in oracle.terms.values())
+    if variant == "multiple":
+        assert verdict == (True, ratio)
+    elif variant != "perturbed" or monomials > 1:
+        # one place differs from a multiple, and an unchanged monomial fixes the ratio
+        assert verdict == (False, None)
 
 
 _REAL_KEYS = [(1,), (2, 3), (1, 2, 4)]
