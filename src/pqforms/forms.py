@@ -25,22 +25,23 @@ by construction (a pull-back, a component, a conjugate, a negation, a
 nonzero scaling) pass their own term map and nothing is merged again.
 A repeated key's coefficients are summed in place into one term map.
 
-Index raising and ``transform_form`` pull forms back through a
-``_Frame``, a change of generators on constants given by its two n x n
-matrices; the oracle star pulls back through its key codec's memo (see
-:mod:`pqforms.realoracle`).  ``_pulled_back`` is the one pull-back loop:
-it reads each key's row of (image key, constant) pairs and sums the
-scaled monomials in place, one term map per image key.  ``realify`` and
-``complexify`` act on one coordinate at a time instead.
+Index raising, ``transform_form`` and the Hodge star pull forms back
+through a ``_Frame``, a change of generators on constants (the star's
+rows are a frame too); the oracle star pulls back through its key codec's
+memo (see :mod:`pqforms.realoracle`).  ``_pulled_back`` is the one
+pull-back loop: it reads each key's row of (image key, constant) pairs
+and sums the scaled monomials in place, one term map per image key.
+``_Frame.image`` and ``_Frame.at`` are the only loops that pair two half
+rows.  ``realify`` and ``complexify`` act on one coordinate at a time.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .scalars import ONE, GaussianRational
+from .scalars import ONE, GaussianRational, _quarter_turned
 from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial, _add_into
 
 MultiIndex = Tuple[int, ...]
@@ -199,7 +200,9 @@ class _Frame:
     of its halves I and J, with no sign.  The image of a half, a row of the
     compound matrix (Cauchy-Binet), folds its generators' images through the
     one wedge loop and is kept in ``halves`` as a map from indices to
-    constants, so a row can also be read at chosen indices."""
+    constants.  ``image`` reads a key's whole row and ``at`` its entries at
+    chosen image keys, the left constants turned by ``_turns(key)`` quarter
+    turns: none here, the bidegree's unit in ``star._StarRows``."""
 
     __slots__ = ("generators", "halves")
 
@@ -220,10 +223,31 @@ class _Frame:
             self.halves[side][indices] = row
         return row
 
+    def _turns(self, key: TermKey) -> int:
+        """The quarter turns of a key's left constants: none for a plain frame."""
+        return 0
+
     def image(self, key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
         """The row of a key: (image key, constant) pairs."""
-        right = self._half(1, key[1]).items()
-        return [((A, B), a * b) for A, a in self._half(0, key[0]).items() for B, b in right]
+        left, right, turns = self._half(0, key[0]).items(), self._half(1, key[1]).items(), self._turns(key) & 3
+        if turns:
+            left = [(A, _quarter_turned(a, turns)) for A, a in left]
+        return [((A, B), a * b) for A, a in left for B, b in right]
+
+    def at(self, reads: Sequence[Tuple[Any, TermKey, int]], scale: Optional[GaussianRational] = None) -> Callable[[TermKey], List[Tuple[Any, GaussianRational]]]:
+        """The row function of the frame read only at chosen image keys, for
+        ``_pulled_back``: ``reads`` lists (target, image key, extra quarter
+        turns) triples, and a key's row emits at each target its constant at
+        that image key, turned by the extra turns and times ``scale`` when
+        one is given.  An image key the row lacks is left out."""
+        half, turned = self._half, self._turns
+
+        def image(key: TermKey) -> List[Tuple[Any, GaussianRational]]:
+            left, right, turns = half(0, key[0]), half(1, key[1]), turned(key)
+            row = [(target, _quarter_turned(left[A], turns + extra) * right[B]) for target, (A, B), extra in reads if A in left and B in right]
+            return row if scale is None else [(target, c * scale) for target, c in row]
+
+        return image
 
 
 class _TermStore:

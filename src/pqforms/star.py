@@ -32,20 +32,20 @@ det(g) folded into the constant.  Each monomial is multiplied once.
 The defining identity needs only the top coefficient of phi ^ star(psi),
 and a key K of phi meets star(psi) only at its complement K^c.  So
 ``defining_identity_check`` reads the star rows only at the K^c of phi's
-keys and the raising frame only at phi's keys, and forms one polynomial
-product per key of phi; neither the whole star nor a wedge is built.
+keys and the raising frame only at phi's keys, both emitted at K, and
+under single conjugation pulls psi back once through both; it forms one
+polynomial product per key of phi and builds no whole star and no wedge.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import attrgetter
-from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .choices import CONVENTIONS, DEFAULT_CONVENTION, LITERAL_CONVENTION, StarConvention  # noqa: F401  (re-exported)
-from .forms import Form, MultiIndex, TermKey, _Frame, _key_product, _merged, _pulled_back, complement
+from .forms import Form, MultiIndex, TermKey, _Frame, _key_product, _pulled_back, complement
 from .metric import HermitianMetric, volume_form
-from .scalars import GaussianRational, _quarter_turned
+from .scalars import GaussianRational
 from .wpoly import WirtingerPolynomial
 
 
@@ -82,33 +82,19 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     conjugation.  The table carries exactly one conjugation; callers pick
     how many more they want.
     """
-    if psi.is_zero():
-        return {}
     if not psi.is_homogeneous():
         raise ValueError(f"raise_indices needs a homogeneous form, got bidegrees {sorted(psi.bidegrees())}")
+    if psi.is_zero() and psi.n == metric.n:  # a zero form builds no frame
+        return {}
     return _pulled_back(metric.n, psi.terms, _frame(psi, metric).image, WirtingerPolynomial._conjugate_terms)
-
-
-def _raised_at(keys: Collection[TermKey], psi: Form, frame: _Frame, scale: Optional[GaussianRational] = None) -> Dict[TermKey, WirtingerPolynomial]:
-    """psi raised only at the given keys: the row of a key of psi is the
-    frame's half rows read at the halves of those keys, each constant times
-    ``scale`` when one is given."""
-    half = frame._half
-
-    def image(key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
-        left, right = half(0, key[0]), half(1, key[1])
-        row = [(k, left[k[0]] * right[k[1]]) for k in keys if k[0] in left and k[1] in right]
-        return row if scale is None else [(k, c * scale) for k, c in row]
-
-    return _pulled_back(psi.n, psi.terms, image, WirtingerPolynomial._conjugate_terms)
 
 
 def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerPolynomial:
     """Pointwise inner product: sum over increasing (A, B) of
     phi[A, B] * raised(psi)[A, B].  Sesquilinear; with the identity metric
     it is the plain sum of phi coefficients times conjugated psi
-    coefficients.  psi is raised only at phi's keys (``_raised_at``), the
-    read by which the defining-identity check also raises it."""
+    coefficients.  psi is raised only at phi's keys, the raising frame read
+    at them (``_Frame.at``), as the defining-identity check raises it."""
     n = metric.n
     if phi.n != n or psi.n != n:
         raise ValueError("ambient dimension mismatch between forms and metric")
@@ -118,30 +104,31 @@ def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerP
         raise ValueError(
             f"bidegree mismatch: {phi.homogeneous_bidegree()} vs {psi.homogeneous_bidegree()}"
         )
-    raised = _raised_at(phi.terms.keys(), psi, _frame(psi, metric))
+    raised = _pulled_back(n, psi.terms, _frame(psi, metric).at([(K, K, 0) for K in phi.terms]), WirtingerPolynomial._conjugate_terms)
     return WirtingerPolynomial._sum(n, (coeff * raised[key] for key, coeff in phi.terms.items() if key in raised))
 
 
-class _StarRows:
+class _StarRows(_Frame):
     """The rows of the star on one metric under one convention, kept in the
-    metric's ``_stars`` slot by convention.
+    metric's ``_stars`` slot by convention: a ``forms._Frame`` whose half
+    rows are the raising frame's, mapped once, and whose row of a key turns
+    its left constants by the key's unit.
 
     The half row of indices L (side 0) is the raising frame's row of L with
     each image A replaced by A^c, a map from A^c to sgn(A, A^c) * det(g) *
     minor; that of M (side 1) the same with sgn(B, B^c) and no det(g).
-    Like the frame, the memo keeps halves, never whole keys.  The row of a
-    key (L, M) of bidegree (p, q) pairs its two half rows, its left
-    constants turned by the unit i^n (-1)^(n(n-1)/2 + (n-p)q) with no gcd;
-    ``at`` reads the half rows only at chosen image keys, as the frame is
-    read for the inner product.
+    Like the frame, the memo keeps halves, never whole keys.  The unit of a
+    key (L, M) of bidegree (p, q) is i^n (-1)^(n(n-1)/2 + (n-p)q), quarter
+    turns with no gcd.  ``image`` and ``at`` are the frame's readers.
 
     The literal convention's two flags act on the same rows:
     ``literal_eq_2_9`` conjugation conjugates the half rows (det(g) and the
     signs are real, the unit is not conjugated) and reads each coefficient
-    unconjugated; ``printed_eq_2_9`` output swaps the image key's halves.
+    unconjugated; ``printed_eq_2_9`` output swaps the image key's halves,
+    so a read of ``at`` names the image key with its halves swapped back.
     """
 
-    __slots__ = ("frame", "n", "determinant", "conjugated", "swapped", "read", "halves")
+    __slots__ = ("frame", "n", "determinant", "conjugated", "swapped", "read")
 
     def __init__(self, frame: _Frame, metric: HermitianMetric, convention: StarConvention):
         self.frame, self.n, self.determinant = frame, metric.n, metric.determinant
@@ -170,26 +157,9 @@ class _StarRows:
         return n + 2 * (n * (n - 1) // 2 + (n - len(key[0])) * len(key[1]))
 
     def image(self, key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
-        """The row of a key: (image key, constant) pairs."""
-        turns = self._turns(key)
-        left = [(A, _quarter_turned(a, turns)) for A, a in self._half(0, key[0]).items()]
-        right = self._half(1, key[1]).items()
-        if self.swapped:
-            return [((B, A), a * b) for A, a in left for B, b in right]
-        return [((A, B), a * b) for A, a in left for B, b in right]
-
-    def at(self, targets: Dict[TermKey, int]) -> Callable[[TermKey], List[Tuple[TermKey, GaussianRational]]]:
-        """The rows read only at the image keys of ``targets``, each
-        constant given that target's extra quarter turns: the half rows are
-        read at the target's halves, swapped back under the swapped output."""
-        half, turned = self._half, self._turns
-        reads = [(target, target[::-1] if self.swapped else target, extra) for target, extra in targets.items()]
-
-        def image(key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
-            left, right, turns = half(0, key[0]), half(1, key[1]), turned(key)
-            return [(target, _quarter_turned(left[A], turns + extra) * right[B]) for target, (A, B), extra in reads if A in left and B in right]
-
-        return image
+        """The frame's row of a key, each image key's halves swapped under the swapped output."""
+        row = _Frame.image(self, key)
+        return [((B, A), c) for (A, B), c in row] if self.swapped else row
 
 
 def _star_rows(frame: _Frame, metric: HermitianMetric, convention: StarConvention) -> _StarRows:
@@ -238,11 +208,14 @@ def defining_identity_check(
 
     with s_K the sign of ``_key_product(K, K^c)`` and v the constant of
     ``volume_form``: one polynomial product per key of phi, built in one
-    constructor call.  psi is pulled back once through the star rows read
-    only at the K^c, s_K folded into the unit's quarter turns, and raised
-    once more only at phi's keys, -v folded into the row constants.  Where
-    the convention's star does not land on the K^c, as the swapped output
-    does for p != q, only -<phi, psi> * vol remains.
+    constructor call.  Both sides are read by ``_Frame.at`` and emitted at
+    K: the star rows at K^c, s_K folded into the quarter turns, and the
+    raising frame at K times -v.  Under single conjugation both read psi
+    conjugated, so psi is pulled back once through the two rows together
+    and the sides cancel in place; the literal star reads psi unconjugated
+    in a pull-back of its own, whose sums are added to the raise's at each
+    K before the product.  Where the convention's star misses the K^c, as
+    the swapped output does for p != q, only -<phi, psi> * vol remains.
     """
     both = not phi.is_zero() and not psi.is_zero()
     if both and phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
@@ -251,15 +224,16 @@ def defining_identity_check(
     frame = _frame(psi, metric)
     if phi.n != n:
         raise ValueError(f"ambient dimension mismatch: {phi.n} vs {n}")
-    targets, partners = {}, {}  # K^c -> the quarter turns of s_K, and K^c -> K
+    rows = _star_rows(frame, metric, convention)
+    stars = []  # (K, the half-row key of K^c, the quarter turns of s_K)
     for key in phi.terms:
         partner = complement(key[0], n)[0], complement(key[1], n)[0]
-        targets[partner] = 0 if _key_product(key, partner)[1] > 0 else 2
-        partners[partner] = key
-    rows = _star_rows(frame, metric, convention)
-    starred = _pulled_back(n, psi.terms, rows.at(targets), rows.read)
+        stars.append((key, partner[::-1] if rows.swapped else partner, 0 if _key_product(key, partner)[1] > 0 else 2))
     (top, volume), = volume_form(metric).terms.items()
-    raised = _raised_at(phi.terms.keys(), psi, frame, -volume.constant_value())
-    sums = _merged(chain(((partners[key], c) for key, c in starred.items()), raised.items()))
-    residual = Form._trusted(n, ((top, phi.terms[key] * c) for key, c in sums.items()))
+    starred, raised = rows.at(stars), frame.at([(K, K, 0) for K in phi.terms], -volume.constant_value())
+    sums = _pulled_back(n, psi.terms, starred if rows.conjugated else lambda key: starred(key) + raised(key), rows.read)
+    if rows.conjugated:  # the literal star reads psi unconjugated, the raise conjugated
+        for K, c in _pulled_back(n, psi.terms, raised, WirtingerPolynomial._conjugate_terms).items():
+            sums[K] = sums[K] + c if K in sums else c
+    residual = Form._trusted(n, ((top, phi.terms[K] * c) for K, c in sums.items()))
     return DefiningIdentityReport(holds=residual.is_zero(), residual=residual, convention=convention)

@@ -319,8 +319,7 @@ def test_distinct_key_builders_skip_the_merge(monkeypatch):
         calls.append(pairs)
         return _merged(pairs)
 
-    for name in ("forms", "star"):
-        monkeypatch.setattr(import_module(f"pqforms.{name}"), "_merged", counted)
+    monkeypatch.setattr(import_module("pqforms.forms"), "_merged", counted)
     builders = {
         "hodge_star": lambda: hodge_star(a, metric),
         "oracle_star": lambda: oracle_star(a),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqforms.star
-from helpers import _factors, brute_pull_back, brute_raise, forms, homogeneous_forms, matrix_images, random_dense_metric, random_form
+from helpers import _factors, brute_pull_back, brute_raise, forms, homogeneous_forms, matrix_images, random_dense_metric, random_form, random_scalar
 from pqforms import (
     DEFAULT_CONVENTION,
     Form,
@@ -29,7 +29,7 @@ from pqforms import (
     raise_indices,
     volume_form,
 )
-from pqforms.forms import complement
+from pqforms.forms import _Frame, _key_product, complement
 
 
 def lemma31_coeff(n=4):
@@ -248,6 +248,9 @@ def test_raise_indices_on_a_reused_metric_matches_a_fresh_copy():
     assert [raise_indices(psi, metric) for psi in forms] == [raise_indices(psi, fresh) for psi in forms]
 
 
+_CONVENTIONS = [StarConvention(c, o) for c in ("single", "literal_eq_2_9") for o in ("same_type_complement", "printed_eq_2_9")]
+
+
 def _recording_pull_backs(monkeypatch):
     """Record (terms, image, result) of every pull-back the star module makes."""
     calls = []
@@ -267,38 +270,169 @@ def _partners(phi):
     return {(complement(A, phi.n)[0], complement(B, phi.n)[0]) for A, B in phi.terms}
 
 
+def _recording_reads(monkeypatch):
+    """Record (frame, reads, scale, row function) of every ``_Frame.at``
+    read, the star rows' among them."""
+    calls = []
+    original = _Frame.at
+
+    def recorded(frame, reads, scale=None):
+        row = original(frame, reads, scale)
+        calls.append((frame, list(reads), scale, row))
+        return row
+
+    monkeypatch.setattr(_Frame, "at", recorded)
+    return calls
+
+
+def _assert_check_reads(reads, phi, metric, convention):
+    """The check read the star rows at the complements of phi's keys (named
+    with swapped halves under the swapped output) and the raising frame at
+    phi's keys times -v, both emitted at phi's keys; return the two row
+    functions, star rows first."""
+    swapped = convention.output_index_mode != "same_type_complement"
+    (_, star_reads, star_scale, star_row), = [call for call in reads if call[0] is metric._stars[convention]]
+    (_, raise_reads, raise_scale, raise_row), = [call for call in reads if call[0] is metric._raising]
+    assert len(reads) == 2 and star_scale is None
+    partners = {(A, B): (complement(A, phi.n)[0], complement(B, phi.n)[0]) for A, B in phi.terms}
+    assert [(target, image[::-1] if swapped else image) for target, image, _ in star_reads] == list(partners.items())
+    assert [extra for _, _, extra in star_reads] == [0 if _key_product(K, partners[K])[1] > 0 else 2 for K in phi.terms]
+    assert raise_reads == [(K, K, 0) for K in phi.terms]
+    (_, volume), = volume_form(metric).terms.items()
+    assert raise_scale == -volume.constant_value()
+    return star_row, raise_row
+
+
+def _assert_both_sides_emit(psi, rows, star_row, raise_row, convention):
+    """Both row functions emit for some key of psi, the star rows' unless
+    the swapped output misses the complements (p != q), and the star side
+    read the star rows at psi's halves."""
+    (p, q), swapped = psi.homogeneous_bidegree(), convention.output_index_mode != "same_type_complement"
+    assert any(raise_row(key) for key in psi.terms)
+    assert any(star_row(key) for key in psi.terms) or (swapped and p != q)
+    assert {L for L, _ in psi.terms} <= set(rows.halves[0]) and {M for _, M in psi.terms} <= set(rows.halves[1])
+
+
+def _check_pairs(rng):
+    """(phi, psi) pairs of equal bidegree at n = 3, each pair sharing a key."""
+    for p, q in [(0, 0), (1, 0), (1, 2), (2, 2), (3, 3)]:
+        yield (random_form(rng, 3, bidegree=(p, q), max_degree=1) + Form.term(3, range(1, p + 1), range(1, q + 1), k) for k in (1, 2))
+
+
 def test_defining_identity_check_raises_psi_once(monkeypatch):
-    # one pull-back through the star rows read only at the complements of
-    # phi's keys, and one raise read only at phi's keys
-    calls = _recording_pull_backs(monkeypatch)
+    # under single conjugation, one pull-back of psi, read conjugated,
+    # through the star rows read only at the complements of phi's keys and
+    # the raising frame read only at phi's keys: both emit at phi's keys,
+    # where they cancel
+    pulls, reads = _recording_pull_backs(monkeypatch), _recording_reads(monkeypatch)
     rng = random.Random(2)
     metric = random_dense_metric(rng, 3)
-    for p, q in [(0, 0), (1, 0), (1, 2), (3, 3)]:
-        phi, psi = (random_form(rng, 3, bidegree=(p, q), max_degree=1) + Form.term(3, range(1, p + 1), range(1, q + 1), k) for k in (1, 2))
-        assert not phi.is_zero() and not psi.is_zero()
-        calls.clear()
-        assert defining_identity_check(phi, psi, metric).holds
-        (star_terms, _, starred), (raise_terms, _, raised) = calls
-        assert star_terms is psi.terms and starred and set(starred) <= _partners(phi)
-        assert raise_terms is psi.terms and raised and set(raised) <= set(phi.terms)
-        # the star side read the default star rows at psi's halves
-        rows = metric._stars[DEFAULT_CONVENTION]
-        assert {L for L, _ in psi.terms} <= set(rows.halves[0]) and {M for _, M in psi.terms} <= set(rows.halves[1])
+    for convention in _CONVENTIONS[:2]:
+        for phi, psi in _check_pairs(rng):
+            assert not phi.is_zero() and not psi.is_zero()
+            del pulls[:], reads[:]
+            report = defining_identity_check(phi, psi, metric, convention)
+            (terms, image, result), = pulls
+            assert terms is psi.terms
+            assert {target for key in psi.terms for target, _ in image(key)} <= set(phi.terms)
+            assert report.holds == (result == {}) and (report.holds or convention != DEFAULT_CONVENTION)
+            star_row, raise_row = _assert_check_reads(reads, phi, metric, convention)
+            # the one pull-back goes through both sides, each emitting
+            assert all(image(key) == star_row(key) + raise_row(key) for key in psi.terms)
+            _assert_both_sides_emit(psi, metric._stars[convention], star_row, raise_row, convention)
+
+
+@pytest.mark.parametrize("convention", _CONVENTIONS[2:], ids=["literal-same", "literal"])
+def test_defining_identity_check_literal_convention_pulls_back_twice(monkeypatch, convention):
+    # the literal star reads psi unconjugated and the raise reads it
+    # conjugated, so each has its own pull-back, with the same reads
+    pulls, reads = _recording_pull_backs(monkeypatch), _recording_reads(monkeypatch)
+    rng = random.Random(7)
+    metric = random_dense_metric(rng, 3)
+    for phi, psi in _check_pairs(rng):
+        del pulls[:], reads[:]
+        report = defining_identity_check(phi, psi, metric, convention)
+        (star_terms, star_image, starred), (raise_terms, raise_image, raised) = pulls
+        assert star_terms is psi.terms and raise_terms is psi.terms
+        assert set(starred) <= set(phi.terms) and raised and set(raised) <= set(phi.terms)
+        star_row, raise_row = _assert_check_reads(reads, phi, metric, convention)
+        assert star_image is star_row and raise_image is raise_row
+        _assert_both_sides_emit(psi, metric._stars[convention], star_row, raise_row, convention)
+        expected = phi ^ hodge_star(psi, metric, convention)
+        assert report.residual == expected - volume_form(metric).scale(pointwise_inner(phi, psi, metric))
 
 
 def test_defining_identity_check_stars_psi_only_at_phi_partners(monkeypatch):
     # n = 4, a dense metric, one (2,2) key of phi and three of psi: the
-    # whole star has 36 keys, the check's star pull-back one
+    # whole star has 36 keys, the check's star rows are read at one
     rng = random.Random(12)
     metric = random_dense_metric(rng, 4)
     phi = Form.term(4, (1, 3), (2, 4), WirtingerPolynomial.z(4, 2))
     psi = Form(4, {((1, 3), (2, 4)): 1, ((1, 2), (3, 4)): WirtingerPolynomial.zb(4, 1), ((2, 4), (1, 2)): gaussian(2, -1)})
     assert len(hodge_star(psi, metric).terms) == 36
-    calls = _recording_pull_backs(monkeypatch)
+    pulls, reads = _recording_pull_backs(monkeypatch), _recording_reads(monkeypatch)
     assert defining_identity_check(phi, psi, metric).holds
-    (_, _, starred), (_, _, raised) = calls
-    assert set(starred) == _partners(phi) == {((2, 4), (1, 3))}
-    assert set(raised) == set(phi.terms)
+    (_, image, result), = pulls
+    assert result == {}
+    assert {target for key in psi.terms for target, _ in image(key)} == set(phi.terms)
+    star_row, raise_row = _assert_check_reads(reads, phi, metric, DEFAULT_CONVENTION)
+    assert all(image(key) == star_row(key) + raise_row(key) for key in psi.terms)
+    assert {target for key in psi.terms for target, _ in star_row(key)} == set(phi.terms)
+    assert {target for key in psi.terms for target, _ in raise_row(key)} == set(phi.terms)
+    assert [image for _, image, _ in reads[0][1]] == [((2, 4), (1, 3))]
+
+
+@pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
+def test_defining_identity_check_conjugates_each_coefficient_once(monkeypatch, convention):
+    # a check of psi with k coefficients conjugates exactly k of them: one
+    # pull-back reads psi conjugated, the literal star's reads it as it is
+    calls = []
+    original = WirtingerPolynomial._conjugate_terms
+
+    def counted(coeff):
+        calls.append(coeff)
+        return original(coeff)
+
+    rng = random.Random(23)
+    metric = random_dense_metric(rng, 3)
+    pairs = list(_check_pairs(rng))
+    volume_form(metric)
+    # wrapped before the metric's star rows are built, since they keep
+    # their read of psi
+    monkeypatch.setattr(WirtingerPolynomial, "_conjugate_terms", counted)
+    for phi, psi in pairs:
+        del calls[:]
+        defining_identity_check(phi, psi, metric, convention)
+        assert len(calls) == len(psi.terms) and {id(c) for c in calls} == {id(c) for c in psi.terms.values()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32), st.booleans())
+def test_frame_reads_at_chosen_keys_what_its_rows_hold(n, seed, scaled):
+    # the one half-row reader against the whole row: a dense frame and the
+    # star rows under each convention, read at the row's own image keys and
+    # at others, which are left out; the swapped output names an image key
+    # with its halves swapped back
+    rng = random.Random(seed)
+    metric = random_dense_metric(rng, n)
+    dense = _Frame(*([[random_scalar(rng) for _ in range(n)] for _ in range(n)] for _ in range(2)))
+    frames = [dense] + [pqforms.star._star_rows(pqforms.star._frame(Form.zero(n), metric), metric, c) for c in _CONVENTIONS]
+    halves = [A for p in range(n + 1) for A in combinations(range(1, n + 1), p)]
+    keys = [(A, B) for A in halves for B in halves]
+    scale = random_scalar(rng) or gaussian(1, 1) if scaled else None
+    for frame in frames:
+        swapped = getattr(frame, "swapped", False)
+        for key in rng.sample(keys, min(6, len(keys))):
+            row = dict(frame.image(key))
+            named = [image[::-1] if swapped else image for image in row]
+            reads = [(("target", t), rng.choice(named if named and rng.random() < 0.6 else keys), rng.randrange(4)) for t in range(rng.randint(0, 6))]
+            expected = []
+            for target, image, extra in reads:
+                c = row.get(image[::-1] if swapped else image)
+                if c is not None:
+                    c = c * gaussian(0, 1) ** extra
+                    expected.append((target, c if scale is None else c * scale))
+            assert frame.at(reads, scale)(key) == expected
 
 
 def test_hodge_star_raises_a_mixed_form_in_one_pull_back(monkeypatch):
@@ -315,9 +449,6 @@ def test_hodge_star_raises_a_mixed_form_in_one_pull_back(monkeypatch):
     calls = _recording_pull_backs(monkeypatch)
     assert hodge_star(psi, metric) == expected
     assert [image for _, image, _ in calls] == [metric._stars[DEFAULT_CONVENTION].image]
-
-
-_CONVENTIONS = [StarConvention(c, o) for c in ("single", "literal_eq_2_9") for o in ("same_type_complement", "printed_eq_2_9")]
 
 
 @pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
@@ -403,6 +534,16 @@ _MIXED = Form.term(2, (1,), (), 1) + Form.term(2, (1,), (1,), 1)
 def test_defining_identity_check_errors(phi, psi, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         defining_identity_check(phi, psi, HermitianMetric.identity(2))
+
+
+def test_raise_indices_checks_the_dimension_of_a_zero_form():
+    # a zero form is checked against the metric as any form is, and builds
+    # no raising frame
+    metric = HermitianMetric.identity(2)
+    with pytest.raises(ValueError, match="^form ambient dimension 3 != metric dimension 2$"):
+        raise_indices(Form.zero(3), metric)
+    assert metric._raising is None
+    assert raise_indices(Form.zero(2), metric) == {} and metric._raising is None
 
 
 def test_defining_identity_zero_phi_accepts_mixed_psi():
