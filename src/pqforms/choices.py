@@ -8,18 +8,39 @@ without loading the metric, the star or the scenarios.  ``star`` and
 
 from __future__ import annotations
 
-from typing import Dict, Literal, NamedTuple
+from typing import Dict, Literal, NamedTuple, get_args
 
 ConjugationMode = Literal["single", "literal_eq_2_9"]
 OutputIndexMode = Literal["same_type_complement", "printed_eq_2_9"]
 
 
-class StarConvention(NamedTuple):
-    """Switches selecting between the consistent star and the literal
-    printed variant.  Every report records which convention produced it."""
+class _Modes(NamedTuple):
+    """The fields and defaults of ``StarConvention``, which checks them in
+    its own ``__new__``: a ``typing.NamedTuple`` body cannot define one."""
 
     conjugation_mode: ConjugationMode = "single"
     output_index_mode: OutputIndexMode = "same_type_complement"
+
+
+class StarConvention(_Modes):
+    """Switches selecting between the consistent star and the literal
+    printed variant.  Every report records which convention produced it.
+    A mode outside its ``Literal`` is rejected here, so the star never
+    reads a misspelled mode as the other one."""
+
+    __slots__ = ()
+
+    def __new__(cls, *modes: str, **named: str) -> "StarConvention":
+        convention = super().__new__(cls, *modes, **named)
+        for field, mode, allowed in zip(cls._fields, convention, (get_args(ConjugationMode), get_args(OutputIndexMode))):
+            if mode not in allowed:
+                raise ValueError(f"unknown {field} {mode!r}: expected one of {', '.join(map(repr, allowed))}")
+        return convention
+
+    @classmethod
+    def _make(cls, modes) -> "StarConvention":
+        """The namedtuple's other constructor, which ``_replace`` calls, checked too."""
+        return cls(*modes)
 
     def describe(self) -> Dict[str, str]:
         return {

@@ -139,7 +139,7 @@ class HermitianMetric:
     conjugate of dz^(b+1).
     """
 
-    __slots__ = ("n", "entries", "inverse", "determinant", "_identity", "_volume", "_raising", "_stars")
+    __slots__ = ("n", "entries", "inverse", "determinant", "_identity", "_volume", "_raising", "_star")
 
     def __init__(self, entries: MatrixLike):
         matrix, report, inverse = _validated(entries)
@@ -161,7 +161,7 @@ class HermitianMetric:
         self._identity = None  # filled by is_identity on first use
         self._volume = None  # filled by volume_form on first use
         self._raising = None  # the raising frame (forms._Frame of the inverse), built by the first raise
-        self._stars = {}  # convention -> the star's rows (star._StarRows), built by its first star
+        self._star = None  # the star's rows (star._StarRows), built by the first star
 
     @classmethod
     def identity(cls, n: int) -> "HermitianMetric":

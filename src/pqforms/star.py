@@ -29,18 +29,23 @@ whole product is one linear map on keys, so the star is one pull-back
 raising frame's rows with each image key complemented and its signs and
 det(g) folded into the constant.  Each monomial is multiplied once.
 
+The rows are the default star's only: each printed variant is a map of
+its result.  The printed output swaps the halves of each image key.  The
+literal conjugation conjugates the rows but not their unit u = +-i^n, so
+it gives u / conj(u) = (-1)^n times the conjugate of each coefficient.
+A metric keeps one set of rows, whatever the convention.
+
 The defining identity needs only the top coefficient of phi ^ star(psi),
 and a key K of phi meets star(psi) only at its complement K^c.  So
 ``defining_identity_check`` reads the star rows only at the K^c of phi's
-keys and the raising frame only at phi's keys, both emitted at K, and
-under single conjugation pulls psi back once through both; it forms one
-polynomial product per key of phi and builds no whole star and no wedge.
+keys and the raising frame only at phi's keys, and pulls psi back once
+through both under every convention; it forms one polynomial product per
+key of phi and builds no whole star and no wedge.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .choices import CONVENTIONS, DEFAULT_CONVENTION, LITERAL_CONVENTION, StarConvention  # noqa: F401  (re-exported)
 from .forms import Form, MultiIndex, TermKey, _Frame, _key_product, _pulled_back, complement
@@ -109,8 +114,8 @@ def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerP
 
 
 class _StarRows(_Frame):
-    """The rows of the star on one metric under one convention, kept in the
-    metric's ``_stars`` slot by convention: a ``forms._Frame`` whose half
+    """The rows of the consistent star on one metric, kept in the metric's
+    ``_star`` slot from its first star on: a ``forms._Frame`` whose half
     rows are the raising frame's, mapped once, and whose row of a key turns
     its left constants by the key's unit.
 
@@ -119,22 +124,15 @@ class _StarRows(_Frame):
     minor; that of M (side 1) the same with sgn(B, B^c) and no det(g).
     Like the frame, the memo keeps halves, never whole keys.  The unit of a
     key (L, M) of bidegree (p, q) is i^n (-1)^(n(n-1)/2 + (n-p)q), quarter
-    turns with no gcd.  ``image`` and ``at`` are the frame's readers.
-
-    The literal convention's two flags act on the same rows:
-    ``literal_eq_2_9`` conjugation conjugates the half rows (det(g) and the
-    signs are real, the unit is not conjugated) and reads each coefficient
-    unconjugated; ``printed_eq_2_9`` output swaps the image key's halves,
-    so a read of ``at`` names the image key with its halves swapped back.
+    turns with no gcd.  ``image`` and ``at`` are the frame's readers.  The
+    rows hold no convention: both printed variants are maps of the
+    consistent star's result (``_literal`` and the swap in ``hodge_star``).
     """
 
-    __slots__ = ("frame", "n", "determinant", "conjugated", "swapped", "read")
+    __slots__ = ("frame", "n", "determinant")
 
-    def __init__(self, frame: _Frame, metric: HermitianMetric, convention: StarConvention):
+    def __init__(self, frame: _Frame, metric: HermitianMetric):
         self.frame, self.n, self.determinant = frame, metric.n, metric.determinant
-        self.conjugated = convention.conjugation_mode == "literal_eq_2_9"
-        self.swapped = convention.output_index_mode != "same_type_complement"
-        self.read = attrgetter("terms") if self.conjugated else WirtingerPolynomial._conjugate_terms
         self.halves: Tuple[dict, dict] = ({}, {})  # dz-half L or dzb-half M -> its row
 
     def _half(self, side: int, indices: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
@@ -145,9 +143,7 @@ class _StarRows(_Frame):
                 rest, sign = complement(image, self.n)
                 if not side:
                     c = c * self.determinant
-                if sign < 0:
-                    c = -c
-                row[rest] = c.conjugate() if self.conjugated else c
+                row[rest] = -c if sign < 0 else c
             self.halves[side][indices] = row
         return row
 
@@ -156,30 +152,39 @@ class _StarRows(_Frame):
         n = self.n
         return n + 2 * (n * (n - 1) // 2 + (n - len(key[0])) * len(key[1]))
 
-    def image(self, key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
-        """The frame's row of a key, each image key's halves swapped under the swapped output."""
-        row = _Frame.image(self, key)
-        return [((B, A), c) for (A, B), c in row] if self.swapped else row
+
+def _star_rows(frame: _Frame, metric: HermitianMetric) -> _StarRows:
+    """The metric's star rows, built on its first star."""
+    if metric._star is None:
+        metric._star = _StarRows(frame, metric)
+    return metric._star
 
 
-def _star_rows(frame: _Frame, metric: HermitianMetric, convention: StarConvention) -> _StarRows:
-    """The metric's star rows under the convention, built on first use."""
-    rows = metric._stars.get(convention)
-    if rows is None:
-        rows = metric._stars[convention] = _StarRows(frame, metric, convention)
-    return rows
+def _literal(coeff: WirtingerPolynomial, n: int) -> WirtingerPolynomial:
+    """The literal conjugation's coefficient from the single one's: the
+    literal star conjugates the rows but not their unit u = +-i^n, and
+    u / conj(u) = (-1)^n, so it is (-1)^n conj(coeff)."""
+    return -coeff.conjugate() if n % 2 else coeff.conjugate()
 
 
 def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = DEFAULT_CONVENTION) -> Form:
     """Hodge star of a form: the whole form, any mix of bidegrees, is
     pulled back once through the metric's star rows, each key's row
-    carrying the prefactor of its own bidegree.
+    carrying the prefactor of its own bidegree, and each coefficient read
+    conjugated.  The printed variants map that term map: the literal
+    conjugation sends each coefficient to (-1)^n times its conjugate, and
+    the printed output swaps each key's halves.
 
     Antilinear under the default convention: star(c * psi) equals
     conj(c) * star(psi) for constant c.
     """
-    rows = _star_rows(_frame(psi, metric), metric, convention)
-    return Form._trusted(metric.n, _pulled_back(metric.n, psi.terms, rows.image, rows.read))
+    n = metric.n
+    terms = _pulled_back(n, psi.terms, _star_rows(_frame(psi, metric), metric).image, WirtingerPolynomial._conjugate_terms)
+    if convention.conjugation_mode == "literal_eq_2_9":
+        terms = {key: _literal(c, n) for key, c in terms.items()}
+    if convention.output_index_mode == "printed_eq_2_9":
+        terms = {(B, A): c for (A, B), c in terms.items()}
+    return Form._trusted(n, terms)
 
 
 class DefiningIdentityReport(NamedTuple):
@@ -208,14 +213,16 @@ def defining_identity_check(
 
     with s_K the sign of ``_key_product(K, K^c)`` and v the constant of
     ``volume_form``: one polynomial product per key of phi, built in one
-    constructor call.  Both sides are read by ``_Frame.at`` and emitted at
-    K: the star rows at K^c, s_K folded into the quarter turns, and the
-    raising frame at K times -v.  Under single conjugation both read psi
-    conjugated, so psi is pulled back once through the two rows together
-    and the sides cancel in place; the literal star reads psi unconjugated
-    in a pull-back of its own, whose sums are added to the raise's at each
-    K before the product.  Where the convention's star misses the K^c, as
-    the swapped output does for p != q, only -<phi, psi> * vol remains.
+    constructor call.  Both sides are read by ``_Frame.at``: the star rows
+    at K^c (its halves swapped back under the printed output), s_K folded
+    into the quarter turns, and the raising frame at K times -v.  Both read
+    psi conjugated, so psi is pulled back once through the two rows
+    together.  Under single conjugation both sides are emitted at K and
+    cancel in place; under the literal one the star side is emitted at
+    (K,), and each of those sums is mapped by ``_literal`` and added to the
+    raise's at K before the product.  Where the convention's star misses
+    the K^c, as the printed output does for p != q, only -<phi, psi> * vol
+    remains.
     """
     both = not phi.is_zero() and not psi.is_zero()
     if both and phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
@@ -224,16 +231,19 @@ def defining_identity_check(
     frame = _frame(psi, metric)
     if phi.n != n:
         raise ValueError(f"ambient dimension mismatch: {phi.n} vs {n}")
-    rows = _star_rows(frame, metric, convention)
-    stars = []  # (K, the half-row key of K^c, the quarter turns of s_K)
+    literal = convention.conjugation_mode == "literal_eq_2_9"
+    stars = []  # (the star side's target, the half-row key of K^c, the quarter turns of s_K)
     for key in phi.terms:
         partner = complement(key[0], n)[0], complement(key[1], n)[0]
-        stars.append((key, partner[::-1] if rows.swapped else partner, 0 if _key_product(key, partner)[1] > 0 else 2))
+        read = partner[::-1] if convention.output_index_mode == "printed_eq_2_9" else partner
+        stars.append(((key,) if literal else key, read, 0 if _key_product(key, partner)[1] > 0 else 2))
     (top, volume), = volume_form(metric).terms.items()
-    starred, raised = rows.at(stars), frame.at([(K, K, 0) for K in phi.terms], -volume.constant_value())
-    sums = _pulled_back(n, psi.terms, starred if rows.conjugated else lambda key: starred(key) + raised(key), rows.read)
-    if rows.conjugated:  # the literal star reads psi unconjugated, the raise conjugated
-        for K, c in _pulled_back(n, psi.terms, raised, WirtingerPolynomial._conjugate_terms).items():
-            sums[K] = sums[K] + c if K in sums else c
+    starred, raised = _star_rows(frame, metric).at(stars), frame.at([(K, K, 0) for K in phi.terms], -volume.constant_value())
+    sums = _pulled_back(n, psi.terms, lambda key: starred(key) + raised(key), WirtingerPolynomial._conjugate_terms)
+    if literal:  # the star side's sums at (K,) become the literal star's and join the raise's at K
+        for K in phi.terms:
+            if (K,) in sums:
+                c = _literal(sums.pop((K,)), n)
+                sums[K] = sums[K] + c if K in sums else c
     residual = Form._trusted(n, ((top, phi.terms[K] * c) for K, c in sums.items()))
     return DefiningIdentityReport(holds=residual.is_zero(), residual=residual, convention=convention)

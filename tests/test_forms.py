@@ -534,3 +534,11 @@ def test_frame_matches_the_unmemoized_pull_back(data):
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def test_form_repr_zero_and_nonzero():
+    # terms in canonical order, a constant term named 1
+    n = 2
+    f = Form.term(n, (1,), (2,), WirtingerPolynomial.z(n, 1).scale(gaussian(1, -2))) + Form.from_scalar(n, 3)
+    assert repr(f) == "<form <poly (3)>*1 + <poly (1-2*i)*z1>*dz1^dzb2>"
+    assert repr(Form.zero(n)) == "<form 0>"

@@ -155,6 +155,21 @@ def test_oracle_compare_dz1():
     assert report.ratio_for(1, 0) == gaussian(1)
 
 
+def test_oracle_compare_reports_no_ratio_for_an_absent_bidegree():
+    report = oracle_compare(Form.term(2, (1,), (2,), 1), HermitianMetric.identity(2))
+    assert [(c.p, c.q) for c in report.comparisons] == [(1, 1)]
+    assert report.ratio_for(1, 1) is not None
+    assert report.ratio_for(1, 0) is None and report.ratio_for(2, 2) is None
+
+
+def test_real_form_repr_names_dx_and_dy():
+    # real index 2k - 1 is dx_k and 2k is dy_k; terms in canonical order
+    n = 2
+    r = RealForm.term(n, (1, 2, 4), WirtingerPolynomial.z(n, 2)) + RealForm.term(n, (3,), 2)
+    assert repr(r) == "<realform <poly (2)>*dx2 + <poly (1)*z2>*dx1^dy1^dy2>"
+    assert repr(RealForm(n)) == "<realform 0>"
+
+
 def test_oracle_compare_block_form():
     n = 4
     psi = Form.term(n, (1, 2), (3, 4), 1)

@@ -47,6 +47,8 @@ DEFAULTS = {
 def instance(record):
     if record is Direction:
         return Direction(2, (1, "-1/2"))
+    if record is StarConvention:  # its modes are checked, so it gets valid ones
+        return StarConvention("literal_eq_2_9", "printed_eq_2_9")
     return record(*FIELDS[record])
 
 
@@ -75,3 +77,37 @@ def test_defaults_fill_the_trailing_fields():
     assert check.extras_as_expected and check.passed
     with pytest.raises(TypeError):
         ConventionCheck(DEFAULT_CONVENTION, "0", "0", True, True, "0")
+
+
+def test_star_convention_builds_the_four_valid_combinations():
+    conventions = [StarConvention(c, o) for c in ("single", "literal_eq_2_9") for o in ("same_type_complement", "printed_eq_2_9")]
+    assert [tuple(c) for c in conventions] == [
+        ("single", "same_type_complement"),
+        ("single", "printed_eq_2_9"),
+        ("literal_eq_2_9", "same_type_complement"),
+        ("literal_eq_2_9", "printed_eq_2_9"),
+    ]
+    assert StarConvention(output_index_mode="printed_eq_2_9") == conventions[1]
+    assert conventions[3].describe() == {"conjugation": "literal_eq_2_9", "output_index": "printed_eq_2_9"}
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        # a misspelled mode must not be read as the other value of its field
+        (("single", "same_type"), {}, "unknown output_index_mode 'same_type': expected one of 'same_type_complement', 'printed_eq_2_9'"),
+        (("literal",), {}, "unknown conjugation_mode 'literal': expected one of 'single', 'literal_eq_2_9'"),
+        ((), {"conjugation_mode": "Single"}, "unknown conjugation_mode 'Single': expected one of 'single', 'literal_eq_2_9'"),
+        ((), {"output_index_mode": "printed"}, "unknown output_index_mode 'printed': expected one of 'same_type_complement', 'printed_eq_2_9'"),
+        (("literal_eq_2_9", None), {}, "unknown output_index_mode None: expected one of 'same_type_complement', 'printed_eq_2_9'"),
+    ],
+)
+def test_star_convention_rejects_an_unknown_mode(args, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StarConvention(*args, **kwargs)
+    # the namedtuple's other constructors check the modes too
+    modes = dict(zip(StarConvention._fields, args), **kwargs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DEFAULT_CONVENTION._replace(**modes)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StarConvention._make({**DEFAULT_CONVENTION._asdict(), **modes}.values())

@@ -252,13 +252,14 @@ _CONVENTIONS = [StarConvention(c, o) for c in ("single", "literal_eq_2_9") for o
 
 
 def _recording_pull_backs(monkeypatch):
-    """Record (terms, image, result) of every pull-back the star module makes."""
+    """Record (terms, image, result) of every pull-back the star module
+    makes, the result as returned: the literal check merges its sums after."""
     calls = []
     original = pqforms.star._pulled_back
 
     def counted(n, terms, image, read):
         result = original(n, terms, image, read)
-        calls.append((terms, image, result))
+        calls.append((terms, image, dict(result)))
         return result
 
     monkeypatch.setattr(pqforms.star, "_pulled_back", counted)
@@ -286,16 +287,18 @@ def _recording_reads(monkeypatch):
 
 
 def _assert_check_reads(reads, phi, metric, convention):
-    """The check read the star rows at the complements of phi's keys (named
-    with swapped halves under the swapped output) and the raising frame at
-    phi's keys times -v, both emitted at phi's keys; return the two row
-    functions, star rows first."""
+    """The check read the metric's one set of star rows at the complements
+    of phi's keys (named with swapped halves under the swapped output),
+    emitted at phi's keys K, or at (K,) under the literal conjugation, and
+    the raising frame at phi's keys times -v, emitted at them; return the
+    two row functions, star rows first."""
     swapped = convention.output_index_mode != "same_type_complement"
-    (_, star_reads, star_scale, star_row), = [call for call in reads if call[0] is metric._stars[convention]]
+    literal = convention.conjugation_mode == "literal_eq_2_9"
+    (_, star_reads, star_scale, star_row), = [call for call in reads if call[0] is metric._star]
     (_, raise_reads, raise_scale, raise_row), = [call for call in reads if call[0] is metric._raising]
     assert len(reads) == 2 and star_scale is None
     partners = {(A, B): (complement(A, phi.n)[0], complement(B, phi.n)[0]) for A, B in phi.terms}
-    assert [(target, image[::-1] if swapped else image) for target, image, _ in star_reads] == list(partners.items())
+    assert [(target, image[::-1] if swapped else image) for target, image, _ in star_reads] == [((K,) if literal else K, partner) for K, partner in partners.items()]
     assert [extra for _, _, extra in star_reads] == [0 if _key_product(K, partners[K])[1] > 0 else 2 for K in phi.terms]
     assert raise_reads == [(K, K, 0) for K in phi.terms]
     (_, volume), = volume_form(metric).terms.items()
@@ -320,45 +323,55 @@ def _check_pairs(rng):
 
 
 def test_defining_identity_check_raises_psi_once(monkeypatch):
-    # under single conjugation, one pull-back of psi, read conjugated,
-    # through the star rows read only at the complements of phi's keys and
-    # the raising frame read only at phi's keys: both emit at phi's keys,
-    # where they cancel
+    # under every convention, one pull-back of psi, read conjugated, through
+    # the metric's one set of star rows read only at the complements of
+    # phi's keys and the raising frame read only at phi's keys; under single
+    # conjugation both emit at phi's keys, where they cancel
     pulls, reads = _recording_pull_backs(monkeypatch), _recording_reads(monkeypatch)
     rng = random.Random(2)
     metric = random_dense_metric(rng, 3)
-    for convention in _CONVENTIONS[:2]:
+    for convention in _CONVENTIONS:
         for phi, psi in _check_pairs(rng):
             assert not phi.is_zero() and not psi.is_zero()
             del pulls[:], reads[:]
             report = defining_identity_check(phi, psi, metric, convention)
             (terms, image, result), = pulls
             assert terms is psi.terms
-            assert {target for key in psi.terms for target, _ in image(key)} <= set(phi.terms)
             assert report.holds == (result == {}) and (report.holds or convention != DEFAULT_CONVENTION)
             star_row, raise_row = _assert_check_reads(reads, phi, metric, convention)
             # the one pull-back goes through both sides, each emitting
             assert all(image(key) == star_row(key) + raise_row(key) for key in psi.terms)
-            _assert_both_sides_emit(psi, metric._stars[convention], star_row, raise_row, convention)
+            _assert_both_sides_emit(psi, metric._star, star_row, raise_row, convention)
+            if convention.conjugation_mode == "single":
+                assert {target for key in psi.terms for target, _ in image(key)} <= set(phi.terms)
 
 
 @pytest.mark.parametrize("convention", _CONVENTIONS[2:], ids=["literal-same", "literal"])
-def test_defining_identity_check_literal_convention_pulls_back_twice(monkeypatch, convention):
-    # the literal star reads psi unconjugated and the raise reads it
-    # conjugated, so each has its own pull-back, with the same reads
+def test_defining_identity_check_literal_convention_pulls_back_once(monkeypatch, convention):
+    # the literal star side is the single one's, read conjugated in the same
+    # pull-back as the raise but emitted at (K,); each such sum, mapped to
+    # (-1)^n times its conjugate, is s_K times the literal star at K^c
     pulls, reads = _recording_pull_backs(monkeypatch), _recording_reads(monkeypatch)
     rng = random.Random(7)
     metric = random_dense_metric(rng, 3)
     for phi, psi in _check_pairs(rng):
         del pulls[:], reads[:]
         report = defining_identity_check(phi, psi, metric, convention)
-        (star_terms, star_image, starred), (raise_terms, raise_image, raised) = pulls
-        assert star_terms is psi.terms and raise_terms is psi.terms
-        assert set(starred) <= set(phi.terms) and raised and set(raised) <= set(phi.terms)
+        (terms, image, sums), = pulls
+        assert terms is psi.terms
         star_row, raise_row = _assert_check_reads(reads, phi, metric, convention)
-        assert star_image is star_row and raise_image is raise_row
-        _assert_both_sides_emit(psi, metric._stars[convention], star_row, raise_row, convention)
-        expected = phi ^ hodge_star(psi, metric, convention)
+        assert all(image(key) == star_row(key) + raise_row(key) for key in psi.terms)
+        _assert_both_sides_emit(psi, metric._star, star_row, raise_row, convention)
+        starred = {K[0]: c for K, c in sums.items() if K not in phi.terms}
+        raised = {K: c for K, c in sums.items() if K in phi.terms}
+        assert raised and set(starred) <= set(phi.terms)
+        del pulls[:]
+        star = hodge_star(psi, metric, convention)
+        for K in phi.terms:
+            partner = complement(K[0], 3)[0], complement(K[1], 3)[0]
+            expected = star.terms.get(partner, WirtingerPolynomial.zero(3)).scale(_key_product(K, partner)[1])
+            assert (-starred[K].conjugate() if K in starred else WirtingerPolynomial.zero(3)) == expected
+        expected = phi ^ star
         assert report.residual == expected - volume_form(metric).scale(pointwise_inner(phi, psi, metric))
 
 
@@ -384,8 +397,9 @@ def test_defining_identity_check_stars_psi_only_at_phi_partners(monkeypatch):
 
 @pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
 def test_defining_identity_check_conjugates_each_coefficient_once(monkeypatch, convention):
-    # a check of psi with k coefficients conjugates exactly k of them: one
-    # pull-back reads psi conjugated, the literal star's reads it as it is
+    # a check of psi with k coefficients conjugates exactly k of them in
+    # its one pull-back; the literal conjugation conjugates each nonzero
+    # star-side sum once more, one per K^c the literal star of psi holds
     calls = []
     original = WirtingerPolynomial._conjugate_terms
 
@@ -395,40 +409,64 @@ def test_defining_identity_check_conjugates_each_coefficient_once(monkeypatch, c
 
     rng = random.Random(23)
     metric = random_dense_metric(rng, 3)
-    pairs = list(_check_pairs(rng))
-    volume_form(metric)
-    # wrapped before the metric's star rows are built, since they keep
-    # their read of psi
+    pairs = [tuple(pair) for pair in _check_pairs(rng)]
+    # the metric's star rows are built before the wrapper is installed, and
+    # still the check's reads must go through it
+    stars = [hodge_star(psi, metric, convention) for _, psi in pairs]
     monkeypatch.setattr(WirtingerPolynomial, "_conjugate_terms", counted)
-    for phi, psi in pairs:
+    for (phi, psi), star in zip(pairs, stars):
         del calls[:]
         defining_identity_check(phi, psi, metric, convention)
-        assert len(calls) == len(psi.terms) and {id(c) for c in calls} == {id(c) for c in psi.terms.values()}
+        sums = 0
+        if convention.conjugation_mode == "literal_eq_2_9":
+            sums = sum((complement(A, 3)[0], complement(B, 3)[0]) in star.terms for A, B in phi.terms)
+        read = [c for c in calls if any(c is coeff for coeff in psi.terms.values())]
+        assert len(read) == len(psi.terms) and {id(c) for c in read} == {id(c) for c in psi.terms.values()}
+        assert len(calls) == len(psi.terms) + sums
+
+
+@pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
+def test_a_reader_wrapped_after_the_first_star_sees_the_next_stars(monkeypatch, convention):
+    # the star rows keep no reader of psi: a wrapper on _conjugate_terms
+    # installed after a metric's first star sees each coefficient of the
+    # next star read once, and none once it is removed
+    calls = []
+    original = WirtingerPolynomial._conjugate_terms
+    rng = random.Random(29)
+    metric = random_dense_metric(rng, 3)
+    psi = random_form(rng, 3, bidegree=(1, 2), max_degree=1)
+    expected = hodge_star(psi, metric, convention)
+    monkeypatch.setattr(WirtingerPolynomial, "_conjugate_terms", lambda coeff: calls.append(coeff) or original(coeff))
+    assert hodge_star(psi, metric, convention) == expected
+    read = [c for c in calls if any(c is coeff for coeff in psi.terms.values())]
+    assert len(read) == len(psi.terms) and {id(c) for c in read} == {id(c) for c in psi.terms.values()}
+    monkeypatch.undo()
+    del calls[:]
+    assert hodge_star(psi, metric, convention) == expected and calls == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2**32), st.booleans())
 def test_frame_reads_at_chosen_keys_what_its_rows_hold(n, seed, scaled):
     # the one half-row reader against the whole row: a dense frame and the
-    # star rows under each convention, read at the row's own image keys and
-    # at others, which are left out; the swapped output names an image key
-    # with its halves swapped back
+    # metric's star rows, read at the row's own image keys and at others,
+    # which are left out
     rng = random.Random(seed)
     metric = random_dense_metric(rng, n)
     dense = _Frame(*([[random_scalar(rng) for _ in range(n)] for _ in range(n)] for _ in range(2)))
-    frames = [dense] + [pqforms.star._star_rows(pqforms.star._frame(Form.zero(n), metric), metric, c) for c in _CONVENTIONS]
+    raising = pqforms.star._frame(Form.zero(n), metric)
+    rows = pqforms.star._star_rows(raising, metric)
+    assert pqforms.star._star_rows(raising, metric) is rows is metric._star
     halves = [A for p in range(n + 1) for A in combinations(range(1, n + 1), p)]
     keys = [(A, B) for A in halves for B in halves]
     scale = random_scalar(rng) or gaussian(1, 1) if scaled else None
-    for frame in frames:
-        swapped = getattr(frame, "swapped", False)
+    for frame in (dense, rows):
         for key in rng.sample(keys, min(6, len(keys))):
             row = dict(frame.image(key))
-            named = [image[::-1] if swapped else image for image in row]
-            reads = [(("target", t), rng.choice(named if named and rng.random() < 0.6 else keys), rng.randrange(4)) for t in range(rng.randint(0, 6))]
+            reads = [(("target", t), rng.choice(list(row) if row and rng.random() < 0.6 else keys), rng.randrange(4)) for t in range(rng.randint(0, 6))]
             expected = []
             for target, image, extra in reads:
-                c = row.get(image[::-1] if swapped else image)
+                c = row.get(image)
                 if c is not None:
                     c = c * gaussian(0, 1) ** extra
                     expected.append((target, c if scale is None else c * scale))
@@ -436,19 +474,22 @@ def test_frame_reads_at_chosen_keys_what_its_rows_hold(n, seed, scaled):
 
 
 def test_hodge_star_raises_a_mixed_form_in_one_pull_back(monkeypatch):
-    # four bidegrees, one pull-back, and the same star as per component
+    # four bidegrees, one pull-back through the metric's one set of star
+    # rows under each convention, and the same star as per component
     rng = random.Random(4)
     metric = random_dense_metric(rng, 3)
     psi = Form.zero(3)
     for p, q in [(0, 0), (1, 0), (1, 2), (3, 1)]:
         psi = psi + random_form(rng, 3, bidegree=(p, q), max_degree=1) + Form.term(3, range(1, p + 1), range(1, q + 1), 1)
     assert len(psi.bidegrees()) == 4
-    expected = Form.zero(3)
-    for p, q in sorted(psi.bidegrees()):
-        expected = expected + hodge_star(psi.component(p, q), metric)
-    calls = _recording_pull_backs(monkeypatch)
-    assert hodge_star(psi, metric) == expected
-    assert [image for _, image, _ in calls] == [metric._stars[DEFAULT_CONVENTION].image]
+    for convention in _CONVENTIONS:
+        expected = Form.zero(3)
+        for p, q in sorted(psi.bidegrees()):
+            expected = expected + hodge_star(psi.component(p, q), metric, convention)
+        calls = _recording_pull_backs(monkeypatch)
+        assert hodge_star(psi, metric, convention) == expected
+        assert [image for _, image, _ in calls] == [metric._star.image]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
@@ -630,22 +671,44 @@ def test_hodge_star_matches_the_unmemoized_star(psi, seed):
         assert hodge_star(psi, fresh, convention) == expected, convention
 
 
-def test_star_rows_keep_halves_only_one_set_per_convention():
+@settings(max_examples=40, deadline=None)
+@given(forms(max_terms=4, max_degree=1), st.integers(0, 2**32))
+def test_printed_variants_are_maps_of_the_consistent_star(psi, seed):
+    # on the unmemoized star, mixed bidegrees and a dense metric: the
+    # literal conjugation is (-1)^n times the coefficient conjugate of the
+    # single one, since its unit u = +-i^n is not conjugated and
+    # u / conj(u) = (-1)^n, and the printed output swaps each key's halves
+    n = psi.n
+    metric = random_dense_metric(random.Random(seed), n)
+    for output in ("same_type_complement", "printed_eq_2_9"):
+        single = brute_star(psi, metric, StarConvention("single", output))
+        literal = brute_star(psi, metric, StarConvention("literal_eq_2_9", output))
+        assert literal == Form(n, {key: c.conjugate().scale((-1) ** n) for key, c in single.terms.items()})
+    for conjugation in ("single", "literal_eq_2_9"):
+        same = brute_star(psi, metric, StarConvention(conjugation, "same_type_complement"))
+        printed = brute_star(psi, metric, StarConvention(conjugation, "printed_eq_2_9"))
+        assert printed == Form(n, {(B, A): c for (A, B), c in same.terms.items()})
+
+
+def test_star_rows_keep_halves_only_one_set_per_metric():
+    # the stars under all four conventions share the metric's one set of
+    # rows, which holds the consistent star's halves and no convention
     rng = random.Random(6)
     metric = random_dense_metric(rng, 3)
     psis = [random_form(rng, 3, bidegree=(p, q), max_degree=1) for p in range(4) for q in range(4)]
+    assert metric._star is None
+    rows = []
     for convention in _CONVENTIONS:
         for psi in psis:
             hodge_star(psi, metric, convention)
-    assert list(metric._stars) == _CONVENTIONS
-    sets = list(metric._stars.values())
-    assert len({id(rows) for rows in sets}) == len(_CONVENTIONS)
-    for rows in sets:
-        assert rows.frame is metric._raising
-        # the halves of a key are kept, never the whole key
-        assert set(rows.halves[0]) == {I for psi in psis for I, _ in psi.terms}
-        assert set(rows.halves[1]) == {J for psi in psis for _, J in psi.terms}
-    assert HermitianMetric(metric.entries)._stars == {}
+            rows.append(metric._star)
+    assert isinstance(metric._star, pqforms.star._StarRows) and all(r is metric._star for r in rows)
+    assert pqforms.star._StarRows.__slots__ == ("frame", "n", "determinant")
+    assert metric._star.frame is metric._raising
+    # the halves of a key are kept, never the whole key
+    assert set(metric._star.halves[0]) == {I for psi in psis for I, _ in psi.terms}
+    assert set(metric._star.halves[1]) == {J for psi in psis for _, J in psi.terms}
+    assert HermitianMetric(metric.entries)._star is None
 
 
 def test_repeated_stars_do_not_grow_the_memo():
@@ -654,11 +717,12 @@ def test_repeated_stars_do_not_grow_the_memo():
     psis = [random_form(rng, 3, bidegree=(p, q), max_degree=1) for p in range(4) for q in range(4)]
     for psi in psis:
         hodge_star(psi, metric)
-    rows = metric._stars[DEFAULT_CONVENTION]
+    rows = metric._star
     halves = [dict(memo) for memo in rows.halves]
-    for _ in range(3):
+    # the other conventions read the same halves
+    for convention in _CONVENTIONS * 3:
         for psi in psis:
-            hodge_star(psi, metric)
-    assert list(metric._stars.values()) == [rows]
+            hodge_star(psi, metric, convention)
+    assert metric._star is rows
     assert list(rows.halves) == halves
     assert all(rows.halves[side][key] is halves[side][key] for side in (0, 1) for key in halves[side])

@@ -206,3 +206,11 @@ def test_public_constructor_rejects(terms, error):
 def test_input_checks(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_polynomial_repr_zero_and_nonzero():
+    n = 2
+    p = WirtingerPolynomial.z(n, 1) * WirtingerPolynomial.zb(n, 2).scale(gaussian(0, 1)) + WirtingerPolynomial.constant(n, -1)
+    # monomials by descending exponent vector, each coefficient in parentheses
+    assert repr(p) == "<poly (i)*z1*zb2 + (-1)>"
+    assert repr(WirtingerPolynomial.zero(n)) == "<poly 0>"
