@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import sys
 from itertools import islice
 from typing import List, Optional
@@ -168,6 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(payload: dict) -> str:
+    """The --json output; ``json`` is imported only here, so a plain call never loads it."""
+    import json
+
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def _run_form_command(args: argparse.Namespace) -> int:
     _, forms, options, module, compute, render = _COMMANDS[args.command]
     values = [_OPTIONS[option][1](args) for option in options]
@@ -180,7 +186,7 @@ def _run_form_command(args: argparse.Namespace) -> int:
         text = render(result)
     else:
         payload["result"] = text = _format_value(result)
-    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
+    print(_json_text(payload) if args.json else text)
     return 0
 
 
@@ -189,7 +195,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
 
     report = scenario_runner(args.id)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(_json_text(report.to_dict()))
     else:
         lines = [f"scenario: {report.scenario_id}", f"notes: {report.notes}"]
         for check in report.checks:

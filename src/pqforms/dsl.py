@@ -15,13 +15,19 @@ whitespace is insignificant everywhere):
 
 A coefficient is a product; polynomial sums must be parenthesized, as in
 ``(z1+3)*dz1``, so that ``z1+3*dz1`` unambiguously means the scalar term
-z1 plus 3*dz1.  The parser reads the text once, left to right, and builds
+z1 plus 3*dz1.  The text is split into tokens in one regular-expression
+pass; a token is a ``(kind, text, value, offset)`` tuple, and its line and
+column are counted from the offset only when a ParseError reports them.
+The parser reads the tokens once, left to right, and builds
 values as it goes: a sum or term is a polynomial while its text is one and
 becomes a Form once a differential, a wedge or a form group enters it.  A
 ``(`` group is read once, and the type of its value decides its role: a
 polynomial group is a coefficient, unless it is the lone factor right
 before ``^``, and a form group is a wedge factor, so ``(z1+3)*dz1`` and
-``(dz1+dz2)^dzb3`` both parse.  Groups nest at most ``MAX_NESTING`` deep,
+``(dz1+dz2)^dzb3`` both parse.  A number, ``i`` or a variable becomes a
+polynomial of one monomial, built from integers, and a product of two such
+monomials is one scalar product at the summed exponents; longer operands
+take the polynomial product.  Groups nest at most ``MAX_NESTING`` deep,
 and the products of one parse may do at most ``MAX_WORK`` units of work,
 each bounded before the operator expands.
 The printer emits one canonical spelling per form: terms sorted by (total
@@ -33,12 +39,14 @@ exactly ``a``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import comb
+from operator import add
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .forms import Form, TermKey, _summed
-from .scalars import MINUS_ONE, ONE, GaussianRational, _height, _power, format_scalar, gaussian
+from .scalars import (
+    I_UNIT, MINUS_ONE, ONE, GaussianRational, _format_factor, _height, _height_of, _power, _reduced, _triple, format_scalar,
+)
 from .wpoly import WirtingerPolynomial, _variable_names
 
 # Deepest "(" nesting the parser reads; a deeper "(" is a ParseError.
@@ -64,32 +72,23 @@ class ParseError(ValueError):
 
 # -- tokens -------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<dzb>dzb\d+)
-    | (?P<dz>dz\d+)
-    | (?P<zb>zb\d+)
-    | (?P<z>z\d+)
-    | (?P<imag>i)
-    | (?P<int>\d+)
-    | (?P<pow>\*\*)
-    | (?P<mul>\*)
-    | (?P<plus>\+)
-    | (?P<minus>-)
-    | (?P<slash>/)
-    | (?P<wedge>\^)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    """,
-    re.VERBOSE,
-)
-
-_NUMBERED = ("dzb", "dz", "zb", "z", "int")
+# A numbered token (its prefix and its digits), a punctuation token, or any
+# other non-space character, which is an error.  Whitespace matches nothing,
+# so it only separates tokens.
+_TOKEN_RE = re.compile(r"(dzb|dz|zb|z)?(\d+)|(\*\*|[-+*/^()i])|(\S)")
+_PUNCTUATION = {
+    "i": "imag", "**": "pow", "*": "mul", "+": "plus", "-": "minus", "/": "slash", "^": "wedge", "(": "lparen",
+    ")": "rparen",
+}
 _ATOM_START = ("int", "imag", "z", "zb", "lparen")
+
+# A token as the parser reads it: (kind, text, value, offset into the source).
+_RawToken = Tuple[str, str, int, int]
 
 
 class Token(NamedTuple):
+    """A token with its line and column (both from 1), built only for a ParseError."""
+
     kind: str
     text: str
     value: int
@@ -97,26 +96,28 @@ class Token(NamedTuple):
     column: int
 
 
-def _tokenize(src: str) -> List[Token]:
-    tokens: List[Token] = []
-    line, column = 1, 1
-    pos = 0
-    while pos < len(src):
-        match = _TOKEN_RE.match(src, pos)
-        if not match:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, column)
-        text, kind = match.group(0), match.lastgroup
-        if kind != "ws":
-            value = int(text.lstrip("dzb")) if kind in _NUMBERED else 0
-            tokens.append(Token(kind, text, value, line, column))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            column = len(text) - text.rfind("\n")
+def _located(src: str, token: _RawToken) -> Token:
+    kind, text, value, offset = token
+    return Token(kind, text, value, src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset))
+
+
+def _error(src: str, token: _RawToken, message: str, expected: Tuple[str, ...] = ()) -> ParseError:
+    located = _located(src, token)
+    return ParseError(message, located.line, located.column, expected)
+
+
+def _tokenize(src: str) -> List[_RawToken]:
+    """The tokens of ``src``, read in one pass, then an "eof" token at its end."""
+    tokens: List[_RawToken] = []
+    for match in _TOKEN_RE.finditer(src):
+        prefix, digits, punctuation, other = match.groups()
+        if digits is not None:
+            tokens.append((prefix or "int", match.group(), int(digits), match.start()))
+        elif other is None:
+            tokens.append((_PUNCTUATION[punctuation], punctuation, 0, match.start()))
         else:
-            column += len(text)
-        pos = match.end()
-    tokens.append(Token("eof", "", 0, line, column))
+            raise _error(src, ("", other, 0, match.start()), f"unexpected character {other!r}")
+    tokens.append(("eof", "", 0, len(src)))
     return tokens
 
 
@@ -138,109 +139,125 @@ class _Parser:
             raise ValueError(f"ambient dimension must be positive, got {n}")
         if not src.strip():
             raise ParseError("empty input", 1, 1)
+        self.src = src
         self.tokens = _tokenize(src)
         self.n = n
+        self.origin = (0,) * (2 * n)  # the exponents of a constant
         self.polynomial = polynomial
         self.pos = 0
         self.depth = 0
         self.work = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> Token:
+    def advance(self) -> _RawToken:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
     def error(self, message: str, expected: Tuple[str, ...] = ()) -> ParseError:
-        token = self.peek()
-        where = f"{token.kind} {token.text!r}".strip()
-        return ParseError(f"{message}, found {where}", token.line, token.column, expected)
+        token = self.tokens[self.pos]
+        where = f"{token[0]} {token[1]!r}".strip()
+        return _error(self.src, token, f"{message}, found {where}", expected)
 
-    def check_index(self, token: Token) -> int:
-        if not 1 <= token.value <= self.n:
-            raise ParseError(
-                f"index {token.value} out of range 1..{self.n} in {token.text!r}",
-                token.line,
-                token.column,
-            )
-        return token.value
+    def check_index(self, token: _RawToken) -> int:
+        index = token[2]
+        if not 1 <= index <= self.n:
+            raise _error(self.src, token, f"index {index} out of range 1..{self.n} in {token[1]!r}")
+        return index
 
     def accept(self, kind: str) -> bool:
         """Consume the next token if it is of this kind."""
-        if self.peek().kind != kind:
+        if self.tokens[self.pos][0] != kind:
             return False
         self.pos += 1
         return True
 
-    def charge(self, work: int, operator: Token) -> None:
+    def charge(self, work: int, operator: _RawToken) -> None:
         self.work += work
         if self.work > MAX_WORK:
-            raise ParseError(f"expansion needs more work than the budget of {MAX_WORK}", operator.line, operator.column)
+            raise _error(self.src, operator, f"expansion needs more work than the budget of {MAX_WORK}")
 
-    def multiplied(self, left: _Value, right: _Value, operator: Token) -> _Value:
-        """left * right (or left ^ right for forms), charged before it is built."""
+    def multiplied(self, left: _Value, right: _Value, operator: _RawToken) -> _Value:
+        """left * right (or left ^ right for forms), charged before it is built.
+
+        Two monomials multiply directly: one scalar product at the summed
+        exponents, charged as ``_size`` would charge them."""
+        if type(left) is type(right) is WirtingerPolynomial and len(left.terms) == len(right.terms) == 1:
+            ((e1, c1),), ((e2, c2),) = left.terms.items(), right.terms.items()
+            self.charge(_cost(1, _height_of(c1) + _height_of(c2)), operator)
+            return WirtingerPolynomial._trusted(self.n, {tuple(map(add, e1, e2)): c1 * c2})
         (t1, h1), (t2, h2) = _size(left), _size(right)
         self.charge(_cost(t1 * t2, h1 + h2), operator)
         return left.wedge(right) if isinstance(left, Form) else left * right
 
     def integer(self, message: str) -> int:
-        if self.peek().kind != "int":
+        if self.peek() != "int":
             raise self.error(message, ("integer",))
-        return self.advance().value
+        return self.advance()[2]
 
     def form(self) -> _Value:
         """form := ["-"] term { ("+" | "-") term }"""
         terms = [self.term(-1 if self.accept("minus") else 1)]
-        while self.peek().kind in ("plus", "minus"):
-            terms.append(self.term(1 if self.advance().kind == "plus" else -1))
+        while self.peek() in ("plus", "minus"):
+            terms.append(self.term(1 if self.advance()[0] == "plus" else -1))
+        if len(terms) == 1:  # a lone term is the sum
+            return terms[0]
         if all(isinstance(term, WirtingerPolynomial) for term in terms):
             return WirtingerPolynomial._sum(self.n, terms)
         return Form(self.n, _summed(_as_form(term, self.n) for term in terms))
 
     def term(self, sign: int) -> _Value:
         """term := coeff "*" factors | coeff | factors, with coeff a product."""
-        token = self.peek()
-        if token.kind not in _ATOM_START:
+        kind = self.peek()
+        if kind not in _ATOM_START:
             return self.factors(sign)
         first = self.atom()
-        if isinstance(first, Form) or (token.kind == "lparen" and self.peek().kind == "wedge"):
+        if isinstance(first, Form) or (kind == "lparen" and self.peek() == "wedge"):
             return self.factors(sign, first)
         coeff = self.power(first) if sign > 0 else -self.power(first)
         while self.accept("mul"):
             operator = self.tokens[self.pos - 1]
-            if self.peek().kind not in _ATOM_START:
+            if self.peek() not in _ATOM_START:
                 return self.factors(coeff)
             factor = self.atom()
             if isinstance(factor, Form):
                 return self.factors(coeff, factor)
             coeff = self.multiplied(coeff, self.power(factor), operator)
-        if self.peek().kind not in ("plus", "minus", "rparen", "eof"):
+        if self.peek() not in ("plus", "minus", "rparen", "eof"):
             raise self.error("unexpected token after coefficient", ("*", "+", "-", ")", "end"))
         return coeff
 
     def atom(self) -> _Value:
-        """INT ["/" INT] | "i" | "z" INT | "zb" INT | "(" form ")"; the caller checked the kind."""
+        """INT ["/" INT] | "i" | "z" INT | "zb" INT | "(" form ")"; the caller checked the kind.
+
+        A number, ``i`` and a variable are built from integers, as trusted polynomials."""
         token = self.advance()
-        if token.kind == "int":
-            value = Fraction(token.value)
-            if self.accept("slash"):
-                denom = self.peek()
-                if self.integer("expected a denominator") == 0:
-                    raise ParseError("zero denominator", denom.line, denom.column)
-                value = Fraction(token.value, denom.value)
-            return WirtingerPolynomial.constant(self.n, gaussian(value))
-        if token.kind == "imag":
-            return WirtingerPolynomial.constant(self.n, gaussian(0, 1))
-        if token.kind in ("z", "zb"):
-            return WirtingerPolynomial.variable(self.n, token.kind, self.check_index(token))
+        kind = token[0]
+        if kind == "int":
+            if not self.accept("slash"):
+                return self.constant(_triple(token[2], 0, 1))
+            denom = self.tokens[self.pos]
+            if self.integer("expected a denominator") == 0:
+                raise _error(self.src, denom, "zero denominator")
+            return self.constant(_reduced(token[2], 0, denom[2]))
+        if kind == "imag":
+            return self.constant(I_UNIT)
+        if kind in ("z", "zb"):
+            exponents = list(self.origin)
+            exponents[self.check_index(token) - 1 + (self.n if kind == "zb" else 0)] = 1
+            return WirtingerPolynomial._trusted(self.n, {tuple(exponents): ONE})
         return self.group(token)
 
+    def constant(self, value: GaussianRational) -> WirtingerPolynomial:
+        return WirtingerPolynomial._trusted(self.n, {self.origin: value})
+
     def power(self, base: WirtingerPolynomial) -> WirtingerPolynomial:
-        if not self.accept("pow"):
+        if self.peek() != "pow":
             return base
-        operator = self.tokens[self.pos - 1]
+        operator = self.advance()
         exponent = self.integer("exponent must be a non-negative integer")
         t, height = _size(base)
         size = lambda k: comb(max(t, 1) + k - 1, k)  # a k-th power has at most this many terms
@@ -252,11 +269,9 @@ class _Parser:
         _power(1, exponent, charged, 0)  # from the 0th power, so the first factor is charged too
         return base ** exponent
 
-    def group(self, opening: Token) -> _Value:
+    def group(self, opening: _RawToken) -> _Value:
         if self.depth == MAX_NESTING:
-            raise ParseError(
-                f"parentheses nested deeper than {MAX_NESTING} levels", opening.line, opening.column
-            )
+            raise _error(self.src, opening, f"parentheses nested deeper than {MAX_NESTING} levels")
         self.depth += 1
         value = self.form()
         if not self.accept("rparen"):
@@ -274,7 +289,7 @@ class _Parser:
             raise self.error("expected a polynomial")
         product: Optional[Form] = None  # wedge of the groups and runs so far
         run: List[Tuple[str, int]] = []
-        operator = self.peek()  # the last "^"
+        operator = self.tokens[self.pos]  # the last "^"
         factor = self.factor() if first is None else first
         while True:
             if isinstance(factor, WirtingerPolynomial):
@@ -291,18 +306,16 @@ class _Parser:
             operator = self.tokens[self.pos - 1]
             factor = self.factor()
 
-    def wedged(self, left: Optional[Form], right: Form, operator: Token) -> Form:
+    def wedged(self, left: Optional[Form], right: Form, operator: _RawToken) -> Form:
         return right if left is None else self.multiplied(left, right, operator)
 
     def factor(self) -> Union[_Value, Tuple[str, int]]:
         """factor := "dz" INT | "dzb" INT | "(" form ")"; a differential is a (kind, index) pair."""
-        token = self.peek()
-        if token.kind in ("dz", "dzb"):
-            self.advance()
-            return token.kind[1:], self.check_index(token)  # "z" or "zb", as in Form.from_factors
-        if token.kind == "lparen":
-            self.advance()
-            return self.group(token)
+        kind = self.peek()
+        if kind in ("dz", "dzb"):
+            return kind[1:], self.check_index(self.advance())  # "z" or "zb", as in Form.from_factors
+        if kind == "lparen":
+            return self.group(self.advance())
         raise self.error("expected a differential or a parenthesized form", ("dzN", "dzbN", "("))
 
 
@@ -330,7 +343,7 @@ def _as_form(value: _Value, n: int) -> Form:
 def _parse(src: str, n: int, polynomial: bool) -> _Value:
     parser = _Parser(src, n, polynomial)
     value = parser.form()
-    if parser.peek().kind != "eof":
+    if parser.peek() != "eof":
         what, expected = ("polynomial", ("+", "-", "*", "end")) if polynomial else ("form", ("+", "-", "end"))
         raise parser.error(f"trailing input after {what}", expected)
     return value
@@ -357,10 +370,7 @@ def _format_monomial(scalar: GaussianRational, names: str) -> str:
         return names
     if scalar == MINUS_ONE:
         return f"-{names}"
-    rendered = format_scalar(scalar)
-    if scalar.re != 0 and scalar.im != 0:
-        rendered = f"({rendered})"
-    return f"{rendered}*{names}"
+    return f"{_format_factor(scalar)}*{names}"
 
 
 def _join_signed(pieces: List[str]) -> str:

@@ -11,13 +11,11 @@ pivots also give the determinant and the leading principal minors
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from math import factorial
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .forms import Form
-from .scalars import GaussianRational, I_UNIT, ONE, ScalarLike, ZERO, parse_scalar
+from .scalars import GaussianRational, I_UNIT, ONE, ScalarLike, ZERO, _positive, parse_scalar
 
 Matrix = Tuple[Tuple[GaussianRational, ...], ...]
 MatrixLike = Sequence[Sequence[Union[ScalarLike, str]]]
@@ -107,7 +105,7 @@ def _validated(entries: MatrixLike) -> Tuple[Matrix, MetricValidation, Optional[
     hermitian = not failures
     det, inverse, minors = _gauss_jordan(matrix)
     minors = minors if hermitian else ()
-    positive = hermitian and all(m.im == 0 and m.re > 0 for m in minors)
+    positive = hermitian and all(map(_positive, minors))
     report = MetricValidation(
         n=n,
         is_hermitian=hermitian,
@@ -152,7 +150,7 @@ class HermitianMetric:
         if not report.is_invertible:
             raise ValueError("metric matrix is singular")
         if not report.is_positive_definite:
-            k, minor = next((k, m) for k, m in enumerate(report.leading_minors, 1) if m.re <= 0)
+            k, minor = next((k, m) for k, m in enumerate(report.leading_minors, 1) if not _positive(m))
             raise ValueError(f"metric matrix is not positive definite: leading minor {k} is {minor}")
         self.n = len(matrix)
         self.entries = matrix
@@ -214,7 +212,7 @@ def volume_form(metric: HermitianMetric) -> Form:
         power = Form.from_scalar(n, 1)
         for _ in range(n):
             power = power.wedge(omega)
-        metric._volume = power.scale(GaussianRational.coerce(Fraction(1, factorial(n))))
+        metric._volume = power.scale(ONE / factorial(n))
     return metric._volume
 
 
@@ -252,6 +250,8 @@ def load_metric(path: str) -> HermitianMetric:
     diff of the offending entries, and matrices that are not positive
     definite with the first leading minor that is not positive.
     """
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "entries" not in payload:

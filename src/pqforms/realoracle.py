@@ -383,8 +383,9 @@ def _proportionality_ratio(engine: Form, oracle: Form) -> Tuple[bool, Optional[G
 
     The verdict is that of ``engine == oracle.scale(ratio)``, read in
     place: the key sets, then each key's monomials, then each engine
-    constant against the oracle's times the ratio, up to the first
-    mismatch.  No scaled form is built."""
+    constant against the oracle's times the ratio (the oracle's itself
+    when the ratio is one), up to the first mismatch.  No scaled form is
+    built."""
     if engine.terms.keys() != oracle.terms.keys():
         return False, None
     # any oracle monomial: when the forms are proportional, the ratio is unique
@@ -394,9 +395,12 @@ def _proportionality_ratio(engine: Form, oracle: Form) -> Tuple[bool, Optional[G
     if lead is None:
         return False, None
     ratio = lead / scalar
+    unit = ratio == 1
     for key, coeff in oracle.terms.items():
         engine_terms = engine.terms[key].terms
-        if engine_terms.keys() != coeff.terms.keys() or any(engine_terms[e] != c * ratio for e, c in coeff.terms.items()):
+        if engine_terms.keys() != coeff.terms.keys() or any(
+            engine_terms[e] != (c if unit else c * ratio) for e, c in coeff.terms.items()
+        ):
             return False, None
     return True, ratio
 

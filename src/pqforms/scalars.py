@@ -1,19 +1,24 @@
 """Exact complex-rational scalars.
 
 Every coefficient in the engine is a Gaussian rational (a + b*i)/d held as
-three Python integers.  No floating point enters anywhere.
+three Python integers.  No floating point enters anywhere.  ``fractions``
+is imported only on the paths that may meet a ``Fraction``, so a run that
+parses, computes and prints never loads it (nor ``decimal``, which it
+imports).
 """
 
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
 from math import gcd, lcm, log2
 from operator import mul
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, Union
 
-RationalLike = Union[int, Fraction]
-ScalarLike = Union[int, Fraction, "GaussianRational"]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = Union[int, "Fraction"]
+ScalarLike = Union[int, "Fraction", "GaussianRational"]
 T = TypeVar("T")
 
 
@@ -29,6 +34,11 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        from fractions import Fraction
+
         re, im = Fraction(re), Fraction(im)
         # over the lcm of two reduced denominators the triple is already reduced
         d = lcm(re.denominator, im.denominator)
@@ -37,11 +47,15 @@ class GaussianRational:
         self._d = d
 
     @property
-    def re(self) -> Fraction:
+    def re(self) -> "Fraction":
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
-    def im(self) -> Fraction:
+    def im(self) -> "Fraction":
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     @staticmethod
@@ -50,6 +64,8 @@ class GaussianRational:
             return value
         if isinstance(value, int):
             return _triple(int(value), 0, 1)
+        from fractions import Fraction
+
         if isinstance(value, Fraction):
             return _triple(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
@@ -102,12 +118,16 @@ class GaussianRational:
         # with b == 0 the invariant gives gcd(a, d) == 1: a/d is a reduced fraction
         if isinstance(other, int):
             return self._b == 0 and self._d == 1 and self._a == other
+        from fractions import Fraction
+
         if isinstance(other, Fraction):
             return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
         # a real value hashes like the int or Fraction it equals
+        if self._b == 0 and self._d == 1:
+            return hash(self._a)
         return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     def conjugate(self) -> "GaussianRational":
@@ -180,6 +200,11 @@ def _height(values: Sequence[GaussianRational]) -> float:
     return log2(den * sum((abs(c._a) + abs(c._b)) * (den // c._d) for c in values) or 1)
 
 
+def _height_of(value: GaussianRational) -> float:
+    """``_height([value])`` of one nonzero scalar, without the lists."""
+    return log2(value._d * (abs(value._a) + abs(value._b)))
+
+
 def _quarter_turned(value: GaussianRational, turns: int) -> GaussianRational:
     """value * i**turns: a unit rotation permutes and negates the integer
     triple, so it keeps the invariant and needs no gcd."""
@@ -205,24 +230,32 @@ def gaussian(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-def _format_imaginary(b: Fraction) -> str:
-    if b == 1:
-        return "i"
-    if b == -1:
-        return "-i"
-    return f"{b}*i"
+def _format_rational(a: int, d: int) -> str:
+    """``str(Fraction(a, d))`` for d > 0: ``a/d`` in lowest terms, ``a`` when d divides a."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
 
 
 def format_scalar(value: GaussianRational) -> str:
     """Canonical text for a scalar: ``3``, ``-1/2``, ``i``, ``2*i``, ``1-2*i``."""
-    a, b = value.re, value.im
+    a, b, d = value._a, value._b, value._d
     if b == 0:
-        return str(a)
+        return _format_rational(a, d)
+    imag = "i" if abs(b) == d else f"{_format_rational(abs(b), d)}*i"
     if a == 0:
-        return _format_imaginary(b)
-    imag = _format_imaginary(abs(b))
-    sign = "+" if b > 0 else "-"
-    return f"{a}{sign}{imag}"
+        return imag if b > 0 else f"-{imag}"
+    return f"{_format_rational(a, d)}{'+' if b > 0 else '-'}{imag}"
+
+
+def _format_factor(value: GaussianRational) -> str:
+    """``format_scalar`` as a factor of a product: parenthesized when both parts are nonzero."""
+    text = format_scalar(value)
+    return f"({text})" if value._a and value._b else text
+
+
+def _positive(value: GaussianRational) -> bool:
+    """Whether the value is a positive real number."""
+    return value._b == 0 and value._a > 0
 
 
 _SCALAR_TOKEN = _re.compile(
@@ -262,6 +295,8 @@ def parse_scalar(text: str) -> GaussianRational:
         if match.group("lone_i"):
             part = I_UNIT
         else:
+            from fractions import Fraction
+
             value = Fraction(match.group("num"))
             part = GaussianRational(0, value) if match.group("iunit") else GaussianRational(value)
         total = total - part if negate else total + part

@@ -9,12 +9,14 @@ polynomials are equal exactly when their term maps are equal.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from operator import add
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple, Union
 
 from .scalars import ZERO, GaussianRational, ScalarLike, _power
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Exponents = Tuple[int, ...]
 
@@ -22,7 +24,7 @@ Z = "z"
 ZBAR = "zb"
 _KINDS = (Z, ZBAR)
 
-PolyLike = Union[int, Fraction, GaussianRational, "WirtingerPolynomial"]
+PolyLike = Union[int, "Fraction", GaussianRational, "WirtingerPolynomial"]
 
 _new = object.__new__
 

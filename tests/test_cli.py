@@ -277,3 +277,32 @@ def test_no_command_loads_dataclasses_or_inspect(argv):
     code, modules = loaded_modules(*argv)
     assert code == 0
     assert not modules & {"dataclasses", "inspect"}
+
+
+def cli_child_modules(*argv):
+    """Exit code and the modules a ``python -m pqforms.cli`` child imports, read
+    from its ``-X importtime`` report on stderr."""
+    src = os.path.dirname(os.path.dirname(pqforms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "pqforms.cli", *argv], env=env, capture_output=True, text=True
+    )
+    modules = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    return done.returncode, modules
+
+
+# fractions (with decimal, which it imports) and json are about 5 ms of a
+# child; a plain form command handles no Fraction and writes no JSON.
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["star", "--n", "1", "dz1"], set()),
+        (["d", "--n", "2", "z1*dz2"], set()),
+        (["star", "--n", "1", "--json", "dz1"], {"json"}),
+    ],
+)
+def test_a_plain_cli_child_loads_no_fractions_decimal_or_json(argv, loaded):
+    code, modules = cli_child_modules(*argv)
+    assert code == 0
+    assert "pqforms.dsl" in modules  # the report was read
+    assert modules & {"fractions", "decimal", "json"} == loaded

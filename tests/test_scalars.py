@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import FractionPair, fraction_pairs, nonzero_scalars, scalars
 from pqforms import GaussianRational, gaussian, parse_scalar
+from pqforms.scalars import _format_factor, _reduced, format_scalar
 
 
 def test_product():
@@ -207,6 +208,31 @@ def test_repr_and_str_table(args, text_repr, text_str):
     value = GaussianRational(*args)
     assert repr(value) == text_repr
     assert str(value) == text_str
+
+
+def _fraction_format(value):
+    """The scalar formatter as it was, on the ``Fraction`` parts."""
+
+    def imaginary(b):
+        return "i" if b == 1 else "-i" if b == -1 else f"{b}*i"
+
+    a, b = value.re, value.im
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return imaginary(b)
+    return f"{a}{'+' if b > 0 else '-'}{imaginary(abs(b))}"
+
+
+_PART = st.one_of(st.integers(-40, 40), st.integers(-(10**30), 10**30))
+
+
+@given(_PART, _PART, st.one_of(st.integers(1, 40), st.integers(1, 10**30)))
+def test_format_scalar_matches_the_fraction_formatter(a, b, d):
+    value = _reduced(a, b, d)
+    text = _fraction_format(value)
+    assert format_scalar(value) == str(value) == text
+    assert _format_factor(value) == (f"({text})" if value.re != 0 and value.im != 0 else text)
 
 
 @pytest.mark.parametrize("bad,error", [("x", ValueError), (None, TypeError), (1j, TypeError)])
