@@ -43,7 +43,7 @@ from math import comb
 from operator import add
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .forms import Form, TermKey, _summed
+from .forms import Form, TermKey, _key_product, _summed
 from .scalars import (
     I_UNIT, MINUS_ONE, ONE, GaussianRational, _format_factor, _height, _height_of, _power, _reduced, _triple, format_scalar,
 )
@@ -282,8 +282,8 @@ class _Parser:
     def factors(self, coeff: Union[int, WirtingerPolynomial], first: Optional[_Value] = None) -> Form:
         """factors := factor { "^" factor }, times coeff; ``first`` was read already.
 
-        Each run of differentials is one Form.from_factors call; a form
-        group ends the run and joins by a wedge, a polynomial group scales.
+        Each run of differentials is one ``run_form`` call; a form group ends
+        the run and joins by a wedge, a polynomial group scales.
         """
         if self.polynomial:
             raise self.error("expected a polynomial")
@@ -296,15 +296,30 @@ class _Parser:
                 coeff = self.multiplied(factor, coeff, operator)
             elif isinstance(factor, Form):
                 if run:
-                    product = self.wedged(product, Form.from_factors(self.n, run), operator)
+                    product = self.wedged(product, self.run_form(run, 1), operator)
                     run = []
                 product = self.wedged(product, factor, operator)
             else:
                 run.append(factor)
             if not self.accept("wedge"):
-                return self.wedged(product, Form.from_factors(self.n, run, coeff), operator)
+                return self.wedged(product, self.run_form(run, coeff), operator)
             operator = self.tokens[self.pos - 1]
             factor = self.factor()
+
+    def run_form(self, run: List[Tuple[str, int]], coeff: Union[int, WirtingerPolynomial]) -> Form:
+        """coeff times the wedge of a run of checked differentials, its key
+        folded by ``_key_product`` as ``Form.from_factors`` folds it and built
+        trusted; an int sign is a constant, and a zero coefficient or a
+        repeated differential gives the zero form."""
+        key, sign = ((), ()), 1
+        for kind, index in run:
+            key, step = _key_product(key, ((index,), ()) if kind == "z" else ((), (index,)))
+            sign *= step
+        if isinstance(coeff, int):
+            coeff = self.constant(_triple(coeff, 0, 1))
+        if not sign or not coeff.terms:
+            return Form._trusted(self.n, {})
+        return Form._trusted(self.n, {key: coeff if sign > 0 else -coeff})
 
     def wedged(self, left: Optional[Form], right: Form, operator: _RawToken) -> Form:
         return right if left is None else self.multiplied(left, right, operator)
@@ -313,7 +328,7 @@ class _Parser:
         """factor := "dz" INT | "dzb" INT | "(" form ")"; a differential is a (kind, index) pair."""
         kind = self.peek()
         if kind in ("dz", "dzb"):
-            return kind[1:], self.check_index(self.advance())  # "z" or "zb", as in Form.from_factors
+            return kind[1:], self.check_index(self.advance())  # "z" or "zb"
         if kind == "lparen":
             return self.group(self.advance())
         raise self.error("expected a differential or a parenthesized form", ("dzN", "dzbN", "("))

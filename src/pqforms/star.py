@@ -39,16 +39,22 @@ The defining identity needs only the top coefficient of phi ^ star(psi),
 and a key K of phi meets star(psi) only at its complement K^c.  So
 ``defining_identity_check`` reads the star rows only at the K^c of phi's
 keys and the raising frame only at phi's keys, and pulls psi back once
-through both under every convention; it forms one polynomial product per
-key of phi and builds no whole star and no wedge.
+through both under every convention.  The two sides' constants are summed
+per target before any monomial is multiplied, so where they cancel, as
+they do for the default star, no monomial of psi is multiplied at all; a
+wrong star row leaves a nonzero sum and still fails the check.  K^c and
+its sign s_K follow from the complements of K's halves, which the star
+rows keep from their first use (``_StarRows.partner``).  The check forms
+one polynomial product per surviving key of phi and builds no whole star
+and no wedge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 from .choices import CONVENTIONS, DEFAULT_CONVENTION, LITERAL_CONVENTION, StarConvention  # noqa: F401  (re-exported)
-from .forms import Form, MultiIndex, TermKey, _Frame, _key_product, _pulled_back, complement
+from .forms import Form, MultiIndex, TermKey, _Frame, _pulled_back, complement
 from .metric import HermitianMetric, volume_form
 from .scalars import GaussianRational
 from .wpoly import WirtingerPolynomial
@@ -122,18 +128,20 @@ class _StarRows(_Frame):
     The half row of indices L (side 0) is the raising frame's row of L with
     each image A replaced by A^c, a map from A^c to sgn(A, A^c) * det(g) *
     minor; that of M (side 1) the same with sgn(B, B^c) and no det(g).
-    Like the frame, the memo keeps halves, never whole keys.  The unit of a
+    Like the frame, the memo keeps halves, never whole keys, and so does
+    ``complements``, each half's ``complement`` for ``partner``.  The unit of a
     key (L, M) of bidegree (p, q) is i^n (-1)^(n(n-1)/2 + (n-p)q), quarter
     turns with no gcd.  ``image`` and ``at`` are the frame's readers.  The
     rows hold no convention: both printed variants are maps of the
     consistent star's result (``_literal`` and the swap in ``hodge_star``).
     """
 
-    __slots__ = ("frame", "n", "determinant")
+    __slots__ = ("frame", "n", "determinant", "complements")
 
     def __init__(self, frame: _Frame, metric: HermitianMetric):
         self.frame, self.n, self.determinant = frame, metric.n, metric.determinant
         self.halves: Tuple[dict, dict] = ({}, {})  # dz-half L or dzb-half M -> its row
+        self.complements: Dict[MultiIndex, Tuple[MultiIndex, int]] = {}  # half A -> complement(A, n)
 
     def _half(self, side: int, indices: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
         row = self.halves[side].get(indices)
@@ -151,6 +159,18 @@ class _StarRows(_Frame):
         """The quarter turns of the unit i^n (-1)^(n(n-1)/2 + (n-p)q) of the key's bidegree."""
         n = self.n
         return n + 2 * (n * (n - 1) // 2 + (n - len(key[0])) * len(key[1]))
+
+    def partner(self, key: TermKey) -> Tuple[TermKey, int]:
+        """The complement K^c = (A^c, B^c) of a key K = (A, B) and the
+        quarter turns of s_K, the sign of e_K ^ e_(K^c).  Each half's
+        ``complement`` is kept in ``complements`` from its first use, and
+        s_K is ``_key_product(K, K^c)``'s sign in closed form from their
+        signs: sgn(A, A^c) * sgn(B, B^c) * (-1)^(|B| |A^c|), the dzb half of
+        K passing the dz half of K^c."""
+        (A, B), kept = key, self.complements
+        rest, sign = kept.get(A) or kept.setdefault(A, complement(A, self.n))
+        other, half = kept.get(B) or kept.setdefault(B, complement(B, self.n))
+        return (rest, other), 0 if (sign == half) != (len(B) * len(rest) % 2 == 1) else 2
 
 
 def _star_rows(frame: _Frame, metric: HermitianMetric) -> _StarRows:
@@ -211,18 +231,24 @@ def defining_identity_check(
 
         sum over phi's keys K of phi[K] * (s_K * star(psi)[K^c] - v * raised(psi)[K])
 
-    with s_K the sign of ``_key_product(K, K^c)`` and v the constant of
-    ``volume_form``: one polynomial product per key of phi, built in one
-    constructor call.  Both sides are read by ``_Frame.at``: the star rows
-    at K^c (its halves swapped back under the printed output), s_K folded
-    into the quarter turns, and the raising frame at K times -v.  Both read
-    psi conjugated, so psi is pulled back once through the two rows
-    together.  Under single conjugation both sides are emitted at K and
-    cancel in place; under the literal one the star side is emitted at
-    (K,), and each of those sums is mapped by ``_literal`` and added to the
-    raise's at K before the product.  Where the convention's star misses
-    the K^c, as the printed output does for p != q, only -<phi, psi> * vol
-    remains.
+    with s_K the sign of e_K ^ e_(K^c) and v the constant of
+    ``volume_form``: one polynomial product per key of phi whose sum does
+    not cancel, built in one constructor call.  K^c and the quarter turns
+    of s_K come from the complements of K's halves kept on the star rows
+    (``_StarRows.partner``), s_K in closed form from their signs.  Both
+    sides are read by ``_Frame.at``: the star rows at K^c (its halves
+    swapped back under the printed output), s_K folded into the quarter
+    turns, and the raising frame at K times -v.  Both read psi conjugated,
+    so psi is pulled back once through the two rows together, and each
+    key's row sums the two sides' constants per target before any monomial
+    is multiplied (c * a + c * b = c * (a + b)), dropping a zero sum.  Under single
+    conjugation both sides are emitted at K, so a holding identity
+    multiplies no monomial, and a wrong star row leaves a nonzero sum that
+    still fails the check.  Under the literal conjugation the star side is
+    emitted at (K,), and each of those sums is mapped by ``_literal`` and
+    added to the raise's at K before the product.  Where the convention's
+    star misses the K^c, as the printed output does for p != q, only
+    -<phi, psi> * vol remains.
     """
     both = not phi.is_zero() and not psi.is_zero()
     if both and phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
@@ -231,15 +257,24 @@ def defining_identity_check(
     frame = _frame(psi, metric)
     if phi.n != n:
         raise ValueError(f"ambient dimension mismatch: {phi.n} vs {n}")
-    literal = convention.conjugation_mode == "literal_eq_2_9"
+    literal, printed = convention.conjugation_mode == "literal_eq_2_9", convention.output_index_mode == "printed_eq_2_9"
+    rows = _star_rows(frame, metric)
     stars = []  # (the star side's target, the half-row key of K^c, the quarter turns of s_K)
     for key in phi.terms:
-        partner = complement(key[0], n)[0], complement(key[1], n)[0]
-        read = partner[::-1] if convention.output_index_mode == "printed_eq_2_9" else partner
-        stars.append(((key,) if literal else key, read, 0 if _key_product(key, partner)[1] > 0 else 2))
+        partner, turns = rows.partner(key)
+        stars.append(((key,) if literal else key, partner[::-1] if printed else partner, turns))
     (top, volume), = volume_form(metric).terms.items()
-    starred, raised = _star_rows(frame, metric).at(stars), frame.at([(K, K, 0) for K in phi.terms], -volume.constant_value())
-    sums = _pulled_back(n, psi.terms, lambda key: starred(key) + raised(key), WirtingerPolynomial._conjugate_terms)
+    starred, raised = rows.at(stars), frame.at([(K, K, 0) for K in phi.terms], -volume.constant_value())
+
+    def summed(key: TermKey) -> List[Tuple[Any, GaussianRational]]:
+        """Both sides' row of a key of psi, summed per target, zero sums dropped."""
+        sums: Dict[Any, GaussianRational] = {}
+        for target, c in starred(key) + raised(key):
+            prev = sums.get(target)
+            sums[target] = c if prev is None else prev + c
+        return [(target, c) for target, c in sums.items() if c]
+
+    sums = _pulled_back(n, psi.terms, summed, WirtingerPolynomial._conjugate_terms)
     if literal:  # the star side's sums at (K,) become the literal star's and join the raise's at K
         for K in phi.terms:
             if (K,) in sums:

@@ -30,6 +30,7 @@ from pqforms import (
     volume_form,
 )
 from pqforms.forms import _Frame, _key_product, complement
+from pqforms.scalars import ZERO
 
 
 def lemma31_coeff(n=4):
@@ -316,6 +317,25 @@ def _assert_both_sides_emit(psi, rows, star_row, raise_row, convention):
     assert {L for L, _ in psi.terms} <= set(rows.halves[0]) and {M for _, M in psi.terms} <= set(rows.halves[1])
 
 
+def _assert_rows_summed(image, psi, phi, star_row, raise_row, convention):
+    """The pull-back's row of each key of psi is the per-target sum of the
+    two sides' rows, a target at most once and zero sums dropped: empty
+    under the default convention, where the check holds, and keeping the
+    star side's (K,) targets under the literal conjugation."""
+    literal = convention.conjugation_mode == "literal_eq_2_9"
+    for key in psi.terms:
+        expected = {}
+        for target, c in star_row(key) + raise_row(key):
+            expected[target] = expected.get(target, ZERO) + c
+        row = image(key)
+        assert len({target for target, _ in row}) == len(row)
+        assert dict(row) == {target: c for target, c in expected.items() if c}
+        if convention == DEFAULT_CONVENTION:
+            assert row == []
+        if literal:
+            assert {target for target, _ in row if target not in phi.terms} == {target for target, _ in star_row(key)}
+
+
 def _check_pairs(rng):
     """(phi, psi) pairs of equal bidegree at n = 3, each pair sharing a key."""
     for p, q in [(0, 0), (1, 0), (1, 2), (2, 2), (3, 3)]:
@@ -326,7 +346,8 @@ def test_defining_identity_check_raises_psi_once(monkeypatch):
     # under every convention, one pull-back of psi, read conjugated, through
     # the metric's one set of star rows read only at the complements of
     # phi's keys and the raising frame read only at phi's keys; under single
-    # conjugation both emit at phi's keys, where they cancel
+    # conjugation both emit at phi's keys, where their constants cancel
+    # before any monomial is multiplied
     pulls, reads = _recording_pull_backs(monkeypatch), _recording_reads(monkeypatch)
     rng = random.Random(2)
     metric = random_dense_metric(rng, 3)
@@ -339,8 +360,8 @@ def test_defining_identity_check_raises_psi_once(monkeypatch):
             assert terms is psi.terms
             assert report.holds == (result == {}) and (report.holds or convention != DEFAULT_CONVENTION)
             star_row, raise_row = _assert_check_reads(reads, phi, metric, convention)
-            # the one pull-back goes through both sides, each emitting
-            assert all(image(key) == star_row(key) + raise_row(key) for key in psi.terms)
+            # the one pull-back goes through both sides, each emitting, summed per target
+            _assert_rows_summed(image, psi, phi, star_row, raise_row, convention)
             _assert_both_sides_emit(psi, metric._star, star_row, raise_row, convention)
             if convention.conjugation_mode == "single":
                 assert {target for key in psi.terms for target, _ in image(key)} <= set(phi.terms)
@@ -360,7 +381,7 @@ def test_defining_identity_check_literal_convention_pulls_back_once(monkeypatch,
         (terms, image, sums), = pulls
         assert terms is psi.terms
         star_row, raise_row = _assert_check_reads(reads, phi, metric, convention)
-        assert all(image(key) == star_row(key) + raise_row(key) for key in psi.terms)
+        _assert_rows_summed(image, psi, phi, star_row, raise_row, convention)
         _assert_both_sides_emit(psi, metric._star, star_row, raise_row, convention)
         starred = {K[0]: c for K, c in sums.items() if K not in phi.terms}
         raised = {K: c for K, c in sums.items() if K in phi.terms}
@@ -387,12 +408,53 @@ def test_defining_identity_check_stars_psi_only_at_phi_partners(monkeypatch):
     assert defining_identity_check(phi, psi, metric).holds
     (_, image, result), = pulls
     assert result == {}
-    assert {target for key in psi.terms for target, _ in image(key)} == set(phi.terms)
     star_row, raise_row = _assert_check_reads(reads, phi, metric, DEFAULT_CONVENTION)
-    assert all(image(key) == star_row(key) + raise_row(key) for key in psi.terms)
+    # both sides emit at phi's one key and cancel there: the summed rows are empty
+    _assert_rows_summed(image, psi, phi, star_row, raise_row, DEFAULT_CONVENTION)
     assert {target for key in psi.terms for target, _ in star_row(key)} == set(phi.terms)
     assert {target for key in psi.terms for target, _ in raise_row(key)} == set(phi.terms)
     assert [image for _, image, _ in reads[0][1]] == [((2, 4), (1, 3))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_star_rows_partner_is_the_complement_with_the_product_sign(n):
+    # every key of every bidegree: K^c is the complement of each half, and
+    # the quarter turns are those of _key_product(K, K^c)'s sign; the memo
+    # keeps each half's complement, never a whole key
+    metric = HermitianMetric.identity(n)
+    rows = pqforms.star._star_rows(pqforms.star._frame(Form.zero(n), metric), metric)
+    halves = [A for p in range(n + 1) for A in combinations(range(1, n + 1), p)]
+    for K in [(A, B) for A in halves for B in halves]:
+        partner = complement(K[0], n)[0], complement(K[1], n)[0]
+        assert rows.partner(K) == (partner, 0 if _key_product(K, partner)[1] > 0 else 2)
+    assert rows.complements == {A: complement(A, n) for A in halves}
+
+
+@pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
+def test_a_second_check_calls_complement_for_no_key_it_has_seen(monkeypatch, convention):
+    # the complements and the star rows' halves are kept on the metric: a
+    # second check of the same psi complements only the halves of phi's
+    # new keys that no key before had, each once, and a third, with no new
+    # half, complements nothing
+    calls = []
+    original = pqforms.star.complement
+    monkeypatch.setattr(pqforms.star, "complement", lambda indices, n: calls.append(indices) or original(indices, n))
+    rng = random.Random(37)
+    metric = random_dense_metric(rng, 3)
+    phi, psi = (random_form(rng, 3, bidegree=(1, 2), max_degree=1) + Form.term(3, (1,), (1, 2), 1) for _ in range(2))
+    new = Form.term(3, (2,), (1, 3), 1) + Form.term(3, (3,), (2, 3), 1)
+    fresh = [K for K in new.terms if K not in phi.terms]
+    assert fresh
+    defining_identity_check(phi, psi, metric, convention)
+    assert calls
+    del calls[:]
+    defining_identity_check(phi + new, psi, metric, convention)
+    seen = {half for K in phi.terms for half in K}
+    assert calls and sorted(calls) == sorted({half for K in fresh for half in K} - seen)
+    del calls[:]
+    defining_identity_check(new, psi, metric, convention)
+    defining_identity_check(phi + new, psi, metric, convention)
+    assert calls == []
 
 
 @pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
@@ -703,7 +765,7 @@ def test_star_rows_keep_halves_only_one_set_per_metric():
             hodge_star(psi, metric, convention)
             rows.append(metric._star)
     assert isinstance(metric._star, pqforms.star._StarRows) and all(r is metric._star for r in rows)
-    assert pqforms.star._StarRows.__slots__ == ("frame", "n", "determinant")
+    assert pqforms.star._StarRows.__slots__ == ("frame", "n", "determinant", "complements")
     assert metric._star.frame is metric._raising
     # the halves of a key are kept, never the whole key
     assert set(metric._star.halves[0]) == {I for psi in psis for I, _ in psi.terms}
