@@ -179,11 +179,15 @@ def _pulled_back(n: int, terms: Mapping, image: Callable, read=attrgetter("terms
     map on keys.  Each monomial of a coefficient (its term map by ``read``)
     times each constant of its key's row (``image(key)``) is added in place
     into that image key's term map; each map that does not cancel becomes
-    one polynomial at the end."""
+    one polynomial at the end.  A key's row is taken first, and its
+    coefficient is read only when the row is not empty."""
     sums: Dict[Any, dict] = {}
     for key, coeff in terms.items():
+        row = image(key)
+        if not row:
+            continue
         monomials = read(coeff).items()
-        for image_key, scalar in image(key):
+        for image_key, scalar in row:
             out = sums.setdefault(image_key, {})
             for exponents, c in monomials:
                 prev = out.get(exponents)

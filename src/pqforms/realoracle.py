@@ -22,13 +22,17 @@ realify and complexify act on each coordinate alone, so they factor into
 one 2x2 map per coordinate (the Kronecker-factored transform).  Both are
 one private transform, ``_transform``: a key codec kept per n reads each
 key as its support and a mask, and on the masks of one support either map
-is a factor per input key, one butterfly stage per coordinate that carries
-one differential, and a factor per output key.  A stage forms the sum and
-the difference of each pair of term maps in one pass, and the maps that
-cancel are dropped after each stage, so a key with s such coordinates costs
-O(s 2^s) additions, not the 4^s products of a change of frame per real key.
-Each (support, mask) pair has one image key, so the transform returns a
-term map that the term store keeps as it is.
+is a factor per input key, one Walsh-Hadamard stage per coordinate that
+carries one differential, and a factor per output key.  Every factor is a
+power of i times a power of 2, kept as quarter turns and a shift, so the
+stages run on integers: the scalars are brought over one common
+denominator, each monomial of a support keeps one list of real and one of
+imaginary numerators indexed by mask, and a stage forms the sum and the
+difference of each pair of entries in place.  A key with s such
+coordinates costs O(s 2^s) integer additions per monomial, not the 4^s
+products of a change of frame per real key, and each output scalar is
+built once, by one gcd.  Each (support, mask) pair has one image key, so
+the transform returns a term map that the term store keeps as it is.
 
 :class:`RealForm` is the second subclass of the term store of
 :mod:`pqforms.forms`: its keys are strictly increasing tuples over 1..2n,
@@ -44,11 +48,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from math import lcm
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .forms import Form, TermKey, _TermStore, _pulled_back, _shuffled, _validate_multi_index, _wedge_terms, complement
 from .metric import HermitianMetric
-from .scalars import GaussianRational, _quarter_turned, gaussian
+from .scalars import GaussianRational, _reduced, gaussian
 from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
 from .wpoly import WirtingerPolynomial
 
@@ -155,17 +160,19 @@ class _Codec:
     (dy_k, or dzb_k) and read as its support: the coordinates S that carry
     one differential and those D that carry two, with a bit mask over S of
     the coordinates in slot 2k.  One sign per complex key (``_sign``) takes
-    the slot order to (I, J).  The reading of a key (``read``), the key and
-    factor of a (support, mask) pair (``image``) and the oracle star's row
-    of a complex key (``star``) depend only on the key, so each is built
-    once and kept.
+    the slot order to (I, J).  Every factor the transform applies is a
+    quarter-turn count t and a shift k: i^t 2^k before the stages
+    (``read``), i^t 2^-k after them (``image``).  The reading of a key, the
+    key and factor of a (support, mask) pair and the oracle star's row of a
+    complex key (``star``) depend only on the key, so each is built once
+    and kept.
     """
 
     __slots__ = ("n", "readings", "images", "stars")
 
     def __init__(self, n: int):
         self.n = n
-        # per side (_COMPLEX, _REAL): key -> (support, mask, factor), (support, mask) -> (key, factor)
+        # per side (_COMPLEX, _REAL): key -> (support, mask, (t, k)), (support, mask) -> (key, (t, k))
         self.readings: Tuple[dict, dict] = ({}, {})
         self.images: Tuple[dict, dict] = ({}, {})
         self.stars: Dict[TermKey, Tuple[Tuple[TermKey, GaussianRational], ...]] = {}
@@ -178,11 +185,10 @@ class _Codec:
         I, J = key
         return _shuffled(tuple(2 * i - 1 for i in I), tuple(2 * j for j in J))[1]
 
-    def read(self, side: int, key) -> Tuple[Support, int, object]:
-        """A key of ``side`` as its support, its mask and the factor applied
-        before the butterflies: (-2i)^|D| sgn for a complex key, (-i)^|Y|
-        for a real key with dy mask Y.  A unit factor is kept as its
-        quarter turns."""
+    def read(self, side: int, key) -> Tuple[Support, int, Tuple[int, int]]:
+        """A key of ``side`` as its support, its mask and the factor i^t 2^k
+        applied before the stages, as (t, k): (-2i)^|D| sgn for a complex
+        key, (-i)^|Y| for a real key with dy mask Y."""
         found = self.readings[side].get(key)
         if found is None:
             slots = set(key if side else [2 * k - 1 for k in key[0]] + [2 * k for k in key[1]])
@@ -191,27 +197,26 @@ class _Codec:
             singles = tuple(k for k in coords if k not in both)
             mask = sum(1 << j for j, k in enumerate(singles) if 2 * k in slots)
             if side:
-                factor = 3 * mask.bit_count() % 4
+                factor = (3 * mask.bit_count() % 4, 0)
             else:  # dz ^ dzb = -2i dx ^ dy
-                turns = 3 * len(both) + (0 if self._sign(key) > 0 else 2)
-                factor = _quarter_turned(gaussian(2 ** len(both)), turns) if both else turns % 4
+                factor = ((3 * len(both) + (0 if self._sign(key) > 0 else 2)) % 4, len(both))
             found = self.readings[side][key] = ((singles, both), mask, factor)
         return found
 
-    def image(self, side: int, support: Support, mask: int) -> Tuple[object, object]:
-        """The key of ``side`` of a support and a mask, and the factor applied
-        after the butterflies: i^|Y| for a real key with dy mask Y, the
-        constant 2^-|S| (i/2)^|D| sgn for a complex key."""
+    def image(self, side: int, support: Support, mask: int) -> Tuple[object, Tuple[int, int]]:
+        """The key of ``side`` of a support and a mask, and the factor
+        i^t 2^-k applied after the stages, as (t, k): i^|Y| for a real key
+        with dy mask Y, 2^-|S| (i/2)^|D| sgn for a complex key."""
         found = self.images[side].get((support, mask))
         if found is None:
             singles, both = support
             doubled = [v for k in both for v in (2 * k - 1, 2 * k)]
             slots = sorted(doubled + [2 * k - 1 + (mask >> j & 1) for j, k in enumerate(singles)])
             if side:
-                key, factor = tuple(slots), mask.bit_count() % 4
+                key, factor = tuple(slots), (mask.bit_count() % 4, 0)
             else:
                 key = (tuple((v + 1) // 2 for v in slots if v % 2), tuple(v // 2 for v in slots if not v % 2))
-                factor = _quarter_turned(gaussian(Fraction(self._sign(key), 2 ** (len(singles) + len(both)))), len(both))
+                factor = ((len(both) + (0 if self._sign(key) > 0 else 2)) % 4, len(singles) + len(both))
             found = self.images[side][(support, mask)] = (key, factor)
         return found
 
@@ -233,82 +238,82 @@ def _codec(n: int) -> _Codec:
     return _Codec(n)
 
 
-def _times(terms: dict, factor) -> dict:
-    """A term map times a codec factor: a constant, or a unit kept as its
-    quarter turns (an int)."""
-    if isinstance(factor, int):
-        return {e: _quarter_turned(c, factor) for e, c in terms.items()} if factor else terms
-    return {e: c * factor for e, c in terms.items()}
+def _turned(a: int, b: int, turns: int) -> Tuple[int, int]:
+    """The numerators of (a + b i) i^turns, for any turns >= 0: only
+    turns mod 4 is read."""
+    if turns & 2:
+        a, b = -a, -b
+    return (-b, a) if turns & 1 else (a, b)
 
 
-def _sum_and_difference(u: dict, v: dict) -> Tuple[Optional[dict], Optional[dict]]:
-    """The term maps u + v and u - v, built in one pass over v; None for
-    one that cancels."""
-    total, difference = dict(u), dict(u)
-    for exponents, c in v.items():
-        prev = u.get(exponents)
-        if prev is None:
-            total[exponents] = c
-            difference[exponents] = -c
-            continue
-        plus, minus = prev + c, prev - c
-        if plus:
-            total[exponents] = plus
-        else:
-            del total[exponents]
-        if minus:
-            difference[exponents] = minus
-        else:
-            del difference[exponents]
-    return total or None, difference or None
-
-
-def _butterflies(maps: List[Optional[dict]]) -> None:
-    """The Walsh-Hadamard transform of 2^s term maps, in place: the stage
-    of bit b sends the maps (u, v) at masks (Y, Y | b) to (u + v, u - v),
-    both from one pass (``_sum_and_difference``).  A map that cancels
-    becomes None at once, so a round trip cancels as it goes (Van Loan,
-    "The ubiquitous Kronecker product", 2000)."""
-    width, bit = len(maps), 1
-    while bit < width:
-        for low in range(width):
-            if low & bit:
-                continue
-            high = low | bit
-            u, v = maps[low], maps[high]
-            if v is None:
-                maps[high] = u
-            elif u is None:
-                maps[low], maps[high] = v, {e: -c for e, c in v.items()}
-            else:
-                maps[low], maps[high] = _sum_and_difference(u, v)
-        bit <<= 1
+@lru_cache(maxsize=256)
+def _pairs(width: int, varying: int, base: int) -> Tuple[Tuple[int, int], ...]:
+    """The (low, high) mask pairs of the Walsh-Hadamard stages on ``width``
+    masks, one stage after another: the stage of each bit b of ``varying``
+    pairs Y and Y | b.  Only the masks whose other bits are those of
+    ``base`` are paired; every other entry is zero."""
+    bits = [1 << j for j in range(width.bit_length() - 1) if varying >> j & 1]
+    return tuple((low, low | bit) for bit in bits for low in range(width) if not low & bit and low & ~varying == base)
 
 
 def _transform(n: int, terms: Mapping, side: int) -> Dict[object, WirtingerPolynomial]:
     """The term map of realify (``side`` _COMPLEX) or complexify (``side``
     _REAL) of a term map.
 
-    Each key is read as its support and mask (``_Codec.read``) and its
-    term map is multiplied by its factor; each support runs one butterfly
-    stage per coordinate of S, and each map left over is written as its
-    image key (``_Codec.image``), multiplied by that key's factor.  A
-    (support, mask) pair has one image key, so no key repeats."""
-    codec = _codec(n)
-    groups: Dict[Support, List[Optional[dict]]] = {}
+    Every scalar is brought over one common denominator, and each key is
+    read as its support, mask and factor (``_Codec.read``).  Per support,
+    each monomial has two lists of integer numerators indexed by mask, one
+    of real and one of imaginary parts, and each key writes its scalars,
+    turned and shifted by its factor, at its mask (a (support, mask) pair
+    has one key, so no entry is written twice).  The Walsh-Hadamard stages
+    are integer sums and differences in place (``_pairs``), so a round trip
+    cancels as it goes with no scalar built (Van Loan, "The ubiquitous
+    Kronecker product", 2000).  A coordinate of S on which every key of
+    the support agrees needs no stage, since it would only copy or copy and
+    negate: each mask reads such a bit from the keys' mask (``base``), and
+    turns by i^2 for each such bit set in both.  Each mask with a nonzero
+    numerator is written as its image key (``_Codec.image``), each of its
+    scalars one ``_reduced`` after that key's factor.  Both memos are read
+    in place first, so a warm key or mask costs no call."""
+    codec, other = _codec(n), 1 - side
+    readings, images = codec.readings[side], codec.images[other]
+    den = lcm(*[c._d for coeff in terms.values() for c in coeff.terms.values()])
+    groups: Dict[Support, list] = {}  # support -> [monomial -> (real parts, imaginary parts), a mask, the bits where masks differ]
     for key, coeff in terms.items():
-        support, mask, factor = codec.read(side, key)
-        maps = groups.get(support)
-        if maps is None:
-            maps = groups[support] = [None] * (1 << len(support[0]))
-        maps[mask] = _times(coeff.terms, factor)
+        support, mask, (turns, shift) = readings.get(key) or codec.read(side, key)
+        group = groups.get(support)
+        if group is None:
+            group = groups[support] = [{}, mask, 0]
+        slots = group[0]
+        group[2] |= mask ^ group[1]
+        for exponents, c in coeff.terms.items():
+            parts = slots.get(exponents)
+            if parts is None:
+                width = 1 << len(support[0])
+                parts = slots[exponents] = ([0] * width, [0] * width)
+            scale = den // c._d << shift
+            parts[0][mask], parts[1][mask] = _turned(c._a * scale, c._b * scale, turns)
     image = {}
-    for support, maps in groups.items():
-        _butterflies(maps)
-        for mask, out in enumerate(maps):
+    for support, (slots, first, varying) in groups.items():
+        width, base = 1 << len(support[0]), first & ~varying
+        pairs = _pairs(width, varying, base)
+        for parts in slots.values():
+            for values in parts:
+                for low, high in pairs:
+                    u, v = values[low], values[high]
+                    values[low], values[high] = u + v, u - v
+        for mask in range(width):
+            source, out = mask & varying | base, {}
+            for exponents, (re, im) in slots.items():
+                a, b = re[source], im[source]
+                if a or b:
+                    if not out:  # the first entry that does not cancel: only now is the image key needed
+                        key, (turns, shift) = images.get((support, mask)) or codec.image(other, support, mask)
+                        turns, d = turns + 2 * (mask & base).bit_count(), den << shift
+                    a, b = _turned(a, b, turns)
+                    out[exponents] = _reduced(a, b, d)
             if out:
-                key, factor = codec.image(1 - side, support, mask)
-                image[key] = WirtingerPolynomial._trusted(n, _times(out, factor))
+                image[key] = WirtingerPolynomial._trusted(n, out)
     return image
 
 

@@ -243,15 +243,16 @@ def defining_identity_check(
     key's row sums the two sides' constants per target before any monomial
     is multiplied (c * a + c * b = c * (a + b)), dropping a zero sum.  Under single
     conjugation both sides are emitted at K, so a holding identity
-    multiplies no monomial, and a wrong star row leaves a nonzero sum that
-    still fails the check.  Under the literal conjugation the star side is
+    multiplies no monomial and, its rows all empty, conjugates no
+    coefficient; a wrong star row leaves a nonzero sum that still fails
+    the check.  Under the literal conjugation the star side is
     emitted at (K,), and each of those sums is mapped by ``_literal`` and
     added to the raise's at K before the product.  Where the convention's
     star misses the K^c, as the printed output does for p != q, only
     -<phi, psi> * vol remains.
     """
-    both = not phi.is_zero() and not psi.is_zero()
-    if both and phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
+    if phi.terms and psi.terms and len({(len(I), len(J)) for terms in (phi.terms, psi.terms) for I, J in terms}) > 1:
+        phi.homogeneous_bidegree(), psi.homogeneous_bidegree()  # a mixed form raises its own message, phi's first
         raise ValueError("defining identity needs forms of equal bidegree")
     n = metric.n
     frame = _frame(psi, metric)

@@ -459,9 +459,12 @@ def test_a_second_check_calls_complement_for_no_key_it_has_seen(monkeypatch, con
 
 @pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
 def test_defining_identity_check_conjugates_each_coefficient_once(monkeypatch, convention):
-    # a check of psi with k coefficients conjugates exactly k of them in
-    # its one pull-back; the literal conjugation conjugates each nonzero
-    # star-side sum once more, one per K^c the literal star of psi holds
+    # a check of psi conjugates, in its one pull-back, exactly the
+    # coefficients whose summed row is not empty, each once; a holding
+    # default check conjugates none.  The literal conjugation conjugates
+    # each nonzero star-side sum once more, one per K^c the literal star of
+    # psi holds.  Then the star rows lose their unit, so no sum cancels, and
+    # the same count holds with every coefficient read through the wrapper.
     calls = []
     original = WirtingerPolynomial._conjugate_terms
 
@@ -476,15 +479,25 @@ def test_defining_identity_check_conjugates_each_coefficient_once(monkeypatch, c
     # still the check's reads must go through it
     stars = [hodge_star(psi, metric, convention) for _, psi in pairs]
     monkeypatch.setattr(WirtingerPolynomial, "_conjugate_terms", counted)
-    for (phi, psi), star in zip(pairs, stars):
-        del calls[:]
-        defining_identity_check(phi, psi, metric, convention)
-        sums = 0
-        if convention.conjugation_mode == "literal_eq_2_9":
-            sums = sum((complement(A, 3)[0], complement(B, 3)[0]) in star.terms for A, B in phi.terms)
-        read = [c for c in calls if any(c is coeff for coeff in psi.terms.values())]
-        assert len(read) == len(psi.terms) and {id(c) for c in read} == {id(c) for c in psi.terms.values()}
-        assert len(calls) == len(psi.terms) + sums
+    pulls = _recording_pull_backs(monkeypatch)
+    for broken in (False, True):
+        if broken:  # i^-3 != 1 at n = 3: the star side no longer cancels the raise's
+            _unturned_unit(monkeypatch)
+        for (phi, psi), star in zip(pairs, stars):
+            del calls[:], pulls[:]
+            report = defining_identity_check(phi, psi, metric, convention)
+            (_, image, _), = pulls
+            rowed = [coeff for key, coeff in psi.terms.items() if image(key)]
+            if convention == DEFAULT_CONVENTION:
+                assert (rowed == []) == report.holds == (not broken)
+            if broken:
+                assert len(rowed) == len(psi.terms)
+            sums = 0
+            if convention.conjugation_mode == "literal_eq_2_9":
+                sums = sum((complement(A, 3)[0], complement(B, 3)[0]) in star.terms for A, B in phi.terms)
+            read = [c for c in calls if any(c is coeff for coeff in psi.terms.values())]
+            assert len(read) == len(rowed) and {id(c) for c in read} == {id(c) for c in rowed}
+            assert len(calls) == len(rowed) + sums
 
 
 @pytest.mark.parametrize("convention", _CONVENTIONS, ids=["default", "single-printed", "literal-same", "literal"])
