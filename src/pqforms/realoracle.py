@@ -188,36 +188,34 @@ class _Codec:
     def read(self, side: int, key) -> Tuple[Support, int, Tuple[int, int]]:
         """A key of ``side`` as its support, its mask and the factor i^t 2^k
         applied before the stages, as (t, k): (-2i)^|D| sgn for a complex
-        key, (-i)^|Y| for a real key with dy mask Y."""
-        found = self.readings[side].get(key)
-        if found is None:
-            slots = set(key if side else [2 * k - 1 for k in key[0]] + [2 * k for k in key[1]])
-            coords = sorted({(v + 1) // 2 for v in slots})
-            both = tuple(k for k in coords if 2 * k - 1 in slots and 2 * k in slots)
-            singles = tuple(k for k in coords if k not in both)
-            mask = sum(1 << j for j, k in enumerate(singles) if 2 * k in slots)
-            if side:
-                factor = (3 * mask.bit_count() % 4, 0)
-            else:  # dz ^ dzb = -2i dx ^ dy
-                factor = ((3 * len(both) + (0 if self._sign(key) > 0 else 2)) % 4, len(both))
-            found = self.readings[side][key] = ((singles, both), mask, factor)
+        key, (-i)^|Y| for a real key with dy mask Y.  Built for a key the
+        memo lacks (``_transform`` reads the memo first) and kept."""
+        slots = set(key if side else [2 * k - 1 for k in key[0]] + [2 * k for k in key[1]])
+        coords = sorted({(v + 1) // 2 for v in slots})
+        both = tuple(k for k in coords if 2 * k - 1 in slots and 2 * k in slots)
+        singles = tuple(k for k in coords if k not in both)
+        mask = sum(1 << j for j, k in enumerate(singles) if 2 * k in slots)
+        if side:
+            factor = (3 * mask.bit_count() % 4, 0)
+        else:  # dz ^ dzb = -2i dx ^ dy
+            factor = ((3 * len(both) + (0 if self._sign(key) > 0 else 2)) % 4, len(both))
+        found = self.readings[side][key] = ((singles, both), mask, factor)
         return found
 
     def image(self, side: int, support: Support, mask: int) -> Tuple[object, Tuple[int, int]]:
         """The key of ``side`` of a support and a mask, and the factor
         i^t 2^-k applied after the stages, as (t, k): i^|Y| for a real key
-        with dy mask Y, 2^-|S| (i/2)^|D| sgn for a complex key."""
-        found = self.images[side].get((support, mask))
-        if found is None:
-            singles, both = support
-            doubled = [v for k in both for v in (2 * k - 1, 2 * k)]
-            slots = sorted(doubled + [2 * k - 1 + (mask >> j & 1) for j, k in enumerate(singles)])
-            if side:
-                key, factor = tuple(slots), (mask.bit_count() % 4, 0)
-            else:
-                key = (tuple((v + 1) // 2 for v in slots if v % 2), tuple(v // 2 for v in slots if not v % 2))
-                factor = ((len(both) + (0 if self._sign(key) > 0 else 2)) % 4, len(singles) + len(both))
-            found = self.images[side][(support, mask)] = (key, factor)
+        with dy mask Y, 2^-|S| (i/2)^|D| sgn for a complex key.  Built for a
+        pair the memo lacks (``_transform`` reads the memo first) and kept."""
+        singles, both = support
+        doubled = [v for k in both for v in (2 * k - 1, 2 * k)]
+        slots = sorted(doubled + [2 * k - 1 + (mask >> j & 1) for j, k in enumerate(singles)])
+        if side:
+            key, factor = tuple(slots), (mask.bit_count() % 4, 0)
+        else:
+            key = (tuple((v + 1) // 2 for v in slots if v % 2), tuple(v // 2 for v in slots if not v % 2))
+            factor = ((len(both) + (0 if self._sign(key) > 0 else 2)) % 4, len(singles) + len(both))
+        found = self.images[side][(support, mask)] = (key, factor)
         return found
 
     def star(self, key: TermKey) -> Tuple[Tuple[TermKey, GaussianRational], ...]:
@@ -273,8 +271,8 @@ def _transform(n: int, terms: Mapping, side: int) -> Dict[object, WirtingerPolyn
     negate: each mask reads such a bit from the keys' mask (``base``), and
     turns by i^2 for each such bit set in both.  Each mask with a nonzero
     numerator is written as its image key (``_Codec.image``), each of its
-    scalars one ``_reduced`` after that key's factor.  Both memos are read
-    in place first, so a warm key or mask costs no call."""
+    scalars one ``_reduced`` after that key's factor.  Both codec memos
+    are read here, and the codec builds an entry only on a miss."""
     codec, other = _codec(n), 1 - side
     readings, images = codec.readings[side], codec.images[other]
     den = lcm(*[c._d for coeff in terms.values() for c in coeff.terms.values()])
