@@ -16,8 +16,9 @@ whitespace is insignificant everywhere):
 A coefficient is a product; polynomial sums must be parenthesized, as in
 ``(z1+3)*dz1``, so that ``z1+3*dz1`` unambiguously means the scalar term
 z1 plus 3*dz1.  The text is split into tokens in one regular-expression
-pass; a token is a ``(kind, text, value, offset)`` tuple, and its line and
-column are counted from the offset only when a ParseError reports them.
+pass; a token is a ``(kind, text, value, offset)`` tuple, and ``_error``
+counts its line and column from the offset only when a ParseError
+reports them.
 The parser reads the tokens once, left to right, and builds
 values as it goes: a sum or term is a polynomial while its text is one and
 becomes a Form once a differential, a wedge or a form group enters it.  A
@@ -41,9 +42,9 @@ from __future__ import annotations
 import re
 from math import comb
 from operator import add
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from .forms import Form, TermKey, _key_product, _summed
+from .forms import Form, TermKey, _run_key, _summed
 from .scalars import (
     I_UNIT, MINUS_ONE, ONE, GaussianRational, _format_factor, _height, _height_of, _power, _reduced, _triple, format_scalar,
 )
@@ -83,32 +84,18 @@ _PUNCTUATION = {
 _ATOM_START = ("int", "imag", "z", "zb", "lparen")
 
 # A token as the parser reads it: (kind, text, value, offset into the source).
-_RawToken = Tuple[str, str, int, int]
+_Token = Tuple[str, str, int, int]
 
 
-class Token(NamedTuple):
-    """A token with its line and column (both from 1), built only for a ParseError."""
-
-    kind: str
-    text: str
-    value: int
-    line: int
-    column: int
+def _error(src: str, token: _Token, message: str, expected: Tuple[str, ...] = ()) -> ParseError:
+    """A ParseError at the token, its line and column (both from 1) counted from its offset."""
+    offset = token[3]
+    return ParseError(message, src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset), expected)
 
 
-def _located(src: str, token: _RawToken) -> Token:
-    kind, text, value, offset = token
-    return Token(kind, text, value, src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset))
-
-
-def _error(src: str, token: _RawToken, message: str, expected: Tuple[str, ...] = ()) -> ParseError:
-    located = _located(src, token)
-    return ParseError(message, located.line, located.column, expected)
-
-
-def _tokenize(src: str) -> List[_RawToken]:
+def _tokenize(src: str) -> List[_Token]:
     """The tokens of ``src``, read in one pass, then an "eof" token at its end."""
-    tokens: List[_RawToken] = []
+    tokens: List[_Token] = []
     for match in _TOKEN_RE.finditer(src):
         prefix, digits, punctuation, other = match.groups()
         if digits is not None:
@@ -152,7 +139,7 @@ class _Parser:
         """The kind of the next token."""
         return self.tokens[self.pos][0]
 
-    def advance(self) -> _RawToken:
+    def advance(self) -> _Token:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
@@ -162,7 +149,7 @@ class _Parser:
         where = f"{token[0]} {token[1]!r}".strip()
         return _error(self.src, token, f"{message}, found {where}", expected)
 
-    def check_index(self, token: _RawToken) -> int:
+    def check_index(self, token: _Token) -> int:
         index = token[2]
         if not 1 <= index <= self.n:
             raise _error(self.src, token, f"index {index} out of range 1..{self.n} in {token[1]!r}")
@@ -175,12 +162,12 @@ class _Parser:
         self.pos += 1
         return True
 
-    def charge(self, work: int, operator: _RawToken) -> None:
+    def charge(self, work: int, operator: _Token) -> None:
         self.work += work
         if self.work > MAX_WORK:
             raise _error(self.src, operator, f"expansion needs more work than the budget of {MAX_WORK}")
 
-    def multiplied(self, left: _Value, right: _Value, operator: _RawToken) -> _Value:
+    def multiplied(self, left: _Value, right: _Value, operator: _Token) -> _Value:
         """left * right (or left ^ right for forms), charged before it is built.
 
         Two monomials multiply directly: one scalar product at the summed
@@ -269,7 +256,7 @@ class _Parser:
         _power(1, exponent, charged, 0)  # from the 0th power, so the first factor is charged too
         return base ** exponent
 
-    def group(self, opening: _RawToken) -> _Value:
+    def group(self, opening: _Token) -> _Value:
         if self.depth == MAX_NESTING:
             raise _error(self.src, opening, f"parentheses nested deeper than {MAX_NESTING} levels")
         self.depth += 1
@@ -308,20 +295,17 @@ class _Parser:
 
     def run_form(self, run: List[Tuple[str, int]], coeff: Union[int, WirtingerPolynomial]) -> Form:
         """coeff times the wedge of a run of checked differentials, its key
-        folded by ``_key_product`` as ``Form.from_factors`` folds it and built
+        folded by ``forms._run_key`` as in ``Form.from_factors`` and built
         trusted; an int sign is a constant, and a zero coefficient or a
         repeated differential gives the zero form."""
-        key, sign = ((), ()), 1
-        for kind, index in run:
-            key, step = _key_product(key, ((index,), ()) if kind == "z" else ((), (index,)))
-            sign *= step
+        key, sign = _run_key(run)
         if isinstance(coeff, int):
             coeff = self.constant(_triple(coeff, 0, 1))
         if not sign or not coeff.terms:
             return Form._trusted(self.n, {})
         return Form._trusted(self.n, {key: coeff if sign > 0 else -coeff})
 
-    def wedged(self, left: Optional[Form], right: Form, operator: _RawToken) -> Form:
+    def wedged(self, left: Optional[Form], right: Form, operator: _Token) -> Form:
         return right if left is None else self.multiplied(left, right, operator)
 
     def factor(self) -> Union[_Value, Tuple[str, int]]:

@@ -10,12 +10,15 @@ wedge, derivative, canonicalization and codec sign is one of the two, and
 ``complement`` and ``Form.conjugate`` use closed forms of it.
 
 The term store is one private base class, ``_TermStore``, of which
-``Form`` and the oracle's ``RealForm`` are thin subclasses: the base holds
-the constructors, the linear structure, equality, hashing, the degrees and
-the repr, and each subclass gives only how its keys are checked, their
-degree and the names of their differentials, besides its own ``term`` and
-``wedge``.  ``_merged`` is the one merge loop of both and ``_wedge_terms``
-the one wedge loop, so every sum is built in a single constructor call.
+``Form`` and the oracle's ``RealForm`` are thin subclasses.  It is itself
+a ``wpoly._TermMap``, the protocol it shares with ``WirtingerPolynomial``
+(``zero``, negation, difference, ``is_zero``, truth value, equality and
+hashing); the store adds the constructors, ``_coerce``, the sum, scaling,
+the degrees and the repr, and each subclass gives only how its keys are
+checked, their degree and the names of their differentials, besides its
+own ``term`` and ``wedge``.  ``_merged`` is the one merge loop of both and
+``_wedge_terms`` the one wedge loop, so every sum is built in a single
+constructor call.
 The public constructors validate each key and coefficient (``_checked``)
 before the merge; the internal ops build through the trusted
 ``_trusted``, which checks nothing.  It merges an iterable of pairs, as a
@@ -23,7 +26,10 @@ sum, a wedge or a derivative yields them, and stores a ``dict`` as it
 is: a dict cannot repeat a key, so the builders whose keys are distinct
 by construction (a pull-back, a component, a conjugate, a negation, a
 nonzero scaling) pass their own term map and nothing is merged again.
-A repeated key's coefficients are summed in place into one term map.
+A repeated key's coefficients are summed in place into one term map by
+``wpoly._add_into``, the one in-place sum.  ``_run_key`` is the one fold of
+a run of differentials through ``_key_product``, for ``Form.from_factors``
+and the parser.
 
 Index raising, ``transform_form`` and the Hodge star pull forms back
 through a ``_Frame``, a change of generators on constants (the star's
@@ -42,7 +48,7 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .scalars import ONE, GaussianRational, _quarter_turned
-from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial, _add_into
+from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial, _add_into, _TermMap
 
 MultiIndex = Tuple[int, ...]
 TermKey = Tuple[MultiIndex, MultiIndex]
@@ -82,6 +88,17 @@ def _key_product(left: TermKey, right: TermKey) -> Tuple[TermKey, int]:
     dzb, half = _shuffled(J, L)
     sign *= half
     return (dz, dzb), -sign if len(J) * len(K) % 2 else sign
+
+
+def _run_key(factors: Iterable[Factor]) -> Tuple[TermKey, int]:
+    """The key of the wedge of a run of differentials, folded one factor at
+    a time through ``_key_product``, and its sign: 0 when a differential
+    repeats."""
+    key, sign = ((), ()), 1
+    for kind, index in factors:
+        key, step = _key_product(key, ((index,), ()) if kind == Z else ((), (index,)))
+        sign *= step
+    return key, sign
 
 
 def complement(indices: MultiIndex, n: int) -> Tuple[MultiIndex, int]:
@@ -125,9 +142,9 @@ def _merged(pairs: Iterable[Tuple[Any, WirtingerPolynomial]]) -> Dict[Any, Wirti
         if prev is None:
             clean[key] = coeff
         elif key in sums:
-            _add_into(sums[key], coeff.terms)
+            _add_into(sums[key], coeff.terms.items())
         else:
-            sums[key] = _add_into(dict(prev.terms), coeff.terms)
+            sums[key] = _add_into(dict(prev.terms), coeff.terms.items())
     for key, terms in sums.items():
         clean[key] = WirtingerPolynomial._trusted(clean[key].n, terms)
     return {key: coeff for key, coeff in clean.items() if coeff.terms}
@@ -202,11 +219,13 @@ class _Frame:
     The 2n generator images, term maps of constants, are built once from the
     nonzero entries.  The image of a key (I, J) is the product of the images
     of its halves I and J, with no sign.  The image of a half, a row of the
-    compound matrix (Cauchy-Binet), folds its generators' images through the
-    one wedge loop and is kept in ``halves`` as a map from indices to
-    constants.  ``image`` reads a key's whole row and ``at`` its entries at
-    chosen image keys, the left constants turned by ``_turns(key)`` quarter
-    turns: none here, the bidegree's unit in ``star._StarRows``."""
+    compound matrix (Cauchy-Binet), starts from its first generator's image
+    (the empty half's row is {(): 1}), folds the others' images through the
+    one wedge loop, each step summed by ``_add_into``, and is kept in
+    ``halves`` as a map from indices to constants.  ``image`` reads a key's
+    whole row and ``at`` its entries at chosen image keys, the left
+    constants turned by ``_turns(key)`` quarter turns: none here, the
+    bidegree's unit in ``star._StarRows``."""
 
     __slots__ = ("generators", "halves")
 
@@ -217,12 +236,10 @@ class _Frame:
     def _half(self, side: int, indices: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
         row = self.halves[side].get(indices)
         if row is None:
-            row = {(): ONE}
-            for k in indices:
-                sums: Dict[MultiIndex, GaussianRational] = {}
-                for key, c in _wedge_terms(row, self.generators[side][k - 1], _shuffled):
-                    prev = sums.get(key)
-                    sums[key] = c if prev is None else prev + c
+            generators = self.generators[side]
+            row = generators[indices[0] - 1] if indices else {(): ONE}
+            for k in indices[1:]:
+                sums = _add_into({}, _wedge_terms(row, generators[k - 1], _shuffled))
                 row = {key: c for key, c in sums.items() if c}
             self.halves[side][indices] = row
         return row
@@ -254,9 +271,10 @@ class _Frame:
         return image
 
 
-class _TermStore:
+class _TermStore(_TermMap):
     """The term store of ``Form`` and ``RealForm``: a dimension n and a map
-    from canonical keys to nonzero polynomial coefficients.
+    from canonical keys to nonzero polynomial coefficients, on the term-map
+    protocol of ``wpoly._TermMap``.
 
     A subclass gives only what its keys mean: ``_check_key`` validates a
     key, ``_degree`` is its degree, ``_names`` the names of its
@@ -267,7 +285,7 @@ class _TermStore:
     (key, coeff) pairs; repeated keys are summed.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: TermsLike = None):
         self.terms = _merged(_checked(n, terms, self._check_key))
@@ -284,7 +302,7 @@ class _TermStore:
         form.terms = terms if isinstance(terms, dict) else _merged(terms)
         return form
 
-    def _same_space(self, other):
+    def _coerce(self, other):
         """``other`` if it is a form of the same kind and dimension."""
         if not isinstance(other, type(self)):
             raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
@@ -292,20 +310,10 @@ class _TermStore:
             raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
         return other
 
-    @classmethod
-    def zero(cls, n: int):
-        return cls(n)
-
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other):
-        return self._trusted(self.n, _summed((self, self._same_space(other))))
-
-    def __neg__(self):
-        return self._trusted(self.n, {key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._same_space(other))
+        return self._trusted(self.n, _summed((self, self._coerce(other))))
 
     def scale(self, value: CoeffLike):
         """Multiply every coefficient by a scalar or polynomial."""
@@ -315,20 +323,6 @@ class _TermStore:
         return self._trusted(self.n, {key: coeff.scale(value) for key, coeff in self.terms.items()} if value else {})
 
     # -- queries ------------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
 
     def total_degrees(self) -> Set[int]:
         return {self._degree(key) for key in self.terms}
@@ -384,27 +378,22 @@ class Form(_TermStore):
 
         The factors may arrive in any order; the result carries the parity
         of the permutation that sorts all dz factors (by index) in front of
-        all dzb factors (by index), folded one factor at a time through
-        ``_key_product``.  A repeated differential gives zero.
+        all dzb factors (by index), folded by ``_run_key``.  A repeated
+        differential gives zero.
         """
         for kind, index in factors:
             if kind not in (Z, ZBAR):
                 raise ValueError(f"differential kind must be 'z' or 'zb', got {kind!r}")
             if not 1 <= index <= n:
                 raise ValueError(f"differential index {index} out of range 1..{n}")
-        key, sign = ((), ()), 1
-        for kind, index in factors:
-            key, step = _key_product(key, ((index,), ()) if kind == Z else ((), (index,)))
-            sign *= step
-            if not sign:
-                return cls(n)
-        return cls(n, {key: coeff if sign > 0 else -coeff})
+        key, sign = _run_key(factors)
+        return cls(n, {key: coeff if sign > 0 else -coeff} if sign else None)
 
     # -- graded multiplication ---------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
         """Exterior product; bilinear, associative, graded-anticommutative."""
-        return self._trusted(self.n, _wedge_terms(self.terms, self._same_space(other).terms, _key_product))
+        return self._trusted(self.n, _wedge_terms(self.terms, self._coerce(other).terms, _key_product))
 
     def __xor__(self, other: "Form") -> "Form":
         return self.wedge(other)

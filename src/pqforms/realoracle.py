@@ -147,7 +147,7 @@ class RealForm(_TermStore):
         return cls(n, {tuple(indices): coeff})
 
     def wedge(self, other: "RealForm") -> "RealForm":
-        return self._trusted(self.n, _wedge_terms(self.terms, self._same_space(other).terms, _shuffled))
+        return self._trusted(self.n, _wedge_terms(self.terms, self._coerce(other).terms, _shuffled))
 
 
 _COMPLEX, _REAL = 0, 1  # the two sides of the codec: realify reads _COMPLEX keys, complexify _REAL keys

@@ -276,7 +276,9 @@ def parse_scalar(text: str) -> GaussianRational:
     """Parse a scalar literal such as ``3``, ``-1/2``, ``i``, ``2i``, ``1/2+3/4i``.
 
     Accepts an optional ``*`` between a rational and ``i`` and arbitrary
-    whitespace.  Used by the JSON metric loader.
+    whitespace.  Each rational is built from its integers by ``_reduced``,
+    as the DSL builds its numbers, and a zero denominator is a ValueError.
+    Used by the JSON metric loader and by ``obstruction``'s directions.
     """
     s = text.strip()
     if not s:
@@ -295,10 +297,11 @@ def parse_scalar(text: str) -> GaussianRational:
         if match.group("lone_i"):
             part = I_UNIT
         else:
-            from fractions import Fraction
-
-            value = Fraction(match.group("num"))
-            part = GaussianRational(0, value) if match.group("iunit") else GaussianRational(value)
+            num, _, den = match.group("num").partition("/")
+            d = int(den or 1)
+            if not d:
+                raise ValueError(f"invalid scalar literal {text!r}: zero denominator")
+            part = _reduced(0, int(num), d) if match.group("iunit") else _reduced(int(num), 0, d)
         total = total - part if negate else total + part
         pos = match.end()
         first = False

@@ -5,13 +5,21 @@ the unbarred ones by evaluation.  A polynomial is stored sparsely as a map
 from exponent vectors of length 2n (first n slots are z-exponents, last n
 slots are zb-exponents) to nonzero Gaussian-rational coefficients, so two
 polynomials are equal exactly when their term maps are equal.
+
+A polynomial and a form share one term-map protocol, the private base
+``_TermMap``: ``zero``, negation, difference, ``is_zero``, truth value,
+equality and hashing are written once there, and ``WirtingerPolynomial``
+and the form store ``forms._TermStore`` give their constructors, their
+``_coerce`` and their sum.  ``_add_into`` is the one in-place sum of the
+engine: it adds (key, value) pairs into one map, for a polynomial sum, a
+repeated key of a form merge and each step of a frame's half-row fold.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import add
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Tuple, Union
 
 from .scalars import ZERO, GaussianRational, ScalarLike, _power
 
@@ -29,19 +37,55 @@ PolyLike = Union[int, "Fraction", GaussianRational, "WirtingerPolynomial"]
 _new = object.__new__
 
 
-def _add_into(out: Dict[Exponents, GaussianRational], terms: Mapping[Exponents, GaussianRational]):
-    """The one in-place polynomial sum: add a term map into ``out``, which
-    may be left holding zero coefficients, and return ``out``."""
-    for exponents, coeff in terms.items():
-        prev = out.get(exponents)
-        out[exponents] = coeff if prev is None else prev + coeff
+def _add_into(out: Dict[Hashable, GaussianRational], pairs: Iterable[Tuple[Hashable, GaussianRational]]):
+    """The one in-place sum: add (key, value) pairs, such as a term map's
+    ``items()``, into ``out``, which may be left holding zero values, and
+    return ``out``."""
+    for key, value in pairs:
+        prev = out.get(key)
+        out[key] = value if prev is None else prev + value
     return out
 
 
-class WirtingerPolynomial:
-    """Sparse exact polynomial over the variables z1..zn, zb1..zn."""
+class _TermMap:
+    """The protocol of a sparse term map, shared by ``WirtingerPolynomial``
+    and the term store of forms (``forms._TermStore``): a dimension n and a
+    map ``terms`` from keys to nonzero values.  A subclass gives its
+    constructors (``__init__`` and the trusted ``_trusted``), ``_coerce``,
+    which returns an operand of the same kind and dimension, and ``__add__``;
+    the rest of the linear structure, equality and hashing are here."""
 
     __slots__ = ("n", "terms")
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
+
+    def __neg__(self):
+        return self._trusted(self.n, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.terms.items())))
+
+
+class WirtingerPolynomial(_TermMap):
+    """Sparse exact polynomial over the variables z1..zn, zb1..zn."""
+
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[Exponents, GaussianRational] | None = None):
         if n < 1:
@@ -73,10 +117,6 @@ class WirtingerPolynomial:
         return poly
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "WirtingerPolynomial":
-        return cls(n)
 
     @classmethod
     def constant(cls, n: int, value: ScalarLike) -> "WirtingerPolynomial":
@@ -126,19 +166,13 @@ class WirtingerPolynomial:
         are added in place into one map (``_add_into``)."""
         out: Dict[Exponents, GaussianRational] = {}
         for poly in polys:
-            _add_into(out, poly.terms)
+            _add_into(out, poly.terms.items())
         return cls._trusted(n, out)
 
     def __add__(self, other: PolyLike) -> "WirtingerPolynomial":
-        return WirtingerPolynomial._trusted(self.n, _add_into(dict(self.terms), self._coerce(other).terms))
+        return WirtingerPolynomial._trusted(self.n, _add_into(dict(self.terms), self._coerce(other).terms.items()))
 
     __radd__ = __add__
-
-    def __neg__(self) -> "WirtingerPolynomial":
-        return WirtingerPolynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: PolyLike) -> "WirtingerPolynomial":
-        return self + (-self._coerce(other))
 
     def __rsub__(self, other: PolyLike) -> "WirtingerPolynomial":
         return self._coerce(other) + (-self)
@@ -210,13 +244,10 @@ class WirtingerPolynomial:
             for slot, e in enumerate(exponents):
                 if e and slot in images:
                     term = term * images[slot] ** e
-            _add_into(out, term.terms)
+            _add_into(out, term.terms.items())
         return WirtingerPolynomial._trusted(n, out)
 
     # -- queries -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
@@ -240,17 +271,6 @@ class WirtingerPolynomial:
         for exponents in self.terms:
             occurring.update(compress(range(1, n + 1), exponents[first : first + n]))
         return sorted(occurring)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WirtingerPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __repr__(self) -> str:
         if not self.terms:

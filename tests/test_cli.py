@@ -136,6 +136,15 @@ def test_malformed_metric_entries_exit_2(capsys, tmp_path, entries):
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+def test_zero_denominator_scalar_exit_2(capsys, tmp_path):
+    # a --v component and a metric-file entry are read by the same scalar grammar
+    message = "error: invalid scalar literal '1/0': zero denominator\n"
+    assert run(capsys, "obstruction", "--n", "2", "--v", "1/0,1", "dz1") == (2, "", message)
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"entries": [["1/0"]]}))
+    assert run(capsys, "star", "--n", "1", "--metric", str(path), "dz1") == (2, "", message)
+
+
 def test_unknown_subcommand_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "star", "--n", "1", "--bogus", "dz1")[0] == 2

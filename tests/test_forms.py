@@ -55,6 +55,20 @@ def test_factor_index_out_of_range():
         Form.from_factors(2, [(Z, 3)], 1)
 
 
+def test_a_single_index_half_row_multiplies_nothing(monkeypatch):
+    # the half row of one index is its generator's row, not a fold from {(): 1}
+    calls = []
+    multiply = GaussianRational.__mul__
+    monkeypatch.setattr(GaussianRational, "__mul__", lambda self, other: calls.append(other) or multiply(self, other))
+    g = [[2, gaussian(0, 1), 0], [0, 1, Fraction(1, 2)], [3, 0, 1]]
+    frame = _Frame(g, list(zip(*g)))
+    for side, rows in enumerate((g, list(zip(*g)))):
+        for k, row in enumerate(rows, 1):
+            assert frame._half(side, (k,)) == {(a,): c for a, c in enumerate(row, 1) if c}
+    assert frame._half(0, ()) == {(): 1}
+    assert calls == []
+
+
 def test_wedge_square_is_zero():
     dz1 = Form.term(2, (1,), (), 1)
     assert dz1.wedge(dz1).is_zero()

@@ -5,7 +5,6 @@ import pytest
 
 from pqforms.calculus import FLAT_MODEL_NOTE, HarmonicReport
 from pqforms.choices import DEFAULT_CONVENTION, StarConvention
-from pqforms.dsl import Token
 from pqforms.metric import MetricValidation, VolumeCoefficientReport
 from pqforms.obstruction import Direction, DirectionVerdict, FrameReport, FrameVerdict
 from pqforms.realoracle import BidegreeComparison, OracleReport
@@ -15,7 +14,6 @@ from pqforms.star import DefiningIdentityReport
 # field order as each record has always declared it
 FIELDS = {
     StarConvention: ("conjugation_mode", "output_index_mode"),
-    Token: ("kind", "text", "value", "line", "column"),
     HarmonicReport: ("d_vanishes", "delta_vanishes", "d_residual", "delta_residual", "convention", "note"),
     MetricValidation: (
         "n", "is_hermitian", "hermitian_failures", "determinant", "is_invertible", "is_positive_definite",

@@ -1,4 +1,5 @@
 import operator
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -85,12 +86,19 @@ def test_parse_scalar_rejects_garbage(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("text", ["1/0", "2+1/0i"])
+def test_parse_scalar_rejects_a_zero_denominator(text):
+    with pytest.raises(ValueError, match=f"^invalid scalar literal '{re.escape(text)}': zero denominator$"):
+        parse_scalar(text)
+
+
 def test_equality_with_int_and_fraction():
     assert GaussianRational(1) == 1
     assert 1 == GaussianRational(1)
     assert gaussian(Fraction(1, 2)) == Fraction(1, 2)
     assert gaussian(1, 1) != 1
     assert gaussian(2) != 1
+    assert gaussian(1) != "1"  # a non-number is left to the other side
 
 
 @given(scalars())

@@ -40,6 +40,16 @@ def test_equal_polynomials_from_different_op_orders_hash_equal():
     assert len(set(built)) == 1
 
 
+def test_reflected_difference():
+    p = z(2, 1) * zb(2, 2) + gaussian(0, 1)
+    assert 3 - p == -(p - 3)
+
+
+def test_total_degree_of_zero_is_zero():
+    assert WirtingerPolynomial.zero(2).total_degree() == 0
+    assert (z(2, 1) ** 2 * zb(2, 2)).total_degree() == 3
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         z(2, 1) + z(3, 1)
