@@ -34,9 +34,10 @@ and the parser.
 Index raising, ``transform_form`` and the Hodge star pull forms back
 through a ``_Frame``, a change of generators on constants (the star's
 rows are a frame too); the oracle star pulls back through its key codec's
-memo (see :mod:`pqforms.realoracle`).  ``_pulled_back`` is the one
-pull-back loop: it reads each key's row of (image key, constant) pairs
-and sums the scaled monomials in place, one term map per image key.
+memo (see :mod:`pqforms.realoracle`), and the pairing functionals of
+:mod:`pqforms.obstruction` through rows of weights.  ``_pulled_back`` is
+the one pull-back loop: it reads each key's row of (image key, constant)
+pairs and sums the scaled monomials in place, one term map per image key.
 ``_Frame.image`` and ``_Frame.at`` are the only loops that pair two half
 rows.  ``realify`` and ``complexify`` act on one coordinate at a time.
 """

@@ -253,7 +253,10 @@ def load_metric(path: str) -> HermitianMetric:
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: metric file is nested too deeply") from None
     if not isinstance(payload, dict) or "entries" not in payload:
         raise ValueError(f"{path}: metric file must be an object with an 'entries' field")
     entries = payload["entries"]

@@ -14,34 +14,41 @@ component c_s.  This is the reading under which both displayed behaviors
 come out exactly: paired forms give zero, the candidate form gives
 c1 + c2 - c3 - c4.  Alternative readings of "projection" (for instance a
 complex pairing against v) are conceivable but not implemented.
+
+Both functionals, their difference and its symbolic coefficients in v are
+pull-backs (``forms._pulled_back``) through a row function on keys: onto
+the constant key () with one weight per key, or onto the indices j with
+1 and -1.  Directions and frame matrices hold real ``GaussianRational``s,
+the engine's one exact number type.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .forms import Form, MultiIndex, _Frame, _pulled_back
-from .scalars import GaussianRational, parse_scalar
+from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational, parse_scalar
 from .wpoly import WirtingerPolynomial, Z, ZBAR
 
-RationalLike = Union[int, str, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = Union[int, str, "Fraction", GaussianRational]
 
 
-def _fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        scalar = parse_scalar(value)
-        if scalar.im:
-            raise ValueError(f"{value!r} is not a real rational")
-        return scalar.re
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+def _real(value: RationalLike) -> GaussianRational:
+    """A real rational as a ``GaussianRational``: a string in the
+    ``parse_scalar`` grammar, or an int, ``Fraction`` or real scalar."""
+    try:
+        scalar = parse_scalar(value) if isinstance(value, str) else GaussianRational.coerce(value)
+    except TypeError:
+        raise TypeError(f"cannot interpret {value!r} as an exact rational") from None
+    if scalar != scalar.conjugate():
+        raise ValueError(f"{value!r} is not a real rational")
+    return scalar
 
 
-class Direction(NamedTuple("Direction", [("n", int), ("components", Tuple[Fraction, ...])])):
+class Direction(NamedTuple("Direction", [("n", int), ("components", Tuple[GaussianRational, ...])])):
     """A real rational vector v = sum_j c_j x^j, not all components zero."""
 
     __slots__ = ()
@@ -49,10 +56,10 @@ class Direction(NamedTuple("Direction", [("n", int), ("components", Tuple[Fracti
     def __new__(cls, n: int, components: Iterable[RationalLike]) -> "Direction":
         if n < 1:
             raise ValueError("dimension must be positive")
-        components = tuple(_fraction(c) for c in components)
+        components = tuple(_real(c) for c in components)
         if len(components) != n:
             raise ValueError(f"expected {n} components, got {len(components)}")
-        if all(c == 0 for c in components):
+        if not any(components):
             raise ValueError("direction must have at least one nonzero component")
         return super().__new__(cls, n, components)
 
@@ -60,7 +67,7 @@ class Direction(NamedTuple("Direction", [("n", int), ("components", Tuple[Fracti
     def basis(cls, n: int, index: int) -> "Direction":
         if not 1 <= index <= n:
             raise ValueError(f"basis index {index} out of range 1..{n}")
-        return cls(n, tuple(Fraction(1 if j == index else 0) for j in range(1, n + 1)))
+        return cls(n, tuple(ONE if j == index else ZERO for j in range(1, n + 1)))
 
     @classmethod
     def parse(cls, text: str, n: int) -> "Direction":
@@ -71,9 +78,9 @@ class Direction(NamedTuple("Direction", [("n", int), ("components", Tuple[Fracti
         parts = [p for p in text.split(",")]
         if len(parts) != n:
             raise ValueError(f"direction {text!r} has {len(parts)} components, expected {n}")
-        return cls(n, tuple(_fraction(p) for p in parts))
+        return cls(n, tuple(_real(p) for p in parts))
 
-    def component(self, index: int) -> Fraction:
+    def component(self, index: int) -> GaussianRational:
         return self.components[index - 1]
 
 
@@ -95,7 +102,7 @@ class RealOrthogonalMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries: Sequence[Sequence[RationalLike]]):
-        rows = tuple(tuple(_fraction(v) for v in row) for row in entries)
+        rows = tuple(tuple(_real(v) for v in row) for row in entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("orthogonal matrix must be square and non-empty")
@@ -133,10 +140,10 @@ class RealOrthogonalMatrix:
         """Plane rotation with exact rational cosine and sine, e.g. 3/5 and 4/5."""
         if _axis(n, axis_a) == _axis(n, axis_b):
             raise ValueError(f"rotation axes must differ, got axis {axis_a} twice")
-        c, s = _fraction(cos), _fraction(sin)
+        c, s = _real(cos), _real(sin)
         if c * c + s * s != 1:
             raise ValueError(f"({c}, {s}) is not on the rational unit circle")
-        rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         i, j = axis_a - 1, axis_b - 1
         rows[i][i], rows[i][j] = c, s
         rows[j][i], rows[j][j] = -s, c
@@ -163,44 +170,51 @@ class RealOrthogonalMatrix:
 def pr_plus(form: Form, direction: Direction) -> WirtingerPolynomial:
     """Contract the dz indices against v: each term contributes its
     coefficient times sum of c_s over s in I.  Linear in the form."""
-    return _pr(form, direction, over_dz=True)
+    return _pr(form, direction, 1, 0)
 
 
 def pr_minus(form: Form, direction: Direction) -> WirtingerPolynomial:
-    """Contract the dzb indices against v."""
-    return _pr(form, direction, over_dz=False)
-
-
-def _pr(form: Form, direction: Direction, over_dz: bool) -> WirtingerPolynomial:
-    if direction.n != form.n:
-        raise ValueError(f"direction dimension {direction.n} != form dimension {form.n}")
-    parts = []
-    for (I, J), coeff in form.terms.items():
-        weight = sum((direction.component(s) for s in (I if over_dz else J)), Fraction(0))
-        if weight:
-            parts.append(coeff.scale(GaussianRational.coerce(weight)))
-    return WirtingerPolynomial._sum(form.n, parts)
+    """Contract the dzb indices against v: each term contributes its
+    coefficient times sum of c_s over s in J."""
+    return _pr(form, direction, 0, 1)
 
 
 def obstruction(form: Form, direction: Direction) -> WirtingerPolynomial:
     """The separating functional pr_plus - pr_minus; exact zero test."""
-    return pr_plus(form, direction) - pr_minus(form, direction)
+    return _pr(form, direction, 1, -1)
+
+
+def _pr(form: Form, direction: Direction, plus: int, minus: int) -> WirtingerPolynomial:
+    """plus * pr_plus + minus * pr_minus, one pull-back onto the constant
+    key (): a key (I, J) goes there with the weight plus * sum of c_s over
+    I + minus * sum of c_s over J, and a zero weight gives an empty row."""
+    if direction.n != form.n:
+        raise ValueError(f"direction dimension {direction.n} != form dimension {form.n}")
+    c = direction.components
+
+    def row(key):
+        weight = plus * sum(c[s - 1] for s in key[0]) + minus * sum(c[s - 1] for s in key[1])
+        return [((), weight)] if weight else []
+
+    return _pulled_back(form.n, form.terms, row).get((), WirtingerPolynomial.zero(form.n))
 
 
 def obstruction_direction_coefficients(form: Form) -> Dict[int, WirtingerPolynomial]:
     """Coefficients of the obstruction as a symbolic linear function of v.
 
-    The functional is linear in v, so evaluating it on each basis
-    direction recovers the whole symbolic expression: obstruction(form, v)
-    equals sum_j c_j * result[j].  Keys with zero value are dropped, so an
-    empty dict means the obstruction vanishes identically in v.
+    The functional is linear in v: a key (I, J) contributes its coefficient
+    times c_j for j in I but not J, and times -c_j for j in J but not I.  So
+    one pull-back onto the indices j gives the whole symbolic expression,
+    obstruction(form, v) equals sum_j c_j * result[j], in ascending j.
+    Keys with zero value are dropped, so an empty dict means the
+    obstruction vanishes identically in v.
     """
-    out: Dict[int, WirtingerPolynomial] = {}
-    for j in range(1, form.n + 1):
-        value = obstruction(form, Direction.basis(form.n, j))
-        if not value.is_zero():
-            out[j] = value
-    return out
+
+    def row(key):
+        I, J = key
+        return [(j, ONE) for j in I if j not in J] + [(j, MINUS_ONE) for j in J if j not in I]
+
+    return dict(sorted(_pulled_back(form.n, form.terms, row).items()))
 
 
 def paired_class_form(indices: Iterable[int], coeff, n: int) -> Form:
@@ -242,11 +256,13 @@ def transform_form(form: Form, matrix: RealOrthogonalMatrix) -> Form:
     return Form._trusted(n, _pulled_back(n, substituted, frame.image))
 
 
-def _restricted_to(poly: WirtingerPolynomial, allowed: Tuple[int, ...]) -> Tuple[bool, str]:
-    """Check a polynomial only uses the allowed z-variables (and no zb
-    variables at all); returns (ok, offending variable name)."""
+def _holomorphic_in(poly: WirtingerPolynomial, allowed: Tuple[int, ...], which: str) -> None:
+    """Raise unless a polynomial uses only the allowed z-variables and no zb
+    variable at all, naming the first offending variable."""
     outside = [f"z{k}" for k in poly.variables(Z) if k not in allowed] + [f"zb{k}" for k in poly.variables(ZBAR)]
-    return (False, outside[0]) if outside else (True, "")
+    if outside:
+        names = ", ".join(f"z{k}" for k in allowed)
+        raise ValueError(f"{which} factor must be holomorphic in {names} only; it uses {outside[0]}")
 
 
 def k3_product_form(
@@ -265,12 +281,8 @@ def k3_product_form(
         raise ValueError("the product construction needs at least 4 coordinates")
     if factor_one.n != n or factor_two.n != n:
         raise ValueError(f"factors must live in ambient dimension {n}")
-    ok, offender = _restricted_to(factor_one, (1, 2))
-    if not ok:
-        raise ValueError(f"first factor must be holomorphic in z1, z2 only; it uses {offender}")
-    ok, offender = _restricted_to(factor_two, (3, 4))
-    if not ok:
-        raise ValueError(f"second factor must be holomorphic in z3, z4 only; it uses {offender}")
+    _holomorphic_in(factor_one, (1, 2), "first")
+    _holomorphic_in(factor_two, (3, 4), "second")
     left = Form.term(n, (1, 2), (), factor_one)
     right = Form.term(n, (3, 4), (), factor_two).conjugate()
     return left.wedge(right)

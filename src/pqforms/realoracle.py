@@ -46,7 +46,6 @@ forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
@@ -69,16 +68,16 @@ ORACLE_STAR_RATIOS: Dict[Tuple[int, int, int], GaussianRational] = {
     (1, 0, 0): gaussian(2),
     (1, 0, 1): gaussian(1),
     (1, 1, 0): gaussian(1),
-    (1, 1, 1): gaussian(Fraction(1, 2)),
+    (1, 1, 1): gaussian(1) / 2,
     (2, 0, 0): gaussian(4),
     (2, 0, 1): gaussian(2),
     (2, 0, 2): gaussian(1),
     (2, 1, 0): gaussian(2),
     (2, 1, 1): gaussian(1),
-    (2, 1, 2): gaussian(Fraction(1, 2)),
+    (2, 1, 2): gaussian(1) / 2,
     (2, 2, 0): gaussian(1),
-    (2, 2, 1): gaussian(Fraction(1, 2)),
-    (2, 2, 2): gaussian(Fraction(1, 4)),
+    (2, 2, 1): gaussian(1) / 2,
+    (2, 2, 2): gaussian(1) / 4,
     (3, 0, 0): gaussian(8),
     (3, 0, 1): gaussian(4),
     (3, 0, 2): gaussian(2),
@@ -86,15 +85,15 @@ ORACLE_STAR_RATIOS: Dict[Tuple[int, int, int], GaussianRational] = {
     (3, 1, 0): gaussian(4),
     (3, 1, 1): gaussian(2),
     (3, 1, 2): gaussian(1),
-    (3, 1, 3): gaussian(Fraction(1, 2)),
+    (3, 1, 3): gaussian(1) / 2,
     (3, 2, 0): gaussian(2),
     (3, 2, 1): gaussian(1),
-    (3, 2, 2): gaussian(Fraction(1, 2)),
-    (3, 2, 3): gaussian(Fraction(1, 4)),
+    (3, 2, 2): gaussian(1) / 2,
+    (3, 2, 3): gaussian(1) / 4,
     (3, 3, 0): gaussian(1),
-    (3, 3, 1): gaussian(Fraction(1, 2)),
-    (3, 3, 2): gaussian(Fraction(1, 4)),
-    (3, 3, 3): gaussian(Fraction(1, 8)),
+    (3, 3, 1): gaussian(1) / 2,
+    (3, 3, 2): gaussian(1) / 4,
+    (3, 3, 3): gaussian(1) / 8,
     (4, 0, 0): gaussian(16),
     (4, 0, 1): gaussian(8),
     (4, 0, 2): gaussian(4),
@@ -104,22 +103,22 @@ ORACLE_STAR_RATIOS: Dict[Tuple[int, int, int], GaussianRational] = {
     (4, 1, 1): gaussian(4),
     (4, 1, 2): gaussian(2),
     (4, 1, 3): gaussian(1),
-    (4, 1, 4): gaussian(Fraction(1, 2)),
+    (4, 1, 4): gaussian(1) / 2,
     (4, 2, 0): gaussian(4),
     (4, 2, 1): gaussian(2),
     (4, 2, 2): gaussian(1),
-    (4, 2, 3): gaussian(Fraction(1, 2)),
-    (4, 2, 4): gaussian(Fraction(1, 4)),
+    (4, 2, 3): gaussian(1) / 2,
+    (4, 2, 4): gaussian(1) / 4,
     (4, 3, 0): gaussian(2),
     (4, 3, 1): gaussian(1),
-    (4, 3, 2): gaussian(Fraction(1, 2)),
-    (4, 3, 3): gaussian(Fraction(1, 4)),
-    (4, 3, 4): gaussian(Fraction(1, 8)),
+    (4, 3, 2): gaussian(1) / 2,
+    (4, 3, 3): gaussian(1) / 4,
+    (4, 3, 4): gaussian(1) / 8,
     (4, 4, 0): gaussian(1),
-    (4, 4, 1): gaussian(Fraction(1, 2)),
-    (4, 4, 2): gaussian(Fraction(1, 4)),
-    (4, 4, 3): gaussian(Fraction(1, 8)),
-    (4, 4, 4): gaussian(Fraction(1, 16)),
+    (4, 4, 1): gaussian(1) / 2,
+    (4, 4, 2): gaussian(1) / 4,
+    (4, 4, 3): gaussian(1) / 8,
+    (4, 4, 4): gaussian(1) / 16,
 }
 
 

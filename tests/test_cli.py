@@ -136,6 +136,14 @@ def test_malformed_metric_entries_exit_2(capsys, tmp_path, entries):
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+def test_deeply_nested_metric_file_exit_2(capsys, tmp_path):
+    # the JSON decoder recurses once per bracket and gives up with a RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "star", "--n", "1", "--metric", str(path), "dz1")
+    assert (code, out, err) == (2, "", f"error: {path}: metric file is nested too deeply\n")
+
+
 def test_zero_denominator_scalar_exit_2(capsys, tmp_path):
     # a --v component and a metric-file entry are read by the same scalar grammar
     message = "error: invalid scalar literal '1/0': zero denominator\n"
@@ -301,13 +309,17 @@ def cli_child_modules(*argv):
 
 
 # fractions (with decimal, which it imports) and json are about 5 ms of a
-# child; a plain form command handles no Fraction and writes no JSON.
+# child; a plain command handles no Fraction and writes no JSON: the pairing
+# functionals, the oracle's ratio table and the scenarios included.
 @pytest.mark.parametrize(
     "argv, loaded",
     [
         (["star", "--n", "1", "dz1"], set()),
         (["d", "--n", "2", "z1*dz2"], set()),
         (["star", "--n", "1", "--json", "dz1"], {"json"}),
+        (["obstruction", "--n", "4", "--v", "1,0,0,0", "dz1^dz2^dzb3^dzb4"], set()),
+        (["oracle-star", "--n", "2", "dz1^dzb2"], set()),
+        (["scenario", "lemma34"], set()),
     ],
 )
 def test_a_plain_cli_child_loads_no_fractions_decimal_or_json(argv, loaded):

@@ -12,6 +12,7 @@ from helpers import _factors, brute_pull_back, forms, matrix_images, random_form
 from pqforms import (
     Direction,
     Form,
+    GaussianRational,
     HermitianMetric,
     RealOrthogonalMatrix,
     WirtingerPolynomial,
@@ -44,7 +45,7 @@ def test_direction_validation():
     with pytest.raises(ValueError):
         Direction.parse("1,2", 3)
     components = Direction.parse("1,-1/2", 2).components
-    assert components == (Fraction(1), Fraction(-1, 2)) and all(type(c) is Fraction for c in components)
+    assert components == (Fraction(1), Fraction(-1, 2)) and all(type(c) is GaussianRational for c in components)
 
 
 # Components are read in the metric-file scalar grammar: an exponent, a decimal
@@ -109,6 +110,49 @@ def test_obstruction_linearity():
         combined = a.scale(gaussian(alpha)) + b.scale(gaussian(beta))
         expected = obstruction(a, v).scale(gaussian(alpha)) + obstruction(b, v).scale(gaussian(beta))
         assert obstruction(combined, v) == expected
+
+
+@st.composite
+def directions(draw, n: int):
+    """A real rational direction of dimension n, its components Fractions or strings."""
+    values = draw(st.lists(st.fractions(-4, 4, max_denominator=3), min_size=n, max_size=n).filter(any))
+    return Direction(n, [draw(st.sampled_from((value, str(value)))) for value in values])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_functionals_match_their_sums_and_the_symbolic_coefficients(data):
+    form = data.draw(forms(n=data.draw(st.integers(1, 4))))
+    n = form.n
+    v = data.draw(directions(n))
+    zero = WirtingerPolynomial.zero(n)
+    # the docstrings' sums: each term's coefficient times the sum of c_s over I (over J)
+    for functional, side in ((pr_plus, 0), (pr_minus, 1)):
+        written_out = zero
+        for key, coeff in form.terms.items():
+            written_out = written_out + coeff.scale(sum(v.component(s) for s in key[side]))
+        assert functional(form, v) == written_out
+    value = obstruction(form, v)
+    assert value == pr_plus(form, v) - pr_minus(form, v)
+    coefficients = obstruction_direction_coefficients(form)
+    assert list(coefficients) == sorted(coefficients) and all(coefficients.values())
+    assert value == sum((poly.scale(v.component(j)) for j, poly in coefficients.items()), zero)
+    for j in range(1, n + 1):
+        assert coefficients.get(j, zero) == obstruction(form, Direction.basis(n, j))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_directions_and_matrices_round_trip_through_their_own_scalars(data):
+    n = data.draw(st.integers(1, 4))
+    v = data.draw(directions(n))
+    assert Direction(n, v.components) == v
+    matrix = data.draw(orthogonal_matrices(n))
+    assert RealOrthogonalMatrix(matrix.entries) == matrix
+    # each component equals, hashes and prints as the Fraction it replaces
+    for c in v.components + matrix.entries[0]:
+        assert type(c) is GaussianRational
+        assert c == c.re and hash(c) == hash(c.re) and str(c) == str(c.re)
 
 
 def test_paired_class_form_canonical_order():
@@ -329,6 +373,8 @@ _ONE3, _ONE4, _ONE5 = (WirtingerPolynomial.one(n) for n in (3, 4, 5))
     [
         (lambda: Direction.basis(2, 3), ValueError, "basis index 3 out of range 1..2"),
         (lambda: Direction(1, [1.5]), TypeError, "cannot interpret 1.5 as an exact rational"),
+        (lambda: Direction(2, [1, gaussian(1, 2)]), ValueError, "GaussianRational(1, 2) is not a real rational"),
+        (lambda: RealOrthogonalMatrix([[gaussian(0, 1)]]), ValueError, "GaussianRational(0, 1) is not a real rational"),
         (lambda: RealOrthogonalMatrix([]), ValueError, "orthogonal matrix must be square and non-empty"),
         (lambda: RealOrthogonalMatrix([[1, 0]]), ValueError, "orthogonal matrix must be square and non-empty"),
         (lambda: RealOrthogonalMatrix.permutation([1, 1]), ValueError, "[1, 1] is not a permutation of 1..2"),
