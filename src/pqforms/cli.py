@@ -176,6 +176,8 @@ def _json_text(payload: dict) -> str:
 
 def _run_form_command(args: argparse.Namespace) -> int:
     _, forms, options, module, compute, render = _COMMANDS[args.command]
+    if args.n < 1:  # before any option: a metric for --n 0 would be an empty matrix
+        raise ValueError(f"ambient dimension must be positive, got {args.n}")
     values = [_OPTIONS[option][1](args) for option in options]
     parsed = [parse_form(getattr(args, dest), args.n) for dest in forms]
     result = compute(importlib.import_module(f".{module}", __package__), *parsed, *values)

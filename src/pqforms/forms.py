@@ -222,8 +222,10 @@ class _Frame:
     of its halves I and J, with no sign.  The image of a half, a row of the
     compound matrix (Cauchy-Binet), starts from its first generator's image
     (the empty half's row is {(): 1}), folds the others' images through the
-    one wedge loop, each step summed by ``_add_into``, and is kept in
-    ``halves`` as a map from indices to constants.  ``image`` reads a key's
+    one wedge loop, each step summed by ``_add_into`` (``_build_half``).
+    ``_half`` is the one memo lookup: it keeps each half's row in ``halves``
+    as a map from indices to constants, built on its first read; a
+    subclass overrides only ``_build_half``.  ``image`` reads a key's
     whole row and ``at`` its entries at chosen image keys, the left
     constants turned by ``_turns(key)`` quarter turns: none here, the
     bidegree's unit in ``star._StarRows``."""
@@ -237,12 +239,16 @@ class _Frame:
     def _half(self, side: int, indices: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
         row = self.halves[side].get(indices)
         if row is None:
-            generators = self.generators[side]
-            row = generators[indices[0] - 1] if indices else {(): ONE}
-            for k in indices[1:]:
-                sums = _add_into({}, _wedge_terms(row, generators[k - 1], _shuffled))
-                row = {key: c for key, c in sums.items() if c}
-            self.halves[side][indices] = row
+            row = self.halves[side][indices] = self._build_half(side, indices)
+        return row
+
+    def _build_half(self, side: int, indices: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
+        """The row of a half, folded from its generators' images."""
+        generators = self.generators[side]
+        row = generators[indices[0] - 1] if indices else {(): ONE}
+        for k in indices[1:]:
+            sums = _add_into({}, _wedge_terms(row, generators[k - 1], _shuffled))
+            row = {key: c for key, c in sums.items() if c}
         return row
 
     def _turns(self, key: TermKey) -> int:

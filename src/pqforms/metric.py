@@ -137,7 +137,7 @@ class HermitianMetric:
     conjugate of dz^(b+1).
     """
 
-    __slots__ = ("n", "entries", "inverse", "determinant", "_identity", "_volume", "_raising", "_star")
+    __slots__ = ("n", "entries", "inverse", "determinant", "_identity", "_volume", "_star")
 
     def __init__(self, entries: MatrixLike):
         matrix, report, inverse = _validated(entries)
@@ -158,8 +158,7 @@ class HermitianMetric:
         self.inverse = inverse
         self._identity = None  # filled by is_identity on first use
         self._volume = None  # filled by volume_form on first use
-        self._raising = None  # the raising frame (forms._Frame of the inverse), built by the first raise
-        self._star = None  # the star's rows (star._StarRows), built by the first star
+        self._star = None  # the star rows and the raising frame (star._StarRows), built by star._star_rows on first use
 
     @classmethod
     def identity(cls, n: int) -> "HermitianMetric":
@@ -245,6 +244,9 @@ def volume_coefficient_report(metric: HermitianMetric) -> VolumeCoefficientRepor
 def load_metric(path: str) -> HermitianMetric:
     """Load a metric from JSON: {"n": int, "entries": [["1", "i", ...], ...]}.
 
+    "n" may be left out or null; when given it must be a JSON integer equal
+    to the number of rows.
+
     Entries may be integers, rational strings like "1/2", or complex
     literals like "1/2+3/4i".  Non-Hermitian matrices are rejected with a
     diff of the offending entries, and matrices that are not positive
@@ -266,6 +268,8 @@ def load_metric(path: str) -> HermitianMetric:
     ):
         raise ValueError(f"{path}: metric 'entries' must be a list of rows of integers or strings")
     declared = payload.get("n")
+    if declared is not None and type(declared) is not int:
+        raise ValueError(f"{path}: metric 'n' must be an integer")
     if declared is not None and declared != len(entries):
         raise ValueError(f"{path}: declared n={declared} but entries have {len(entries)} rows")
     return HermitianMetric(entries)

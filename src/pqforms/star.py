@@ -33,7 +33,9 @@ The rows are the default star's only: each printed variant is a map of
 its result.  The printed output swaps the halves of each image key.  The
 literal conjugation conjugates the rows but not their unit u = +-i^n, so
 it gives u / conj(u) = (-1)^n times the conjugate of each coefficient.
-A metric keeps one set of rows, whatever the convention.
+A metric keeps one set of rows, whatever the convention, in its ``_star``
+slot (``_star_rows``).  The rows own the raising frame, so raising, the
+inner product, the star and the identity check read one object.
 
 The defining identity needs only the top coefficient of phi ^ star(psi),
 and a key K of phi meets star(psi) only at its complement K^c.  So
@@ -60,18 +62,6 @@ from .scalars import GaussianRational
 from .wpoly import WirtingerPolynomial
 
 
-def _frame(psi: Form, metric: HermitianMetric) -> _Frame:
-    """The metric's raising frame, the ``forms._Frame`` of ginv and its
-    transpose, built on the first raise and kept in its ``_raising`` slot;
-    psi's dimension is checked against the metric's first."""
-    if psi.n != metric.n:
-        raise ValueError(f"form ambient dimension {psi.n} != metric dimension {metric.n}")
-    frame = metric._raising
-    if frame is None:
-        frame = metric._raising = _Frame(metric.inverse, list(zip(*metric.inverse)))
-    return frame
-
-
 def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial]:
     """Raised coefficient table of a homogeneous (p,q)-form:
 
@@ -84,8 +74,9 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     pull-back through the change of generators ``forms._Frame`` of ginv and
     its transpose: dz^l goes to sum_a ginv[l][a] dz^a, dzb^m to
     sum_b ginv[b][m] dzb^b.  The frame's rows are constants, the minors
-    themselves.  The metric's ``_raising`` slot keeps that frame from the
-    first raise on; the pull-back reads each coefficient conjugated and
+    themselves.  The frame is the ``frame`` of the metric's star rows
+    (``_star_rows``), kept from the first raise, inner product, star or
+    identity check on; the pull-back reads each coefficient conjugated and
     sums the whole table in place.  The star and the inner product read
     the same frame without forming this table.
 
@@ -95,9 +86,9 @@ def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, 
     """
     if not psi.is_homogeneous():
         raise ValueError(f"raise_indices needs a homogeneous form, got bidegrees {sorted(psi.bidegrees())}")
-    if psi.is_zero() and psi.n == metric.n:  # a zero form builds no frame
+    if psi.is_zero() and psi.n == metric.n:  # a zero form builds no rows
         return {}
-    return _pulled_back(metric.n, psi.terms, _frame(psi, metric).image, WirtingerPolynomial._conjugate_terms)
+    return _pulled_back(metric.n, psi.terms, _star_rows(psi, metric).frame.image, WirtingerPolynomial._conjugate_terms)
 
 
 def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerPolynomial:
@@ -115,15 +106,18 @@ def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerP
         raise ValueError(
             f"bidegree mismatch: {phi.homogeneous_bidegree()} vs {psi.homogeneous_bidegree()}"
         )
-    raised = _pulled_back(n, psi.terms, _frame(psi, metric).at([(K, K, 0) for K in phi.terms]), WirtingerPolynomial._conjugate_terms)
+    raised = _pulled_back(n, psi.terms, _star_rows(psi, metric).frame.at([(K, K, 0) for K in phi.terms]), WirtingerPolynomial._conjugate_terms)
     return WirtingerPolynomial._sum(n, (coeff * raised[key] for key, coeff in phi.terms.items() if key in raised))
 
 
 class _StarRows(_Frame):
-    """The rows of the consistent star on one metric, kept in the metric's
-    ``_star`` slot from its first star on: a ``forms._Frame`` whose half
-    rows are the raising frame's, mapped once, and whose row of a key turns
-    its left constants by the key's unit.
+    """The metric's one star-layer object, kept in its ``_star`` slot by
+    ``_star_rows``.  It owns the raising frame, ``frame``, the
+    ``forms._Frame`` of ginv and its transpose, and is itself the
+    ``forms._Frame`` of the consistent star's rows: its half rows are the
+    raising frame's, each mapped once by ``_build_half``, and its row of a
+    key turns its left constants by the key's unit.  Both frames build
+    their half rows on first read.
 
     The half row of indices L (side 0) is the raising frame's row of L with
     each image A replaced by A^c, a map from A^c to sgn(A, A^c) * det(g) *
@@ -138,21 +132,19 @@ class _StarRows(_Frame):
 
     __slots__ = ("frame", "n", "determinant", "complements")
 
-    def __init__(self, frame: _Frame, metric: HermitianMetric):
-        self.frame, self.n, self.determinant = frame, metric.n, metric.determinant
+    def __init__(self, metric: HermitianMetric):
+        self.frame = _Frame(metric.inverse, list(zip(*metric.inverse)))
+        self.n, self.determinant = metric.n, metric.determinant
         self.halves: Tuple[dict, dict] = ({}, {})  # dz-half L or dzb-half M -> its row
         self.complements: Dict[MultiIndex, Tuple[MultiIndex, int]] = {}  # half A -> complement(A, n)
 
-    def _half(self, side: int, indices: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
-        row = self.halves[side].get(indices)
-        if row is None:
-            row = {}
-            for image, c in self.frame._half(side, indices).items():
-                rest, sign = complement(image, self.n)
-                if not side:
-                    c = c * self.determinant
-                row[rest] = -c if sign < 0 else c
-            self.halves[side][indices] = row
+    def _build_half(self, side: int, indices: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
+        row = {}
+        for image, c in self.frame._half(side, indices).items():
+            rest, sign = complement(image, self.n)
+            if not side:
+                c = c * self.determinant
+            row[rest] = -c if sign < 0 else c
         return row
 
     def _turns(self, key: TermKey) -> int:
@@ -173,10 +165,14 @@ class _StarRows(_Frame):
         return (rest, other), 0 if (sign == half) != (len(B) * len(rest) % 2 == 1) else 2
 
 
-def _star_rows(frame: _Frame, metric: HermitianMetric) -> _StarRows:
-    """The metric's star rows, built on its first star."""
+def _star_rows(psi: Form, metric: HermitianMetric) -> _StarRows:
+    """The metric's star rows with its raising frame, built on first use and
+    kept in its ``_star`` slot; psi's dimension is checked against the
+    metric's first."""
+    if psi.n != metric.n:
+        raise ValueError(f"form ambient dimension {psi.n} != metric dimension {metric.n}")
     if metric._star is None:
-        metric._star = _StarRows(frame, metric)
+        metric._star = _StarRows(metric)
     return metric._star
 
 
@@ -199,7 +195,7 @@ def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = 
     conj(c) * star(psi) for constant c.
     """
     n = metric.n
-    terms = _pulled_back(n, psi.terms, _star_rows(_frame(psi, metric), metric).image, WirtingerPolynomial._conjugate_terms)
+    terms = _pulled_back(n, psi.terms, _star_rows(psi, metric).image, WirtingerPolynomial._conjugate_terms)
     if convention.conjugation_mode == "literal_eq_2_9":
         terms = {key: _literal(c, n) for key, c in terms.items()}
     if convention.output_index_mode == "printed_eq_2_9":
@@ -255,17 +251,16 @@ def defining_identity_check(
         phi.homogeneous_bidegree(), psi.homogeneous_bidegree()  # a mixed form raises its own message, phi's first
         raise ValueError("defining identity needs forms of equal bidegree")
     n = metric.n
-    frame = _frame(psi, metric)
+    rows = _star_rows(psi, metric)
     if phi.n != n:
         raise ValueError(f"ambient dimension mismatch: {phi.n} vs {n}")
     literal, printed = convention.conjugation_mode == "literal_eq_2_9", convention.output_index_mode == "printed_eq_2_9"
-    rows = _star_rows(frame, metric)
     stars = []  # (the star side's target, the half-row key of K^c, the quarter turns of s_K)
     for key in phi.terms:
         partner, turns = rows.partner(key)
         stars.append(((key,) if literal else key, partner[::-1] if printed else partner, turns))
     (top, volume), = volume_form(metric).terms.items()
-    starred, raised = rows.at(stars), frame.at([(K, K, 0) for K in phi.terms], -volume.constant_value())
+    starred, raised = rows.at(stars), rows.frame.at([(K, K, 0) for K in phi.terms], -volume.constant_value())
 
     def summed(key: TermKey) -> List[Tuple[Any, GaussianRational]]:
         """Both sides' row of a key of psi, summed per target, zero sums dropped."""

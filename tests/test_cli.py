@@ -136,6 +136,33 @@ def test_malformed_metric_entries_exit_2(capsys, tmp_path, entries):
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("declared", [2.0, True, "2"], ids=["float", "bool", "string"])
+def test_metric_n_must_be_an_integer_exit_2(capsys, tmp_path, declared):
+    # type(), as for the entries: 2.0 and true were accepted, and "2" was
+    # reported as "declared n=2 but entries have 2 rows"; a null n is no n
+    rows = [["1"]] if declared is True else [["2", "0"], ["0", "1"]]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"n": declared, "entries": rows}))
+    argv = ("star", "--n", str(len(rows)), "--metric", str(path), "dz1")
+    assert run(capsys, *argv) == (2, "", f"error: {path}: metric 'n' must be an integer\n")
+    path.write_text(json.dumps({"n": None, "entries": rows}))
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_nonpositive_n_names_the_dimension_exit_2(capsys, n):
+    # checked before any option is read: the metric commands reported the
+    # identity metric's empty matrix instead
+    commands = [
+        ["star", "dz1"], ["d", "dz1"], ["del", "dz1"], ["delbar", "dz1"], ["delta", "dz1"], ["laplacian", "dz1"],
+        ["harmonic", "dz1"], ["oracle-star", "dz1"], ["wedge", "dz1", "dzb1"], ["inner", "dz1", "dz1"],
+        ["obstruction", "--v", "1", "dz1"],
+    ]
+    assert sorted(argv[0] for argv in commands) == sorted(_COMMANDS)
+    results = {argv[0]: run(capsys, argv[0], "--n", n, *argv[1:]) for argv in commands}
+    assert results == {argv[0]: (2, "", f"error: ambient dimension must be positive, got {n}\n") for argv in commands}
+
+
 def test_deeply_nested_metric_file_exit_2(capsys, tmp_path):
     # the JSON decoder recurses once per bracket and gives up with a RecursionError
     path = tmp_path / "nested.json"

@@ -129,18 +129,20 @@ def test_is_identity_is_decided_once_per_metric(monkeypatch):
 
 
 def test_raising_images_are_built_once_per_metric():
-    # built on the first raise only, then the same images serve every raise
+    # built on the first raise only, then the same images serve every raise;
+    # the raising frame lives on the star rows, the metric's one star-layer slot
+    assert HermitianMetric.__slots__ == ("n", "entries", "inverse", "determinant", "_identity", "_volume", "_star")
     metric = HermitianMetric([[2, "1+i", 0], ["1-i", 3, "1/2"], [0, "1/2", 1]])
-    assert metric._raising is None
+    assert metric._star is None
     volume_form(metric)
-    assert metric._raising is None
+    assert metric._star is None
     raise_indices(Form.term(3, (1,), (2,), 1), metric)
-    frame = metric._raising
+    frame = metric._star.frame
     assert sum(map(len, frame.generators)) == 6
     raise_indices(Form.term(3, (1, 3), (), 1), metric)
     raise_indices(Form.term(3, (), (1, 2, 3), 1), metric)
-    assert metric._raising is frame
-    assert HermitianMetric(metric.entries)._raising is None
+    assert metric._star.frame is frame
+    assert HermitianMetric(metric.entries)._star is None
 
 
 def test_raising_builds_one_constant_per_nonzero_inverse_entry(monkeypatch):
@@ -161,7 +163,7 @@ def test_raising_builds_one_constant_per_nonzero_inverse_entry(monkeypatch):
     calls.clear()
     raise_indices(psi, metric)
     assert calls == []
-    assert sum(len(image) for images in metric._raising.generators for image in images) == 2 * n
+    assert sum(len(image) for images in metric._star.frame.generators for image in images) == 2 * n
 
 
 @pytest.mark.parametrize("n,expect_match", [(1, False), (2, False), (3, False), (4, True)])

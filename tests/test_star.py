@@ -296,7 +296,7 @@ def _assert_check_reads(reads, phi, metric, convention):
     swapped = convention.output_index_mode != "same_type_complement"
     literal = convention.conjugation_mode == "literal_eq_2_9"
     (_, star_reads, star_scale, star_row), = [call for call in reads if call[0] is metric._star]
-    (_, raise_reads, raise_scale, raise_row), = [call for call in reads if call[0] is metric._raising]
+    (_, raise_reads, raise_scale, raise_row), = [call for call in reads if call[0] is metric._star.frame]
     assert len(reads) == 2 and star_scale is None
     partners = {(A, B): (complement(A, phi.n)[0], complement(B, phi.n)[0]) for A, B in phi.terms}
     assert [(target, image[::-1] if swapped else image) for target, image, _ in star_reads] == [((K,) if literal else K, partner) for K, partner in partners.items()]
@@ -422,7 +422,7 @@ def test_star_rows_partner_is_the_complement_with_the_product_sign(n):
     # the quarter turns are those of _key_product(K, K^c)'s sign; the memo
     # keeps each half's complement, never a whole key
     metric = HermitianMetric.identity(n)
-    rows = pqforms.star._star_rows(pqforms.star._frame(Form.zero(n), metric), metric)
+    rows = pqforms.star._star_rows(Form.zero(n), metric)
     halves = [A for p in range(n + 1) for A in combinations(range(1, n + 1), p)]
     for K in [(A, B) for A in halves for B in halves]:
         partner = complement(K[0], n)[0], complement(K[1], n)[0]
@@ -529,9 +529,8 @@ def test_frame_reads_at_chosen_keys_what_its_rows_hold(n, seed, scaled):
     rng = random.Random(seed)
     metric = random_dense_metric(rng, n)
     dense = _Frame(*([[random_scalar(rng) for _ in range(n)] for _ in range(n)] for _ in range(2)))
-    raising = pqforms.star._frame(Form.zero(n), metric)
-    rows = pqforms.star._star_rows(raising, metric)
-    assert pqforms.star._star_rows(raising, metric) is rows is metric._star
+    rows = pqforms.star._star_rows(Form.zero(n), metric)
+    assert pqforms.star._star_rows(Form.zero(n), metric) is rows is metric._star
     halves = [A for p in range(n + 1) for A in combinations(range(1, n + 1), p)]
     keys = [(A, B) for A in halves for B in halves]
     scale = random_scalar(rng) or gaussian(1, 1) if scaled else None
@@ -654,12 +653,12 @@ def test_defining_identity_check_errors(phi, psi, message):
 
 def test_raise_indices_checks_the_dimension_of_a_zero_form():
     # a zero form is checked against the metric as any form is, and builds
-    # no raising frame
+    # no star rows, so no raising frame
     metric = HermitianMetric.identity(2)
     with pytest.raises(ValueError, match="^form ambient dimension 3 != metric dimension 2$"):
         raise_indices(Form.zero(3), metric)
-    assert metric._raising is None
-    assert raise_indices(Form.zero(2), metric) == {} and metric._raising is None
+    assert metric._star is None
+    assert raise_indices(Form.zero(2), metric) == {} and metric._star is None
 
 
 def test_defining_identity_zero_phi_accepts_mixed_psi():
@@ -675,7 +674,7 @@ def test_raise_indices_matches_the_unmemoized_pull_back(psi, seed):
     metric = random_dense_metric(random.Random(seed), psi.n)
     parts = [psi.component(p, q) for p, q in sorted(psi.bidegrees())]
     first = [raise_indices(part, metric) for part in parts]
-    if metric._raising is None:  # only the zero form never builds the frame
+    if metric._star is None:  # only the zero form never builds the frame
         assert psi.is_zero()
         return
     # dz^l goes to sum_a ginv[l][a] dz^a and dzb^m to sum_b ginv[b][m] dzb^b
@@ -693,7 +692,7 @@ def test_repeated_raises_do_not_grow_the_memo():
     psis = [random_form(rng, 3, bidegree=(p, q), max_degree=1) for p in range(4) for q in range(4)]
     for psi in psis:
         raise_indices(psi, metric)
-    frame = metric._raising
+    frame = metric._star.frame
     halves = [dict(memo) for memo in frame.halves]
     # the halves of a key are kept, never the whole key
     assert set(halves[0]) == {I for psi in psis for I, _ in psi.terms}
@@ -765,13 +764,33 @@ def test_printed_variants_are_maps_of_the_consistent_star(psi, seed):
         assert printed == Form(n, {(B, A): c for (A, B), c in same.terms.items()})
 
 
-def test_star_rows_keep_halves_only_one_set_per_metric():
-    # the stars under all four conventions share the metric's one set of
-    # rows, which holds the consistent star's halves and no convention
+_ENTRY_POINTS = {
+    "raise_indices": raise_indices,
+    "pointwise_inner": lambda psi, metric: pointwise_inner(psi, psi, metric),
+    "hodge_star": hodge_star,
+    "defining_identity_check": lambda psi, metric: defining_identity_check(psi, psi, metric),
+}
+
+
+@pytest.mark.parametrize("first", list(_ENTRY_POINTS))
+def test_star_rows_keep_halves_only_one_set_per_metric(first):
+    # whichever entry point runs first builds the metric's one set of rows
+    # with its raising frame, and the other three read that object; the
+    # stars under all four conventions share the rows, which hold the
+    # consistent star's halves and no convention
     rng = random.Random(6)
     metric = random_dense_metric(rng, 3)
     psis = [random_form(rng, 3, bidegree=(p, q), max_degree=1) for p in range(4) for q in range(4)]
     assert metric._star is None
+    _ENTRY_POINTS[first](next(psi for psi in psis if psi.terms), metric)
+    built = metric._star
+    assert isinstance(built, pqforms.star._StarRows)
+    frame = built.frame
+    for name, entry in _ENTRY_POINTS.items():
+        if name != first:
+            for psi in psis:
+                entry(psi, metric)
+                assert metric._star is built and built.frame is frame
     rows = []
     for convention in _CONVENTIONS:
         for psi in psis:
@@ -779,7 +798,7 @@ def test_star_rows_keep_halves_only_one_set_per_metric():
             rows.append(metric._star)
     assert isinstance(metric._star, pqforms.star._StarRows) and all(r is metric._star for r in rows)
     assert pqforms.star._StarRows.__slots__ == ("frame", "n", "determinant", "complements")
-    assert metric._star.frame is metric._raising
+    assert metric._star is built and metric._star.frame is frame
     # the halves of a key are kept, never the whole key
     assert set(metric._star.halves[0]) == {I for psi in psis for I, _ in psi.terms}
     assert set(metric._star.halves[1]) == {J for psi in psis for _, J in psi.terms}
