@@ -2,10 +2,12 @@
 
 Single-shot commands over the form DSL.  Each form command is one entry
 of ``_COMMANDS``, which gives its help, the forms and options it reads,
-the module that computes it and how; the parser offers a command only the
-options its entry names, and the dispatch reads the same entry and imports
-only that module, since each call is a fresh interpreter.  Output
-is deterministic: the same argv and input files always produce
+the public pqforms function that computes it and how its report prints;
+the parser offers a command only the options its entry names, and the
+dispatch reads that name from the package, which imports only its home
+module, since each call is a fresh interpreter.  Option values, ``--v``
+among them, are read before the forms, and a form may start with ``-``.
+Output is deterministic: the same argv and input files always produce
 byte-identical stdout.
 Exit codes: 0 success, 2 parse or validation failure, 3 scenario
 deviation under --strict.
@@ -14,9 +16,9 @@ deviation under --strict.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from itertools import islice
+from operator import attrgetter
 from typing import List, Optional
 
 from .choices import CONVENTIONS, DEFAULT_CONVENTION, SCENARIO_IDS
@@ -24,8 +26,7 @@ from .dsl import ParseError, _format_value, parse_form, pretty_print
 from .scalars import format_scalar
 
 
-def _harmonic(calculus, form, metric, convention) -> dict:
-    report = calculus.harmonic_check(form, metric, convention)
+def _harmonic(report) -> dict:
     return {
         "d_vanishes": report.d_vanishes,
         "delta_vanishes": report.delta_vanishes,
@@ -36,15 +37,9 @@ def _harmonic(calculus, form, metric, convention) -> dict:
     }
 
 
-def _oracle_star(realoracle, form, metric, convention) -> dict:
-    report = realoracle.oracle_compare(form, metric, convention)
+def _oracle_star(report) -> dict:
     comparisons = [
-        {
-            "p": cmp.p,
-            "q": cmp.q,
-            "proportional": cmp.proportional,
-            "ratio": format_scalar(cmp.ratio) if cmp.ratio is not None else None,
-        }
+        {**cmp._asdict(), "ratio": format_scalar(cmp.ratio) if cmp.ratio is not None else None}
         for cmp in report.comparisons
     ]
     return {"proportional": report.proportional, "comparisons": comparisons}
@@ -74,74 +69,68 @@ def _metric_for(args: argparse.Namespace):
 
 
 # name: (argparse declaration, value a row reads).  Values are read before the
-# forms are parsed, so a bad metric is reported first; --v stays text until
-# the row parses it, after the forms.
+# forms are parsed, so a bad metric or direction is reported first.
 _OPTIONS = {
     "metric": ({"help": "JSON metric file; identity when omitted"}, _metric_for),
     "convention": (
         {"choices": sorted(CONVENTIONS), "default": "default", "help": "star convention variant"},
         lambda args: CONVENTIONS[args.convention],
     ),
-    "v": ({"required": True, "help": 'direction components, e.g. "1,0,0,0"'}, lambda args: args.v),
+    "v": (
+        {"required": True, "help": 'direction components, e.g. "1,0,0,0"'},
+        lambda args: sys.modules[__package__].Direction.parse(args.v, args.n),
+    ),
 }
 
 _ONE = ("form",)
 _TWO = ("form1", "form2")
 _STAR = ("metric", "convention")
 
-# name: (help, form arguments, options read, module that computes it, result of
-#        (module, *forms, *option values), plain text of a dict result).  The dispatch imports
-# the module when the command runs.  A Form or polynomial result prints canonically and is the
-# "result" key under --json; a dict result is merged into the --json payload.  Rows call the
-# engine through the module, never a stored function, so bench/tracer.py sees each call.
+# name: (help, form arguments, options read, public pqforms function called on (*forms, *option
+#        values), report).  A Form or polynomial result has no report: it prints canonically and
+# is the "result" key under --json.  A report is (fields of the result, their plain text); the
+# fields are merged into the --json payload.
 _COMMANDS = {
-    "star": ("Hodge star of a form", _ONE, _STAR, "star", lambda star, *a: star.hodge_star(*a), None),
-    "d": ("exterior derivative", _ONE, (), "calculus", lambda calculus, *a: calculus.exterior_d(*a), None),
-    "del": (
-        "dz half of the exterior derivative", _ONE, (), "calculus",
-        lambda calculus, *a: calculus.dolbeault_del(*a), None,
-    ),
-    "delbar": (
-        "dzb half of the exterior derivative", _ONE, (), "calculus",
-        lambda calculus, *a: calculus.dolbeault_delbar(*a), None,
-    ),
-    "delta": ("codifferential", _ONE, _STAR, "calculus", lambda calculus, *a: calculus.codifferential(*a), None),
-    "laplacian": ("Hodge Laplacian", _ONE, _STAR, "calculus", lambda calculus, *a: calculus.laplacian(*a), None),
-    "harmonic": ("independent d and delta vanishing check", _ONE, _STAR, "calculus", _harmonic, _fields_text),
+    "star": ("Hodge star of a form", _ONE, _STAR, "hodge_star", None),
+    "d": ("exterior derivative", _ONE, (), "exterior_d", None),
+    "del": ("dz half of the exterior derivative", _ONE, (), "dolbeault_del", None),
+    "delbar": ("dzb half of the exterior derivative", _ONE, (), "dolbeault_delbar", None),
+    "delta": ("codifferential", _ONE, _STAR, "codifferential", None),
+    "laplacian": ("Hodge Laplacian", _ONE, _STAR, "laplacian", None),
+    "harmonic": ("independent d and delta vanishing check", _ONE, _STAR, "harmonic_check", (_harmonic, _fields_text)),
     "oracle-star": (
-        "compare the star against the real-coordinate oracle", _ONE, _STAR, "realoracle", _oracle_star,
-        _oracle_star_text,
+        "compare the star against the real-coordinate oracle", _ONE, _STAR, "oracle_compare",
+        (_oracle_star, _oracle_star_text),
     ),
-    "wedge": (
-        "exterior product of two forms", _TWO, (), "forms", lambda forms, first, second: first.wedge(second), None,
-    ),
-    "inner": (
-        "pointwise inner product of two forms", _TWO, ("metric",), "star",
-        lambda star, *a: star.pointwise_inner(*a), None,
-    ),
-    "obstruction": (
-        "pairing functional against a direction", _ONE, ("v",), "obstruction",
-        lambda obstruction, form, v: obstruction.obstruction(form, obstruction.Direction.parse(v, form.n)), None,
-    ),
+    "wedge": ("exterior product of two forms", _TWO, (), "Form.wedge", None),
+    "inner": ("pointwise inner product of two forms", _TWO, ("metric",), "pointwise_inner", None),
+    "obstruction": ("pairing functional against a direction", _ONE, ("v",), "obstruction", None),
 }
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser.  An option from ``_OPTIONS`` that the command does not
-    declare is reported together with the value after it; argparse alone would
-    read that value as a form and report the form instead."""
+    """A command's parser.  The token after an option that takes a value is that
+    value, whatever it starts with; every other token that is not an option is a
+    form, ``-dz1`` too, and the forms reach argparse in order after one ``--``.
+    An option from ``_OPTIONS`` that the command does not declare is reported
+    together with the value after it, not as a form."""
 
     def parse_known_args(self, args, namespace=None):
-        kept, stray = [], []
+        kept, stray, forms = [], [], []
         tokens = iter(args)
         for token in tokens:
+            action = self._option_string_actions.get(token)
             if token == "--":
-                kept += [token, *tokens]
-            elif token.startswith("--") and token[2:] in _OPTIONS and token not in self._option_string_actions:
+                forms += tokens
+            elif action is None and token.startswith("--") and token[2:] in _OPTIONS:
                 stray += [token, *islice(tokens, 1)]
-            else:
+            elif action is not None and action.nargs != 0:  # "--v=-1,0": argparse never takes the value for an option
+                kept += [f"{token}={value}" for value in islice(tokens, 1)] or [token]
+            elif action is not None or token.startswith("--"):
                 kept.append(token)
-        namespace, extras = super().parse_known_args(kept, namespace)
+            else:
+                forms.append(token)
+        namespace, extras = super().parse_known_args([*kept, "--", *forms], namespace)
         return namespace, stray + extras
 
 
@@ -151,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact symbolic exterior calculus for complex (p,q)-forms",
     )
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for name, (help_text, forms, options, _, _, _) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
+    for name, (help_text, forms, options, _, _) in _COMMANDS.items():
+        # a form may start with "-", so a plain token after an abbreviated option would be ambiguous
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         sub.add_argument("--n", type=int, required=True, help="ambient complex dimension")
         for option in options:
             sub.add_argument(f"--{option}", **_OPTIONS[option][0])
@@ -175,19 +165,21 @@ def _json_text(payload: dict) -> str:
 
 
 def _run_form_command(args: argparse.Namespace) -> int:
-    _, forms, options, module, compute, render = _COMMANDS[args.command]
+    _, forms, options, call, report = _COMMANDS[args.command]
     if args.n < 1:  # before any option: a metric for --n 0 would be an empty matrix
         raise ValueError(f"ambient dimension must be positive, got {args.n}")
     values = [_OPTIONS[option][1](args) for option in options]
     parsed = [parse_form(getattr(args, dest), args.n) for dest in forms]
-    result = compute(importlib.import_module(f".{module}", __package__), *parsed, *values)
+    # The name is read from the package when the command runs, so bench/tracer.py sees each call.
+    result = attrgetter(call)(sys.modules[__package__])(*parsed, *values)
     convention = CONVENTIONS[args.convention] if "convention" in options else DEFAULT_CONVENTION
     payload = {"schema": 1, "op": args.command, "n": args.n, "convention": convention.describe()}
-    if isinstance(result, dict):
-        payload.update(result)
-        text = render(result)
-    else:
+    if report is None:
         payload["result"] = text = _format_value(result)
+    else:
+        fields = report[0](result)
+        payload.update(fields)
+        text = report[1](fields)
     print(_json_text(payload) if args.json else text)
     return 0
 

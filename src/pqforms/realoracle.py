@@ -421,7 +421,7 @@ def oracle_compare(
     if not metric.is_identity():
         raise ValueError("oracle comparison is defined for the identity metric only")
     if psi.n != metric.n:
-        raise ValueError("ambient dimension mismatch")
+        raise ValueError(f"form ambient dimension {psi.n} != metric dimension {metric.n}")
     comparisons = []
     overall = True
     for p, q in sorted(psi.bidegrees()):

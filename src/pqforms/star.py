@@ -98,8 +98,9 @@ def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerP
     coefficients.  psi is raised only at phi's keys, the raising frame read
     at them (``_Frame.at``), as the defining-identity check raises it."""
     n = metric.n
-    if phi.n != n or psi.n != n:
-        raise ValueError("ambient dimension mismatch between forms and metric")
+    for form in (phi, psi):
+        if form.n != n:
+            raise ValueError(f"form ambient dimension {form.n} != metric dimension {n}")
     if phi.is_zero() or psi.is_zero():
         return WirtingerPolynomial.zero(n)
     if phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
@@ -253,7 +254,7 @@ def defining_identity_check(
     n = metric.n
     rows = _star_rows(psi, metric)
     if phi.n != n:
-        raise ValueError(f"ambient dimension mismatch: {phi.n} vs {n}")
+        raise ValueError(f"form ambient dimension {phi.n} != metric dimension {n}")
     literal, printed = convention.conjugation_mode == "literal_eq_2_9", convention.output_index_mode == "printed_eq_2_9"
     stars = []  # (the star side's target, the half-row key of K^c, the quarter turns of s_K)
     for key in phi.terms:

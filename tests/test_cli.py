@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+from operator import attrgetter
 
 import pytest
 
@@ -221,6 +223,60 @@ def test_undeclared_option_is_reported_with_its_value(capsys):
     assert err.endswith("pqforms: error: unrecognized arguments: --convention literal\n")
     code, out, _ = run(capsys, "star", "--n", "1", "--convention", "literal", "--", "dz1")
     assert (code, out) == (0, "i*dz1\n")
+
+
+def test_a_printed_form_that_starts_with_minus_reads_back(capsys):
+    # argparse alone took "-dz2^dzb1" for an option and --v's "-1,0" for a missing value
+    code, out, _ = run(capsys, "delbar", "--n", "2", "zb1*dz2")
+    assert (code, out) == (0, "-dz2^dzb1\n")
+    assert run(capsys, "d", "--n", "2", out[:-1]) == (0, "0\n", "")
+    assert run(capsys, "wedge", "--n", "2", "--json", "-dz1", "--", "-dzb2") == run(
+        capsys, "wedge", "--n", "2", "-dz1", "--json", "-dzb2"
+    )
+    assert run(capsys, "obstruction", "--n", "2", "-dz1", "--v", "-1,0") == (0, "1\n", "")
+
+
+def test_an_abbreviated_option_is_not_read(capsys):
+    # a form may start with "-", so a token after an abbreviated option could be either
+    code, out, err = run(capsys, "star", "--n", "1", "--conv", "literal", "dz1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --conv" in err
+
+
+def test_a_bad_direction_is_reported_before_the_form(capsys):
+    # --v is an option value, read before the forms are parsed, as --metric is
+    assert run(capsys, "obstruction", "--n", "2", "--v", "1", "dz1 +") == (
+        2, "", "error: direction '1' has 1 components, expected 2\n"
+    )
+
+
+def test_each_row_names_a_public_function():
+    for _, _, _, call, _ in _COMMANDS.values():
+        assert call.partition(".")[0] in pqforms.__all__
+        assert callable(attrgetter(call)(pqforms))
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_each_command_calls_its_function_through_the_package(capsys, monkeypatch, name):
+    # a counting wrapper installed as bench/tracer.py installs its own: on the
+    # home module and the package alias, or on the class for a method
+    _, forms, options, call, _ = _COMMANDS[name]
+    argv = [name, "--n", "2", *(["--v", "1,0"] if "v" in options else []), *["dz1"] * len(forms)]
+    expected = run(capsys, *argv)
+    original, calls = attrgetter(call)(pqforms), []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    owner, _, attr = call.rpartition(".")
+    if owner:
+        monkeypatch.setattr(getattr(pqforms, owner), attr, counting)
+    else:
+        monkeypatch.setattr(importlib.import_module(f"pqforms.{pqforms._HOME[call]}"), call, counting)
+        monkeypatch.setattr(pqforms, call, counting)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0 and len(calls) == 1
 
 
 def test_oracle_star_rejects_non_identity_metric(capsys, tmp_path):

@@ -564,5 +564,5 @@ def test_a_warm_oracle_star_builds_one_polynomial_per_output_key(monkeypatch):
 
 @pytest.mark.parametrize("n, metric_n", [(2, 3), (3, 2)])
 def test_oracle_compare_checks_the_metric_dimension(n, metric_n):
-    with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+    with pytest.raises(ValueError, match=f"^form ambient dimension {n} != metric dimension {metric_n}$"):
         oracle_compare(Form.term(n, (1,), (), 1), HermitianMetric.identity(metric_n))

@@ -638,11 +638,11 @@ _MIXED = Form.term(2, (1,), (), 1) + Form.term(2, (1,), (1,), 1)
         (_MIXED, _dz(2, 1), r"form is not homogeneous: bidegrees \[\(1, 0\), \(1, 1\)\]"),
         (_dz(2, 1), _MIXED, r"form is not homogeneous: bidegrees \[\(1, 0\), \(1, 1\)\]"),
         (_dz(2, 1), _dz(3, 1), "form ambient dimension 3 != metric dimension 2"),
-        (_dz(3, 1), _dz(2, 1), "ambient dimension mismatch: 3 vs 2"),
+        (_dz(3, 1), _dz(2, 1), "form ambient dimension 3 != metric dimension 2"),
         # the checks run in this order: bidegree, then psi against the metric, then phi
         (_dz(3, 1), Form.term(2, (), (1,), 1), "defining identity needs forms of equal bidegree"),
         (_dz(3, 1), _dz(3, 1), "form ambient dimension 3 != metric dimension 2"),
-        (Form.zero(3), _dz(2, 1), "ambient dimension mismatch: 3 vs 2"),
+        (Form.zero(3), _dz(2, 1), "form ambient dimension 3 != metric dimension 2"),
         (_dz(2, 1), Form.zero(3), "form ambient dimension 3 != metric dimension 2"),
     ],
 )
@@ -709,7 +709,14 @@ def test_repeated_raises_do_not_grow_the_memo():
     [(_dz(2, 1), _dz(2, 1)), (_dz(2, 1), _dz(3, 1)), (_dz(3, 1), _dz(2, 1))],
 )
 def test_pointwise_inner_checks_the_metric_dimension(phi, psi):
-    with pytest.raises(ValueError, match="^ambient dimension mismatch between forms and metric$"):
+    with pytest.raises(ValueError, match="^form ambient dimension 2 != metric dimension 3$"):
+        pointwise_inner(phi, psi, HermitianMetric.identity(3))
+
+
+@pytest.mark.parametrize("phi, psi", [(_dz(4, 1), _dz(3, 1)), (_dz(3, 1), _dz(4, 1)), (_dz(4, 1), _dz(2, 1))])
+def test_pointwise_inner_names_the_offending_form(phi, psi):
+    # phi is checked first, then psi
+    with pytest.raises(ValueError, match="^form ambient dimension 4 != metric dimension 3$"):
         pointwise_inner(phi, psi, HermitianMetric.identity(3))
 
 
