@@ -194,7 +194,7 @@ class _Parser:
             return terms[0]
         if all(isinstance(term, WirtingerPolynomial) for term in terms):
             return WirtingerPolynomial._sum(self.n, terms)
-        return Form(self.n, _summed(_as_form(term, self.n) for term in terms))
+        return Form._trusted(self.n, _summed(_as_form(term, self.n) for term in terms))
 
     def term(self, sign: int) -> _Value:
         """term := coeff "*" factors | coeff | factors, with coeff a product."""
@@ -336,7 +336,7 @@ def _cost(products: int, bits: float) -> int:
 
 
 def _as_form(value: _Value, n: int) -> Form:
-    return value if isinstance(value, Form) else Form.from_scalar(n, value)
+    return value if isinstance(value, Form) else Form._trusted(n, [(((), ()), value)])
 
 
 def _parse(src: str, n: int, polynomial: bool) -> _Value:

@@ -12,24 +12,25 @@ wedge, derivative, canonicalization and codec sign is one of the two, and
 The term store is one private base class, ``_TermStore``, of which
 ``Form`` and the oracle's ``RealForm`` are thin subclasses.  It is itself
 a ``wpoly._TermMap``, the protocol it shares with ``WirtingerPolynomial``
-(``zero``, negation, difference, ``is_zero``, truth value, equality and
-hashing); the store adds the constructors, ``_coerce``, the sum, scaling,
-the degrees and the repr, and each subclass gives only how its keys are
-checked, their degree and the names of their differentials, besides its
-own ``term`` and ``wedge``.  ``_merged`` is the one merge loop of both and
-``_wedge_terms`` the one wedge loop, so every sum is built in a single
-constructor call.
-The public constructors validate each key and coefficient (``_checked``)
-before the merge; the internal ops build through the trusted
-``_trusted``, which checks nothing.  It merges an iterable of pairs, as a
-sum, a wedge or a derivative yields them, and stores a ``dict`` as it
-is: a dict cannot repeat a key, so the builders whose keys are distinct
-by construction (a pull-back, a component, a conjugate, a negation, a
-nonzero scaling) pass their own term map and nothing is merged again.
-A repeated key's coefficients are summed in place into one term map by
-``wpoly._add_into``, the one in-place sum.  ``_run_key`` is the one fold of
-a run of differentials through ``_key_product``, for ``Form.from_factors``
-and the parser.
+(the validating constructor, the sum, ``_coerce``, ``zero``, negation,
+difference, ``is_zero``, truth value, equality and hashing); the store
+adds how a pair is checked, merged and lifted, the trusted constructor,
+scaling, the degrees and the repr, and each subclass gives only how its
+keys are checked, their degree and the names of their differentials,
+besides its own ``term`` and ``wedge``.  ``_merged`` is the one merge loop
+of both and ``_wedge_terms`` the one wedge loop, so every sum is built in
+a single constructor call.
+The public constructors validate each key and coefficient
+(``_TermStore._checked``) before the merge; the internal ops build
+through the trusted ``_trusted``, which checks nothing.  It merges an
+iterable of pairs, as a sum, a wedge or a derivative yields them, and
+stores a ``dict`` as it is: a dict cannot repeat a key, so the builders
+whose keys are distinct by construction (a pull-back, a component, a
+conjugate, a negation, a nonzero scaling) pass their own term map and
+nothing is merged again.  A repeated key's coefficients are summed in
+place into one term map by ``wpoly._add_into``, the one in-place sum.
+``_run_key`` is the one fold of a run of differentials through
+``_key_product``, for ``Form.from_factors`` and the parser.
 
 Index raising, ``transform_form`` and the Hodge star pull forms back
 through a ``_Frame``, a change of generators on constants (the star's
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .scalars import ONE, GaussianRational, _quarter_turned
 from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial, _add_into, _TermMap
@@ -56,7 +57,6 @@ TermKey = Tuple[MultiIndex, MultiIndex]
 Factor = Tuple[str, int]  # (kind, index): ("z", 3) means dz3, ("zb", 3) means dzb3
 
 CoeffLike = Union[PolyLike, "WirtingerPolynomial"]
-TermsLike = Union[Mapping[TermKey, CoeffLike], Iterable[Tuple[TermKey, CoeffLike]], None]
 
 
 def _shuffled(a: MultiIndex, b: MultiIndex) -> Tuple[MultiIndex, int]:
@@ -149,24 +149,6 @@ def _merged(pairs: Iterable[Tuple[Any, WirtingerPolynomial]]) -> Dict[Any, Wirti
     for key, terms in sums.items():
         clean[key] = WirtingerPolynomial._trusted(clean[key].n, terms)
     return {key: coeff for key, coeff in clean.items() if coeff.terms}
-
-
-def _checked(n: int, terms, check_key: Callable[[Any, int], Hashable]) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
-    """The validation of the public form constructors, feeding ``_merged``.
-
-    ``terms`` is a mapping or an iterable of (key, coeff) pairs.  Each key
-    passes through ``check_key`` and each coefficient becomes a polynomial
-    of dimension n.
-    """
-    if n < 1:
-        raise ValueError(f"ambient dimension must be positive, got {n}")
-    for key, coeff in () if terms is None else terms.items() if isinstance(terms, Mapping) else terms:
-        key = check_key(key, n)
-        if not isinstance(coeff, WirtingerPolynomial):
-            coeff = WirtingerPolynomial.constant(n, coeff)
-        elif coeff.n != n:
-            raise ValueError(f"coefficient ambient dimension {coeff.n} != {n}")
-        yield key, coeff
 
 
 def _summed(forms: Iterable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
@@ -289,14 +271,26 @@ class _TermStore(_TermMap):
     has its own ``term`` constructor and its own ``wedge``, which passes
     ``_wedge_terms`` the product of its keys (``_key_product`` or
     ``_shuffled``).  ``terms`` may be a mapping or an iterable of
-    (key, coeff) pairs; repeated keys are summed.
+    (key, coeff) pairs; repeated keys are summed.  The sum of two stores
+    is ``_TermMap.__add__``, and ``_coerce`` lifts no other operand.
     """
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: TermsLike = None):
-        self.terms = _merged(_checked(n, terms, self._check_key))
-        self.n = n
+    _merged = staticmethod(_merged)
+
+    def _checked(self, n: int, key, coeff: CoeffLike) -> Tuple[Any, WirtingerPolynomial]:
+        """A pair of the public constructors: the key through ``_check_key``,
+        the coefficient as a polynomial of dimension n."""
+        key = self._check_key(key, n)
+        if not isinstance(coeff, WirtingerPolynomial):
+            coeff = WirtingerPolynomial.constant(n, coeff)
+        elif coeff.n != n:
+            raise ValueError(f"coefficient ambient dimension {coeff.n} != {n}")
+        return key, coeff
+
+    def _lift(self, other):
+        raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
 
     @classmethod
     def _trusted(cls, n: int, terms: Union[dict, Iterable[Tuple[Any, WirtingerPolynomial]]]):
@@ -309,18 +303,7 @@ class _TermStore(_TermMap):
         form.terms = terms if isinstance(terms, dict) else _merged(terms)
         return form
 
-    def _coerce(self, other):
-        """``other`` if it is a form of the same kind and dimension."""
-        if not isinstance(other, type(self)):
-            raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
-        if other.n != self.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-        return other
-
     # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other):
-        return self._trusted(self.n, _summed((self, self._coerce(other))))
 
     def scale(self, value: CoeffLike):
         """Multiply every coefficient by a scalar or polynomial."""

@@ -75,10 +75,10 @@ class Direction(NamedTuple("Direction", [("n", int), ("components", Tuple[Gaussi
 
         Each component is read by ``parse_scalar``, the metric-file grammar,
         and must have no imaginary part."""
-        parts = [p for p in text.split(",")]
+        parts = text.split(",")
         if len(parts) != n:
             raise ValueError(f"direction {text!r} has {len(parts)} components, expected {n}")
-        return cls(n, tuple(_real(p) for p in parts))
+        return cls(n, parts)
 
     def component(self, index: int) -> GaussianRational:
         return self.components[index - 1]

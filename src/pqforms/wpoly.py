@@ -7,17 +7,20 @@ slots are zb-exponents) to nonzero Gaussian-rational coefficients, so two
 polynomials are equal exactly when their term maps are equal.
 
 A polynomial and a form share one term-map protocol, the private base
-``_TermMap``: ``zero``, negation, difference, ``is_zero``, truth value,
-equality and hashing are written once there, and ``WirtingerPolynomial``
-and the form store ``forms._TermStore`` give their constructors, their
-``_coerce`` and their sum.  ``_add_into`` is the one in-place sum of the
-engine: it adds (key, value) pairs into one map, for a polynomial sum, a
-repeated key of a form merge and each step of a frame's half-row fold.
+``_TermMap``: the validating constructor, the sum, ``_coerce``, ``zero``,
+negation, difference, ``is_zero``, truth value, equality and hashing are
+written once there.  ``WirtingerPolynomial`` and the form store
+``forms._TermStore`` give only how a pair is checked (``_checked``), how
+pairs are merged (``_merged``), how another operand is lifted (``_lift``)
+and the trusted constructor ``_trusted``.  ``_add_into`` is the one
+in-place sum of the engine: it adds (key, value) pairs into one map, for a
+polynomial merge, a repeated key of a form merge and each step of a
+frame's half-row fold.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from operator import add
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Tuple, Union
 
@@ -50,12 +53,38 @@ def _add_into(out: Dict[Hashable, GaussianRational], pairs: Iterable[Tuple[Hasha
 class _TermMap:
     """The protocol of a sparse term map, shared by ``WirtingerPolynomial``
     and the term store of forms (``forms._TermStore``): a dimension n and a
-    map ``terms`` from keys to nonzero values.  A subclass gives its
-    constructors (``__init__`` and the trusted ``_trusted``), ``_coerce``,
-    which returns an operand of the same kind and dimension, and ``__add__``;
-    the rest of the linear structure, equality and hashing are here."""
+    map ``terms`` from keys to nonzero values.
+
+    The validating constructor reads ``terms`` as a mapping or an iterable
+    of (key, value) pairs, checks each pair and merges them, so a repeated
+    key is summed.  A subclass gives ``_checked(n, key, value)``, which
+    returns the checked pair or raises, ``_merged(pairs)``, which sums
+    repeated keys and drops zeros, ``_lift(other)``, an operand of another
+    type as one of its own kind or an error, and the trusted constructor
+    ``_trusted(n, terms)``, which stores a ``dict`` as a term map and
+    merges an iterable of pairs.  The sum, ``_coerce``, the rest of the
+    linear structure, equality and hashing are here."""
 
     __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: Union[Mapping, Iterable[Tuple[Hashable, object]], None] = None):
+        if n < 1:
+            raise ValueError(f"ambient dimension must be positive, got {n}")
+        pairs = () if terms is None else terms.items() if isinstance(terms, Mapping) else terms
+        self.n = n
+        self.terms = self._merged(self._checked(n, key, value) for key, value in pairs)
+
+    def _coerce(self, other):
+        """``other`` if it is a term map of the same kind and dimension,
+        else ``_lift(other)``."""
+        if isinstance(other, type(self)):
+            if other.n != self.n:
+                raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
+            return other
+        return self._lift(other)
+
+    def __add__(self, other):
+        return self._trusted(self.n, chain(self.terms.items(), self._coerce(other).terms.items()))
 
     @classmethod
     def zero(cls, n: int):
@@ -87,33 +116,32 @@ class WirtingerPolynomial(_TermMap):
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping[Exponents, GaussianRational] | None = None):
-        if n < 1:
-            raise ValueError(f"ambient dimension must be positive, got {n}")
-        clean: Dict[Exponents, GaussianRational] = {}
-        if terms:
-            for exponents, coeff in terms.items():
-                exponents = tuple(exponents)
-                if len(exponents) != 2 * n:
-                    raise ValueError(
-                        f"exponent vector {exponents} has length {len(exponents)}, expected {2 * n}"
-                    )
-                if any(e < 0 for e in exponents):
-                    raise ValueError(f"negative exponent in {exponents}")
-                coeff = GaussianRational.coerce(coeff)
-                if not coeff.is_zero():
-                    clean[exponents] = coeff
-        self.n = n
-        self.terms = clean
+    @staticmethod
+    def _checked(n: int, exponents: Iterable[int], coeff: ScalarLike) -> Tuple[Exponents, GaussianRational]:
+        """A pair of the public constructor: an exponent vector of length 2n
+        with no negative entry, and a scalar."""
+        exponents = tuple(exponents)
+        if len(exponents) != 2 * n:
+            raise ValueError(f"exponent vector {exponents} has length {len(exponents)}, expected {2 * n}")
+        if any(e < 0 for e in exponents):
+            raise ValueError(f"negative exponent in {exponents}")
+        return exponents, GaussianRational.coerce(coeff)
+
+    @staticmethod
+    def _merged(pairs: Iterable[Tuple[Exponents, GaussianRational]]) -> Dict[Exponents, GaussianRational]:
+        """The term map of (exponents, scalar) pairs: repeated exponent
+        vectors summed by ``_add_into``, zero coefficients dropped."""
+        return {e: c for e, c in _add_into({}, pairs).items() if c}
 
     @classmethod
-    def _trusted(cls, n: int, terms: Mapping[Exponents, GaussianRational]) -> "WirtingerPolynomial":
+    def _trusted(cls, n: int, terms: Union[dict, Iterable[Tuple[Exponents, GaussianRational]]]) -> "WirtingerPolynomial":
         """The constructor of the internal ops: the keys are already exponent
-        tuples of length 2n and the values ``GaussianRational``s, so only the
-        zero coefficients are dropped."""
+        tuples of length 2n and the values ``GaussianRational``s.  A ``dict``
+        has only its zero coefficients dropped; an iterable of pairs is
+        merged."""
         poly = _new(cls)
         poly.n = n
-        poly.terms = {e: c for e, c in terms.items() if c}
+        poly.terms = {e: c for e, c in terms.items() if c} if isinstance(terms, dict) else cls._merged(terms)
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -149,30 +177,20 @@ class WirtingerPolynomial(_TermMap):
             raise ValueError(f"variable index {index} out of range 1..{n}")
         return index - 1 if kind == Z else n + index - 1
 
-    # -- coercion ----------------------------------------------------------
-
-    def _coerce(self, other: PolyLike) -> "WirtingerPolynomial":
-        if isinstance(other, WirtingerPolynomial):
-            if other.n != self.n:
-                raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-            return other
-        return WirtingerPolynomial.constant(self.n, other)
+    def _lift(self, value: ScalarLike) -> "WirtingerPolynomial":
+        """A scalar operand as a constant polynomial; n is already checked,
+        so only the scalar is."""
+        return WirtingerPolynomial._trusted(self.n, {(0,) * (2 * self.n): GaussianRational.coerce(value)})
 
     # -- ring operations ----------------------------------------------------
 
     @classmethod
     def _sum(cls, n: int, polys: Iterable["WirtingerPolynomial"]) -> "WirtingerPolynomial":
         """The sum of polynomials of dimension n, built once: their terms
-        are added in place into one map (``_add_into``)."""
-        out: Dict[Exponents, GaussianRational] = {}
-        for poly in polys:
-            _add_into(out, poly.terms.items())
-        return cls._trusted(n, out)
+        are merged into one map (``_merged``)."""
+        return cls._trusted(n, chain.from_iterable(poly.terms.items() for poly in polys))
 
-    def __add__(self, other: PolyLike) -> "WirtingerPolynomial":
-        return WirtingerPolynomial._trusted(self.n, _add_into(dict(self.terms), self._coerce(other).terms.items()))
-
-    __radd__ = __add__
+    __add__ = __radd__ = _TermMap.__add__
 
     def __rsub__(self, other: PolyLike) -> "WirtingerPolynomial":
         return self._coerce(other) + (-self)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from importlib import import_module
 from itertools import combinations, permutations
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _factors, brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, polys, random_dense_metric, random_form, recording_trusted, scalars
+from helpers import _factors, brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, multi_indices, polys, random_dense_metric, random_form, recording_trusted, scalars
 from pqforms import (
     Form,
     GaussianRational,
@@ -376,6 +377,40 @@ def test_public_constructor_rejections(n, terms, message):
         Form(n, terms)
     with pytest.raises(ValueError, match=message):
         Form(n, list(terms.items()) if terms else terms)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Form.term(2, (1,), ()) + 3, TypeError, "expected a Form, got int"),
+        (lambda: Form.term(2, (1,), ()) + RealForm.term(2, (1,), 1), TypeError, "expected a Form, got RealForm"),
+        (lambda: Form.term(2, (1,), ()) - 3, TypeError, "expected a Form, got int"),
+        (lambda: Form.term(2, (1,), ()) ^ 3, TypeError, "expected a Form, got int"),
+        (lambda: RealForm.term(2, (1,), 1) + Form.term(2, (1,), ()), TypeError, "expected a RealForm, got Form"),
+        (lambda: Form.term(2, (1,), ()) + Form.term(3, (1,), ()), ValueError, "ambient dimension mismatch: 2 vs 3"),
+        (lambda: Form.term(2, (1,), ()) ^ Form.term(3, (1,), ()), ValueError, "ambient dimension mismatch: 2 vs 3"),
+        (lambda: RealForm.term(2, (1,), 1) + RealForm.term(3, (1,), 1), ValueError, "ambient dimension mismatch: 2 vs 3"),
+        (lambda: Form(2, {((1,), ()): "1"}), TypeError, "cannot interpret '1' as a Gaussian rational"),
+        # a bad key with a bad coefficient reports the key
+        (lambda: Form(2, {((3,), ()): "1"}), ValueError, "dz index 3 out of range 1..2"),
+        (lambda: Form(2, [(((), (2, 1)), WirtingerPolynomial.z(3, 1))]), ValueError, "dzb multi-index (2, 1) is not strictly increasing"),
+        (lambda: RealForm(2, {(5,): "1"}), ValueError, "real index 5 out of range 1..4"),
+    ],
+)
+def test_constructor_and_sum_messages(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_public_constructor_agrees_with_trusted_on_pairs(data):
+    # repeated keys, zero coefficients and cancelling pairs
+    n = data.draw(st.integers(1, 2))
+    keys = data.draw(st.lists(st.tuples(multi_indices(n), multi_indices(n)), min_size=1, max_size=3))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(keys), polys(n=n, max_terms=2)), max_size=5))
+    pairs += [(key, -c) for key, c in pairs[: data.draw(st.integers(0, len(pairs)))]]
+    assert Form(n, pairs) == Form._trusted(n, pairs)
 
 
 @pytest.mark.parametrize(

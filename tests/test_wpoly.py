@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import polys, scalars
+from helpers import exponent_vectors, polys, scalars
 from pqforms import GaussianRational, WirtingerPolynomial, gaussian
 from pqforms.wpoly import Z, ZBAR
 
@@ -224,3 +225,43 @@ def test_polynomial_repr_zero_and_nonzero():
     # monomials by descending exponent vector, each coefficient in parentheses
     assert repr(p) == "<poly (i)*z1*zb2 + (-1)>"
     assert repr(WirtingerPolynomial.zero(n)) == "<poly 0>"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: WirtingerPolynomial(2, {(1, 0, 0): 1}), ValueError, "exponent vector (1, 0, 0) has length 3, expected 4"),
+        (lambda: WirtingerPolynomial(2, {(1, -1, 0, 0): 1}), ValueError, "negative exponent in (1, -1, 0, 0)"),
+        (lambda: WirtingerPolynomial(2, {(1, 0, 0, 0): "1"}), TypeError, "cannot interpret '1' as a Gaussian rational"),
+        # a bad key with a bad coefficient reports the key
+        (lambda: WirtingerPolynomial(2, {(1, 0, 0): "1"}), ValueError, "exponent vector (1, 0, 0) has length 3, expected 4"),
+        (lambda: WirtingerPolynomial(2, {(0, 0, -1, 0): 0.5}), ValueError, "negative exponent in (0, 0, -1, 0)"),
+        (lambda: z(2, 1) + z(3, 1), ValueError, "ambient dimension mismatch: 2 vs 3"),
+        (lambda: z(2, 1) * zb(3, 1), ValueError, "ambient dimension mismatch: 2 vs 3"),
+        (lambda: z(2, 1) - "1", TypeError, "cannot interpret '1' as a Gaussian rational"),
+    ],
+)
+def test_constructor_and_sum_messages(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_public_constructor_sums_pairs():
+    # a repeated exponent vector is summed and a cancelling pair dropped, as
+    # the sum of the one-term polynomials
+    n = 2
+    pairs = [((1, 0, 0, 1), 2), ([0, 0, 0, 0], gaussian(1, 1)), ((1, 0, 0, 1), Fraction(1, 2)), ((0, 1, 0, 0), 3), ((0, 1, 0, 0), -3)]
+    built = WirtingerPolynomial(n, pairs)
+    assert built == sum((WirtingerPolynomial(n, {tuple(e): c}) for e, c in pairs), WirtingerPolynomial.zero(n))
+    assert built.terms == {(1, 0, 0, 1): gaussian(Fraction(5, 2)), (0, 0, 0, 0): gaussian(1, 1)}
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_public_constructor_agrees_with_trusted_on_pairs(data):
+    # repeated keys, zero values and cancelling pairs
+    n = data.draw(st.integers(1, 2))
+    keys = data.draw(st.lists(exponent_vectors(n, 1), min_size=1, max_size=3))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(keys), scalars() | st.just(gaussian(0))), max_size=6))
+    pairs += [(e, -c) for e, c in pairs[: data.draw(st.integers(0, len(pairs)))]]
+    assert WirtingerPolynomial(n, pairs) == WirtingerPolynomial._trusted(n, pairs)
