@@ -277,7 +277,11 @@ class _TermStore(_TermMap):
 
     __slots__ = ()
 
-    _merged = staticmethod(_merged)
+    @staticmethod
+    def _merged(pairs: Iterable[Tuple[Any, WirtingerPolynomial]]) -> Dict[Any, WirtingerPolynomial]:
+        """The module's ``_merged``, looked up when called, so the public
+        constructors and ``_trusted`` reach the one merge loop by one name."""
+        return _merged(pairs)
 
     def _checked(self, n: int, key, coeff: CoeffLike) -> Tuple[Any, WirtingerPolynomial]:
         """A pair of the public constructors: the key through ``_check_key``,

@@ -24,7 +24,7 @@ from itertools import chain, compress
 from operator import add
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Tuple, Union
 
-from .scalars import ZERO, GaussianRational, ScalarLike, _power
+from .scalars import ONE, ZERO, GaussianRational, ScalarLike, _power
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -62,8 +62,10 @@ class _TermMap:
     repeated keys and drops zeros, ``_lift(other)``, an operand of another
     type as one of its own kind or an error, and the trusted constructor
     ``_trusted(n, terms)``, which stores a ``dict`` as a term map and
-    merges an iterable of pairs.  The sum, ``_coerce``, the rest of the
-    linear structure, equality and hashing are here."""
+    merges an iterable of pairs with the same ``_merged``.  The validating
+    constructor merges through ``_merged``, not ``_trusted``, so that each
+    trusted build can be checked against it.  The sum, ``_coerce``, the
+    rest of the linear structure, equality and hashing are here."""
 
     __slots__ = ("n", "terms")
 
@@ -148,7 +150,10 @@ class WirtingerPolynomial(_TermMap):
 
     @classmethod
     def constant(cls, n: int, value: ScalarLike) -> "WirtingerPolynomial":
-        return cls(n, {(0,) * (2 * n): GaussianRational.coerce(value)})
+        """A constant, built trusted; an n below 1 goes to the validating
+        constructor, which rejects it."""
+        terms = {(0,) * (2 * n): GaussianRational.coerce(value)}
+        return cls._trusted(n, terms) if n > 0 else cls(n, terms)
 
     @classmethod
     def one(cls, n: int) -> "WirtingerPolynomial":
@@ -156,10 +161,12 @@ class WirtingerPolynomial(_TermMap):
 
     @classmethod
     def variable(cls, n: int, kind: str, index: int) -> "WirtingerPolynomial":
+        """The variable z_index or zb_index; ``_slot`` rejects any n < 1,
+        since no index lies in 1..n."""
         slot = cls._slot(n, kind, index)
         exponents = [0] * (2 * n)
         exponents[slot] = 1
-        return cls(n, {tuple(exponents): GaussianRational.coerce(1)})
+        return cls._trusted(n, {tuple(exponents): ONE})
 
     @classmethod
     def z(cls, n: int, index: int) -> "WirtingerPolynomial":

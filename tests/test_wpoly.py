@@ -239,6 +239,13 @@ def test_polynomial_repr_zero_and_nonzero():
         (lambda: z(2, 1) + z(3, 1), ValueError, "ambient dimension mismatch: 2 vs 3"),
         (lambda: z(2, 1) * zb(3, 1), ValueError, "ambient dimension mismatch: 2 vs 3"),
         (lambda: z(2, 1) - "1", TypeError, "cannot interpret '1' as a Gaussian rational"),
+        # the named constructors build trusted but still reject a bad n or value
+        (lambda: WirtingerPolynomial.constant(0, 1), ValueError, "ambient dimension must be positive, got 0"),
+        (lambda: WirtingerPolynomial.one(-1), ValueError, "ambient dimension must be positive, got -1"),
+        (lambda: WirtingerPolynomial.zero(0), ValueError, "ambient dimension must be positive, got 0"),
+        (lambda: WirtingerPolynomial.constant(2, "1"), TypeError, "cannot interpret '1' as a Gaussian rational"),
+        (lambda: WirtingerPolynomial.z(0, 1), ValueError, "variable index 1 out of range 1..0"),
+        (lambda: WirtingerPolynomial.zb(2, 3), ValueError, "variable index 3 out of range 1..2"),
     ],
 )
 def test_constructor_and_sum_messages(build, error, message):
