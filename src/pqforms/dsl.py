@@ -239,7 +239,7 @@ class _Parser:
         return self.group(token)
 
     def constant(self, value: GaussianRational) -> WirtingerPolynomial:
-        return WirtingerPolynomial._trusted(self.n, {self.origin: value})
+        return WirtingerPolynomial._trusted(self.n, {self.origin: value} if value else {})
 
     def power(self, base: WirtingerPolynomial) -> WirtingerPolynomial:
         if self.peek() != "pow":

@@ -12,7 +12,7 @@ wedge, derivative, canonicalization and codec sign is one of the two, and
 The term store is one private base class, ``_TermStore``, of which
 ``Form`` and the oracle's ``RealForm`` are thin subclasses.  It is itself
 a ``wpoly._TermMap``, the protocol it shares with ``WirtingerPolynomial``
-(the validating constructor, the sum, ``_coerce``, ``zero``, negation,
+(the validating constructor, the sum of two stores, ``_coerce``, ``zero``, negation,
 difference, ``is_zero``, truth value, equality and hashing); the store
 adds how a pair is checked, merged and lifted, the trusted constructor,
 scaling, the degrees and the repr, and each subclass gives only how its
@@ -50,7 +50,7 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .scalars import ONE, GaussianRational, _quarter_turned
-from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial, _add_into, _TermMap
+from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial, _add_into, _nonzero, _TermMap
 
 MultiIndex = Tuple[int, ...]
 TermKey = Tuple[MultiIndex, MultiIndex]
@@ -192,7 +192,7 @@ def _pulled_back(n: int, terms: Mapping, image: Callable, read=attrgetter("terms
             for exponents, c in monomials:
                 prev = out.get(exponents)
                 out[exponents] = c * scalar if prev is None else prev + c * scalar
-    return {key: WirtingerPolynomial._trusted(n, out) for key, out in sums.items() if any(out.values())}
+    return {key: WirtingerPolynomial._trusted(n, terms) for key, out in sums.items() if (terms := _nonzero(out))}
 
 
 class _Frame:
@@ -229,8 +229,7 @@ class _Frame:
         generators = self.generators[side]
         row = generators[indices[0] - 1] if indices else {(): ONE}
         for k in indices[1:]:
-            sums = _add_into({}, _wedge_terms(row, generators[k - 1], _shuffled))
-            row = {key: c for key, c in sums.items() if c}
+            row = _add_into({}, _wedge_terms(row, generators[k - 1], _shuffled))
         return row
 
     def _turns(self, key: TermKey) -> int:

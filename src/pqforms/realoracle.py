@@ -42,18 +42,25 @@ of a key, its ``term`` constructor and its ``wedge`` are its own.  The
 oracle is thus independent of the complex star but not of the container,
 so the tests check realify(a ^ b) == realify(a) ^ realify(b) on random
 forms.
+
+``oracle_compare`` judges the engine star by these rows: where the engine
+star's rows of psi's keys are one ratio times the oracle's, the two stars
+of psi are too, and the verdict is read from the rows with no form built.
+Where they are not, or under the literal conjugation, both stars of each
+component are built and compared form against form.  The oracle's rows
+never read the engine's, so a wrong engine row still fails the check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .forms import Form, TermKey, _TermStore, _pulled_back, _shuffled, _validate_multi_index, _wedge_terms, complement
 from .metric import HermitianMetric
 from .scalars import GaussianRational, _reduced, gaussian
-from .star import DEFAULT_CONVENTION, StarConvention, hodge_star
+from .star import DEFAULT_CONVENTION, StarConvention, _star_rows, hodge_star
 from .wpoly import WirtingerPolynomial
 
 RealIndex = Tuple[int, ...]
@@ -407,6 +414,30 @@ def _proportionality_ratio(engine: Form, oracle: Form) -> Tuple[bool, Optional[G
     return True, ratio
 
 
+def _row_ratio(keys: Iterable[TermKey], engine_rows: Callable, oracle_rows: Callable, printed: bool) -> Optional[GaussianRational]:
+    """The one ratio r with each key's engine row r times its oracle row,
+    or None.  Every key's two rows must have the same targets, the engine's
+    relabelled by swapping each key's halves under the printed output, and
+    every engine constant must be r times the oracle's; the ratio is read
+    at the first pair.  Both stars pull each coefficient back conjugated
+    through these rows, so then hodge_star(part) == oracle_star(part).scale(r)."""
+    ratio = None
+    for key in keys:
+        engine = {(B, A) if printed else (A, B): c for (A, B), c in engine_rows(key)}
+        oracle = oracle_rows(key)
+        if len(engine) != len(oracle):
+            return None
+        for target, c in oracle:
+            value = engine.get(target)
+            if value is None:
+                return None
+            if ratio is None:
+                ratio = value / c
+            elif value != c * ratio:
+                return None
+    return ratio
+
+
 def oracle_compare(
     psi: Form,
     metric: HermitianMetric,
@@ -417,18 +448,40 @@ def oracle_compare(
     Restricted to the identity metric, where the Euclidean real star is
     the matching ground truth.  Reports the exact proportionality constant
     per (p,q)-component or flags the mismatch.
+
+    Both stars are linear maps on keys with constant rows, and both read
+    each coefficient conjugated: the engine's rows are the metric's star
+    rows (``star._StarRows.image``), the oracle's the codec's
+    (``_Codec.star``, built from realify, the Euclidean star and
+    complexify alone).  Under single conjugation a bidegree is judged on
+    the rows of its keys first (``_row_ratio``): when every key's two rows
+    agree up to one ratio r, the two stars of the component agree up to r
+    by linearity, and r is the ratio the forms give, since the ratio of
+    two proportional nonzero forms is unique.  Then no component, no star
+    and no polynomial is built.  In every other case, a row mismatch or
+    the literal conjugation, whose engine star does not read the
+    coefficients as the oracle does, the component is built and its two
+    stars are compared form against form (``_proportionality_ratio``).
+    A wrong engine row thus still fails the check, on the form level.
     """
     if not metric.is_identity():
         raise ValueError("oracle comparison is defined for the identity metric only")
     if psi.n != metric.n:
         raise ValueError(f"form ambient dimension {psi.n} != metric dimension {metric.n}")
+    single, printed = convention.conjugation_mode == "single", convention.output_index_mode == "printed_eq_2_9"
+    engine_rows, oracle_rows = _star_rows(psi, metric).image, _codec(psi.n).star
+    keys: Dict[Tuple[int, int], List[TermKey]] = {}  # bidegree -> psi's keys of it
+    for key in psi.terms:
+        keys.setdefault((len(key[0]), len(key[1])), []).append(key)
     comparisons = []
     overall = True
-    for p, q in sorted(psi.bidegrees()):
-        part = psi.component(p, q)
-        engine = hodge_star(part, metric, convention)
-        oracle = oracle_star(part)
-        proportional, ratio = _proportionality_ratio(engine, oracle)
+    for p, q in sorted(keys):
+        ratio = _row_ratio(keys[p, q], engine_rows, oracle_rows, printed) if single else None
+        if ratio is not None:
+            proportional = True
+        else:
+            part = psi.component(p, q)
+            proportional, ratio = _proportionality_ratio(hodge_star(part, metric, convention), oracle_star(part))
         overall = overall and proportional
         comparisons.append(BidegreeComparison(p=p, q=q, proportional=proportional, ratio=ratio))
     return OracleReport(

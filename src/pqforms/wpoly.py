@@ -12,10 +12,14 @@ negation, difference, ``is_zero``, truth value, equality and hashing are
 written once there.  ``WirtingerPolynomial`` and the form store
 ``forms._TermStore`` give only how a pair is checked (``_checked``), how
 pairs are merged (``_merged``), how another operand is lifted (``_lift``)
-and the trusted constructor ``_trusted``.  ``_add_into`` is the one
-in-place sum of the engine: it adds (key, value) pairs into one map, for a
-polynomial merge, a repeated key of a form merge and each step of a
-frame's half-row fold.
+and the trusted constructor ``_trusted``; a polynomial also keeps its own
+sum, which starts from a copy of the left term map.  ``_add_into`` is the
+one in-place sum of the engine: it adds (key, value) pairs into one map,
+dropping a key whose sum cancels, for a polynomial sum or merge, a
+repeated key of a form merge and each step of a frame's half-row fold.
+A trusted term map is stored as it is, so each builder whose sums can
+cancel in a loop of its own (a product, a pull-back) drops its zeros with
+``_nonzero``.
 """
 
 from __future__ import annotations
@@ -42,12 +46,23 @@ _new = object.__new__
 
 def _add_into(out: Dict[Hashable, GaussianRational], pairs: Iterable[Tuple[Hashable, GaussianRational]]):
     """The one in-place sum: add (key, value) pairs, such as a term map's
-    ``items()``, into ``out``, which may be left holding zero values, and
-    return ``out``."""
+    ``items()``, into ``out`` and return ``out``.  A key whose sum is zero
+    is dropped where the sum is formed, so a map of nonzero values stays
+    one; a zero value given for a new key is kept as it is."""
     for key, value in pairs:
         prev = out.get(key)
-        out[key] = value if prev is None else prev + value
+        if prev is None:
+            out[key] = value
+        elif total := prev + value:
+            out[key] = total
+        else:
+            del out[key]
     return out
+
+
+def _nonzero(terms: Dict[Hashable, GaussianRational]) -> Dict[Hashable, GaussianRational]:
+    """A term map with its zero values dropped, for a sum that can cancel."""
+    return {key: c for key, c in terms.items() if c}
 
 
 class _TermMap:
@@ -64,7 +79,8 @@ class _TermMap:
     ``_trusted(n, terms)``, which stores a ``dict`` as a term map and
     merges an iterable of pairs with the same ``_merged``.  The validating
     constructor merges through ``_merged``, not ``_trusted``, so that each
-    trusted build can be checked against it.  The sum, ``_coerce``, the
+    trusted build can be checked against it.  The sum (which a polynomial
+    overrides with its own, from a copy of its term map), ``_coerce``, the
     rest of the linear structure, equality and hashing are here."""
 
     __slots__ = ("n", "terms")
@@ -132,27 +148,30 @@ class WirtingerPolynomial(_TermMap):
     @staticmethod
     def _merged(pairs: Iterable[Tuple[Exponents, GaussianRational]]) -> Dict[Exponents, GaussianRational]:
         """The term map of (exponents, scalar) pairs: repeated exponent
-        vectors summed by ``_add_into``, zero coefficients dropped."""
-        return {e: c for e, c in _add_into({}, pairs).items() if c}
+        vectors summed by ``_add_into``, zero coefficients dropped (a
+        public constructor's pair may hold one)."""
+        return _nonzero(_add_into({}, pairs))
 
     @classmethod
     def _trusted(cls, n: int, terms: Union[dict, Iterable[Tuple[Exponents, GaussianRational]]]) -> "WirtingerPolynomial":
         """The constructor of the internal ops: the keys are already exponent
         tuples of length 2n and the values ``GaussianRational``s.  A ``dict``
-        has only its zero coefficients dropped; an iterable of pairs is
-        merged."""
+        is stored as it is, so its coefficients must be nonzero: a builder
+        whose sums can cancel drops its zeros first (``_add_into`` as it
+        sums, or ``_nonzero``).  An iterable of pairs is merged."""
         poly = _new(cls)
         poly.n = n
-        poly.terms = {e: c for e, c in terms.items() if c} if isinstance(terms, dict) else cls._merged(terms)
+        poly.terms = terms if isinstance(terms, dict) else cls._merged(terms)
         return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, n: int, value: ScalarLike) -> "WirtingerPolynomial":
-        """A constant, built trusted; an n below 1 goes to the validating
-        constructor, which rejects it."""
-        terms = {(0,) * (2 * n): GaussianRational.coerce(value)}
+        """A constant, built trusted (no term for zero); an n below 1 goes to
+        the validating constructor, which rejects it."""
+        value = GaussianRational.coerce(value)
+        terms = {(0,) * (2 * n): value} if value else {}
         return cls._trusted(n, terms) if n > 0 else cls(n, terms)
 
     @classmethod
@@ -187,7 +206,7 @@ class WirtingerPolynomial(_TermMap):
     def _lift(self, value: ScalarLike) -> "WirtingerPolynomial":
         """A scalar operand as a constant polynomial; n is already checked,
         so only the scalar is."""
-        return WirtingerPolynomial._trusted(self.n, {(0,) * (2 * self.n): GaussianRational.coerce(value)})
+        return WirtingerPolynomial.constant(self.n, value)
 
     # -- ring operations ----------------------------------------------------
 
@@ -197,7 +216,12 @@ class WirtingerPolynomial(_TermMap):
         are merged into one map (``_merged``)."""
         return cls._trusted(n, chain.from_iterable(poly.terms.items() for poly in polys))
 
-    __add__ = __radd__ = _TermMap.__add__
+    def __add__(self, other: PolyLike) -> "WirtingerPolynomial":
+        """The sum, from a copy of this term map: the other operand's terms
+        are added in place (``_add_into``), which drops a sum that cancels."""
+        return WirtingerPolynomial._trusted(self.n, _add_into(dict(self.terms), self._coerce(other).terms.items()))
+
+    __radd__ = __add__
 
     def __rsub__(self, other: PolyLike) -> "WirtingerPolynomial":
         return self._coerce(other) + (-self)
@@ -211,13 +235,13 @@ class WirtingerPolynomial(_TermMap):
                 e = tuple(map(add, e1, e2))
                 prev = out.get(e)
                 out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return WirtingerPolynomial._trusted(self.n, out)
+        return WirtingerPolynomial._trusted(self.n, _nonzero(out))
 
     __rmul__ = __mul__
 
     def scale(self, value: ScalarLike) -> "WirtingerPolynomial":
         c = GaussianRational.coerce(value)
-        return WirtingerPolynomial._trusted(self.n, {e: k * c for e, k in self.terms.items()})
+        return WirtingerPolynomial._trusted(self.n, {e: k * c for e, k in self.terms.items()} if c else {})
 
     def __pow__(self, exponent: int) -> "WirtingerPolynomial":
         """``scalars._power``, whose products the DSL budget charges first; one(n) for 0."""

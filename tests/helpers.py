@@ -9,7 +9,7 @@ from typing import Optional, Tuple
 
 from hypothesis import strategies as st
 
-from pqforms import Form, HermitianMetric, RealForm, WirtingerPolynomial, gaussian, real_hodge_star
+from pqforms import Form, GaussianRational, HermitianMetric, RealForm, WirtingerPolynomial, gaussian, real_hodge_star
 from pqforms.wpoly import Z, ZBAR
 
 
@@ -355,4 +355,30 @@ def recording_trusted(monkeypatch, cls, check_key):
         return out
 
     monkeypatch.setattr(cls, "_trusted", classmethod(trusted))
+    return built
+
+
+def recording_trusted_polynomials(monkeypatch):
+    """Patch ``WirtingerPolynomial._trusted`` so every internal polynomial
+    build is also checked: a term map it is given, which it stores as it
+    is, holds no zero coefficient, each key is an exponent vector of length
+    2n, and the result equals the public constructor applied to the same
+    pairs.  Returns the list of checked results."""
+    original = WirtingerPolynomial._trusted.__func__
+    built = []
+
+    def trusted(kind, n, terms):
+        if isinstance(terms, dict):
+            assert all(terms.values()), f"a zero coefficient in a term map given to _trusted: {terms}"
+        else:
+            terms = list(terms)
+        out = original(kind, n, terms)
+        for exponents, c in out.terms.items():
+            assert type(exponents) is tuple and len(exponents) == 2 * n and min(exponents, default=0) >= 0
+            assert type(c) is GaussianRational and c
+        assert out == kind(n, terms)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(WirtingerPolynomial, "_trusted", classmethod(trusted))
     return built

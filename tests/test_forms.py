@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _factors, brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, multi_indices, polys, random_dense_metric, random_form, recording_trusted, scalars
+from helpers import _factors, brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, multi_indices, polys, random_dense_metric, random_form, recording_trusted, recording_trusted_polynomials, scalars
 from pqforms import (
     Form,
     GaussianRational,
@@ -304,12 +304,15 @@ def test_internal_ops_build_only_canonical_terms(a, b, h, c):
     rotation = RealOrthogonalMatrix([["3/5", "4/5"], ["-4/5", "3/5"]])
     with pytest.MonkeyPatch.context() as patch:
         built = recording_trusted(patch, Form, _term_key)
+        built_polys = recording_trusted_polynomials(patch)
         table = raise_indices(h, metric)
         results = [
             a + b, a - b, -a, a.scale(gaussian(2, -1)), a.scale(c), a ^ b, a.conjugate(), a.component(1, 0),
             hodge_star(a, metric), exterior_d(a), transform_form(a, rotation),
         ]
+        poly_results = [c + c, c - c, c * (c - 1), c.scale(0), c.substitute({(Z, 1): c}), c + 0, WirtingerPolynomial.constant(2, 0)]
     assert all(any(out is seen for seen in built) for out in results)
+    assert all(any(out is seen for seen in built_polys) for out in poly_results)
     # the raised table is the pull-back's own term map: canonical keys, no zero
     assert Form(2, table).terms == table and all(c.terms for c in table.values())
 

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_complexify, brute_oracle_star, brute_realify, forms, homogeneous_forms, nonzero_scalars, polys, random_form, recording_trusted
+from helpers import brute_complexify, brute_oracle_star, brute_realify, forms, homogeneous_forms, nonzero_scalars, polys, random_form, recording_trusted, recording_trusted_polynomials
 from pqforms import (
     Form,
     HermitianMetric,
     ORACLE_STAR_RATIOS,
     RealForm,
+    StarConvention,
     WirtingerPolynomial,
     complexify,
     gaussian,
+    hodge_star,
     oracle_star,
     oracle_compare,
     real_hodge_star,
@@ -23,9 +25,10 @@ from pqforms import (
     volume_form,
 )
 from pqforms import realoracle
-from pqforms.forms import _term_key
+from pqforms.forms import _pulled_back, _term_key
 from pqforms.realoracle import _codec, _validate_real_index
 from pqforms.scalars import GaussianRational
+from pqforms.star import _StarRows
 
 
 def test_realify_dz1():
@@ -296,6 +299,7 @@ def test_oracle_ops_build_only_canonical_terms(a, b, h):
     with pytest.MonkeyPatch.context() as patch:
         built = recording_trusted(patch, Form, _term_key)
         built_real = recording_trusted(patch, RealForm, _validate_real_index)
+        recording_trusted_polynomials(patch)
         x, y = realify(a), realify(b)
         real_results = [x, x + y, x - y, -x, x.scale(gaussian(1, 3)), x.wedge(y), real_hodge_star(realify(h))]
         results = [complexify(x), oracle_star(a)]
@@ -566,3 +570,85 @@ def test_a_warm_oracle_star_builds_one_polynomial_per_output_key(monkeypatch):
 def test_oracle_compare_checks_the_metric_dimension(n, metric_n):
     with pytest.raises(ValueError, match=f"^form ambient dimension {n} != metric dimension {metric_n}$"):
         oracle_compare(Form.term(n, (1,), (), 1), HermitianMetric.identity(metric_n))
+
+
+_CONVENTIONS = [StarConvention(c, o) for c in ("single", "literal_eq_2_9") for o in ("same_type_complement", "printed_eq_2_9")]
+
+
+def test_holding_oracle_compare_builds_no_polynomial(monkeypatch):
+    # under single conjugation each key's engine row is one ratio times its
+    # oracle row, so a warm comparison reads the rows alone: no pull-back,
+    # no polynomial
+    n = 3
+    c = (WirtingerPolynomial.z(n, 1) + WirtingerPolynomial.zb(n, 3).scale(gaussian(1, -2))) ** 3
+    psi = Form(n, {((1,), (2,)): c, ((2,), (3,)): c.scale(5), ((1, 3), ()): c, ((), (1, 2)): 1, ((1, 2, 3), (1, 2, 3)): c})
+    metric = HermitianMetric.identity(n)
+    expected = oracle_compare(psi, metric)
+    assert expected.proportional and [(cmp.p, cmp.q) for cmp in expected.comparisons] == [(0, 2), (1, 1), (2, 0), (3, 3)]
+    assert all(cmp.ratio == gaussian(2) ** (n - cmp.p - cmp.q) for cmp in expected.comparisons)
+    calls = []
+    trusted, init = WirtingerPolynomial._trusted.__func__, WirtingerPolynomial.__init__
+
+    def counted_trusted(cls, n, terms):
+        calls.append("_trusted")
+        return trusted(cls, n, terms)
+
+    def counted_init(self, *args):
+        calls.append("__init__")
+        init(self, *args)
+
+    def counted_pull_back(*args):
+        calls.append("_pulled_back")
+        return _pulled_back(*args)
+
+    monkeypatch.setattr(WirtingerPolynomial, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(WirtingerPolynomial, "__init__", counted_init)
+    for module in ("pqforms.star", "pqforms.realoracle"):
+        monkeypatch.setattr(f"{module}._pulled_back", counted_pull_back)
+    assert oracle_compare(psi, metric) == expected
+    assert calls == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(forms(max_terms=5, max_degree=2), st.sampled_from(_CONVENTIONS))
+def test_oracle_compare_gives_the_form_level_verdict(psi, convention):
+    # the rows' verdict, where it is read, is that of the two stars of each
+    # component compared form against form
+    metric = HermitianMetric.identity(psi.n)
+    report = oracle_compare(psi, metric, convention)
+    verdicts = []
+    for p, q in sorted(psi.bidegrees()):
+        part = psi.component(p, q)
+        verdicts.append((p, q, *realoracle._proportionality_ratio(hodge_star(part, metric, convention), oracle_star(part))))
+    assert [tuple(cmp) for cmp in report.comparisons] == verdicts
+    assert report.proportional == all(verdict[2] for verdict in verdicts)
+
+
+@pytest.mark.parametrize("variant", ["doubled", "extra target"])
+def test_a_wrong_engine_row_fails_through_the_form_level_path(monkeypatch, variant):
+    # the two (1,1) keys land on distinct targets; with the engine row of
+    # one of them doubled, or given one more target, the rows disagree, so
+    # that component is built and its two stars, no longer proportional,
+    # are compared form against form
+    n = 2
+    metric = HermitianMetric.identity(n)
+    psi = Form(n, {((1,), (1,)): WirtingerPolynomial.z(n, 1), ((2,), (2,)): 1, ((1, 2), ()): 1})
+    assert oracle_compare(psi, metric).proportional
+    image, compare, verdicts = _StarRows.image, realoracle._proportionality_ratio, []
+
+    def wrong(self, key):
+        row = image(self, key)
+        if key != ((1,), (1,)):
+            return row
+        return [(target, c * 2) for target, c in row] if variant == "doubled" else row + [(((1,), (2,)), gaussian(1))]
+
+    def recorded(engine, oracle):
+        verdicts.append(compare(engine, oracle))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_StarRows, "image", wrong)
+    monkeypatch.setattr(realoracle, "_proportionality_ratio", recorded)
+    report = oracle_compare(psi, metric)
+    assert not report.proportional
+    assert [tuple(cmp) for cmp in report.comparisons] == [(1, 1, False, None), (2, 0, True, gaussian(1))]
+    assert verdicts == [(False, None)]
