@@ -17,7 +17,7 @@ sum, which starts from a copy of the left term map.  ``_add_into`` is the
 one in-place sum of the engine: it adds (key, value) pairs into one map,
 dropping a key whose sum cancels, for a polynomial sum or merge, a
 repeated key of a form merge and each step of a frame's half-row fold.
-A trusted term map is stored as it is, so each builder whose sums can
+A trusted term map is stored as it is, so each op whose sums can
 cancel in a loop of its own (a product, a pull-back) drops its zeros with
 ``_nonzero``.
 """
@@ -156,7 +156,7 @@ class WirtingerPolynomial(_TermMap):
     def _trusted(cls, n: int, terms: Union[dict, Iterable[Tuple[Exponents, GaussianRational]]]) -> "WirtingerPolynomial":
         """The constructor of the internal ops: the keys are already exponent
         tuples of length 2n and the values ``GaussianRational``s.  A ``dict``
-        is stored as it is, so its coefficients must be nonzero: a builder
+        is stored as it is, so its coefficients must be nonzero: an op
         whose sums can cancel drops its zeros first (``_add_into`` as it
         sums, or ``_nonzero``).  An iterable of pairs is merged."""
         poly = _new(cls)

@@ -9,7 +9,7 @@ from typing import Optional, Tuple
 
 from hypothesis import strategies as st
 
-from pqforms import Form, GaussianRational, HermitianMetric, RealForm, WirtingerPolynomial, gaussian, real_hodge_star
+from pqforms import Form, HermitianMetric, RealForm, WirtingerPolynomial, gaussian, real_hodge_star
 from pqforms.wpoly import Z, ZBAR
 
 
@@ -335,11 +335,14 @@ def homogeneous_forms(draw, n: Optional[int] = None, max_terms: int = 2, max_deg
     return draw(forms(n=n, max_terms=max_terms, max_degree=max_degree, bidegree=(p, q)))
 
 
-def recording_trusted(monkeypatch, cls, check_key):
-    """Patch ``cls._trusted`` so every internal build is also checked:
-    each key passes ``check_key``, no coefficient is zero, and the result
-    equals the public constructor applied to the same pairs.  Returns the
-    list of checked results."""
+def recording_trusted(monkeypatch, cls):
+    """Patch ``cls._trusted``, that of a form store or of
+    ``WirtingerPolynomial``, so every internal build is also checked: each
+    stored pair passes the public constructors' check (``_checked``)
+    unchanged and of the same type, no value is zero, and the result equals
+    the public constructor applied to the same pairs.  A term map given as
+    a ``dict`` is stored as it is, so a zero value in it fails too.
+    Returns the list of checked results."""
     original = cls._trusted.__func__
     built = []
 
@@ -347,38 +350,12 @@ def recording_trusted(monkeypatch, cls, check_key):
         if not isinstance(pairs, dict):  # a term map is stored as it is
             pairs = list(pairs)
         out = original(kind, n, pairs)
-        for key, coeff in out.terms.items():
-            assert check_key(key, n) == key
-            assert isinstance(coeff, WirtingerPolynomial) and coeff.n == n and not coeff.is_zero()
+        for key, value in out.terms.items():
+            checked = out._checked(n, key, value)
+            assert checked == (key, value) and type(checked[1]) is type(value) and value, (key, value)
         assert out == kind(n, pairs)
         built.append(out)
         return out
 
     monkeypatch.setattr(cls, "_trusted", classmethod(trusted))
-    return built
-
-
-def recording_trusted_polynomials(monkeypatch):
-    """Patch ``WirtingerPolynomial._trusted`` so every internal polynomial
-    build is also checked: a term map it is given, which it stores as it
-    is, holds no zero coefficient, each key is an exponent vector of length
-    2n, and the result equals the public constructor applied to the same
-    pairs.  Returns the list of checked results."""
-    original = WirtingerPolynomial._trusted.__func__
-    built = []
-
-    def trusted(kind, n, terms):
-        if isinstance(terms, dict):
-            assert all(terms.values()), f"a zero coefficient in a term map given to _trusted: {terms}"
-        else:
-            terms = list(terms)
-        out = original(kind, n, terms)
-        for exponents, c in out.terms.items():
-            assert type(exponents) is tuple and len(exponents) == 2 * n and min(exponents, default=0) >= 0
-            assert type(c) is GaussianRational and c
-        assert out == kind(n, terms)
-        built.append(out)
-        return out
-
-    monkeypatch.setattr(WirtingerPolynomial, "_trusted", classmethod(trusted))
     return built

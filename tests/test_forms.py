@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _factors, brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, multi_indices, polys, random_dense_metric, random_form, recording_trusted, recording_trusted_polynomials, scalars
+from helpers import _factors, brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, multi_indices, polys, random_dense_metric, random_form, recording_trusted, scalars
 from pqforms import (
     Form,
     GaussianRational,
@@ -28,7 +28,7 @@ from pqforms import (
     volume_form,
 )
 from pqforms import realoracle
-from pqforms.forms import _Frame, _key_product, _merged, _pulled_back, _shuffled, _term_key, complement
+from pqforms.forms import _Frame, _key_product, _merged, _pulled_back, _shuffled, complement
 from pqforms.realoracle import _Codec
 from pqforms.wpoly import Z, ZBAR
 
@@ -303,8 +303,8 @@ def test_internal_ops_build_only_canonical_terms(a, b, h, c):
     metric = random_dense_metric(random.Random(3), 2)
     rotation = RealOrthogonalMatrix([["3/5", "4/5"], ["-4/5", "3/5"]])
     with pytest.MonkeyPatch.context() as patch:
-        built = recording_trusted(patch, Form, _term_key)
-        built_polys = recording_trusted_polynomials(patch)
+        built = recording_trusted(patch, Form)
+        built_polys = recording_trusted(patch, WirtingerPolynomial)
         table = raise_indices(h, metric)
         results = [
             a + b, a - b, -a, a.scale(gaussian(2, -1)), a.scale(c), a ^ b, a.conjugate(), a.component(1, 0),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_complexify, brute_oracle_star, brute_realify, forms, homogeneous_forms, nonzero_scalars, polys, random_form, recording_trusted, recording_trusted_polynomials
+from helpers import brute_complexify, brute_oracle_star, brute_realify, forms, homogeneous_forms, nonzero_scalars, polys, random_form, recording_trusted
 from pqforms import (
     Form,
     HermitianMetric,
@@ -25,8 +25,8 @@ from pqforms import (
     volume_form,
 )
 from pqforms import realoracle
-from pqforms.forms import _pulled_back, _term_key
-from pqforms.realoracle import _codec, _validate_real_index
+from pqforms.forms import _pulled_back
+from pqforms.realoracle import _codec
 from pqforms.scalars import GaussianRational
 from pqforms.star import _StarRows
 
@@ -297,9 +297,9 @@ def test_realify_turns_wedge_into_real_wedge(pair):
 @given(forms(n=2, max_terms=2, max_degree=1), forms(n=2, max_terms=2, max_degree=1), homogeneous_forms(n=2, max_degree=1))
 def test_oracle_ops_build_only_canonical_terms(a, b, h):
     with pytest.MonkeyPatch.context() as patch:
-        built = recording_trusted(patch, Form, _term_key)
-        built_real = recording_trusted(patch, RealForm, _validate_real_index)
-        recording_trusted_polynomials(patch)
+        built = recording_trusted(patch, Form)
+        built_real = recording_trusted(patch, RealForm)
+        recording_trusted(patch, WirtingerPolynomial)
         x, y = realify(a), realify(b)
         real_results = [x, x + y, x - y, -x, x.scale(gaussian(1, 3)), x.wedge(y), real_hodge_star(realify(h))]
         results = [complexify(x), oracle_star(a)]
