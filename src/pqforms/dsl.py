@@ -44,7 +44,7 @@ from math import comb
 from operator import add
 from typing import List, Optional, Tuple, Union
 
-from .forms import Form, TermKey, _run_key, _summed
+from .forms import Form, TermKey, _run_key
 from .scalars import (
     I_UNIT, MINUS_ONE, ONE, GaussianRational, _format_factor, _height, _height_of, _power, _reduced, _triple, format_scalar,
 )
@@ -94,12 +94,18 @@ def _error(src: str, token: _Token, message: str, expected: Tuple[str, ...] = ()
 
 
 def _tokenize(src: str) -> List[_Token]:
-    """The tokens of ``src``, read in one pass, then an "eof" token at its end."""
+    """The tokens of ``src``, read in one pass, then an "eof" token at its
+    end.  An integer of more digits than ``int()`` converts from text is a
+    ParseError at its position."""
     tokens: List[_Token] = []
     for match in _TOKEN_RE.finditer(src):
         prefix, digits, punctuation, other = match.groups()
         if digits is not None:
-            tokens.append((prefix or "int", match.group(), int(digits), match.start()))
+            try:
+                value = int(digits)
+            except ValueError:  # more digits than int() converts from text
+                raise _error(src, ("", digits, 0, match.start()), "integer literal has too many digits") from None
+            tokens.append((prefix or "int", match.group(), value, match.start()))
         elif other is None:
             tokens.append((_PUNCTUATION[punctuation], punctuation, 0, match.start()))
         else:
@@ -194,7 +200,7 @@ class _Parser:
             return terms[0]
         if all(isinstance(term, WirtingerPolynomial) for term in terms):
             return WirtingerPolynomial._sum(self.n, terms)
-        return Form._trusted(self.n, _summed(_as_form(term, self.n) for term in terms))
+        return Form._sum(self.n, (_as_form(term, self.n) for term in terms))
 
     def term(self, sign: int) -> _Value:
         """term := coeff "*" factors | coeff | factors, with coeff a product."""

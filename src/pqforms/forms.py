@@ -11,24 +11,28 @@ wedge, derivative, canonicalization and codec sign is one of the two, and
 
 The term store is one private base class, ``_TermStore``, of which
 ``Form`` and the oracle's ``RealForm`` are thin subclasses.  It is itself
-a ``wpoly._TermMap``, the protocol it shares with ``WirtingerPolynomial``
-(the validating constructor, the sum of two stores, ``_coerce``, ``zero``, negation,
-difference, ``is_zero``, truth value, equality and hashing); the store
-adds how a pair is checked, merged and lifted, the trusted constructor,
+a ``wpoly._TermMap``, the protocol it shares with ``WirtingerPolynomial``:
+the validating constructor, the trusted constructor ``_trusted``, the sum
+of two term maps, the n-ary sum ``_sum``, ``_coerce``, ``zero``, negation,
+difference, ``is_zero``, truth value, equality and hashing are written
+once there.  The store adds how a pair is checked, merged and lifted,
 scaling, the degrees and the repr, and each subclass gives only how its
 keys are checked, their degree and the names of their differentials,
 besides its own ``term`` and ``wedge``.  ``_merged`` is the one merge loop
-of both and ``_wedge_terms`` the one wedge loop, so every sum is built in
-a single constructor call.
+of both and ``_wedge_terms`` the one wedge loop, so an n-ary sum, a wedge
+or a derivative is built in a single constructor call.
 The public constructors validate each key and coefficient
 (``_TermStore._checked``) before the merge; the internal ops build
-through the trusted ``_trusted``, which checks nothing.  It merges an
-iterable of pairs, as a sum, a wedge or a derivative yields them, and
-stores a ``dict`` as it is: a dict cannot repeat a key, so the builders
-whose keys are distinct by construction (a pull-back, a component, a
-conjugate, a negation, a nonzero scaling) pass their own term map and
-nothing is merged again.  A repeated key's coefficients are summed in
-place into one term map by ``wpoly._add_into``, the one in-place sum.
+through ``_trusted``, which checks nothing.  It merges an iterable of
+pairs through ``_merged`` and stores a ``dict`` as it is: a dict cannot
+repeat a key, so the builders whose keys are distinct by construction (a
+pull-back, a component, a conjugate, a negation, a nonzero scaling) pass
+their own term map and nothing is merged again.  The sum of two forms is
+such a dict too: the right operand's terms are added into a copy of the
+left's term map, so the two polynomials of a shared key are added once
+and the key is dropped when they cancel.  A repeated key's coefficients
+are summed in place into one term map by ``wpoly._add_into``, the one
+in-place sum.
 ``_run_key`` is the one fold of a run of differentials through
 ``_key_product``, for ``Form.from_factors`` and the parser.
 
@@ -45,7 +49,6 @@ rows.  ``realify`` and ``complexify`` act on one coordinate at a time.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -134,7 +137,7 @@ def _merged(pairs: Iterable[Tuple[Any, WirtingerPolynomial]]) -> Dict[Any, Wirti
     The coefficients of a repeated key are added in place into one term
     map, so its polynomial is built once, however often the key repeats.
     It runs on the pairs of the public constructors and on the pairs that
-    ``_TermStore._trusted`` is given, never on a term map it is given.
+    ``_trusted`` is given, never on a term map it is given.
     """
     clean: Dict[Any, WirtingerPolynomial] = {}
     sums: Dict[Any, dict] = {}  # repeated key -> its running term map
@@ -149,11 +152,6 @@ def _merged(pairs: Iterable[Tuple[Any, WirtingerPolynomial]]) -> Dict[Any, Wirti
     for key, terms in sums.items():
         clean[key] = WirtingerPolynomial._trusted(clean[key].n, terms)
     return {key: coeff for key, coeff in clean.items() if coeff.terms}
-
-
-def _summed(forms: Iterable) -> Iterator[Tuple[Any, WirtingerPolynomial]]:
-    """The (key, coeff) pairs of a sum of forms, for one constructor call."""
-    return chain.from_iterable(form.terms.items() for form in forms)
 
 
 def _wedge_terms(left: Mapping, right: Mapping, product: Callable) -> Iterator[Tuple[Any, Any]]:
@@ -270,8 +268,10 @@ class _TermStore(_TermMap):
     has its own ``term`` constructor and its own ``wedge``, which passes
     ``_wedge_terms`` the product of its keys (``_key_product`` or
     ``_shuffled``).  ``terms`` may be a mapping or an iterable of
-    (key, coeff) pairs; repeated keys are summed.  The sum of two stores
-    is ``_TermMap.__add__``, and ``_coerce`` lifts no other operand.
+    (key, coeff) pairs; repeated keys are summed.  The trusted
+    constructor, the sum of two stores and the n-ary sum are those of
+    ``_TermMap``, which merge through this class's ``_merged``, and
+    ``_coerce`` lifts no other operand.
     """
 
     __slots__ = ()
@@ -279,7 +279,8 @@ class _TermStore(_TermMap):
     @staticmethod
     def _merged(pairs: Iterable[Tuple[Any, WirtingerPolynomial]]) -> Dict[Any, WirtingerPolynomial]:
         """The module's ``_merged``, looked up when called, so the public
-        constructors and ``_trusted`` reach the one merge loop by one name."""
+        constructors, ``_trusted`` and ``_sum`` reach the one merge loop by
+        one name."""
         return _merged(pairs)
 
     def _checked(self, n: int, key, coeff: CoeffLike) -> Tuple[Any, WirtingerPolynomial]:
@@ -294,17 +295,6 @@ class _TermStore(_TermMap):
 
     def _lift(self, other):
         raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
-
-    @classmethod
-    def _trusted(cls, n: int, terms: Union[dict, Iterable[Tuple[Any, WirtingerPolynomial]]]):
-        """The constructor of the internal ops: the engine built the keys
-        and coefficients, so nothing is checked.  A ``dict`` is already
-        merged, since it cannot repeat a key, and is stored as it is: its
-        coefficients must be nonzero.  An iterable of pairs is merged."""
-        form = object.__new__(cls)
-        form.n = n
-        form.terms = terms if isinstance(terms, dict) else _merged(terms)
-        return form
 
     # -- linear structure ------------------------------------------------------
 

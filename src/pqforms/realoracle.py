@@ -47,15 +47,16 @@ forms.
 star's rows of psi's keys are one ratio times the oracle's, the two stars
 of psi are too, and the verdict is read from the rows with no form built.
 Where they are not, or under the literal conjugation, both stars of each
-component are built and compared form against form.  The oracle's rows
-never read the engine's, so a wrong engine row still fails the check.
+component are built and compared monomial by monomial.  One reader,
+``_ratio``, reads the ratio on either path.  The oracle's rows never read
+the engine's, so a wrong engine row still fails the check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .forms import Form, TermKey, _TermStore, _pulled_back, _shuffled, _validate_multi_index, _wedge_terms, complement
 from .metric import HermitianMetric
@@ -387,44 +388,13 @@ class OracleReport(NamedTuple):
         return None
 
 
-def _proportionality_ratio(engine: Form, oracle: Form) -> Tuple[bool, Optional[GaussianRational]]:
-    """The two stars of one nonzero homogeneous component, neither zero: both are injective there.
-
-    The verdict is that of ``engine == oracle.scale(ratio)``, read in
-    place: the key sets, then each key's monomials, then each engine
-    constant against the oracle's times the ratio (the oracle's itself
-    when the ratio is one), up to the first mismatch.  No scaled form is
-    built."""
-    if engine.terms.keys() != oracle.terms.keys():
-        return False, None
-    # any oracle monomial: when the forms are proportional, the ratio is unique
-    key, oracle_coeff = next(iter(oracle.terms.items()))
-    exponents, scalar = next(iter(oracle_coeff.terms.items()))
-    lead = engine.terms[key].terms.get(exponents)
-    if lead is None:
-        return False, None
-    ratio = lead / scalar
-    unit = ratio == 1
-    for key, coeff in oracle.terms.items():
-        engine_terms = engine.terms[key].terms
-        if engine_terms.keys() != coeff.terms.keys() or any(
-            engine_terms[e] != (c if unit else c * ratio) for e, c in coeff.terms.items()
-        ):
-            return False, None
-    return True, ratio
-
-
-def _row_ratio(keys: Iterable[TermKey], engine_rows: Callable, oracle_rows: Callable, printed: bool) -> Optional[GaussianRational]:
-    """The one ratio r with each key's engine row r times its oracle row,
-    or None.  Every key's two rows must have the same targets, the engine's
-    relabelled by swapping each key's halves under the printed output, and
-    every engine constant must be r times the oracle's; the ratio is read
-    at the first pair.  Both stars pull each coefficient back conjugated
-    through these rows, so then hodge_star(part) == oracle_star(part).scale(r)."""
+def _ratio(rows: Iterable[Tuple[Mapping, Iterable[Tuple[Hashable, GaussianRational]]]]) -> Optional[GaussianRational]:
+    """The one ratio reader of the oracle: given pairs of an engine map and
+    its oracle's (target, constant) pairs, the one r with every engine value
+    r times the oracle's at the same target, or None.  Each pair's two
+    sides must have the same targets, and r is read at the first target."""
     ratio = None
-    for key in keys:
-        engine = {(B, A) if printed else (A, B): c for (A, B), c in engine_rows(key)}
-        oracle = oracle_rows(key)
+    for engine, oracle in rows:
         if len(engine) != len(oracle):
             return None
         for target, c in oracle:
@@ -436,6 +406,11 @@ def _row_ratio(keys: Iterable[TermKey], engine_rows: Callable, oracle_rows: Call
             elif value != c * ratio:
                 return None
     return ratio
+
+
+def _monomials(form: Form) -> Dict[Tuple[TermKey, Tuple[int, ...]], GaussianRational]:
+    """A form as one map from (key, exponents) to its scalar."""
+    return {(key, e): c for key, coeff in form.terms.items() for e, c in coeff.terms.items()}
 
 
 def oracle_compare(
@@ -453,16 +428,22 @@ def oracle_compare(
     each coefficient conjugated: the engine's rows are the metric's star
     rows (``star._StarRows.image``), the oracle's the codec's
     (``_Codec.star``, built from realify, the Euclidean star and
-    complexify alone).  Under single conjugation a bidegree is judged on
-    the rows of its keys first (``_row_ratio``): when every key's two rows
-    agree up to one ratio r, the two stars of the component agree up to r
-    by linearity, and r is the ratio the forms give, since the ratio of
-    two proportional nonzero forms is unique.  Then no component, no star
-    and no polynomial is built.  In every other case, a row mismatch or
-    the literal conjugation, whose engine star does not read the
-    coefficients as the oracle does, the component is built and its two
-    stars are compared form against form (``_proportionality_ratio``).
-    A wrong engine row thus still fails the check, on the form level.
+    complexify alone).  One reader, ``_ratio``, judges either path.  Under
+    single conjugation a bidegree is judged on the rows of its keys
+    first: ``_ratio`` gets each key's engine row as a map, its targets'
+    halves swapped under the printed output, and the key's oracle row.
+    When every key's two rows agree up to one ratio r, the two stars of
+    the component agree up to r by linearity, and r is the ratio the
+    forms give, since the ratio of two proportional nonzero forms is
+    unique.  Then no component, no star and no polynomial is built.  In
+    every other case, a row mismatch or the literal conjugation, whose
+    engine star does not read the coefficients as the oracle does, the
+    component is built and ``_ratio`` gets its two stars, each flattened
+    to one map from (key, exponents) to a scalar (``_monomials``).  Two
+    forms have equal keys and equal monomials at each key exactly when
+    their flattened maps have equal keys, so this is the form-level
+    verdict.  A wrong engine row thus still fails the check, on the form
+    level.
     """
     if not metric.is_identity():
         raise ValueError("oracle comparison is defined for the identity metric only")
@@ -474,19 +455,15 @@ def oracle_compare(
     for key in psi.terms:
         keys.setdefault((len(key[0]), len(key[1])), []).append(key)
     comparisons = []
-    overall = True
     for p, q in sorted(keys):
-        ratio = _row_ratio(keys[p, q], engine_rows, oracle_rows, printed) if single else None
-        if ratio is not None:
-            proportional = True
-        else:
+        ratio = _ratio(({(B, A) if printed else (A, B): c for (A, B), c in engine_rows(key)}, oracle_rows(key)) for key in keys[p, q]) if single else None
+        if ratio is None:
             part = psi.component(p, q)
-            proportional, ratio = _proportionality_ratio(hodge_star(part, metric, convention), oracle_star(part))
-        overall = overall and proportional
-        comparisons.append(BidegreeComparison(p=p, q=q, proportional=proportional, ratio=ratio))
+            ratio = _ratio([(_monomials(hodge_star(part, metric, convention)), _monomials(oracle_star(part)).items())])
+        comparisons.append(BidegreeComparison(p=p, q=q, proportional=ratio is not None, ratio=ratio))
     return OracleReport(
         n=psi.n,
         convention=convention,
-        proportional=overall,
+        proportional=all(cmp.proportional for cmp in comparisons),
         comparisons=tuple(comparisons),
     )

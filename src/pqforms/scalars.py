@@ -28,7 +28,9 @@ class GaussianRational:
     The triple is kept normalised, d > 0 and gcd(a, b, d) == 1, so equal
     values always have equal triples (rational arithmetic on reduced
     integer numerators and denominators, Knuth, TAOCP vol. 2, 4.5.1).
-    ``re`` and ``im`` are the reduced ``Fraction`` parts.
+    ``re`` and ``im`` are the reduced ``Fraction`` parts.  The constructor
+    takes each part as an int (a bool too) or a ``Fraction``; anything
+    else, such as a float or a string, is a TypeError, as in ``coerce``.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -39,6 +41,8 @@ class GaussianRational:
             return
         from fractions import Fraction
 
+        if bad := [part for part in (re, im) if not isinstance(part, (int, Fraction))]:
+            raise TypeError(f"cannot interpret {bad[0]!r} as a Gaussian rational")
         re, im = Fraction(re), Fraction(im)
         # over the lcm of two reduced denominators the triple is already reduced
         d = lcm(re.denominator, im.denominator)
@@ -277,7 +281,8 @@ def parse_scalar(text: str) -> GaussianRational:
 
     Accepts an optional ``*`` between a rational and ``i`` and arbitrary
     whitespace.  Each rational is built from its integers by ``_reduced``,
-    as the DSL builds its numbers, and a zero denominator is a ValueError.
+    as the DSL builds its numbers, and a zero denominator or an integer of
+    more digits than ``int()`` converts from text is a ValueError.
     Used by the JSON metric loader and by ``obstruction``'s directions.
     """
     s = text.strip()
@@ -298,10 +303,13 @@ def parse_scalar(text: str) -> GaussianRational:
             part = I_UNIT
         else:
             num, _, den = match.group("num").partition("/")
-            d = int(den or 1)
+            try:
+                num, d = int(num), int(den or 1)
+            except ValueError:  # more digits than int() converts from text
+                raise ValueError(f"invalid scalar literal {text!r}: too many digits") from None
             if not d:
                 raise ValueError(f"invalid scalar literal {text!r}: zero denominator")
-            part = _reduced(0, int(num), d) if match.group("iunit") else _reduced(int(num), 0, d)
+            part = _reduced(0, num, d) if match.group("iunit") else _reduced(num, 0, d)
         total = total - part if negate else total + part
         pos = match.end()
         first = False

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 from .calculus import HarmonicReport, harmonic_check, laplacian
 from .choices import CONVENTIONS, SCENARIO_IDS, StarConvention
 from .dsl import _format_value, format_poly, pretty_print
-from .forms import Form, _summed
+from .forms import Form
 from .metric import HermitianMetric
 from .obstruction import (
     Direction,
@@ -212,7 +212,7 @@ def _run_lemma34() -> ScenarioReport:
 
     paired = _all_paired_forms(n)
     paired_symbolic_zero = all(not obstruction_direction_coefficients(f) for f in paired)
-    combination = Form(n, _summed(f.scale(weight) for weight, f in zip((1, -2, 3, -1, 2), paired)))
+    combination = Form._sum(n, (f.scale(weight) for weight, f in zip((1, -2, 3, -1, 2), paired)))
     frame_report = lemma34_scenario(combination, directions, transforms)
     candidate_report = lemma34_scenario(candidate, directions)
 

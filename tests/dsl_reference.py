@@ -13,7 +13,7 @@ from math import comb
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from pqforms.dsl import MAX_NESTING, MAX_WORK, ParseError
-from pqforms.forms import Form, _summed
+from pqforms.forms import Form
 from pqforms.scalars import _height, _power, gaussian
 from pqforms.wpoly import WirtingerPolynomial
 
@@ -152,7 +152,7 @@ class _Parser:
             terms.append(self.term(1 if self.advance().kind == "plus" else -1))
         if all(isinstance(term, WirtingerPolynomial) for term in terms):
             return WirtingerPolynomial._sum(self.n, terms)
-        return Form(self.n, _summed(_as_form(term, self.n) for term in terms))
+        return Form(self.n, [pair for term in terms for pair in _as_form(term, self.n).terms.items()])
 
     def term(self, sign: int) -> _Value:
         """term := coeff "*" factors | coeff | factors, with coeff a product."""

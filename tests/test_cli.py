@@ -182,6 +182,21 @@ def test_zero_denominator_scalar_exit_2(capsys, tmp_path):
     assert run(capsys, "star", "--n", "1", "--metric", str(path), "dz1") == (2, "", message)
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() reads any number of digits here")
+def test_over_long_integer_literals_exit_2_with_a_position(capsys, tmp_path):
+    # int() refuses text of more than sys.get_int_max_str_digits() digits
+    # (4,300 by default) with a message that names a Python function; a DSL
+    # literal is refused at its line and column, and a --v component or a
+    # metric-file entry in the scalar grammar's words
+    ones = "1" * 5000
+    assert run(capsys, "star", "--n", "1", f"dz1 +\n {ones}*dz1") == (2, "", "error: integer literal has too many digits at line 2, column 2\n")
+    message = f"error: invalid scalar literal {ones!r}: too many digits\n"
+    assert run(capsys, "obstruction", "--n", "2", "--v", f"{ones},1", "dz1") == (2, "", message)
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"entries": [[ones]]}))
+    assert run(capsys, "star", "--n", "1", "--metric", str(path), "dz1") == (2, "", message)
+
+
 def test_unknown_subcommand_exit_code(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "star", "--n", "1", "--bogus", "dz1")[0] == 2

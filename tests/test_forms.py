@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _factors, brute_parity, brute_pull_back, forms, homogeneous_forms, matrix_images, multi_indices, polys, random_dense_metric, random_form, recording_trusted, scalars
+from helpers import _factors, brute_parity, brute_pull_back, exponent_vectors, forms, homogeneous_forms, matrix_images, multi_indices, polys, random_dense_metric, random_form, recording_trusted, scalars
 from pqforms import (
     Form,
     GaussianRational,
@@ -319,8 +319,10 @@ def test_internal_ops_build_only_canonical_terms(a, b, h, c):
 
 def test_distinct_key_builders_skip_the_merge(monkeypatch):
     # a builder whose keys are distinct by construction hands _trusted its
-    # own term map, which is stored as it is; sums, wedges and the identity
-    # check's top-key sum still merge
+    # own term map, which is stored as it is, and so does the sum of two
+    # forms, which adds the right operand in place into a copy of the left
+    # (here with keys that cancel); wedges and the identity check's top-key
+    # sum still merge
     n = 3
     c = WirtingerPolynomial.z(n, 1) * WirtingerPolynomial.zb(n, 2) + WirtingerPolynomial.constant(n, gaussian(1, -2))
     a = Form(n, {((1,), (2,)): c, ((2,), (3,)): c.scale(3), ((1, 3), ()): 1, ((), ()): c})
@@ -350,6 +352,7 @@ def test_distinct_key_builders_skip_the_merge(monkeypatch):
         "negation": lambda: -a,
         "scale": lambda: a.scale(gaussian(2, -1)),
         "scale by zero": lambda: a.scale(0),
+        "sum": lambda: a + b - h,
     }
     for name, build in builders.items():
         del calls[:]
@@ -357,7 +360,8 @@ def test_distinct_key_builders_skip_the_merge(monkeypatch):
         assert not calls, name
         assert all(coeff.terms for coeff in out.terms.values()), name
     assert a.scale(0).is_zero() and a.scale(0) == Form.zero(n)
-    for name, build in {"sum": lambda: a + b, "wedge": lambda: a ^ b, "identity check": lambda: defining_identity_check(h, h, metric)}.items():
+    assert a + b - h == Form(n, [*a.terms.items(), *b.terms.items(), *(-h).terms.items()])
+    for name, build in {"wedge": lambda: a ^ b, "identity check": lambda: defining_identity_check(h, h, metric)}.items():
         del calls[:]
         build()
         assert calls, name
@@ -414,6 +418,36 @@ def test_public_constructor_agrees_with_trusted_on_pairs(data):
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(keys), polys(n=n, max_terms=2)), max_size=5))
     pairs += [(key, -c) for key, c in pairs[: data.draw(st.integers(0, len(pairs)))]]
     assert Form(n, pairs) == Form._trusted(n, pairs)
+
+
+# each term map's keys and values, as its validating constructor takes them
+_TERM_MAPS = {
+    Form: lambda n: (st.tuples(multi_indices(n), multi_indices(n)), polys(n=n, max_terms=2)),
+    RealForm: lambda n: (multi_indices(2 * n), polys(n=n, max_terms=2)),
+    WirtingerPolynomial: lambda n: (exponent_vectors(n, 1), scalars()),
+}
+
+
+def _snapshot(term_map):
+    """A copy of a term map that shares no dict with it, a coefficient's included."""
+    return {key: dict(v.terms) if isinstance(v, WirtingerPolynomial) else v for key, v in term_map.terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(list(_TERM_MAPS)))
+def test_the_sum_is_the_constructor_over_both_operands(data, cls):
+    # a + b adds b's terms in place into a copy of a's term map: it equals
+    # the validating constructor over both operands' pairs, keys that
+    # cancel included, and leaves both operands as they were
+    n = data.draw(st.integers(1, 2))
+    keys, values = _TERM_MAPS[cls](n)
+    pairs = st.lists(st.tuples(keys, values), max_size=4)
+    a = cls(n, data.draw(pairs))
+    cancelled = data.draw(st.lists(st.sampled_from(sorted(a.terms)), unique=True)) if a.terms else []
+    b = cls(n, data.draw(pairs) + [(key, -a.terms[key]) for key in cancelled])
+    before = _snapshot(a), _snapshot(b)
+    assert a + b == cls(n, [*a.terms.items(), *b.terms.items()])
+    assert (_snapshot(a), _snapshot(b)) == before
 
 
 @pytest.mark.parametrize(

@@ -234,7 +234,8 @@ def _defined_ratio(engine, oracle):
 )
 def test_proportionality_ratio_matches_its_definition(oracle, ratio, variant, pick, delta):
     # engine is ratio * oracle, or that multiple changed in one place; the
-    # in-place test returns the definition's verdict and ratio
+    # ratio reader on the two forms' monomials returns the definition's
+    # verdict and ratio
     n = oracle.n
     terms = {key: dict(coeff.terms) for key, coeff in oracle.scale(ratio).terms.items()}
     keys = sorted(terms)
@@ -253,7 +254,8 @@ def test_proportionality_ratio_matches_its_definition(oracle, ratio, variant, pi
         del terms[key][exponents]
     engine = Form(n, {key: WirtingerPolynomial(n, coeff) for key, coeff in terms.items()})
     assume(engine)
-    verdict = realoracle._proportionality_ratio(engine, oracle)
+    read = realoracle._ratio([(realoracle._monomials(engine), realoracle._monomials(oracle).items())])
+    verdict = (read is not None, read)
     assert verdict == _defined_ratio(engine, oracle)
     monomials = sum(len(coeff.terms) for coeff in oracle.terms.values())
     if variant == "multiple":
@@ -613,13 +615,13 @@ def test_holding_oracle_compare_builds_no_polynomial(monkeypatch):
 @given(forms(max_terms=5, max_degree=2), st.sampled_from(_CONVENTIONS))
 def test_oracle_compare_gives_the_form_level_verdict(psi, convention):
     # the rows' verdict, where it is read, is that of the two stars of each
-    # component compared form against form
+    # component compared form against form, by the definition of the ratio
     metric = HermitianMetric.identity(psi.n)
     report = oracle_compare(psi, metric, convention)
     verdicts = []
     for p, q in sorted(psi.bidegrees()):
         part = psi.component(p, q)
-        verdicts.append((p, q, *realoracle._proportionality_ratio(hodge_star(part, metric, convention), oracle_star(part))))
+        verdicts.append((p, q, *_defined_ratio(hodge_star(part, metric, convention), oracle_star(part))))
     assert [tuple(cmp) for cmp in report.comparisons] == verdicts
     assert report.proportional == all(verdict[2] for verdict in verdicts)
 
@@ -634,7 +636,7 @@ def test_a_wrong_engine_row_fails_through_the_form_level_path(monkeypatch, varia
     metric = HermitianMetric.identity(n)
     psi = Form(n, {((1,), (1,)): WirtingerPolynomial.z(n, 1), ((2,), (2,)): 1, ((1, 2), ()): 1})
     assert oracle_compare(psi, metric).proportional
-    image, compare, verdicts = _StarRows.image, realoracle._proportionality_ratio, []
+    image, star, built = _StarRows.image, realoracle.hodge_star, []
 
     def wrong(self, key):
         row = image(self, key)
@@ -642,13 +644,13 @@ def test_a_wrong_engine_row_fails_through_the_form_level_path(monkeypatch, varia
             return row
         return [(target, c * 2) for target, c in row] if variant == "doubled" else row + [(((1,), (2,)), gaussian(1))]
 
-    def recorded(engine, oracle):
-        verdicts.append(compare(engine, oracle))
-        return verdicts[-1]
+    def recorded(part, *args):
+        built.append(part.bidegrees())
+        return star(part, *args)
 
     monkeypatch.setattr(_StarRows, "image", wrong)
-    monkeypatch.setattr(realoracle, "_proportionality_ratio", recorded)
+    monkeypatch.setattr(realoracle, "hodge_star", recorded)
     report = oracle_compare(psi, metric)
     assert not report.proportional
     assert [tuple(cmp) for cmp in report.comparisons] == [(1, 1, False, None), (2, 0, True, gaussian(1))]
-    assert verdicts == [(False, None)]
+    assert built == [{(1, 1)}]

@@ -207,8 +207,8 @@ def test_power_squares_no_further_than_its_top_bit(monkeypatch):
         ((Fraction(-2, 6), Fraction(4, 6)), "GaussianRational(-1/3, 2/3)", "-1/3+2/3*i"),
         ((Fraction(5, 3), -1), "GaussianRational(5/3, -1)", "5/3-i"),
         ((-7, Fraction(-1, 3)), "GaussianRational(-7, -1/3)", "-7-1/3*i"),
-        (("3/6", 0.25), "GaussianRational(1/2, 1/4)", "1/2+1/4*i"),
-        ((Decimal("1.5"), "-2/4"), "GaussianRational(3/2, -1/2)", "3/2-1/2*i"),
+        ((Fraction("3/6"), Fraction(0.25)), "GaussianRational(1/2, 1/4)", "1/2+1/4*i"),
+        ((Fraction(Decimal("1.5")), Fraction("-2/4")), "GaussianRational(3/2, -1/2)", "3/2-1/2*i"),
         ((True, False), "GaussianRational(1, 0)", "1"),
     ],
 )
@@ -243,10 +243,22 @@ def test_format_scalar_matches_the_fraction_formatter(a, b, d):
     assert _format_factor(value) == (f"({text})" if value.re != 0 and value.im != 0 else text)
 
 
-@pytest.mark.parametrize("bad,error", [("x", ValueError), (None, TypeError), (1j, TypeError)])
+@pytest.mark.parametrize("bad,error", [("x", TypeError), (None, TypeError), (1j, TypeError)])
 def test_constructor_rejects_what_fraction_rejects(bad, error):
     with pytest.raises(error):
         GaussianRational(bad)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1e5", "3/6", Decimal("1.5")])
+def test_constructor_takes_only_ints_and_fractions(bad):
+    # a float, a string or a Decimal is refused in either part, as
+    # GaussianRational.coerce refuses it; Fraction would have read it
+    message = f"^cannot interpret {re.escape(repr(bad))} as a Gaussian rational$"
+    for args in ((bad,), (0, bad), (bad, Fraction(1, 3))):
+        with pytest.raises(TypeError, match=message):
+            GaussianRational(*args)
+        with pytest.raises(TypeError, match=message):
+            gaussian(*args)
 
 
 @pytest.mark.parametrize("name", ["re", "im"])
