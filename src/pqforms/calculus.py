@@ -73,8 +73,7 @@ def _star_d_star(form: Form, metric: HermitianMetric) -> Form:
     negated for -1, instead of scaling it.  On a flat Kaehler model this is the usual
     contraction formula (Huybrechts, Complex Geometry, 1.2 and 3.1).
     """
-    if form.n != metric.n:
-        raise ValueError(f"form ambient dimension {form.n} != metric dimension {metric.n}")
+    metric._check_dimension(form)
     ginv = metric.inverse
     rows = (ginv, tuple(zip(*ginv)))  # rows[0][b-1][a-1] and rows[1][a-1][b-1] are both ginv[b][a]
     pairs = []

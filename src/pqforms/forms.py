@@ -52,7 +52,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from .scalars import ONE, GaussianRational, _quarter_turned
+from .scalars import ONE, GaussianRational
 from .wpoly import Z, ZBAR, PolyLike, WirtingerPolynomial, _add_into, _nonzero, _TermMap
 
 MultiIndex = Tuple[int, ...]
@@ -205,10 +205,11 @@ class _Frame:
     one wedge loop, each step summed by ``_add_into`` (``_build_half``).
     ``_half`` is the one memo lookup: it keeps each half's row in ``halves``
     as a map from indices to constants, built on its first read; a
-    subclass overrides only ``_build_half``.  ``image`` reads a key's
-    whole row and ``at`` its entries at chosen image keys, the left
-    constants turned by ``_turns(key)`` quarter turns: none here, the
-    bidegree's unit in ``star._StarRows``."""
+    subclass overrides ``_build_half`` and the sign hook ``_negated``.
+    ``image`` reads a key's whole row and ``at`` its entries at chosen
+    image keys, the left constants negated where ``_negated(key)`` holds:
+    never for a plain frame, and in ``star._StarRows`` where the key's
+    bidegree sign is -1."""
 
     __slots__ = ("generators", "halves")
 
@@ -230,28 +231,29 @@ class _Frame:
             row = _add_into({}, _wedge_terms(row, generators[k - 1], _shuffled))
         return row
 
-    def _turns(self, key: TermKey) -> int:
-        """The quarter turns of a key's left constants: none for a plain frame."""
-        return 0
+    def _negated(self, key: TermKey) -> bool:
+        """Whether a key's left constants are negated: never for a plain frame."""
+        return False
 
     def image(self, key: TermKey) -> List[Tuple[TermKey, GaussianRational]]:
         """The row of a key: (image key, constant) pairs."""
-        left, right, turns = self._half(0, key[0]).items(), self._half(1, key[1]).items(), self._turns(key) & 3
-        if turns:
-            left = [(A, _quarter_turned(a, turns)) for A, a in left]
+        left, right = self._half(0, key[0]).items(), self._half(1, key[1]).items()
+        if self._negated(key):
+            left = [(A, -a) for A, a in left]
         return [((A, B), a * b) for A, a in left for B, b in right]
 
-    def at(self, reads: Sequence[Tuple[Any, TermKey, int]], scale: Optional[GaussianRational] = None) -> Callable[[TermKey], List[Tuple[Any, GaussianRational]]]:
+    def at(self, reads: Sequence[Tuple[Any, TermKey, bool]], scale: Optional[GaussianRational] = None) -> Callable[[TermKey], List[Tuple[Any, GaussianRational]]]:
         """The row function of the frame read only at chosen image keys, for
-        ``_pulled_back``: ``reads`` lists (target, image key, extra quarter
-        turns) triples, and a key's row emits at each target its constant at
-        that image key, turned by the extra turns and times ``scale`` when
-        one is given.  An image key the row lacks is left out."""
-        half, turned = self._half, self._turns
+        ``_pulled_back``: ``reads`` lists (target, image key, negated)
+        triples, and a key's row emits at each target its constant at that
+        image key, negated when exactly one of the read's flag and
+        ``_negated(key)`` holds, and times ``scale`` when one is given.  An
+        image key the row lacks is left out."""
+        half, negated = self._half, self._negated
 
         def image(key: TermKey) -> List[Tuple[Any, GaussianRational]]:
-            left, right, turns = half(0, key[0]), half(1, key[1]), turned(key)
-            row = [(target, _quarter_turned(left[A], turns + extra) * right[B]) for target, (A, B), extra in reads if A in left and B in right]
+            left, right, odd = half(0, key[0]), half(1, key[1]), negated(key)
+            row = [(target, (-left[A] if odd != flip else left[A]) * right[B]) for target, (A, B), flip in reads if A in left and B in right]
             return row if scale is None else [(target, c * scale) for target, c in row]
 
         return image

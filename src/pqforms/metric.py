@@ -172,6 +172,13 @@ class HermitianMetric:
     def validate(self) -> MetricValidation:
         return validate_matrix(self.entries)
 
+    def _check_dimension(self, *forms: Form) -> None:
+        """The one check of forms against the metric: a ValueError naming
+        the first form whose ambient dimension is not the metric's."""
+        for form in forms:
+            if form.n != self.n:
+                raise ValueError(f"form ambient dimension {form.n} != metric dimension {self.n}")
+
     def is_identity(self) -> bool:
         """Whether the matrix is the identity, compared entry by entry on
         the first call and kept: the metric is immutable."""
@@ -250,13 +257,21 @@ def load_metric(path: str) -> HermitianMetric:
     Entries may be integers, rational strings like "1/2", or complex
     literals like "1/2+3/4i".  Non-Hermitian matrices are rejected with a
     diff of the offending entries, and matrices that are not positive
-    definite with the first leading minor that is not positive.
+    definite with the first leading minor that is not positive.  A JSON
+    integer of more digits than ``int()`` converts from text is refused in
+    the engine's words, not Python's.
     """
     import json
 
+    def parse_int(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts from text
+            raise ValueError(f"{path}: metric file has an integer of too many digits") from None
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_int=parse_int)
         except RecursionError:
             raise ValueError(f"{path}: metric file is nested too deeply") from None
     if not isinstance(payload, dict) or "entries" not in payload:

@@ -447,8 +447,6 @@ def oracle_compare(
     """
     if not metric.is_identity():
         raise ValueError("oracle comparison is defined for the identity metric only")
-    if psi.n != metric.n:
-        raise ValueError(f"form ambient dimension {psi.n} != metric dimension {metric.n}")
     single, printed = convention.conjugation_mode == "single", convention.output_index_mode == "printed_eq_2_9"
     engine_rows, oracle_rows = _star_rows(psi, metric).image, _codec(psi.n).star
     keys: Dict[Tuple[int, int], List[TermKey]] = {}  # bidegree -> psi's keys of it

@@ -209,20 +209,6 @@ def _height_of(value: GaussianRational) -> float:
     return log2(value._d * (abs(value._a) + abs(value._b)))
 
 
-def _quarter_turned(value: GaussianRational, turns: int) -> GaussianRational:
-    """value * i**turns: a unit rotation permutes and negates the integer
-    triple, so it keeps the invariant and needs no gcd."""
-    turns &= 3
-    if not turns:
-        return value
-    a, b, d = value._a, value._b, value._d
-    if turns == 1:
-        return _triple(-b, a, d)
-    if turns == 2:
-        return _triple(-a, -b, d)
-    return _triple(b, -a, d)
-
-
 ZERO = GaussianRational()
 ONE = GaussianRational(1)
 I_UNIT = GaussianRational(0, 1)
@@ -276,13 +262,21 @@ _SCALAR_TOKEN = _re.compile(
 )
 
 
+def _quoted(text: str) -> str:
+    """``repr(text)``, cut to its first 40 characters and its length when it
+    is longer, so a message about a huge literal stays one short line."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a scalar literal such as ``3``, ``-1/2``, ``i``, ``2i``, ``1/2+3/4i``.
 
     Accepts an optional ``*`` between a rational and ``i`` and arbitrary
     whitespace.  Each rational is built from its integers by ``_reduced``,
     as the DSL builds its numbers, and a zero denominator or an integer of
-    more digits than ``int()`` converts from text is a ValueError.
+    more digits than ``int()`` converts from text is a ValueError.  A
+    message quotes a literal of more than 40 characters by its first 40
+    and its length (``_quoted``).
     Used by the JSON metric loader and by ``obstruction``'s directions.
     """
     s = text.strip()
@@ -294,10 +288,10 @@ def parse_scalar(text: str) -> GaussianRational:
     while pos < len(s):
         match = _SCALAR_TOKEN.match(s, pos)
         if not match or match.end() == pos:
-            raise ValueError(f"invalid scalar literal {text!r} (at offset {pos})")
+            raise ValueError(f"invalid scalar literal {_quoted(text)} (at offset {pos})")
         sign = match.group("sign")
         if sign is None and not first:
-            raise ValueError(f"invalid scalar literal {text!r}: missing sign before term")
+            raise ValueError(f"invalid scalar literal {_quoted(text)}: missing sign before term")
         negate = sign == "-"
         if match.group("lone_i"):
             part = I_UNIT
@@ -306,9 +300,9 @@ def parse_scalar(text: str) -> GaussianRational:
             try:
                 num, d = int(num), int(den or 1)
             except ValueError:  # more digits than int() converts from text
-                raise ValueError(f"invalid scalar literal {text!r}: too many digits") from None
+                raise ValueError(f"invalid scalar literal {_quoted(text)}: too many digits") from None
             if not d:
-                raise ValueError(f"invalid scalar literal {text!r}: zero denominator")
+                raise ValueError(f"invalid scalar literal {_quoted(text)}: zero denominator")
             part = _reduced(0, num, d) if match.group("iunit") else _reduced(num, 0, d)
         total = total - part if negate else total + part
         pos = match.end()

@@ -19,20 +19,24 @@ already for star(dz1) at n=1, which the reports document.
 
 For a (p,q)-term with coefficient c on (A, B) the default star emits
 
-    i^n * (-1)^(n(n-1)/2 + (n-p)q) * sgn(A, A^c) * sgn(B, B^c)
-        * det(g) * raised(c)  on  dz^(A^c) ^ dzb^(B^c)
+    P * (-1)^((n-p)q) * sgn(A, A^c) * sgn(B, B^c) * raised(c)
+        on  dz^(A^c) ^ dzb^(B^c),   P = det(g) * i^n * (-1)^(n(n-1)/2)
 
 where sgn sorts the concatenated index blocks into 1..n and raised(c)
-contracts the conjugated coefficient with inverse-metric entries.  The
-whole product is one linear map on keys, so the star is one pull-back
-(``forms._pulled_back``) through rows of constants, ``_StarRows``: the
-raising frame's rows with each image key complemented and its signs and
-det(g) folded into the constant.  Each monomial is multiplied once.
+contracts the conjugated coefficient with inverse-metric entries.  Only
+the sign (-1)^((n-p)q) depends on the key; the prefactor P is one
+constant per metric.  The whole product is one linear map on keys, so
+the star is one pull-back (``forms._pulled_back``) through rows of
+constants, ``_StarRows``: the raising frame's rows with each image key
+complemented and its complement sign and P folded into the constant,
+each key's row negated where its bidegree's sign is -1.  Each monomial
+is multiplied once.
 
 The rows are the default star's only: each printed variant is a map of
 its result.  The printed output swaps the halves of each image key.  The
-literal conjugation conjugates the rows but not their unit u = +-i^n, so
-it gives u / conj(u) = (-1)^n times the conjugate of each coefficient.
+literal conjugation conjugates the raised coefficient but not the i^n of
+P, so it gives i^n / conj(i^n) = (-1)^n times the conjugate of each
+coefficient.
 A metric keeps one set of rows, whatever the convention, in its ``_star``
 slot (``_star_rows``).  The rows own the raising frame, so raising, the
 inner product, the star and the identity check read one object.
@@ -53,13 +57,13 @@ and no wedge.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .choices import CONVENTIONS, DEFAULT_CONVENTION, LITERAL_CONVENTION, StarConvention  # noqa: F401  (re-exported)
 from .forms import Form, MultiIndex, TermKey, _Frame, _pulled_back, complement
 from .metric import HermitianMetric, volume_form
-from .scalars import GaussianRational
-from .wpoly import WirtingerPolynomial
+from .scalars import I_UNIT, GaussianRational
+from .wpoly import WirtingerPolynomial, _add_into
 
 
 def raise_indices(psi: Form, metric: HermitianMetric) -> Dict[Tuple[MultiIndex, MultiIndex], WirtingerPolynomial]:
@@ -98,16 +102,14 @@ def pointwise_inner(phi: Form, psi: Form, metric: HermitianMetric) -> WirtingerP
     coefficients.  psi is raised only at phi's keys, the raising frame read
     at them (``_Frame.at``), as the defining-identity check raises it."""
     n = metric.n
-    for form in (phi, psi):
-        if form.n != n:
-            raise ValueError(f"form ambient dimension {form.n} != metric dimension {n}")
+    metric._check_dimension(phi, psi)
     if phi.is_zero() or psi.is_zero():
         return WirtingerPolynomial.zero(n)
     if phi.homogeneous_bidegree() != psi.homogeneous_bidegree():
         raise ValueError(
             f"bidegree mismatch: {phi.homogeneous_bidegree()} vs {psi.homogeneous_bidegree()}"
         )
-    raised = _pulled_back(n, psi.terms, _star_rows(psi, metric).frame.at([(K, K, 0) for K in phi.terms]), WirtingerPolynomial._conjugate_terms)
+    raised = _pulled_back(n, psi.terms, _star_rows(psi, metric).frame.at([(K, K, False) for K in phi.terms]), WirtingerPolynomial._conjugate_terms)
     return WirtingerPolynomial._sum(n, (coeff * raised[key] for key, coeff in phi.terms.items() if key in raised))
 
 
@@ -117,25 +119,28 @@ class _StarRows(_Frame):
     ``forms._Frame`` of ginv and its transpose, and is itself the
     ``forms._Frame`` of the consistent star's rows: its half rows are the
     raising frame's, each mapped once by ``_build_half``, and its row of a
-    key turns its left constants by the key's unit.  Both frames build
-    their half rows on first read.
+    key negates its left constants where the key's sign says so
+    (``_negated``).  Both frames build their half rows on first read.
 
-    The half row of indices L (side 0) is the raising frame's row of L with
-    each image A replaced by A^c, a map from A^c to sgn(A, A^c) * det(g) *
-    minor; that of M (side 1) the same with sgn(B, B^c) and no det(g).
-    Like the frame, the memo keeps halves, never whole keys, and so does
-    ``complements``, each half's ``complement`` for ``partner``.  The unit of a
-    key (L, M) of bidegree (p, q) is i^n (-1)^(n(n-1)/2 + (n-p)q), quarter
-    turns with no gcd.  ``image`` and ``at`` are the frame's readers.  The
-    rows hold no convention: both printed variants are maps of the
-    consistent star's result (``_literal`` and the swap in ``hodge_star``).
+    ``prefactor`` is the metric's one constant det(g) i^n (-1)^(n(n-1)/2),
+    which is det(g) i^(n^2).  The half row of indices L (side 0) is the
+    raising frame's row of L with each image A replaced by A^c, a map from
+    A^c to sgn(A, A^c) * prefactor * minor; that of M (side 1) the same
+    with sgn(B, B^c) and no prefactor.  Like the frame, the memo keeps
+    halves, never whole keys, and so does ``complements``, each half's
+    ``complement`` for ``partner``.  The sign of a key (L, M) of bidegree
+    (p, q) is (-1)^((n-p)q).  ``image`` and ``at`` are the frame's
+    readers.  The rows hold no convention: both printed variants are maps
+    of the consistent star's result (``_literal`` and the swap in
+    ``hodge_star``).
     """
 
-    __slots__ = ("frame", "n", "determinant", "complements")
+    __slots__ = ("frame", "n", "prefactor", "complements")
 
     def __init__(self, metric: HermitianMetric):
         self.frame = _Frame(metric.inverse, list(zip(*metric.inverse)))
-        self.n, self.determinant = metric.n, metric.determinant
+        n = self.n = metric.n
+        self.prefactor = metric.determinant * I_UNIT ** (n * n % 4)  # i^n (-1)^(n(n-1)/2) is i^(n^2)
         self.halves: Tuple[dict, dict] = ({}, {})  # dz-half L or dzb-half M -> its row
         self.complements: Dict[MultiIndex, Tuple[MultiIndex, int]] = {}  # half A -> complement(A, n)
 
@@ -144,18 +149,17 @@ class _StarRows(_Frame):
         for image, c in self.frame._half(side, indices).items():
             rest, sign = complement(image, self.n)
             if not side:
-                c = c * self.determinant
+                c = c * self.prefactor
             row[rest] = -c if sign < 0 else c
         return row
 
-    def _turns(self, key: TermKey) -> int:
-        """The quarter turns of the unit i^n (-1)^(n(n-1)/2 + (n-p)q) of the key's bidegree."""
-        n = self.n
-        return n + 2 * (n * (n - 1) // 2 + (n - len(key[0])) * len(key[1]))
+    def _negated(self, key: TermKey) -> bool:
+        """Whether the sign (-1)^((n-p)q) of the key's bidegree (p, q) is -1."""
+        return (self.n - len(key[0])) * len(key[1]) % 2 == 1
 
-    def partner(self, key: TermKey) -> Tuple[TermKey, int]:
-        """The complement K^c = (A^c, B^c) of a key K = (A, B) and the
-        quarter turns of s_K, the sign of e_K ^ e_(K^c).  Each half's
+    def partner(self, key: TermKey) -> Tuple[TermKey, bool]:
+        """The complement K^c = (A^c, B^c) of a key K = (A, B) and whether
+        s_K, the sign of e_K ^ e_(K^c), is -1.  Each half's
         ``complement`` is kept in ``complements`` from its first use, and
         s_K is ``_key_product(K, K^c)``'s sign in closed form from their
         signs: sgn(A, A^c) * sgn(B, B^c) * (-1)^(|B| |A^c|), the dzb half of
@@ -163,15 +167,14 @@ class _StarRows(_Frame):
         (A, B), kept = key, self.complements
         rest, sign = kept.get(A) or kept.setdefault(A, complement(A, self.n))
         other, half = kept.get(B) or kept.setdefault(B, complement(B, self.n))
-        return (rest, other), 0 if (sign == half) != (len(B) * len(rest) % 2 == 1) else 2
+        return (rest, other), (sign == half) == (len(B) * len(rest) % 2 == 1)
 
 
 def _star_rows(psi: Form, metric: HermitianMetric) -> _StarRows:
     """The metric's star rows with its raising frame, built on first use and
     kept in its ``_star`` slot; psi's dimension is checked against the
     metric's first."""
-    if psi.n != metric.n:
-        raise ValueError(f"form ambient dimension {psi.n} != metric dimension {metric.n}")
+    metric._check_dimension(psi)
     if metric._star is None:
         metric._star = _StarRows(metric)
     return metric._star
@@ -179,15 +182,16 @@ def _star_rows(psi: Form, metric: HermitianMetric) -> _StarRows:
 
 def _literal(coeff: WirtingerPolynomial, n: int) -> WirtingerPolynomial:
     """The literal conjugation's coefficient from the single one's: the
-    literal star conjugates the rows but not their unit u = +-i^n, and
-    u / conj(u) = (-1)^n, so it is (-1)^n conj(coeff)."""
+    literal star conjugates the raised coefficient but not the i^n of the
+    rows' prefactor, and i^n / conj(i^n) = (-1)^n, so it is
+    (-1)^n conj(coeff)."""
     return -coeff.conjugate() if n % 2 else coeff.conjugate()
 
 
 def hodge_star(psi: Form, metric: HermitianMetric, convention: StarConvention = DEFAULT_CONVENTION) -> Form:
     """Hodge star of a form: the whole form, any mix of bidegrees, is
     pulled back once through the metric's star rows, each key's row
-    carrying the prefactor of its own bidegree, and each coefficient read
+    carrying the sign of its own bidegree, and each coefficient read
     conjugated.  The printed variants map that term map: the literal
     conjugation sends each coefficient to (-1)^n times its conjugate, and
     the printed output swaps each key's halves.
@@ -230,21 +234,22 @@ def defining_identity_check(
 
     with s_K the sign of e_K ^ e_(K^c) and v the constant of
     ``volume_form``: one polynomial product per key of phi whose sum does
-    not cancel, built in one constructor call.  K^c and the quarter turns
-    of s_K come from the complements of K's halves kept on the star rows
+    not cancel, built in one constructor call.  K^c and whether s_K is -1
+    come from the complements of K's halves kept on the star rows
     (``_StarRows.partner``), s_K in closed form from their signs.  Both
     sides are read by ``_Frame.at``: the star rows at K^c (its halves
-    swapped back under the printed output), s_K folded into the quarter
-    turns, and the raising frame at K times -v.  Both read psi conjugated,
-    so psi is pulled back once through the two rows together, and each
-    key's row sums the two sides' constants per target before any monomial
-    is multiplied (c * a + c * b = c * (a + b)), dropping a zero sum.  Under single
-    conjugation both sides are emitted at K, so a holding identity
-    multiplies no monomial and, its rows all empty, conjugates no
-    coefficient; a wrong star row leaves a nonzero sum that still fails
-    the check.  Under the literal conjugation the star side is
-    emitted at (K,), and each of those sums is mapped by ``_literal`` and
-    added to the raise's at K before the product.  Where the convention's
+    swapped back under the printed output) times s_K, a second sign on
+    the row's own, and the raising frame at K times -v.  Both read psi
+    conjugated, so psi is pulled back once through the two rows together,
+    and each key's row sums the two sides' constants per target before any
+    monomial is multiplied (c * a + c * b = c * (a + b)), in one
+    ``wpoly._add_into``, which drops a zero sum.  Under single conjugation
+    both sides are emitted at K, so a holding identity multiplies no
+    monomial and, its rows all empty, conjugates no coefficient; a wrong
+    star row leaves a nonzero sum that still fails the check.  Under the
+    literal conjugation the star side is emitted at (K,), and each of
+    those sums is mapped by ``_literal`` and added to the raise's at K
+    before the product.  Where the convention's
     star misses the K^c, as the printed output does for p != q, only
     -<phi, psi> * vol remains.
     """
@@ -253,24 +258,15 @@ def defining_identity_check(
         raise ValueError("defining identity needs forms of equal bidegree")
     n = metric.n
     rows = _star_rows(psi, metric)
-    if phi.n != n:
-        raise ValueError(f"form ambient dimension {phi.n} != metric dimension {n}")
+    metric._check_dimension(phi)
     literal, printed = convention.conjugation_mode == "literal_eq_2_9", convention.output_index_mode == "printed_eq_2_9"
-    stars = []  # (the star side's target, the half-row key of K^c, the quarter turns of s_K)
+    stars = []  # (the star side's target, the half-row key of K^c, whether s_K is -1)
     for key in phi.terms:
-        partner, turns = rows.partner(key)
-        stars.append(((key,) if literal else key, partner[::-1] if printed else partner, turns))
+        partner, negated = rows.partner(key)
+        stars.append(((key,) if literal else key, partner[::-1] if printed else partner, negated))
     (top, volume), = volume_form(metric).terms.items()
-    starred, raised = rows.at(stars), rows.frame.at([(K, K, 0) for K in phi.terms], -volume.constant_value())
-
-    def summed(key: TermKey) -> List[Tuple[Any, GaussianRational]]:
-        """Both sides' row of a key of psi, summed per target, zero sums dropped."""
-        sums: Dict[Any, GaussianRational] = {}
-        for target, c in starred(key) + raised(key):
-            prev = sums.get(target)
-            sums[target] = c if prev is None else prev + c
-        return [(target, c) for target, c in sums.items() if c]
-
+    starred, raised = rows.at(stars), rows.frame.at([(K, K, False) for K in phi.terms], -volume.constant_value())
+    summed = lambda key: list(_add_into({}, starred(key) + raised(key)).items())  # both sides' row of a key of psi, summed per target
     sums = _pulled_back(n, psi.terms, summed, WirtingerPolynomial._conjugate_terms)
     if literal:  # the star side's sums at (K,) become the literal star's and join the raise's at K
         for K in phi.terms:

@@ -187,14 +187,26 @@ def test_over_long_integer_literals_exit_2_with_a_position(capsys, tmp_path):
     # int() refuses text of more than sys.get_int_max_str_digits() digits
     # (4,300 by default) with a message that names a Python function; a DSL
     # literal is refused at its line and column, and a --v component or a
-    # metric-file entry in the scalar grammar's words
+    # metric-file entry in the scalar grammar's words, the literal quoted
+    # by its first 40 characters and its length
     ones = "1" * 5000
     assert run(capsys, "star", "--n", "1", f"dz1 +\n {ones}*dz1") == (2, "", "error: integer literal has too many digits at line 2, column 2\n")
-    message = f"error: invalid scalar literal {ones!r}: too many digits\n"
+    message = f"error: invalid scalar literal {ones[:40]!r}... (5000 characters): too many digits\n"
     assert run(capsys, "obstruction", "--n", "2", "--v", f"{ones},1", "dz1") == (2, "", message)
     path = tmp_path / "metric.json"
     path.write_text(json.dumps({"entries": [[ones]]}))
     assert run(capsys, "star", "--n", "1", "--metric", str(path), "dz1") == (2, "", message)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() reads any number of digits here")
+@pytest.mark.parametrize("payload", ['{{"entries": [[{ones}, 0], [0, 1]]}}', '{{"n": {ones}, "entries": [[1]]}}'], ids=["entry", "n"])
+def test_an_over_long_json_integer_in_a_metric_file_exit_2(capsys, tmp_path, payload):
+    # json.load reads a JSON integer with int(), which refuses more than
+    # 4,300 digits in a message that names a Python function
+    path = tmp_path / "metric.json"
+    path.write_text(payload.format(ones="1" * 5000))
+    message = f"error: {path}: metric file has an integer of too many digits\n"
+    assert run(capsys, "star", "--n", "2", "--metric", str(path), "dz1") == (2, "", message)
 
 
 def test_unknown_subcommand_exit_code(capsys):

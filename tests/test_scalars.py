@@ -92,6 +92,20 @@ def test_parse_scalar_rejects_a_zero_denominator(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [("1" * 38 + "/0", ": zero denominator"), ("1" * 39 + "/0", ": zero denominator"), ("x" * 5000, " (at offset 0)")],
+    ids=["40-chars", "41-chars", "5000-chars"],
+)
+def test_parse_scalar_quotes_a_long_literal_by_its_head(text, reason):
+    # a literal of at most 40 characters is quoted whole, a longer one by
+    # its first 40 characters and its length, so the message stays short
+    quoted = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+    with pytest.raises(ValueError, match=f"^invalid scalar literal {re.escape(quoted + reason)}$") as caught:
+        parse_scalar(text)
+    assert len(str(caught.value)) < 120
+
+
 def test_equality_with_int_and_fraction():
     assert GaussianRational(1) == 1
     assert 1 == GaussianRational(1)

@@ -203,6 +203,16 @@ def test_star_of_volume_is_one():
         assert hodge_star(volume_form(metric), metric) == Form.from_scalar(n, 1)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32))
+def test_star_of_one_is_the_wedge_power_volume_and_back(n, seed):
+    # the star rows' prefactor det(g) i^n (-1)^(n(n-1)/2), folded once per
+    # metric, against the volume that volume_form builds from wedge powers
+    metric = random_dense_metric(random.Random(seed), n)
+    assert hodge_star(Form.from_scalar(n, 1), metric) == volume_form(metric)
+    assert hodge_star(volume_form(metric), metric) == Form.from_scalar(n, 1)
+
+
 def test_star_records_convention_default():
     assert DEFAULT_CONVENTION.conjugation_mode == "single"
     assert DEFAULT_CONVENTION.output_index_mode == "same_type_complement"
@@ -300,8 +310,8 @@ def _assert_check_reads(reads, phi, metric, convention):
     assert len(reads) == 2 and star_scale is None
     partners = {(A, B): (complement(A, phi.n)[0], complement(B, phi.n)[0]) for A, B in phi.terms}
     assert [(target, image[::-1] if swapped else image) for target, image, _ in star_reads] == [((K,) if literal else K, partner) for K, partner in partners.items()]
-    assert [extra for _, _, extra in star_reads] == [0 if _key_product(K, partners[K])[1] > 0 else 2 for K in phi.terms]
-    assert raise_reads == [(K, K, 0) for K in phi.terms]
+    assert [negated for _, _, negated in star_reads] == [_key_product(K, partners[K])[1] < 0 for K in phi.terms]
+    assert raise_reads == [(K, K, False) for K in phi.terms]
     (_, volume), = volume_form(metric).terms.items()
     assert raise_scale == -volume.constant_value()
     return star_row, raise_row
@@ -419,14 +429,14 @@ def test_defining_identity_check_stars_psi_only_at_phi_partners(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_star_rows_partner_is_the_complement_with_the_product_sign(n):
     # every key of every bidegree: K^c is the complement of each half, and
-    # the quarter turns are those of _key_product(K, K^c)'s sign; the memo
-    # keeps each half's complement, never a whole key
+    # the parity is that of _key_product(K, K^c)'s sign; the memo keeps
+    # each half's complement, never a whole key
     metric = HermitianMetric.identity(n)
     rows = pqforms.star._star_rows(Form.zero(n), metric)
     halves = [A for p in range(n + 1) for A in combinations(range(1, n + 1), p)]
     for K in [(A, B) for A in halves for B in halves]:
         partner = complement(K[0], n)[0], complement(K[1], n)[0]
-        assert rows.partner(K) == (partner, 0 if _key_product(K, partner)[1] > 0 else 2)
+        assert rows.partner(K) == (partner, _key_product(K, partner)[1] < 0)
     assert rows.complements == {A: complement(A, n) for A in halves}
 
 
@@ -463,8 +473,9 @@ def test_defining_identity_check_conjugates_each_coefficient_once(monkeypatch, c
     # coefficients whose summed row is not empty, each once; a holding
     # default check conjugates none.  The literal conjugation conjugates
     # each nonzero star-side sum once more, one per K^c the literal star of
-    # psi holds.  Then the star rows lose their unit, so no sum cancels, and
-    # the same count holds with every coefficient read through the wrapper.
+    # psi holds.  Then the star rows' prefactor loses its i^n, so no sum
+    # cancels, and the same count holds with every coefficient read through
+    # the wrapper.
     calls = []
     original = WirtingerPolynomial._conjugate_terms
 
@@ -483,6 +494,7 @@ def test_defining_identity_check_conjugates_each_coefficient_once(monkeypatch, c
     for broken in (False, True):
         if broken:  # i^-3 != 1 at n = 3: the star side no longer cancels the raise's
             _unturned_unit(monkeypatch)
+            metric = HermitianMetric(metric.entries)  # the prefactor is folded into rows built from here on
         for (phi, psi), star in zip(pairs, stars):
             del calls[:], pulls[:]
             report = defining_identity_check(phi, psi, metric, convention)
@@ -537,12 +549,12 @@ def test_frame_reads_at_chosen_keys_what_its_rows_hold(n, seed, scaled):
     for frame in (dense, rows):
         for key in rng.sample(keys, min(6, len(keys))):
             row = dict(frame.image(key))
-            reads = [(("target", t), rng.choice(list(row) if row and rng.random() < 0.6 else keys), rng.randrange(4)) for t in range(rng.randint(0, 6))]
+            reads = [(("target", t), rng.choice(list(row) if row and rng.random() < 0.6 else keys), rng.random() < 0.5) for t in range(rng.randint(0, 6))]
             expected = []
-            for target, image, extra in reads:
+            for target, image, negated in reads:
                 c = row.get(image)
                 if c is not None:
-                    c = c * gaussian(0, 1) ** extra
+                    c = -c if negated else c
                     expected.append((target, c if scale is None else c * scale))
             assert frame.at(reads, scale)(key) == expected
 
@@ -597,9 +609,14 @@ def _unsigned_half(monkeypatch):
 
 
 def _unturned_unit(monkeypatch):
-    """Star rows whose unit loses its quarter turns i^n."""
-    turns = pqforms.star._StarRows._turns
-    monkeypatch.setattr(pqforms.star._StarRows, "_turns", lambda rows, key: turns(rows, key) - rows.n)
+    """Star rows built from here on whose prefactor loses its i^n."""
+    init = pqforms.star._StarRows.__init__
+
+    def unturned(rows, metric):
+        init(rows, metric)
+        rows.prefactor = rows.prefactor / gaussian(0, 1) ** rows.n
+
+    monkeypatch.setattr(pqforms.star._StarRows, "__init__", unturned)
 
 
 @pytest.mark.parametrize("breaking", [_unsigned_half, _unturned_unit], ids=["complement-sign", "unit"])
@@ -804,7 +821,7 @@ def test_star_rows_keep_halves_only_one_set_per_metric(first):
             hodge_star(psi, metric, convention)
             rows.append(metric._star)
     assert isinstance(metric._star, pqforms.star._StarRows) and all(r is metric._star for r in rows)
-    assert pqforms.star._StarRows.__slots__ == ("frame", "n", "determinant", "complements")
+    assert pqforms.star._StarRows.__slots__ == ("frame", "n", "prefactor", "complements")
     assert metric._star is built and metric._star.frame is frame
     # the halves of a key are kept, never the whole key
     assert set(metric._star.halves[0]) == {I for psi in psis for I, _ in psi.terms}
